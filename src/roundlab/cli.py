@@ -4,7 +4,12 @@ Every command echoes its seed and emits deterministic JSON (or CSV), so
 re-running a configuration byte-reproduces the output.  Exact rationals are
 written as JSON integers when integral and as ``"p/q"`` strings otherwise.
 Exit codes: 0 ok, 2 infeasible instance, 3 input error (argparse usage
-errors included), 4 internal contract violation.  ``--help`` exits 0.
+errors included), 4 internal contract violation (an LP that HiGHS could
+not decide included).  ``--help`` exits 0.  Every command's JSON is
+written once, to ``--out`` or to stdout; for ``ed-circuit`` and ``gen``
+it is the artifact itself (circuit or instance JSON) with the command's
+summary keys added, so the file loads with ``circuit_from_json`` or
+``instance_from_json``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .expanders import (
     ExpansionNotReached, MixingError, cut_matching_embed,
 )
 from .graphs import GraphError, UnreachableError, load_graph
-from .mcf import PartitionInfeasibleError, tau_mcf
+from .mcf import LPSolveError, PartitionInfeasibleError, tau_mcf
 from .protocols import (
     CompileError, compile_circuit, disjointness_function, disj_oracle,
     ed_hash_reduce, ed_oracle, steiner_aggregate_protocol,
@@ -48,7 +53,8 @@ INFEASIBLE_ERRORS = (UnreachableError, PartitionInfeasibleError, MixingError,
                      MaxRoundsExceeded)
 INPUT_ERRORS = (GraphError, FileNotFoundError, json.JSONDecodeError,
                 KeyError, ValueError)
-CONTRACT_ERRORS = (AuditError, ContractViolation, CompileError, AssertionError)
+CONTRACT_ERRORS = (AuditError, ContractViolation, CompileError, AssertionError,
+                   LPSolveError)
 
 
 def _jsonable(obj):
@@ -209,13 +215,10 @@ def cmd_compile(args):
 def cmd_ed_circuit(args):
     circuit, pos = build_ed_circuit(args.k, args.m)
     obj = circuit_to_json(circuit)
-    obj["output_pos"] = pos
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-    return {"command": "ed-circuit", "k": args.k, "m": args.m,
-            "depth": circuit.depth, "wires": circuit.wire_count,
-            "output_pos": pos, "out": args.out, "seed": args.seed}
+    obj.update({"command": "ed-circuit", "k": args.k, "m": args.m,
+                "depth": circuit.depth, "wires": circuit.wire_count,
+                "output_pos": pos, "out": args.out, "seed": args.seed})
+    return obj
 
 
 def cmd_embed_expander(args):
@@ -246,16 +249,10 @@ def cmd_gen(args):
         inst = and_disj_instance(strings, terms, args.n)
         truth = graph_oracles(inst.num_vertices, inst.edges, "connected")
     obj = inst.to_json()
-    obj["reduction"] = args.reduction
-    obj["ground_truth"] = truth
-    obj["seed"] = args.seed
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-        return {"command": "gen", "reduction": args.reduction,
-                "out": args.out, "n_h": inst.num_vertices,
-                "m_h": inst.num_edges, "seed": args.seed}
-    obj["command"] = "gen"
+    obj.update({"command": "gen", "reduction": args.reduction,
+                "ground_truth": truth, "out": args.out,
+                "n_h": inst.num_vertices, "m_h": inst.num_edges,
+                "seed": args.seed})
     return obj
 
 

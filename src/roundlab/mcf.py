@@ -28,6 +28,11 @@ from .timed import TimedPath, build_timed_graph, _build_network, SearchLimitErro
 LP_TOLERANCE = 1e-6
 
 
+class LPSolveError(RuntimeError):
+    """HiGHS ended without deciding feasibility (iteration limit,
+    numerical trouble); such a probe is never read as infeasible."""
+
+
 class BoundedDemandError(ValueError):
     """A demand matrix violates its claimed n'-bound."""
 
@@ -91,77 +96,80 @@ def uniform_demand(terminals, n_prime):
 # ---------------------------------------------------------------------------
 # arc-based LP
 
+def _assemble_mcf_lp(tg, demands_by_source):
+    """The arc-based LP of `_solve_mcf` as (cost, A_ub, b_ub, A_eq, b_eq).
+
+    Variable si * len(arcs) + ai is commodity si's flow on arc ai (in
+    `TimedGraph.arcs` order).  Each commodity numbers its conservation rows
+    by first appearance along the arcs, tail before head.  HiGHS picks
+    among optimal vertices by input order, and the routed paths come from
+    that vertex, so the numbering is kept exactly.
+    """
+    sources = sorted(demands_by_source)
+    tails, heads, is_edge = tg.arc_arrays()
+    n_src, n_arcs = len(sources), tails.size
+    n_nodes = tg.node_count
+    appearance = np.column_stack([tails, heads]).ravel()
+    # every node is the tail or head of a memory arc, so all appear
+    _, first = np.unique(appearance, return_index=True)
+    rank = np.argsort(np.argsort(first))
+    row_base = n_nodes * np.arange(n_src)
+
+    rows = (row_base[:, None] + rank[appearance]).ravel()
+    cols = np.repeat(np.arange(n_src * n_arcs), 2)
+    vals = np.tile([1.0, -1.0], n_src * n_arcs)
+    a_eq = sparse.coo_matrix((vals, (rows, cols)),
+                             shape=(n_src * n_nodes, n_src * n_arcs))
+    b_eq = np.zeros(n_src * n_nodes)
+    for si, src in enumerate(sources):
+        demand = demands_by_source[src]
+        supply = sum(demand.values())
+        b_eq[row_base[si] + rank[tg.node(src, 0)]] += float(supply)
+        for dst, amt in demand.items():
+            b_eq[row_base[si] + rank[tg.node(dst, tg.tau)]] -= float(amt)
+
+    nonmem = np.flatnonzero(is_edge)
+    ub_cols = (nonmem[:, None] + n_arcs * np.arange(n_src)).ravel()
+    a_ub = sparse.coo_matrix(
+        (np.ones(ub_cols.size), (np.repeat(np.arange(nonmem.size), n_src),
+                                 ub_cols)),
+        shape=(nonmem.size, n_src * n_arcs))
+    cost = np.zeros((n_src, n_arcs))
+    cost[:, nonmem] = 1.0
+    return cost.ravel(), a_ub, np.ones(nonmem.size), a_eq, b_eq
+
+
 def _solve_mcf(g, tau, demands_by_source):
     """Exact-feasibility multicommodity LP on the tau-layer expansion.
 
     demands_by_source: {source: {dest: amount}}.  Returns per-source arc
-    flows ({source: {arc_key: amount}}) or None when infeasible.  Memory
-    arcs are free in the objective, so idle commodities dwell in place.
+    flows ({source: {arc_key: amount}}) or None when infeasible, and
+    raises LPSolveError when HiGHS ends without deciding.  Memory arcs are
+    free in the objective, so idle commodities dwell in place.
     """
     tg = build_timed_graph(g, tau)
-    arcs = tg.arcs
-    n_arcs = len(arcs)
     sources = sorted(demands_by_source)
-    n_src = len(sources)
-    if n_src == 0:
+    if not sources:
         return {}
     if tau == 0:
         ok = all(u == v or amt == 0
                  for u, d in demands_by_source.items() for v, amt in d.items())
         return {u: {} for u in sources} if ok else None
-
-    def var(si, ai):
-        return si * n_arcs + ai
-
-    node_of = {}
-    rows, cols, vals, b_eq = [], [], [], []
-
-    def row_id(si, v, layer):
-        key = (si, v, layer)
-        if key not in node_of:
-            node_of[key] = len(b_eq)
-            b_eq.append(0.0)
-        return node_of[key]
-
-    for si, src in enumerate(sources):
-        for ai, (layer, eid, u, v) in enumerate(arcs):
-            r_out = row_id(si, u, layer)
-            rows.append(r_out); cols.append(var(si, ai)); vals.append(1.0)
-            r_in = row_id(si, v, layer + 1)
-            rows.append(r_in); cols.append(var(si, ai)); vals.append(-1.0)
-        supply = sum(demands_by_source[src].values())
-        b_eq[row_id(si, src, 0)] += float(supply)
-        for dst, amt in demands_by_source[src].items():
-            b_eq[row_id(si, dst, tau)] -= float(amt)
-    a_eq = sparse.coo_matrix((vals, (rows, cols)),
-                             shape=(len(b_eq), n_src * n_arcs))
-
-    ub_rows, ub_cols, ub_vals = [], [], []
-    nonmem = [ai for ai, a in enumerate(arcs) if a[1] is not None]
-    for r, ai in enumerate(nonmem):
-        for si in range(n_src):
-            ub_rows.append(r); ub_cols.append(var(si, ai)); ub_vals.append(1.0)
-    a_ub = sparse.coo_matrix((ub_vals, (ub_rows, ub_cols)),
-                             shape=(len(nonmem), n_src * n_arcs))
-
-    cost = np.zeros(n_src * n_arcs)
-    for ai, a in enumerate(arcs):
-        if a[1] is not None:
-            for si in range(n_src):
-                cost[var(si, ai)] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=np.ones(len(nonmem)),
-                  A_eq=a_eq, b_eq=np.array(b_eq), bounds=(0, None),
-                  method="highs")
-    if res.status != 0:
+    cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(tg, demands_by_source)
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    if res.status == 2:
         return None
+    if res.status != 0:
+        raise LPSolveError(
+            f"HiGHS status {res.status} at tau={tau} with {len(sources)} "
+            f"commodities: {res.message}")
+    arcs = tg.arcs
+    x = res.x.reshape(len(sources), len(arcs))
     out = {}
     for si, src in enumerate(sources):
-        flows = {}
-        for ai, key in enumerate(arcs):
-            x = res.x[var(si, ai)]
-            if x > LP_TOLERANCE / 10:
-                flows[key] = x
-        out[src] = flows
+        used = np.flatnonzero(x[si] > LP_TOLERANCE / 10).tolist()
+        out[src] = {arcs[ai]: x[si, ai] for ai in used}
     return out
 
 

@@ -294,6 +294,12 @@ def compile_circuit(g, terminals, circuit, seed, input_layout=None,
     bounded-demand horizon 2*tau_mcf and escalating one round at a time if
     the integral router needs slack.  The final gate's owner broadcasts the
     answer over a spanning tree.
+
+    meta keys: windows (rounds per level, 0 for a level with no units),
+    thresholds (per-level load thresholds of the gate assignment),
+    data_rounds, broadcast_rounds, answer_round, assignment (per level, the
+    terminal owning each gate) and output_owner.  The reporting-only
+    per-level horizons 2*tau_mcf(3*threshold) come from `window_bounds()`.
     """
     terms = tuple(sorted(terminals))
     n = circuit.n
@@ -333,11 +339,9 @@ def compile_circuit(g, terminals, circuit, seed, input_layout=None,
     send_plan = {}   # (round, vertex) -> list of (edge_id, token)
     recv_plan = {}   # (round, vertex, edge_id) -> token
     offset = 0
-    bounds = []
     for li, units in enumerate(level_units):
         if not units:
             windows.append(0)
-            bounds.append(0)
             continue
         pairs = [(s, t) for s, t, _ in units]
         loads_out = {}
@@ -357,7 +361,6 @@ def compile_circuit(g, terminals, circuit, seed, input_layout=None,
                     raise CompileError(
                         f"level {li} routing found no horizon <= {cap}")
         windows.append(horizon)
-        bounds.append(2 * tau_mcf(g, terms, 3 * thresholds[li]))
         for (src, dst, token), path in zip(units, routed):
             first = True
             for layer, eid, uu, vv in path.steps():
@@ -470,12 +473,23 @@ def compile_circuit(g, terminals, circuit, seed, input_layout=None,
         max_rounds=max_rounds,
         init=init,
         step=step,
-        meta={"windows": tuple(windows), "window_bounds": tuple(bounds),
-              "thresholds": tuple(thresholds), "data_rounds": data_rounds,
+        meta={"windows": tuple(windows), "thresholds": tuple(thresholds),
+              "data_rounds": data_rounds,
               "broadcast_rounds": bcast_depth, "answer_round": answer_round,
               "assignment": tuple(tuple(row) for row in assignment),
               "output_owner": owner},
     )
+
+
+def window_bounds(g, terminals, meta):
+    """Per level of a compiled circuit, the bounded-demand horizon
+    2*tau_mcf(G, K, 3*threshold) that its window is measured against; 0
+    for a level whose window is 0 (no units to route).  Reporting only:
+    the compiler routes by the actual unit loads and never needs these."""
+    terms = tuple(sorted(terminals))
+    return tuple(0 if window == 0 else 2 * tau_mcf(g, terms, 3 * threshold)
+                 for window, threshold in zip(meta["windows"],
+                                              meta["thresholds"]))
 
 
 # ---------------------------------------------------------------------------

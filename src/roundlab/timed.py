@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .flownet import FlowNetwork
 from .graphs import GraphError, UnreachableError
 
@@ -56,6 +58,20 @@ class TimedGraph:
             for v in range(self.base.n):
                 out.append((layer, None, v, v))
         return tuple(out)
+
+    def arc_arrays(self):
+        """`arcs` as numpy columns (tail, head, is_edge), entry i for
+        arcs[i]; tail and head are node ids (layer * n + vertex)."""
+        n = self.base.n
+        ends = np.array(self.base.edges, dtype=np.int64).reshape(-1, 2)
+        verts = np.arange(n)
+        layer_tails = np.concatenate([ends.ravel(), verts])
+        layer_heads = np.concatenate([ends[:, ::-1].ravel(), verts])
+        offsets = n * np.arange(self.tau)[:, None]
+        is_edge = np.arange(layer_tails.size) < ends.size
+        return ((offsets + layer_tails).ravel(),
+                (offsets + n + layer_heads).ravel(),
+                np.tile(is_edge, self.tau))
 
 
 def build_timed_graph(g, tau, memory_capacity=None):

@@ -276,6 +276,82 @@ def mcf_feasible_bruteforce(g, demands, tau, tol=1e-7):
 
 
 # ---------------------------------------------------------------------------
+# arc-based multicommodity LP, assembled entry by entry
+
+def mcf_lp_reference(g, tau, demands_by_source):
+    """(cost, A_ub, b_ub, A_eq, b_eq) of the arc-based LP, one Python call
+    per matrix entry: the reference for the vectorised assembly in
+    `roundlab.mcf`.  Rows are numbered per commodity by first appearance
+    along `TimedGraph.arcs` (tail row, then head row).  tau >= 1."""
+    import numpy as np
+    from scipy import sparse
+
+    from roundlab.timed import build_timed_graph
+
+    arcs = build_timed_graph(g, tau).arcs
+    n_arcs = len(arcs)
+    sources = sorted(demands_by_source)
+    n_src = len(sources)
+
+    def var(si, ai):
+        return si * n_arcs + ai
+
+    node_of = {}
+    rows, cols, vals, b_eq = [], [], [], []
+
+    def row_id(si, v, layer):
+        key = (si, v, layer)
+        if key not in node_of:
+            node_of[key] = len(b_eq)
+            b_eq.append(0.0)
+        return node_of[key]
+
+    for si, src in enumerate(sources):
+        for ai, (layer, eid, u, v) in enumerate(arcs):
+            r_out = row_id(si, u, layer)
+            rows.append(r_out); cols.append(var(si, ai)); vals.append(1.0)
+            r_in = row_id(si, v, layer + 1)
+            rows.append(r_in); cols.append(var(si, ai)); vals.append(-1.0)
+        supply = sum(demands_by_source[src].values())
+        b_eq[row_id(si, src, 0)] += float(supply)
+        for dst, amt in demands_by_source[src].items():
+            b_eq[row_id(si, dst, tau)] -= float(amt)
+    a_eq = sparse.coo_matrix((vals, (rows, cols)),
+                             shape=(len(b_eq), n_src * n_arcs))
+
+    ub_rows, ub_cols, ub_vals = [], [], []
+    nonmem = [ai for ai, a in enumerate(arcs) if a[1] is not None]
+    for r, ai in enumerate(nonmem):
+        for si in range(n_src):
+            ub_rows.append(r); ub_cols.append(var(si, ai)); ub_vals.append(1.0)
+    a_ub = sparse.coo_matrix((ub_vals, (ub_rows, ub_cols)),
+                             shape=(len(nonmem), n_src * n_arcs))
+
+    cost = np.zeros(n_src * n_arcs)
+    for ai, a in enumerate(arcs):
+        if a[1] is not None:
+            for si in range(n_src):
+                cost[var(si, ai)] = 1.0
+    return cost, a_ub, np.ones(len(nonmem)), a_eq, np.array(b_eq)
+
+
+def mcf_flows_reference(g, tau, demands_by_source, x, tolerance):
+    """Per-source arc flows read back from an LP solution vector x, one
+    entry at a time: {source: {arc_key: amount}} for amounts > tolerance."""
+    from roundlab.timed import build_timed_graph
+
+    arcs = build_timed_graph(g, tau).arcs
+    out = {}
+    for si, src in enumerate(sorted(demands_by_source)):
+        flows = {}
+        for ai, key in enumerate(arcs):
+            if x[si * len(arcs) + ai] > tolerance:
+                flows[key] = x[si * len(arcs) + ai]
+        out[src] = flows
+    return out
+
+
+# ---------------------------------------------------------------------------
 # expansion / graph-property oracles
 
 def expansion_bruteforce(edges, n):

@@ -1,9 +1,13 @@
 import json
 
 import pytest
+from scipy.optimize import OptimizeResult, linprog
 
+import roundlab.mcf as mcf_mod
 from roundlab import clique, format_graph_text, graph_to_json, parallel_edges
+from roundlab.circuits import build_ed_circuit, circuit_from_json
 from roundlab.cli import main
+from roundlab.distgraph import instance_from_json
 
 
 def _write_graph(tmp_path, g, name="g.txt"):
@@ -70,23 +74,29 @@ def test_gen_solve_roundtrip(tmp_path, capsys):
     code = main(["--out", inst_path, "gen", "--reduction", "and-disj",
                  "--k", "3", "--n", "2"])
     assert code == 0
-    # gen --out writes a summary to --out; regenerate to a file directly
-    code, payload = _run(capsys, ["gen", "--reduction", "and-disj",
+    with open(inst_path) as fh:
+        written = json.load(fh)
+    inst = instance_from_json(written)
+    assert written["n_h"] == inst.num_vertices
+    assert written["out"] == inst_path
+    code, printed = _run(capsys, ["gen", "--reduction", "and-disj",
                                   "--k", "3", "--n", "2"])
-    assert code == 0
-    (tmp_path / "inst.json").write_text(json.dumps(payload))
+    assert code == 0 and instance_from_json(printed) == inst
     code, solved = _run(capsys, ["solve", "--variant", "connectivity",
-                                 "--graph", gpath,
-                                 "--instance", str(tmp_path / "inst.json")])
+                                 "--graph", gpath, "--instance", inst_path])
     assert code == 0
     assert solved["answer"] == solved["oracle"]
 
 
 def test_ed_circuit_emission(tmp_path, capsys):
     out = str(tmp_path / "c.json")
-    code, payload = _run(capsys, ["--out", "/dev/null", "ed-circuit",
-                                  "--k", "2", "--m", "1"])
-    assert code == 0
+    code = main(["--out", out, "ed-circuit", "--k", "2", "--m", "1"])
+    assert code == 0 and capsys.readouterr().out == ""
+    with open(out) as fh:
+        written = json.load(fh)
+    circ, pos = build_ed_circuit(2, 1)
+    assert circuit_from_json(written) == circ
+    assert written["output_pos"] == pos and written["depth"] == circ.depth
 
 
 def test_compile_command(tmp_path, capsys):
@@ -96,10 +106,10 @@ def test_compile_command(tmp_path, capsys):
     # --out is a global option: after the subcommand argparse rejects it,
     # and main reports the usage error as an input error
     assert code == 3
-    from roundlab.circuits import build_ed_circuit, circuit_to_json
-    circ, pos = build_ed_circuit(2, 1)
-    obj = circuit_to_json(circ)
-    (tmp_path / "c.json").write_text(json.dumps(obj))
+    code = main(["--out", cpath, "ed-circuit", "--k", "2", "--m", "1"])
+    assert code == 0
+    with open(cpath) as fh:
+        pos = json.load(fh)["output_pos"]
     inputs = {"0": [1], "1": [0]}
     (tmp_path / "in.json").write_text(json.dumps(inputs))
     code, payload = _run(capsys, ["compile", "--graph", gpath,
@@ -177,6 +187,40 @@ def test_bench_ed_small_clique(tmp_path, capsys):
                                   "--graph", gpath, "--n", "3"])
     assert code == 0
     assert payload["bound_kind"] == "tau_mcf(G,K,1)"
+
+
+def test_bench_ed_lp_solve_count(tmp_path, capsys, monkeypatch):
+    # the compiler solves LPs only for the horizons it routes at, 46 HiGHS
+    # solves here; the reporting-only window bounds would add 186 more
+    solves = []
+
+    def counting_linprog(*args, **kwargs):
+        solves.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(mcf_mod, "_TAU_MCF_CACHE", {})
+    monkeypatch.setattr(mcf_mod, "linprog", counting_linprog)
+    gpath = _write_graph(tmp_path, clique(2))
+    code, payload = _run(capsys, ["bench", "--function", "ed",
+                                  "--graph", gpath, "--n", "3"])
+    assert code == 0 and payload["rounds"] == 148
+    assert len(solves) <= 46
+
+
+@pytest.mark.parametrize("status,exit_code", [(1, 4), (4, 4), (2, 2)])
+def test_lp_status_exit_codes(tmp_path, capsys, monkeypatch, status,
+                              exit_code):
+    # a solver failure is a contract violation (4); only HiGHS status 2
+    # reads as infeasible (2)
+    monkeypatch.setattr(mcf_mod, "_TAU_MCF_CACHE", {})
+    monkeypatch.setattr(mcf_mod, "linprog", lambda *a, **kw: OptimizeResult(
+        status=status, message="solver gave up", x=None))
+    path = _write_graph(tmp_path, clique(3))
+    assert main(["tau-mcf", "--graph", path, "--nprime", "2"]) == exit_code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    if exit_code == 4:
+        assert f"HiGHS status {status}" in err
 
 
 def test_csv_format(tmp_path, capsys):

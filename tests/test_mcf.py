@@ -2,17 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from scipy.optimize import OptimizeResult, linprog
 
-from roundlab import Graph, clique, path_graph, random_connected_graph
+import roundlab.mcf as mcf_mod
+from roundlab import (
+    Graph, clique, grid_graph, parallel_edges, path_graph,
+    random_connected_graph, ring_of_cliques,
+)
 from roundlab.mcf import (
-    BoundedDemandError, DemandMatrix, PartitionInfeasibleError,
+    LP_TOLERANCE, BoundedDemandError, DemandMatrix, LPSolveError,
+    PartitionInfeasibleError, _assemble_mcf_lp, _solve_mcf,
     balanced_partition_paths, mcf_feasible, route_bounded_demand,
     route_unit_demands, tau_mcf, uniform_demand,
 )
 from roundlab.schedules import audit_schedule, congestion_to_delay
-from roundlab.timed import validate_timed_path
+from roundlab.timed import build_timed_graph, validate_timed_path
 
-from oracles import mcf_feasible_bruteforce
+from oracles import (
+    mcf_feasible_bruteforce, mcf_flows_reference, mcf_lp_reference,
+)
 
 
 def test_demand_matrix_validation():
@@ -243,3 +251,89 @@ def test_route_unit_demands_contention():
     assert route_unit_demands(g, [(0, 1), (0, 1)], 1) is None
     paths = route_unit_demands(g, [(0, 1), (0, 1)], 2)
     assert paths is not None and len(paths) == 2
+
+
+# ---------------------------------------------------------------------------
+# vectorised LP assembly against the entry-by-entry reference
+
+def _lp_cases():
+    for g in (grid_graph(6, 6), ring_of_cliques(4, 4),
+              random_connected_graph(12, 10, seed=1, k=4), parallel_edges(3)):
+        terms = g.terminals
+        single = {terms[0]: {v: 0.5 for v in terms}}
+        all_pairs = {u: {v: 0.75 for v in terms if v != u} for u in terms}
+        for tau in (1, 2, 7):
+            yield g, tau, single
+            yield g, tau, all_pairs
+
+
+def test_lp_assembly_matches_reference():
+    for g, tau, demands in _lp_cases():
+        got = _assemble_mcf_lp(build_timed_graph(g, tau), demands)
+        want = mcf_lp_reference(g, tau, demands)
+        for name, a, b in zip(("cost", "A_ub", "b_ub", "A_eq", "b_eq"),
+                              got, want):
+            assert a.shape == b.shape, (name, g, tau)
+            parts = (("row", "col", "data") if name.startswith("A_")
+                     else (None,))
+            for part in parts:
+                x = a if part is None else getattr(a, part)
+                y = b if part is None else getattr(b, part)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), \
+                    (name, part, g, tau)
+
+
+def test_lp_readback_matches_reference():
+    solved = 0
+    for g, tau, demands in _lp_cases():
+        cost, a_ub, b_ub, a_eq, b_eq = mcf_lp_reference(g, tau, demands)
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=(0, None), method="highs")
+        got = _solve_mcf(g, tau, demands)
+        if res.status == 2:
+            assert got is None
+            continue
+        assert got == mcf_flows_reference(g, tau, demands, res.x,
+                                          LP_TOLERANCE / 10), (g, tau)
+        solved += 1
+    assert solved
+
+
+def test_tau_mcf_unchanged_with_reference_assembly(monkeypatch):
+    cases = [(clique(k), n) for k in (2, 3, 4) for n in (1, 2, 5, 8)]
+    cases.append((path_graph(2, terminals=(0, 2)), 2))
+    cases += [(random_connected_graph(5, 3, seed=50 + s, k=3), n)
+              for s in range(10) for n in (2, 7)]
+
+    def values():
+        monkeypatch.setattr(mcf_mod, "_TAU_MCF_CACHE", {})
+        return [tau_mcf(g, g.terminals, n) for g, n in cases]
+
+    fast = values()
+    monkeypatch.setattr(
+        mcf_mod, "_assemble_mcf_lp",
+        lambda tg, demands: mcf_lp_reference(tg.base, tg.tau, demands))
+    assert values() == fast
+
+
+# ---------------------------------------------------------------------------
+# HiGHS statuses: only status 2 means infeasible
+
+@pytest.mark.parametrize("status", [1, 4])
+def test_solver_failure_is_not_infeasible(monkeypatch, status):
+    monkeypatch.setattr(mcf_mod, "_TAU_MCF_CACHE", {})
+    monkeypatch.setattr(mcf_mod, "linprog", lambda *a, **kw: OptimizeResult(
+        status=status, message="solver gave up", x=None))
+    g = clique(3)
+    with pytest.raises(LPSolveError) as exc:
+        tau_mcf(g, g.terminals, 2)
+    text = str(exc.value)
+    assert f"status {status}" in text and "solver gave up" in text
+    assert "tau=1" in text and "3 commodities" in text
+
+
+def test_solver_status_2_reads_infeasible(monkeypatch):
+    monkeypatch.setattr(mcf_mod, "linprog", lambda *a, **kw: OptimizeResult(
+        status=2, message="infeasible", x=None))
+    g = clique(3)
+    assert not mcf_feasible(g, uniform_demand(g.terminals, 2), 1)

@@ -1,14 +1,17 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import roundlab.protocols as protocols_mod
 from roundlab import Graph, clique, parallel_edges, star_graph, path_graph
 from roundlab.circuits import BooleanCircuit, CircuitBuilder, Gate, build_ed_circuit
+from roundlab.mcf import tau_mcf
 from roundlab.protocols import (
-    ComposedFunction, all_unique_marks, compile_circuit,
+    ComposedFunction, all_unique_marks, compile_circuit, default_input_layout,
     disjointness_function, ed_hash_reduce, parity_of_majorities,
-    reference_oracles, steiner_aggregate_protocol,
+    reference_oracles, steiner_aggregate_protocol, window_bounds,
 )
 from roundlab.sim import run_protocol
 from roundlab.steiner import pack_steiner_trees
@@ -174,9 +177,45 @@ def test_compile_round_accounting():
     inputs = {t: (1, 0) for t in g.terminals}
     tr = run_protocol(g, proto, inputs, seed=0)
     windows = proto.meta["windows"]
-    bounds = proto.meta["window_bounds"]
+    bounds = window_bounds(g, g.terminals, proto.meta)
     assert sum(windows) <= sum(bounds)
     assert tr.rounds <= sum(bounds) + proto.meta["broadcast_rounds"] + 2
+
+
+def test_compile_routes_levels_at_their_unit_loads(monkeypatch):
+    # the build path asks tau_mcf only for each routed level's peak unit
+    # load, never for the reporting-only 3*threshold horizons
+    asked = []
+
+    def recording_tau_mcf(g, terminals, n_prime):
+        asked.append(n_prime)
+        return tau_mcf(g, terminals, n_prime)
+
+    monkeypatch.setattr(protocols_mod, "tau_mcf", recording_tau_mcf)
+    circuit, pos = random_circuit(3, 2, depth=3, seed=11)
+    ed_circuit, ed_pos = build_ed_circuit(2, 4)
+    for g, c, out_pos, seed in ((clique(3), circuit, pos[0], 11),
+                                (clique(2), ed_circuit, ed_pos, 0)):
+        asked.clear()
+        proto = compile_circuit(g, g.terminals, c, seed=seed,
+                                output_pos=out_pos)
+        assignment = proto.meta["assignment"]
+        holder = {j: t for t, bits in default_input_layout(
+            g.terminals, c.n).items() for j in bits}
+        peaks = []
+        for li, level in enumerate(c.levels):
+            if li == 0:
+                pairs = [(holder[p], assignment[0][p])
+                         for p in range(len(level))]
+            else:
+                pairs = [(assignment[li - 1][a], assignment[li][p])
+                         for p, gate in enumerate(level) for a in gate.args]
+            pairs = [(s, t) for s, t in pairs if s != t]
+            assert (proto.meta["windows"][li] == 0) == (not pairs)
+            if pairs:
+                peaks.append(max(*Counter(s for s, _ in pairs).values(),
+                                 *Counter(t for _, t in pairs).values()))
+        assert peaks and asked == peaks
 
 
 def test_compile_ed_circuit_small():
