@@ -5,16 +5,21 @@ re-running a configuration byte-reproduces the output.  Exact rationals are
 written as JSON integers when integral and as ``"p/q"`` strings otherwise.
 Exit codes: 0 ok, 2 infeasible instance, 3 input error (argparse usage
 errors included), 4 internal contract violation (an LP that HiGHS could
-not decide included).  ``--help`` exits 0.  Every command's JSON is
-written once, to ``--out`` or to stdout; for ``ed-circuit`` and ``gen``
-it is the artifact itself (circuit or instance JSON) with the command's
-summary keys added, so the file loads with ``circuit_from_json`` or
-``instance_from_json``.
+not decide and Steiner matching rounds that do not converge included).
+``--help`` exits 0.  ``--format csv`` writes ``key,value`` rows (the
+``bench`` summary as one header row and one value row) through the csv
+module, with list and dict values as compact JSON cells.  Every command's
+JSON is written once, to ``--out`` or to stdout; for ``ed-circuit`` and
+``gen`` it is the artifact itself (circuit or instance JSON) with the
+command's summary keys added, so the file loads with ``circuit_from_json``
+or ``instance_from_json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import random
 import sys
@@ -38,7 +43,8 @@ from .protocols import (
 from .schedules import AuditError
 from .sim import ContractViolation, MaxRoundsExceeded, replay_matches, run_protocol
 from .steiner import (
-    HypothesisError, NoGoodTreeError, disjointness_bound, pack_steiner_trees,
+    ConvergenceError, HypothesisError, NoGoodTreeError, disjointness_bound,
+    pack_steiner_trees,
 )
 from .timed import RoutableError, SearchLimitError, tau_route
 
@@ -54,7 +60,7 @@ INFEASIBLE_ERRORS = (UnreachableError, PartitionInfeasibleError, MixingError,
 INPUT_ERRORS = (GraphError, FileNotFoundError, json.JSONDecodeError,
                 KeyError, ValueError)
 CONTRACT_ERRORS = (AuditError, ContractViolation, CompileError, AssertionError,
-                   LPSolveError)
+                   LPSolveError, ConvergenceError)
 
 
 def _jsonable(obj):
@@ -75,22 +81,27 @@ def _jsonable(obj):
     return str(obj)
 
 
+def _csv_cell(value):
+    if isinstance(value, (list, dict)):
+        return json.dumps(value, separators=(",", ":"), sort_keys=True)
+    return str(value)
+
+
 def _emit(payload, args):
     payload = _jsonable(payload)
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        lines = []
-        if set(payload) >= {"instance", "k", "n", "bound_kind", "bound",
-                            "rounds", "ratio", "seed"}:
-            cols = ["instance", "k", "n", "bound_kind", "bound", "rounds",
-                    "ratio", "seed"]
-            lines.append(",".join(cols))
-            lines.append(",".join(str(payload[c]) for c in cols))
+        cols = ["instance", "k", "n", "bound_kind", "bound", "rounds",
+                "ratio", "seed"]
+        if set(payload) >= set(cols):
+            rows = [cols, [payload[c] for c in cols]]
         else:
-            for key in sorted(payload):
-                lines.append(f"{key},{payload[key]}")
-        text = "\n".join(lines) + "\n"
+            rows = [[key, payload[key]] for key in sorted(payload)]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [[_csv_cell(v) for v in row] for row in rows])
+        text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -23,7 +23,10 @@ from scipy.optimize import linprog
 
 from .graphs import GraphError, UnreachableError
 from .schedules import RoutingSchedule, ScheduleEntry
-from .timed import TimedPath, build_timed_graph, _build_network, SearchLimitError
+from .timed import (
+    TimedPath, build_timed_graph, decompose_paths, timed_max_flow,
+    SearchLimitError,
+)
 
 LP_TOLERANCE = 1e-6
 
@@ -224,52 +227,6 @@ def tau_mcf(g, terminals, n_prime):
     return lo
 
 
-# ---------------------------------------------------------------------------
-# flow decomposition (fractional, layered)
-
-def _decompose_flows(g, tau, flows, source, eps=1e-9):
-    """Split one source's arc-flow map into (TimedPath, amount) parcels."""
-    residual = dict(flows)
-    arcs_order = build_timed_graph(g, tau).arcs
-    by_tail = {}
-    for key in arcs_order:
-        if key in residual:
-            by_tail.setdefault((key[2], key[0]), []).append(key)
-    parcels = []
-    while True:
-        # find a start arc out of (source, 0) with residual flow
-        start = None
-        for key in by_tail.get((source, 0), ()):
-            if residual.get(key, 0) > eps:
-                start = key
-                break
-        if start is None:
-            break
-        verts = [source]
-        eids = []
-        amount = float("inf")
-        node, layer = source, 0
-        keys_used = []
-        while layer < tau:
-            chosen = None
-            for key in by_tail.get((node, layer), ()):
-                if residual.get(key, 0) > eps:
-                    chosen = key
-                    break
-            if chosen is None:
-                raise AssertionError("fractional decomposition stalled")
-            _, eid, _, head = chosen
-            amount = min(amount, residual[chosen])
-            keys_used.append(chosen)
-            verts.append(head)
-            eids.append(eid)
-            node, layer = head, layer + 1
-        for key in keys_used:
-            residual[key] -= amount
-        parcels.append((TimedPath(0, tuple(verts), tuple(eids)), amount))
-    return parcels
-
-
 def route_bounded_demand(g, terminals, demand, n_prime):
     """Route any n'-bounded demand in at most twice the uniform horizon.
 
@@ -301,12 +258,13 @@ def route_bounded_demand(g, terminals, demand, n_prime):
     if sol2 is None:
         raise AssertionError("stage-2 routing infeasible at tau_mcf horizon")
 
+    tg = build_timed_graph(g, tau_star)
     eps = 1e-9
     # stage-1 parcels split by color (= final destination), grouped by the
     # junction terminal they land on
     inflow = {}  # (junction, color) -> list of (origin, path, amount)
     for u in stage1:
-        for path, amt in _decompose_flows(g, tau_star, sol1[u], u):
+        for path, amt in decompose_paths(tg, sol1[u], (u,), eps):
             junction = path.verts[-1]
             for color in terminals:
                 d_uc = demand.amount(u, color)
@@ -318,7 +276,7 @@ def route_bounded_demand(g, terminals, demand, n_prime):
                         (u, path, share))
     outflow = {}  # (junction, color) -> list of [path, amount]
     for v in stage2:
-        for path, amt in _decompose_flows(g, tau_star, sol2[v], v):
+        for path, amt in decompose_paths(tg, sol2[v], (v,), eps):
             color = path.verts[-1]
             if amt > eps:
                 outflow.setdefault((v, color), []).append([path, amt])
@@ -368,43 +326,16 @@ def balanced_partition_paths(g, tau, side_a, side_b, n_prime):
     if set(side_a) & set(side_b):
         raise GraphError("sides overlap")
     tg = build_timed_graph(g, tau)
-    net, meta = _build_network(tg, extra_nodes=2)
-    base_nodes = tg.node_count
-    s, t = base_nodes, base_nodes + 1
-    source_arcs = {}
-    for u in side_a:
-        source_arcs[net.add_edge(s, tg.node(u, 0), n_prime)] = u
-    sink_arcs = {}
-    for v in side_b:
-        sink_arcs[net.add_edge(tg.node(v, tau), t, n_prime)] = v
+    s, t = tg.node_count, tg.node_count + 1
+    terminal_arcs = ([(s, tg.node(u, 0), n_prime) for u in side_a]
+                     + [(tg.node(v, tau), t, n_prime) for v in side_b])
+    flow = timed_max_flow(tg, s, t, terminal_arcs)
     required = n_prime * len(side_a)
-    value = net.max_flow(s, t)
-    if value < required:
-        raise PartitionInfeasibleError(value, required)
-    arc_by_id = {aid: info for aid, info in meta}
-    paths = []
-    for aid, u in source_arcs.items():
-        for _ in range(net.flow_on(aid)):
-            node = tg.node(u, 0)
-            verts = [u]
-            eids = []
-            while node // g.n < tau:
-                for a2 in net.head[node]:
-                    if a2 % 2 == 1 or a2 not in arc_by_id:
-                        continue
-                    if net.flow_on(a2) <= 0:
-                        continue
-                    _, eid, _, head = arc_by_id[a2]
-                    net.cap[a2 ^ 1] -= 1
-                    net.cap[a2] += 1
-                    verts.append(head)
-                    eids.append(eid)
-                    node = net.to[a2]
-                    break
-                else:
-                    raise AssertionError("partition decomposition stalled")
-            paths.append(TimedPath(0, tuple(verts), tuple(eids)))
-    return paths
+    if flow.value < required:
+        raise PartitionInfeasibleError(flow.value, required)
+    return [path for path, units in decompose_paths(tg, flow.arc_flows(),
+                                                    side_a)
+            for _ in range(units)]
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,11 @@ class NoGoodTreeError(RuntimeError):
     """Every packed support tree produced too many long paths."""
 
 
+class ConvergenceError(RuntimeError):
+    """The matching rounds of `build_steiner_tree` did not shrink the
+    terminal set to one survivor within their round budget."""
+
+
 @dataclass(frozen=True)
 class BasePath:
     verts: tuple
@@ -242,11 +247,13 @@ def short_disjoint_paths(g, a, b, max_hops, target=None):
         if dist is None or dist > max_hops:
             return PathCollection(a, b, (), max_hops)
         hop_limits = list(range(dist, max_hops + 1))
+    # edge-disjoint a-b paths leave a and enter b on distinct edges
+    bound = min(g.degree(a), g.degree(b))
     best = []
     for limit in hop_limits:
         candidates = _simple_paths(g, a, b, limit)
         candidates.sort(key=lambda p: (p.length, p.edge_ids))
-        found = _max_disjoint(candidates, target)
+        found = _max_disjoint(candidates, target, bound)
         if len(found) > len(best):
             best = found
         if target is not None and len(best) >= target:
@@ -254,29 +261,28 @@ def short_disjoint_paths(g, a, b, max_hops, target=None):
     return PathCollection(a, b, tuple(best), max_hops)
 
 
-def _max_disjoint(candidates, target):
+def _max_disjoint(candidates, target, bound):
+    """Largest pairwise edge-disjoint subfamily of `candidates`, searched
+    include-first with an explicit stack; stops once `target` or the
+    upper bound `bound` (no family can be larger) is reached."""
     sets = [frozenset(p.edge_ids) for p in candidates]
-    best = []
-
-    def search(avail, chosen):
-        nonlocal best
+    stop = bound if target is None else min(target, bound)
+    best = ()
+    # frame: (avail, offset, chosen); the open candidates are avail[offset:]
+    stack = [(list(range(len(candidates))), 0, ())]
+    while stack:
+        avail, offset, chosen = stack.pop()
         if len(chosen) > len(best):
-            best = list(chosen)
-        if target is not None and len(best) >= target:
-            return True
-        if not avail or len(chosen) + len(avail) <= len(best):
-            return False
-        head = avail[0]
-        # include head
-        filtered = [j for j in avail[1:] if not (sets[j] & sets[head])]
-        chosen.append(head)
-        if search(filtered, chosen):
-            return True
-        chosen.pop()
-        # exclude head
-        return search(avail[1:], chosen)
-
-    search(list(range(len(candidates))), [])
+            best = chosen
+            if len(best) >= stop:
+                break
+        if offset == len(avail) or \
+                len(chosen) + len(avail) - offset <= len(best):
+            continue
+        head = avail[offset]
+        filtered = [j for j in avail[offset + 1:] if not (sets[j] & sets[head])]
+        stack.append((avail, offset + 1, chosen))
+        stack.append((filtered, 0, chosen + (head,)))
     return [candidates[j] for j in best]
 
 
@@ -481,7 +487,9 @@ def build_steiner_tree(g, terminals, max_hops, path_budget, seed):
     rounds = 0
     while len(alive) > 1:
         if rounds > max_rounds:
-            raise RuntimeError("matching rounds failed to converge")
+            raise ConvergenceError(
+                f"matching rounds failed to converge: {len(alive)} of "
+                f"{len(terms)} terminals left after {rounds} rounds")
         if len(alive) % 2:
             hold = anchor if anchor in alive else alive[0]
             playing = [t for t in alive if t != hold]

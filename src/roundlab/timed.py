@@ -9,6 +9,18 @@ them.
 
 Congestion-1 flows from (a,0) to (b,tau) are exactly the tau-round
 transmission schedules from a to b.
+
+Every maximum flow here comes from one engine, `timed_max_flow`: it lays
+the arcs out as an int32 CSR capacity matrix straight from
+`TimedGraph.arc_arrays` and runs scipy's C Dinic on it
+(`scipy.sparse.csgraph.maximum_flow`), so no horizon meets a recursion
+limit.  The CSR sums parallel arcs into one entry; `TimedFlow.arc_flows`
+splits each summed flow back over its parallel base edges in edge-id
+order.  Flows become timed paths through the one decomposer,
+`decompose_paths`.  The level vector of `extract_level_vector` is read off
+the residual network: the set of nodes reachable from the source is the
+source side of the minimal min cut, which is the same for every maximum
+flow, so the levels do not depend on which maximum flow Dinic finds.
 """
 
 from __future__ import annotations
@@ -17,9 +29,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
-from .flownet import FlowNetwork
 from .graphs import GraphError, UnreachableError
+
+INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 class RoutableError(ValueError):
@@ -171,55 +185,122 @@ class LevelVector:
     cost: int
 
 
-def _build_network(tg, extra_nodes=0):
-    """Dinic network over the timed nodes; returns (net, arc_meta list).
+@dataclass(frozen=True)
+class TimedFlow:
+    """A maximum flow of `timed_max_flow`.
 
-    extra_nodes reserves trailing node ids for super sources/sinks.
+    `capacity` and `flow` are square CSR matrices over node ids; `flow` is
+    antisymmetric, so the reverse entry of an arc holds its negated flow.
     """
-    g = tg.base
-    net = FlowNetwork(tg.node_count + extra_nodes)
-    meta = []
-    for layer in range(tg.tau):
-        for eid, (u, v) in enumerate(g.edges):
-            aid = net.add_edge(tg.node(u, layer), tg.node(v, layer + 1), 1)
-            meta.append((aid, (layer, eid, u, v)))
-            aid = net.add_edge(tg.node(v, layer), tg.node(u, layer + 1), 1)
-            meta.append((aid, (layer, eid, v, u)))
-        for w in range(g.n):
-            aid = net.add_edge(tg.node(w, layer), tg.node(w, layer + 1),
-                               tg.memory_capacity)
-            meta.append((aid, (layer, None, w, w)))
-    return net, meta
+
+    tg: TimedGraph
+    value: int
+    capacity: object
+    flow: object
+
+    def arc_flows(self):
+        """{(layer, eid, tail, head): units} over the arcs of `tg` that
+        carry flow.  The CSR summed parallel arcs; each sum is handed back
+        one unit per edge arc in edge-id order (memory arcs have no
+        parallels)."""
+        tg = self.tg
+        tails, heads, is_edge = tg.arc_arrays()
+        summed = np.asarray(self.flow[tails, heads]).ravel()
+        rank, seen = [], {}
+        for u, v in tg.base.edges:
+            for pair in ((u, v), (v, u)):
+                rank.append(seen.get(pair, 0))
+                seen[pair] = rank[-1] + 1
+        rank = np.tile(rank + [0] * tg.base.n, tg.tau)
+        units = np.where(is_edge, summed > rank, summed)
+        arcs = tg.arcs
+        return {arcs[i]: int(units[i]) for i in np.flatnonzero(units)}
+
+    def residual_reachable(self, node):
+        """Boolean mask of the nodes reachable from `node` along arcs with
+        positive residual capacity (reverse arcs of flow included)."""
+        from scipy.sparse.csgraph import breadth_first_order
+
+        residual = self.capacity - self.flow
+        residual.eliminate_zeros()
+        reached = breadth_first_order(residual, node, directed=True,
+                                      return_predecessors=False)
+        mask = np.zeros(residual.shape[0], dtype=bool)
+        mask[reached] = True
+        return mask
 
 
-def decompose_unit_paths(tg, net, arc_by_id, src, dst, value, start_vertex):
-    """Strip `value` unit paths from a computed flow, deterministically.
+def timed_max_flow(tg, src, dst, extra_arcs=()):
+    """Maximum src -> dst flow in the timed network of `tg` (C Dinic).
 
-    Walks forward arcs in insertion order, consuming one unit per walk;
-    valid on layered networks (no flow cycles).
+    Node ids are `tg.node(v, layer)`; `extra_arcs` adds (tail, head,
+    capacity) arcs whose ends may be new nodes numbered from
+    `tg.node_count` on (super sources and sinks).  Edge arcs have
+    capacity 1 and memory arcs `tg.memory_capacity`.  Raises GraphError,
+    before allocating anything, when a capacity does not fit int32.
     """
-    paths = []
-    for _ in range(value):
-        node = src
-        verts = [start_vertex]
-        eids = []
-        while node != dst:
-            for aid in net.head[node]:
-                if aid % 2 == 1 or aid not in arc_by_id:
-                    continue
-                if net.flow_on(aid) <= 0:
-                    continue
-                layer, eid, u, v = arc_by_id[aid]
-                net.cap[aid ^ 1] -= 1
-                net.cap[aid] += 1
-                verts.append(v)
-                eids.append(eid)
-                node = net.to[aid]
-                break
-            else:
-                raise AssertionError("flow decomposition stalled")
-        paths.append(TimedPath(0, tuple(verts), tuple(eids)))
-    return paths
+    # imported on first use: csgraph's ten extension modules add about
+    # 0.8 MB of resident memory to every command, most of which run no flow
+    from scipy.sparse.csgraph import maximum_flow
+
+    cap_max = max([tg.memory_capacity] + [c for _, _, c in extra_arcs])
+    if cap_max > INT32_MAX:
+        raise GraphError(
+            f"timed network with m={tg.base.m} edges at tau={tg.tau} needs "
+            f"arc capacity {cap_max}, past the int32 limit {INT32_MAX}")
+    tails, heads, is_edge = tg.arc_arrays()
+    caps = np.where(is_edge, 1, tg.memory_capacity)
+    size = tg.node_count
+    if extra_arcs:
+        extra = np.array(extra_arcs, dtype=np.int64)
+        tails = np.concatenate([tails, extra[:, 0]])
+        heads = np.concatenate([heads, extra[:, 1]])
+        caps = np.concatenate([caps, extra[:, 2]])
+        size = max(size, int(extra[:, :2].max()) + 1)
+    capacity = sparse.csr_matrix(
+        (caps.astype(np.int32), (tails, heads)), shape=(size, size))
+    res = maximum_flow(capacity, src, dst, method="dinic")
+    return TimedFlow(tg, int(res.flow_value), capacity, res.flow)
+
+
+def decompose_paths(tg, flows, sources, eps=1e-9):
+    """Split an arc-key flow map {(layer, eid, tail, head): amount} into
+    (TimedPath, amount) parcels running from layer 0 to layer tau.
+
+    For each source vertex in turn, walk from (source, 0), at every node
+    taking the first arc in `TimedGraph.arcs` order whose residual exceeds
+    eps, and cut the walk's bottleneck; repeat until no flow leaves
+    (source, 0).  Valid for conserved flows on the layered network, which
+    has no cycles.  Integral flows give integral amounts.
+    """
+    residual = dict(flows)
+    by_tail = {}
+    for key in tg.arcs:
+        if key in residual:
+            by_tail.setdefault((key[2], key[0]), []).append(key)
+
+    def next_arc(node, layer):
+        for key in by_tail.get((node, layer), ()):
+            if residual[key] > eps:
+                return key
+        return None
+
+    parcels = []
+    for source in sources:
+        while next_arc(source, 0) is not None:
+            verts, eids, used = [source], [], []
+            for layer in range(tg.tau):
+                key = next_arc(verts[-1], layer)
+                if key is None:
+                    raise AssertionError("flow decomposition stalled")
+                used.append(key)
+                verts.append(key[3])
+                eids.append(key[1])
+            amount = min(residual[key] for key in used)
+            for key in used:
+                residual[key] -= amount
+            parcels.append((TimedPath(0, tuple(verts), tuple(eids)), amount))
+    return parcels
 
 
 def max_route_flow(g, a, b, tau, integral=True):
@@ -231,18 +312,11 @@ def max_route_flow(g, a, b, tau, integral=True):
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise GraphError("endpoint out of range")
     tg = build_timed_graph(g, tau)
-    net, meta = _build_network(tg)
-    src, dst = tg.node(a, 0), tg.node(b, tau)
-    if tau == 0:
-        return FlowSolution(0, (), {})
-    value = net.max_flow(src, dst)
-    arc_by_id = {aid: info for aid, info in meta}
-    paths = decompose_unit_paths(tg, net, arc_by_id, src, dst, value, a)
-    utilization = {}
-    for p in paths:
-        for key in p.steps():
-            utilization[key] = utilization.get(key, 0) + 1
-    return FlowSolution(value, tuple(paths), utilization)
+    flow = timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau))
+    utilization = flow.arc_flows()
+    paths = tuple(path for path, units in decompose_paths(tg, utilization, (a,))
+                  for _ in range(units))
+    return FlowSolution(flow.value, paths, utilization)
 
 
 def tau_route(g, a, b, n_prime):
@@ -260,8 +334,9 @@ def tau_route(g, a, b, n_prime):
     cutoff = n_prime * g.n
 
     def feasible(tau):
-        net_val = _flow_value_only(g, a, b, tau, cutoff=n_prime)
-        return net_val >= n_prime
+        tg = build_timed_graph(g, tau)
+        return timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau)).value \
+            >= n_prime
 
     hi = max(dist, 1)
     while not feasible(hi):
@@ -281,14 +356,6 @@ def tau_route(g, a, b, n_prime):
     return lo
 
 
-def _flow_value_only(g, a, b, tau, cutoff=None):
-    if tau == 0:
-        return 0
-    tg = build_timed_graph(g, tau)
-    net, _ = _build_network(tg)
-    return net.max_flow(tg.node(a, 0), tg.node(b, tau), cutoff=cutoff)
-
-
 def extract_level_vector(g, a, b, n_bits, horizon):
     """Min-cut level extraction for unroutable instances.
 
@@ -301,34 +368,20 @@ def extract_level_vector(g, a, b, n_bits, horizon):
     if a == b:
         raise GraphError("endpoints must differ")
     tg = build_timed_graph(g, horizon)
-    net, _ = _build_network(tg)
-    src, dst = tg.node(a, 0), tg.node(b, horizon)
-    value = net.max_flow(src, dst) if horizon > 0 else 0
-    if value >= n_bits:
+    src = tg.node(a, 0)
+    flow = timed_max_flow(tg, src, tg.node(b, horizon))
+    if flow.value >= n_bits:
         raise RoutableError(
-            f"routable: {value} >= {n_bits} units fit in horizon {horizon}")
-    if horizon == 0:
-        reach = [False] * tg.node_count
-        reach[src] = True
-    else:
-        reach = net.residual_reachable(src)
-    chain = []
-    for t in range(horizon + 1):
-        layer_set = {v for v in range(g.n) if reach[tg.node(v, t)]}
-        if chain and not (chain[-1] <= layer_set):
-            raise AssertionError("residual cut layers are not monotone")
-        chain.append(layer_set)
-    levels = []
-    for v in range(g.n):
-        for t in range(horizon + 1):
-            if v in chain[t]:
-                levels.append(t)
-                break
-        else:
-            levels.append(horizon + 1)
+            f"routable: {flow.value} >= {n_bits} units fit in horizon {horizon}")
+    # reach[t, v]: (v, t) is on the source side of the minimal min cut
+    reach = flow.residual_reachable(src).reshape(horizon + 1, g.n)
+    if np.any(reach[:-1] > reach[1:]):
+        raise AssertionError("residual cut layers are not monotone")
+    levels = np.where(reach.any(axis=0), reach.argmax(axis=0),
+                      horizon + 1).tolist()
     if levels[a] != 0 or levels[b] != horizon + 1:
         raise AssertionError("endpoint levels violated by residual cut")
     cost = sum(max(abs(levels[u] - levels[v]) - 1, 0) for u, v in g.edges)
-    if cost != value:
-        raise AssertionError(f"level cost {cost} != min cut value {value}")
+    if cost != flow.value:
+        raise AssertionError(f"level cost {cost} != min cut value {flow.value}")
     return LevelVector(a, b, horizon, tuple(levels), cost)

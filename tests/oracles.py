@@ -18,7 +18,11 @@ from fractions import Fraction
 
 def timed_flow_bruteforce(g, a, b, tau):
     """Max (a,0)->(b,tau) flow by repeated augmenting-path search on an
-    adjacency-matrix capacity table (memory capacity = big)."""
+    adjacency-matrix capacity table (memory capacity = big).
+
+    Returns (flow value, source side): the node ids i * n + v of the
+    (v, i) reachable from (a, 0) in the final residual graph.
+    """
     n = g.n
     big = 2 * g.m * tau + 1
     size = n * (tau + 1)
@@ -46,7 +50,7 @@ def timed_flow_bruteforce(g, a, b, tau):
                     parent[q] = (p, q)
                     queue.append(q)
         if t not in parent:
-            return flow
+            return flow, frozenset(parent)
         # trace back, find bottleneck
         path = []
         node = t
@@ -62,7 +66,7 @@ def timed_flow_bruteforce(g, a, b, tau):
 
 def tau_route_bruteforce(g, a, b, n_prime, tau_max=64):
     for tau in range(0, tau_max + 1):
-        if timed_flow_bruteforce(g, a, b, tau) >= n_prime:
+        if timed_flow_bruteforce(g, a, b, tau)[0] >= n_prime:
             return tau
     raise RuntimeError("no feasible horizon within brute-force range")
 

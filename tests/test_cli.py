@@ -1,11 +1,16 @@
+import csv
 import json
 
 import pytest
 from scipy.optimize import OptimizeResult, linprog
 
 import roundlab.mcf as mcf_mod
-from roundlab import clique, format_graph_text, graph_to_json, parallel_edges
-from roundlab.circuits import build_ed_circuit, circuit_from_json
+import roundlab.steiner as steiner_mod
+from roundlab import (
+    clique, format_graph_text, graph_to_json, parallel_edges, path_graph,
+    random_connected_graph,
+)
+from roundlab.circuits import build_ed_circuit, circuit_from_json, circuit_to_json
 from roundlab.cli import main
 from roundlab.distgraph import instance_from_json
 
@@ -229,8 +234,8 @@ def test_csv_format(tmp_path, capsys):
                  "--graph", gpath, "--n", "4"])
     out = capsys.readouterr().out
     assert code == 0
-    header = out.splitlines()[0]
-    assert header == "instance,k,n,bound_kind,bound,rounds,ratio,seed"
+    assert out == ("instance,k,n,bound_kind,bound,rounds,ratio,seed\n"
+                   f"{gpath},2,4,min_delta(n/ST+delta),2,3,3/2,0\n")
 
 
 def test_reproducibility(tmp_path, capsys):
@@ -241,3 +246,44 @@ def test_reproducibility(tmp_path, capsys):
                               "--graph", gpath, "--n", "6"])
     assert code1 == code2 == 0
     assert p1 == p2
+
+
+def test_tau_route_past_recursion_ceiling_cli(tmp_path, capsys):
+    path = _write_graph(tmp_path, path_graph(3))
+    code, payload = _run(capsys, ["tau-route", "--graph", path,
+                                  "--nprime", "800"])
+    assert code == 0 and payload["tau_route"] == 802
+
+
+def test_int32_guard_exit_code(tmp_path, capsys):
+    # 2 * m * tau + 1 = 2**31 + 1 does not fit the engine's int32 CSR
+    path = _write_graph(tmp_path, clique(2))
+    code = main(["embed-expander", "--graph", path, "--tau", str(2 ** 30),
+                 "--nprime", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "m=1" in err and "tau=1073741824" in err and "2147483649" in err
+
+
+def test_convergence_error_exit_code(tmp_path, capsys, monkeypatch):
+    def stuck(g, k_prime, path_budget, max_hops, seed):
+        return steiner_mod.MatchingResult((), (), 16 * max_hops,
+                                          frozenset(), 1, 1)
+
+    monkeypatch.setattr(steiner_mod, "matching_with_paths", stuck)
+    path = _write_graph(tmp_path, random_connected_graph(8, 6, seed=1, k=4))
+    code = main(["st-pack", "--graph", path, "--delta", "4",
+                 "--mode", "sample"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "failed to converge" in err and "Traceback" not in err
+
+
+def test_csv_nested_values_are_json_cells(capsys):
+    code = main(["--format", "csv", "ed-circuit", "--k", "2", "--m", "1"])
+    assert code == 0
+    rows = dict(csv.reader(capsys.readouterr().out.splitlines()))
+    circuit, pos = build_ed_circuit(2, 1)
+    assert json.loads(rows["levels"]) == circuit_to_json(circuit)["levels"]
+    assert rows["command"] == "ed-circuit"
+    assert rows["output_pos"] == str(pos)

@@ -8,8 +8,10 @@ from roundlab import (
     Graph, clique, cycle_graph, grid_graph, parallel_edges, path_graph,
     random_connected_graph, star_graph,
 )
+import roundlab.steiner as steiner_mod
 from roundlab.steiner import (
-    HypothesisError, build_steiner_tree, disjointness_bound,
+    ConvergenceError, HypothesisError, MatchingResult, build_steiner_tree,
+    disjointness_bound,
     matching_with_paths, pack_steiner_trees, pair_terminals_on_tree,
     short_disjoint_paths, tree_from_edges, tree_terminal_diameter,
 )
@@ -275,3 +277,21 @@ def test_disjointness_bound_grid():
 def test_tree_diameter_measure():
     g = path_graph(3, terminals=(0, 3))
     assert tree_terminal_diameter(g, frozenset(range(3)), (0, 3)) == 3
+
+
+def test_short_disjoint_paths_past_recursion_ceiling():
+    # 1,760 candidate paths; the recursive search raised RecursionError
+    pc = short_disjoint_paths(grid_graph(5, 5), 0, 24, 14)
+    assert pc.value == 2   # the corner degree
+    assert len({e for p in pc.paths for e in p.edge_ids}) == \
+        sum(p.length for p in pc.paths)
+
+
+def test_build_steiner_tree_convergence_error(monkeypatch):
+    def stuck(g, k_prime, path_budget, max_hops, seed):
+        return MatchingResult((), (), 16 * max_hops, frozenset(), 1, 1)
+
+    monkeypatch.setattr(steiner_mod, "matching_with_paths", stuck)
+    g = clique(4)
+    with pytest.raises(ConvergenceError, match="4 of 4 terminals left"):
+        build_steiner_tree(g, g.terminals, 2, 1, seed=0)

@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from roundlab import (
-    Graph, UnreachableError, RoutableError,
+    Graph, GraphError, UnreachableError, RoutableError,
     build_timed_graph, max_route_flow, tau_route, extract_level_vector,
     mirror_timed_path, validate_timed_path, TimedPath,
     path_graph, clique, intro_split_graph, random_connected_graph,
     parallel_edges,
 )
+from roundlab.timed import TimedGraph, timed_max_flow
 from oracles import timed_flow_bruteforce, tau_route_bruteforce
 
 
@@ -39,7 +41,7 @@ def test_intro_graph_flow_matches_bruteforce():
     g = intro_split_graph()
     # frozen from the brute-force oracle: direct edge pipelines 4 units,
     # each of the 4 long paths carries 1
-    assert timed_flow_bruteforce(g, 0, 1, 4) == 8
+    assert timed_flow_bruteforce(g, 0, 1, 4)[0] == 8
     assert max_route_flow(g, 0, 1, 4).value == 8
 
 
@@ -49,7 +51,7 @@ def test_flow_matches_bruteforce_random():
         a, b = g.terminals[0], g.terminals[1]
         for tau in (1, 2, 3):
             assert max_route_flow(g, a, b, tau).value == \
-                timed_flow_bruteforce(g, a, b, tau)
+                timed_flow_bruteforce(g, a, b, tau)[0]
 
 
 def test_flow_monotone_in_horizon():
@@ -160,3 +162,75 @@ def test_parallel_edges_capacity():
     g = parallel_edges(3)
     assert max_route_flow(g, 0, 1, 1).value == 3
     assert tau_route(g, 0, 1, 6) == 2
+
+
+def test_tau_route_past_recursion_ceiling():
+    # the recursive Dinic this engine replaced raised RecursionError here
+    assert tau_route(path_graph(3), 0, 3, 800) == 802
+
+
+def test_engine_splits_parallel_arcs_in_edge_id_order():
+    # three parallel 0-1 edges then two parallel 1-2 edges: the CSR sums
+    # each bundle, and the two units come back on the lowest edge ids
+    g = Graph(3, ((0, 1), (0, 1), (0, 1), (1, 2), (1, 2)), (0, 2))
+    tg = build_timed_graph(g, 2)
+    flow = timed_max_flow(tg, tg.node(0, 0), tg.node(2, 2))
+    assert flow.value == 2
+    assert flow.arc_flows() == {(0, 0, 0, 1): 1, (0, 1, 0, 1): 1,
+                                (1, 3, 1, 2): 1, (1, 4, 1, 2): 1}
+    sol = max_route_flow(g, 0, 2, 2)
+    assert [p.edge_ids for p in sol.paths] == [(0, 3), (1, 4)]
+
+
+def test_engine_int32_guard(monkeypatch):
+    def no_build(self):
+        raise AssertionError("network built past the int32 guard")
+
+    monkeypatch.setattr(TimedGraph, "arc_arrays", no_build)
+    g = path_graph(3)
+    tau = 2 ** 29   # memory capacity 2 * 3 * tau + 1 > 2**31 - 1
+    with pytest.raises(GraphError, match=r"m=3 .*tau=536870912 .*3221225473"):
+        max_route_flow(g, 0, 3, tau)
+    tg = build_timed_graph(g, 4)
+    with pytest.raises(GraphError, match="2147483648"):
+        timed_max_flow(tg, 0, tg.node_count,
+                       [(tg.node(3, 4), tg.node_count, 2 ** 31)])
+
+
+@st.composite
+def multigraph_pairs(draw):
+    n = draw(st.integers(2, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = tuple(draw(st.lists(pair, min_size=1, max_size=7)))
+    a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                         unique=True))
+    return Graph(n, edges, (a, b)), a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraph_pairs(), st.integers(0, 4))
+def test_engine_matches_bruteforce_oracle(case, tau):
+    g, a, b = case
+    value, source_side = timed_flow_bruteforce(g, a, b, tau)
+    tg = build_timed_graph(g, tau)
+    assert timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau)).value == value
+    sol = max_route_flow(g, a, b, tau)
+    assert sol.value == len(sol.paths) == value
+    assert sol.max_nonmemory_load() <= 1
+    # the minimal min cut is unique, so the levels match the oracle's cut
+    lv = extract_level_vector(g, a, b, value + 1, tau)
+    expected = tuple(
+        next((t for t in range(tau + 1) if t * g.n + v in source_side),
+             tau + 1)
+        for v in range(g.n))
+    assert lv.levels == expected and lv.cost == value
+
+
+@settings(max_examples=40, deadline=None)
+@given(multigraph_pairs(), st.integers(1, 4))
+def test_tau_route_matches_bruteforce_oracle(case, n_prime):
+    g, a, b = case
+    assume(g.distances_from(a)[b] is not None)
+    assert tau_route(g, a, b, n_prime) == tau_route_bruteforce(g, a, b,
+                                                               n_prime)
