@@ -70,10 +70,6 @@ class BooleanCircuit:
     def wire_count(self):
         return sum(len(g.args) for lv in self.levels for g in lv)
 
-    @property
-    def output_count(self):
-        return len(self.levels[-1])
-
     def evaluate(self, bits):
         if len(bits) != self.n * self.k:
             raise GraphError(f"expected {self.n * self.k} input bits")

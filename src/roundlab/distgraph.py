@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .graphs import GraphError, bfs_tree
+from .graphs import GraphError, bfs, bfs_tree
 from .mcf import DemandMatrix, route_bounded_demand
 from .sim import ProtocolSpec
 
@@ -97,9 +97,6 @@ class DistributedGraphInput:
             for v, owner in self.assignment.items():
                 out[owner] += len(adj[v])
         return out
-
-    def is_balanced(self, bound):
-        return max(self.sizes().values(), default=0) <= bound
 
     def subgraph(self, terminal):
         if self.mode == "edge":
@@ -378,7 +375,7 @@ def bfs_protocol(g, terminals, inp, variant, seed=0, balance_bound=None):
     # fixed shortest-path next hops toward each terminal
     next_hop = {}
     for t in terms:
-        parent, depth, _ = bfs_tree(g, t)
+        parent = bfs(g, t)[0]
         for v in range(g.n):
             if v != t and v in parent:
                 next_hop[(v, t)] = parent[v]  # (edge_id, toward-vertex)
@@ -646,8 +643,6 @@ def bfs_protocol(g, terminals, inp, variant, seed=0, balance_bound=None):
         if answer is not None and v in term_set:
             if variant == "components":
                 out = answer
-            elif variant == "connectivity":
-                out = bool(answer)
             else:
                 out = bool(answer)
         return sends, state, out

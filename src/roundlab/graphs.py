@@ -4,13 +4,16 @@ Vertices are integers 0..n-1.  Parallel edges are allowed and carry
 independent capacity (one bit per direction per round); self-loops are not.
 Every graph designates a set of terminals holding inputs in the
 communication problems built on top of it.
+
+`bfs` is the package's one breadth-first search over a `Graph`: hop
+distances, BFS trees, Steiner tree pruning, pairing and packing all call
+it, optionally restricted to an edge subset.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,9 +79,6 @@ class Graph:
     def degree(self, v):
         return len(self.incidence[v])
 
-    def neighbors(self, v):
-        return tuple(w for _, w in self.incidence[v])
-
     def with_edges(self, edge_ids):
         """Subgraph on the same vertex set keeping only the given edge ids.
 
@@ -90,21 +90,10 @@ class Graph:
         back = {new: old for new, old in enumerate(ids)}
         return sub, back
 
-    def distances_from(self, source, edge_ids=None):
+    def distances_from(self, source):
         """BFS hop distances; unreachable vertices get None."""
-        allowed = None if edge_ids is None else set(edge_ids)
-        dist = [None] * self.n
-        dist[source] = 0
-        q = deque([source])
-        while q:
-            u = q.popleft()
-            for eid, w in self.incidence[u]:
-                if allowed is not None and eid not in allowed:
-                    continue
-                if dist[w] is None:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return dist
+        depth = bfs(self, source)[1]
+        return [depth.get(v) for v in range(self.n)]
 
     def dist(self, u, v):
         d = self.distances_from(u)[v]
@@ -120,16 +109,6 @@ class Graph:
         dist = self.distances_from(targets[0])
         return all(dist[v] is not None for v in targets)
 
-    def terminal_diameter(self):
-        best = 0
-        for a in self.terminals:
-            dist = self.distances_from(a)
-            for b in self.terminals:
-                if dist[b] is None:
-                    raise UnreachableError("terminals are disconnected")
-                best = max(best, dist[b])
-        return best
-
     def diameter(self):
         best = 0
         for v in range(self.n):
@@ -141,25 +120,39 @@ class Graph:
         return best
 
 
-def bfs_tree(g, root, edge_ids=None):
-    """BFS tree as (parent, depth, children); parent[v] = (edge_id, parent
-    vertex), None at the root.  Restricted to `edge_ids` when given."""
-    allowed = None if edge_ids is None else set(edge_ids)
-    parent = {root: None}
-    depth = {root: 0}
-    children = {root: []}
-    q = deque([root])
-    while q:
-        u = q.popleft()
+def bfs(g, roots, edge_ids=None):
+    """Breadth-first search from `roots` (one vertex, or a list or tuple
+    of vertices), all at depth 0.
+
+    Returns (parent, depth): dicts over the reached vertices in discovery
+    order, parent[v] = (edge_id, parent vertex) and None at a root.  Each
+    vertex scans its incidences in edge-id order.  With `edge_ids` given
+    (any container; it is used as given, not copied, so pass a set) only
+    those edges are crossed.
+    """
+    if not isinstance(roots, (list, tuple)):
+        roots = (roots,)
+    parent = dict.fromkeys(roots)
+    depth = dict.fromkeys(roots, 0)
+    order = list(parent)
+    for u in order:
+        next_depth = depth[u] + 1
         for eid, w in g.incidence[u]:
-            if allowed is not None and eid not in allowed:
-                continue
-            if w not in parent:
+            if w not in parent and (edge_ids is None or eid in edge_ids):
                 parent[w] = (eid, u)
-                depth[w] = depth[u] + 1
-                children[w] = []
-                children[u].append((eid, w))
-                q.append(w)
+                depth[w] = next_depth
+                order.append(w)
+    return parent, depth
+
+
+def bfs_tree(g, root, edge_ids=None):
+    """`bfs` from one root as (parent, depth, children); children[v] lists
+    (edge_id, child) in discovery order."""
+    parent, depth = bfs(g, root, edge_ids)
+    children = {v: [] for v in parent}
+    for v, link in parent.items():
+        if link is not None:
+            children[link[1]].append((link[0], v))
     return parent, depth, children
 
 

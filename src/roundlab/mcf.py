@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -24,8 +25,8 @@ from scipy.optimize import linprog
 from .graphs import GraphError, UnreachableError
 from .schedules import RoutingSchedule, ScheduleEntry
 from .timed import (
-    TimedPath, build_timed_graph, decompose_paths, timed_max_flow,
-    SearchLimitError,
+    TimedPath, build_timed_graph, decompose_paths, least_feasible_horizon,
+    timed_max_flow,
 )
 
 LP_TOLERANCE = 1e-6
@@ -184,47 +185,33 @@ def mcf_feasible(g, demand, tau):
     return _solve_mcf(g, tau, by_source) is not None
 
 
-_TAU_MCF_CACHE = {}
-
-
 def tau_mcf(g, terminals, n_prime):
     """Least tau at which the uniform n'/k all-pairs demand is routable.
 
-    Monotone search (doubling then bisection) over exact LP feasibility.
+    `least_feasible_horizon` over exact LP feasibility, from the terminal
+    diameter.  Results are memoised per (graph, sorted terminals, exact
+    n') in a least-recently-used cache of 256 entries.
     """
     if n_prime <= 0:
         raise GraphError("n_prime must be positive")
     terminals = tuple(sorted(terminals))
     if len(terminals) < 2:
         raise GraphError("need at least two terminals")
-    key = (g, terminals, Fraction(n_prime).limit_denominator(10 ** 9))
-    if key in _TAU_MCF_CACHE:
-        return _TAU_MCF_CACHE[key]
+    return _tau_mcf(g, terminals, Fraction(n_prime))
+
+
+@lru_cache(maxsize=256)
+def _tau_mcf(g, terminals, n_prime):
     if not g.connected(terminals):
         raise UnreachableError("terminals are disconnected")
     demand = uniform_demand(terminals, n_prime)
-
-    def feasible(tau):
-        return mcf_feasible(g, demand, tau)
-
     lo = 1
     for a in terminals:
         dist = g.distances_from(a)
         lo = max(lo, max(dist[b] for b in terminals))
-    hi = lo
     cutoff = (int(n_prime) + 1) * g.n * len(terminals) ** 2 + g.n
-    while not feasible(hi):
-        hi *= 2
-        if hi > 2 * cutoff:
-            raise SearchLimitError(f"tau_mcf exceeded cutoff {cutoff}")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    _TAU_MCF_CACHE[key] = lo
-    return lo
+    return least_feasible_horizon(lambda tau: mcf_feasible(g, demand, tau),
+                                  lo, cutoff, "tau_mcf")
 
 
 def route_bounded_demand(g, terminals, demand, n_prime):

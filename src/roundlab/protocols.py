@@ -134,11 +134,11 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
     m = math.ceil(n / len(trees)) if n else 0
     bits_per = max(1, math.ceil(math.log2(k)))
 
+    shapes = [bfs_tree(g, root, tree.edge_ids) for tree in trees]
     plans = []
-    for j, tree in enumerate(trees):
+    for j, (parent, depth, children) in enumerate(shapes):
         lo = j * m
         hi = min((j + 1) * m, n)
-        parent, depth, children = bfs_tree(g, root, tree.edge_ids)
         height = {}
         for v in sorted(depth, key=lambda x: -depth[x]):
             kids = [w for _, w in children[v]]
@@ -157,7 +157,7 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
             continue
         for _, child in plan["children"][root]:
             data_rounds = max(data_rounds, plan["start"][child] + width - 1)
-    parent0, depth0, children0 = bfs_tree(g, root, trees[0].edge_ids)
+    parent0, depth0, children0 = shapes[0]
     bcast_rounds = max((depth0[t] for t in terms), default=0)
     term_index = {t: i for i, t in enumerate(terms)}
 

@@ -24,9 +24,6 @@ class ScheduleEntry:
     path: TimedPath
     amount: object  # int, float or Fraction
 
-    def with_amount(self, amount):
-        return ScheduleEntry(self.commodity, self.path, amount)
-
 
 @dataclass
 class RoutingSchedule:
@@ -72,11 +69,7 @@ def audit_schedule(schedule, g, demands=None, legged=False):
         validate_timed_path(g, e.path, schedule.horizon)
         if e.amount < -tol:
             raise AuditError(f"negative amount {e.amount}")
-    loads = {}
-    for e in schedule.entries:
-        for key in e.path.steps():
-            if key[1] is not None:
-                loads[key] = loads.get(key, 0) + e.amount
+    loads = schedule.arc_loads()
     for key, load in loads.items():
         if load > schedule.congestion + tol:
             raise AuditError(

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import GraphError, UnreachableError
+from .graphs import GraphError, UnreachableError, bfs
 
 
 class HypothesisError(ValueError):
@@ -119,32 +118,12 @@ class TreePacking:
 # ---------------------------------------------------------------------------
 # tree utilities
 
-def _tree_adjacency(g, edge_ids):
-    adj = {}
-    for eid in edge_ids:
-        u, v = g.edges[eid]
-        adj.setdefault(u, []).append((eid, v))
-        adj.setdefault(v, []).append((eid, u))
-    for v in adj:
-        adj[v].sort()
-    return adj
-
-def _tree_distances(adj, src):
-    dist = {src: 0}
-    q = deque([src])
-    while q:
-        x = q.popleft()
-        for _, y in adj.get(x, ()):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                q.append(y)
-    return dist
-
 def tree_terminal_diameter(g, edge_ids, terminals):
-    adj = _tree_adjacency(g, edge_ids)
+    # hop distances are symmetric: the last terminal needs no search
+    terminals = list(terminals)
     best = 0
-    for t in terminals:
-        dist = _tree_distances(adj, t)
+    for t in terminals[:-1]:
+        dist = bfs(g, t, edge_ids)[1]
         for s in terminals:
             if s not in dist:
                 raise GraphError("edge set does not connect the terminals")
@@ -168,31 +147,24 @@ def prune_to_terminal_tree(g, edge_ids, terminals):
     """BFS spanning tree of the edge set from min(terminals), pruned so
     every leaf is a terminal."""
     terminals = sorted(set(terminals))
-    root = terminals[0]
-    adj = _tree_adjacency(g, edge_ids)
-    parent_edge = {root: None}
-    order = [root]
-    q = deque([root])
-    while q:
-        x = q.popleft()
-        for eid, y in adj.get(x, ()):
-            if y not in parent_edge:
-                parent_edge[y] = (eid, x)
-                order.append(y)
-                q.append(y)
-    missing = [t for t in terminals if t not in parent_edge]
+    parent = bfs(g, terminals[0], edge_ids)[0]
+    missing = [t for t in terminals if t not in parent]
     if missing:
         raise GraphError(f"edge set does not reach terminals {missing}")
+    return tree_from_edges(g, _paths_to_root(parent, terminals), terminals)
+
+
+def _paths_to_root(parent, terminals):
+    """Edge ids of the BFS-tree paths from the terminals up to the root."""
     keep = set()
     for t in terminals:
         v = t
-        while parent_edge[v] is not None:
-            eid, p = parent_edge[v]
+        while parent[v] is not None:
+            eid, v = parent[v]
             if eid in keep:
                 break
             keep.add(eid)
-            v = p
-    return tree_from_edges(g, keep, terminals)
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +271,9 @@ def pair_terminals_on_tree(g, edge_ids, subset, root):
     subset = sorted(subset)
     if len(subset) % 2:
         raise GraphError("subset must have even cardinality")
-    adj = _tree_adjacency(g, edge_ids)
-    parent = {root: None}
-    depth = {root: 0}
-    q = deque([root])
-    while q:
-        x = q.popleft()
-        for eid, y in adj.get(x, ()):
-            if y not in parent:
-                parent[y] = (eid, x)
-                depth[y] = depth[x] + 1
-                q.append(y)
+    parent, depth = bfs(g, root, edge_ids)
     for t in subset:
-        if t not in parent and t != root:
+        if t not in parent:
             raise GraphError(f"vertex {t} is not in the tree")
 
     def lca_depth(u, v):
@@ -441,19 +403,8 @@ def _grow_steiner_tree(g, terminals, residual):
     targets = set(terminals[1:])
     tree = set()
     while targets:
-        parent = {v: None for v in comp}
-        frontier = deque(sorted(comp))
-        reached = None
-        while frontier and reached is None:
-            x = frontier.popleft()
-            for eid, y in g.incidence[x]:
-                if eid not in residual or y in parent:
-                    continue
-                parent[y] = (eid, x)
-                if y in targets:
-                    reached = y
-                    break
-                frontier.append(y)
+        parent = bfs(g, sorted(comp), residual)[0]
+        reached = next((v for v in parent if v in targets), None)
         if reached is None:
             return None
         v = reached
@@ -532,27 +483,10 @@ def pack_steiner_trees(g, terminals, delta, mode="greedy", seed=0, samples=24):
 
 
 def _spt_tree(g, center, terminals, residual):
-    parent = {center: None}
-    q = deque([center])
-    while q:
-        x = q.popleft()
-        for eid, y in g.incidence[x]:
-            if eid not in residual or y in parent:
-                continue
-            parent[y] = (eid, x)
-            q.append(y)
+    parent = bfs(g, center, residual)[0]
     if any(t not in parent for t in terminals):
         return None
-    keep = set()
-    for t in terminals:
-        v = t
-        while parent[v] is not None:
-            eid, p = parent[v]
-            if eid in keep:
-                break
-            keep.add(eid)
-            v = p
-    return keep
+    return _paths_to_root(parent, terminals)
 
 
 def _pack_greedy(g, terms, delta):

@@ -319,10 +319,36 @@ def max_route_flow(g, a, b, tau, integral=True):
     return FlowSolution(flow.value, paths, utilization)
 
 
+def least_feasible_horizon(feasible, lo, cutoff, name):
+    """Least horizon tau >= lo (lo >= 1) with feasible(tau), for a
+    predicate monotone in tau.
+
+    Probe order: doubling lo, 2*lo, 4*lo, ... up to the first feasible
+    horizon hi, then bisection over [lo, hi] from the original lo, probing
+    mid = (lo + hi) // 2 and keeping [lo, mid] when mid is feasible and
+    [mid + 1, hi] otherwise.  Raises SearchLimitError, naming `name`, when
+    the doubling passes 2 * cutoff or the result exceeds cutoff.
+    """
+    hi = lo
+    while not feasible(hi):
+        hi *= 2
+        if hi > 2 * cutoff:
+            raise SearchLimitError(f"{name} exceeded cutoff {cutoff}")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo > cutoff:
+        raise SearchLimitError(f"{name} result {lo} exceeds cutoff {cutoff}")
+    return lo
+
+
 def tau_route(g, a, b, n_prime):
     """Least horizon tau with max_route_flow value >= n_prime.
 
-    Monotone search: exponential doubling then binary search.  Raises
+    `least_feasible_horizon` from the a-b distance.  Raises
     UnreachableError for disconnected endpoints and SearchLimitError past
     the n_prime * |V| safety cutoff.
     """
@@ -331,29 +357,14 @@ def tau_route(g, a, b, n_prime):
     dist = g.distances_from(a)[b]
     if dist is None:
         raise UnreachableError(f"vertices {a} and {b} are disconnected")
-    cutoff = n_prime * g.n
 
     def feasible(tau):
         tg = build_timed_graph(g, tau)
         return timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau)).value \
             >= n_prime
 
-    hi = max(dist, 1)
-    while not feasible(hi):
-        hi *= 2
-        if hi > 2 * cutoff:
-            raise SearchLimitError(
-                f"tau_route exceeded cutoff {cutoff} (disconnected demand?)")
-    lo = max(dist, 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo > cutoff:
-        raise SearchLimitError(f"tau_route result {lo} exceeds cutoff {cutoff}")
-    return lo
+    return least_feasible_horizon(feasible, max(dist, 1), n_prime * g.n,
+                                  "tau_route")
 
 
 def extract_level_vector(g, a, b, n_bits, horizon):

@@ -118,6 +118,25 @@ def max_disjoint_paths_bruteforce(g, a, b, max_len):
 
 
 # ---------------------------------------------------------------------------
+# hop distances
+
+def distances_bruteforce(g, edge_ids=None):
+    """All-pairs hop distances over the edges `edge_ids` (default: all) by
+    Floyd-Warshall; dist[u][v] is None when v is unreachable from u."""
+    inf = float("inf")
+    dist = [[0 if u == v else inf for v in range(g.n)] for u in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        if edge_ids is None or eid in edge_ids:
+            dist[u][v] = dist[v][u] = 1
+    for w in range(g.n):
+        for u in range(g.n):
+            for v in range(g.n):
+                if dist[u][w] + dist[w][v] < dist[u][v]:
+                    dist[u][v] = dist[u][w] + dist[w][v]
+    return [[None if d == inf else d for d in row] for row in dist]
+
+
+# ---------------------------------------------------------------------------
 # Steiner tree enumeration + exact packing (integral and LP)
 
 def all_steiner_trees(g, terminals, delta):

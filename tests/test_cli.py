@@ -1,18 +1,22 @@
 import csv
 import json
+import random
 
 import pytest
 from scipy.optimize import OptimizeResult, linprog
 
+import roundlab.cli as cli_mod
 import roundlab.mcf as mcf_mod
 import roundlab.steiner as steiner_mod
 from roundlab import (
-    clique, format_graph_text, graph_to_json, parallel_edges, path_graph,
-    random_connected_graph,
+    clique, format_graph_text, graph_to_json, grid_graph, parallel_edges,
+    path_graph, random_connected_graph, ring_of_cliques,
 )
 from roundlab.circuits import build_ed_circuit, circuit_from_json, circuit_to_json
 from roundlab.cli import main
 from roundlab.distgraph import instance_from_json
+
+from oracles import disj_oracle, ed_oracle
 
 
 def _write_graph(tmp_path, g, name="g.txt"):
@@ -203,7 +207,7 @@ def test_bench_ed_lp_solve_count(tmp_path, capsys, monkeypatch):
         solves.append(1)
         return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(mcf_mod, "_TAU_MCF_CACHE", {})
+    mcf_mod._tau_mcf.cache_clear()
     monkeypatch.setattr(mcf_mod, "linprog", counting_linprog)
     gpath = _write_graph(tmp_path, clique(2))
     code, payload = _run(capsys, ["bench", "--function", "ed",
@@ -217,7 +221,7 @@ def test_lp_status_exit_codes(tmp_path, capsys, monkeypatch, status,
                               exit_code):
     # a solver failure is a contract violation (4); only HiGHS status 2
     # reads as infeasible (2)
-    monkeypatch.setattr(mcf_mod, "_TAU_MCF_CACHE", {})
+    mcf_mod._tau_mcf.cache_clear()
     monkeypatch.setattr(mcf_mod, "linprog", lambda *a, **kw: OptimizeResult(
         status=status, message="solver gave up", x=None))
     path = _write_graph(tmp_path, clique(3))
@@ -287,3 +291,57 @@ def test_csv_nested_values_are_json_cells(capsys):
     assert json.loads(rows["levels"]) == circuit_to_json(circuit)["levels"]
     assert rows["command"] == "ed-circuit"
     assert rows["output_pos"] == str(pos)
+
+
+@pytest.mark.parametrize("protocol,g,bits", [
+    ("disj-aggregate", ring_of_cliques(4, 4),
+     {0: [1, 0, 1], 4: [1, 1, 0], 8: [1, 0, 1], 12: [1, 1, 1]}),
+    ("disj-aggregate", ring_of_cliques(4, 4),
+     {0: [1, 0, 1], 4: [1, 1, 0], 8: [0, 0, 1], 12: [1, 1, 1]}),
+    ("ed-compiled", clique(2), {0: [1, 0, 1], 1: [1, 0, 1]}),
+    ("ed-compiled", clique(3), {0: [1, 0], 1: [0, 1], 2: [1, 1]}),
+])
+def test_run_with_inputs_file(tmp_path, capsys, protocol, g, bits):
+    gpath = _write_graph(tmp_path, g)
+    ipath = tmp_path / "in.json"
+    ipath.write_text(json.dumps({str(t): b for t, b in bits.items()}))
+    code, payload = _run(capsys, ["run", "--graph", gpath, "--protocol",
+                                  protocol, "--inputs", str(ipath)])
+    xs = [tuple(bits[t]) for t in sorted(bits)]
+    oracle = disj_oracle if protocol == "disj-aggregate" else ed_oracle
+    assert code == 0 and payload["protocol"] == protocol
+    assert payload["outputs"] == {str(t): oracle(xs) for t in g.terminals}
+    assert payload["rounds"] >= 1 and payload["total_bits"] > 0
+
+
+@pytest.mark.parametrize("protocol,g", [
+    ("disj-aggregate", grid_graph(3, 3)),
+    ("ed-compiled", clique(2)),
+])
+def test_run_with_random_inputs(tmp_path, capsys, protocol, g):
+    gpath = _write_graph(tmp_path, g)
+    code, payload = _run(capsys, ["--seed", "5", "run", "--graph", gpath,
+                                  "--protocol", protocol, "--n", "6"])
+    assert code == 0
+    rng = random.Random("5:inputs")
+    xs = [tuple(rng.randint(0, 1) for _ in range(6)) for _ in g.terminals]
+    oracle = disj_oracle if protocol == "disj-aggregate" else ed_oracle
+    assert set(payload["outputs"].values()) == {oracle(xs)}
+    assert payload["seed"] == 5
+
+
+def test_run_unknown_protocol_exit_code(tmp_path, capsys):
+    gpath = _write_graph(tmp_path, clique(2))
+    code = main(["run", "--graph", gpath, "--protocol", "no-such"])
+    err = capsys.readouterr().err
+    assert code == 3 and "unknown protocol 'no-such'" in err
+
+
+def test_bench_oracle_disagreement_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "disj_oracle",
+                        lambda xs: 1 - disj_oracle(xs))
+    gpath = _write_graph(tmp_path, parallel_edges(4))
+    code = main(["bench", "--function", "disj", "--graph", gpath,
+                 "--n", "4"])
+    err = capsys.readouterr().err
+    assert code == 4 and "oracle says" in err and "Traceback" not in err

@@ -306,7 +306,7 @@ def test_tau_mcf_unchanged_with_reference_assembly(monkeypatch):
               for s in range(10) for n in (2, 7)]
 
     def values():
-        monkeypatch.setattr(mcf_mod, "_TAU_MCF_CACHE", {})
+        mcf_mod._tau_mcf.cache_clear()
         return [tau_mcf(g, g.terminals, n) for g, n in cases]
 
     fast = values()
@@ -321,7 +321,7 @@ def test_tau_mcf_unchanged_with_reference_assembly(monkeypatch):
 
 @pytest.mark.parametrize("status", [1, 4])
 def test_solver_failure_is_not_infeasible(monkeypatch, status):
-    monkeypatch.setattr(mcf_mod, "_TAU_MCF_CACHE", {})
+    mcf_mod._tau_mcf.cache_clear()
     monkeypatch.setattr(mcf_mod, "linprog", lambda *a, **kw: OptimizeResult(
         status=status, message="solver gave up", x=None))
     g = clique(3)

@@ -8,7 +8,10 @@ from roundlab import (
     path_graph, clique, intro_split_graph, random_connected_graph,
     parallel_edges,
 )
-from roundlab.timed import TimedGraph, timed_max_flow
+import roundlab.timed as timed_mod
+from roundlab.timed import (
+    SearchLimitError, TimedGraph, least_feasible_horizon, timed_max_flow,
+)
 from oracles import timed_flow_bruteforce, tau_route_bruteforce
 
 
@@ -234,3 +237,32 @@ def test_tau_route_matches_bruteforce_oracle(case, n_prime):
     assume(g.distances_from(a)[b] is not None)
     assert tau_route(g, a, b, n_prime) == tau_route_bruteforce(g, a, b,
                                                                n_prime)
+
+
+def test_tau_route_probe_order(monkeypatch):
+    # doubling from the a-b distance, then bisection from the original lo
+    probes = []
+
+    def recording_flow(tg, src, dst, extra_arcs=()):
+        probes.append(tg.tau)
+        return timed_max_flow(tg, src, dst, extra_arcs)
+
+    monkeypatch.setattr(timed_mod, "timed_max_flow", recording_flow)
+    assert tau_route(path_graph(3), 0, 3, 300) == 302
+    assert probes == [3, 6, 12, 24, 48, 96, 192, 384,
+                      193, 289, 337, 313, 301, 307, 304, 303, 302]
+
+
+def test_least_feasible_horizon_search_limit():
+    probes = []
+
+    def never(tau):
+        probes.append(tau)
+        return False
+
+    with pytest.raises(SearchLimitError, match="never exceeded cutoff 10"):
+        least_feasible_horizon(never, 1, 10, "never")
+    assert probes == [1, 2, 4, 8, 16]
+    with pytest.raises(SearchLimitError, match="late result 12 exceeds"):
+        least_feasible_horizon(lambda tau: tau >= 12, 3, 10, "late")
+    assert least_feasible_horizon(lambda tau: tau >= 10, 3, 10, "x") == 10
