@@ -5,7 +5,8 @@ re-running a configuration byte-reproduces the output.  Exact rationals are
 written as JSON integers when integral and as ``"p/q"`` strings otherwise.
 Exit codes: 0 ok, 2 infeasible instance, 3 input error (argparse usage
 errors included), 4 internal contract violation (an LP that HiGHS could
-not decide and Steiner matching rounds that do not converge included).
+not decide, Steiner matching rounds that do not converge and a two-party
+extraction that reads an unknown bit included).
 ``--help`` exits 0.  ``--format csv`` writes ``key,value`` rows (the
 ``bench`` summary as one header row and one value row) through the csv
 module, with list and dict values as compact JSON cells.  Every command's
@@ -41,7 +42,10 @@ from .protocols import (
     ed_hash_reduce, ed_oracle, steiner_aggregate_protocol,
 )
 from .schedules import AuditError
-from .sim import ContractViolation, MaxRoundsExceeded, replay_matches, run_protocol
+from .sim import (
+    ContractViolation, ExtractionError, MaxRoundsExceeded, replay_matches,
+    run_protocol,
+)
 from .steiner import (
     ConvergenceError, HypothesisError, NoGoodTreeError, disjointness_bound,
     pack_steiner_trees,
@@ -60,7 +64,7 @@ INFEASIBLE_ERRORS = (UnreachableError, PartitionInfeasibleError, MixingError,
 INPUT_ERRORS = (GraphError, FileNotFoundError, json.JSONDecodeError,
                 KeyError, ValueError)
 CONTRACT_ERRORS = (AuditError, ContractViolation, CompileError, AssertionError,
-                   LPSolveError, ConvergenceError)
+                   LPSolveError, ConvergenceError, ExtractionError)
 
 
 def _jsonable(obj):

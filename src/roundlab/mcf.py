@@ -14,6 +14,7 @@ protocol builders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -25,11 +26,14 @@ from scipy.optimize import linprog
 from .graphs import GraphError, UnreachableError
 from .schedules import RoutingSchedule, ScheduleEntry
 from .timed import (
-    TimedPath, build_timed_graph, decompose_paths, least_feasible_horizon,
-    timed_max_flow,
+    TimedPath, base_min_cut, build_timed_graph, decompose_paths,
+    least_feasible_horizon, timed_max_flow,
 )
 
 LP_TOLERANCE = 1e-6
+# terminal sets up to this size bound tau_MCF with the min cut of every
+# terminal bipartition (2**(k-1) - 1 cuts); larger ones use the k singletons
+CUT_BOUND_MAX_TERMINALS = 10
 
 
 class LPSolveError(RuntimeError):
@@ -188,9 +192,9 @@ def mcf_feasible(g, demand, tau):
 def tau_mcf(g, terminals, n_prime):
     """Least tau at which the uniform n'/k all-pairs demand is routable.
 
-    `least_feasible_horizon` over exact LP feasibility, from the terminal
-    diameter.  Results are memoised per (graph, sorted terminals, exact
-    n') in a least-recently-used cache of 256 entries.
+    `least_feasible_horizon` over exact LP feasibility, from
+    `tau_mcf_lower_bound`.  Results are memoised per (graph, sorted
+    terminals, exact n') in a least-recently-used cache of 256 entries.
     """
     if n_prime <= 0:
         raise GraphError("n_prime must be positive")
@@ -200,15 +204,41 @@ def tau_mcf(g, terminals, n_prime):
     return _tau_mcf(g, terminals, Fraction(n_prime))
 
 
-@lru_cache(maxsize=256)
-def _tau_mcf(g, terminals, n_prime):
+def tau_mcf_lower_bound(g, terminals, n_prime):
+    """max(terminal diameter, max over terminal bipartitions (T, K - T) of
+    ceil(|T| |K - T| n' / (k lambda(T, K - T)))), a lower bound on tau_mcf.
+
+    Proof (the Leighton-Rao cut condition, per round): the uniform demand
+    sends |T| |K - T| n'/k units from T to K - T, and the lambda base edges
+    of a min cut carry at most lambda units that way per round.  All
+    2**(k-1) - 1 bipartitions are cut while k <= CUT_BOUND_MAX_TERMINALS,
+    only the singletons T = {t} above that.  Raises UnreachableError for
+    disconnected terminals.
+    """
+    terminals = tuple(sorted(terminals))
     if not g.connected(terminals):
         raise UnreachableError("terminals are disconnected")
+    k = len(terminals)
+    lo = max(max(g.distances_from(a)[b] for b in terminals)
+             for a in terminals)
+    if k <= CUT_BOUND_MAX_TERMINALS:
+        first, others = terminals[0], terminals[1:]
+        sides = [(first,) + tuple(t for i, t in enumerate(others)
+                                  if mask >> i & 1)
+                 for mask in range(2 ** (k - 1) - 1)]
+    else:
+        sides = [(t,) for t in terminals]
+    for side in sides:
+        rest = [t for t in terminals if t not in side]
+        crossing = Fraction(len(side) * len(rest)) * Fraction(n_prime) / k
+        lo = max(lo, math.ceil(crossing / base_min_cut(g, side, rest)))
+    return lo
+
+
+@lru_cache(maxsize=256)
+def _tau_mcf(g, terminals, n_prime):
+    lo = tau_mcf_lower_bound(g, terminals, n_prime)
     demand = uniform_demand(terminals, n_prime)
-    lo = 1
-    for a in terminals:
-        dist = g.distances_from(a)
-        lo = max(lo, max(dist[b] for b in terminals))
     cutoff = (int(n_prime) + 1) * g.n * len(terminals) ** 2 + g.n
     return least_feasible_horizon(lambda tau: mcf_feasible(g, demand, tau),
                                   lo, cutoff, "tau_mcf")

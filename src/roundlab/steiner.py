@@ -171,32 +171,36 @@ def _paths_to_root(parent, terminals):
 # bounded-length edge-disjoint paths
 
 def _simple_paths(g, a, b, max_hops, cap=500_000):
+    """Every simple a-b path of at most max_hops edges, depth first in
+    `g.incidence` order.  The DFS keeps an explicit stack of incidence
+    iterators, so path length is not bounded by the recursion limit."""
+    if max_hops < 1:
+        return []
     out = []
     visited = {a}
     verts = [a]
     eids = []
-
-    def dfs(v):
+    stack = [iter(g.incidence[a])]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            visited.remove(verts.pop())
+            if eids:
+                eids.pop()
+            continue
+        eid, w = step
+        if w in visited:
+            continue
         if len(out) > cap:
             raise GraphError("path enumeration exceeded the desk-scale cap")
-        if v == b:
-            out.append(BasePath(tuple(verts), tuple(eids)))
-            return
-        if len(eids) == max_hops:
-            return
-        for eid, w in g.incidence[v]:
-            if w in visited:
-                continue
+        if w == b:
+            out.append(BasePath(tuple(verts) + (w,), tuple(eids) + (eid,)))
+        elif len(eids) + 1 < max_hops:
             visited.add(w)
             verts.append(w)
             eids.append(eid)
-            dfs(w)
-            eids.pop()
-            verts.pop()
-            visited.remove(w)
-
-    if max_hops >= 1:
-        dfs(a)
+            stack.append(iter(g.incidence[w]))
     return out
 
 
@@ -500,7 +504,9 @@ def _pack_greedy(g, terms, delta):
                 continue
             diam = tree_terminal_diameter(g, keep, terms)
             if diam <= delta:
-                found = tree_from_edges(g, keep, terms)
+                # a pruned BFS tree is a tree that spans the terminals,
+                # and diam is its diameter: tree_from_edges would redo both
+                found = SteinerTree(frozenset(keep), terms, diam)
                 break
         if found is None:
             break

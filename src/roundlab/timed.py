@@ -21,6 +21,12 @@ order.  Flows become timed paths through the one decomposer,
 the residual network: the set of nodes reachable from the source is the
 source side of the minimal min cut, which is the same for every maximum
 flow, so the levels do not depend on which maximum flow Dinic finds.
+
+Both horizons, tau_route here and tau_MCF in `mcf`, come from the one
+monotone search `least_feasible_horizon`, started at a certified lower
+bound built from base-graph min cuts (`base_min_cut`, the same C Dinic on
+the base graph): a base cut of lambda edges carries at most lambda units
+per direction per round, so no horizon below the bound is feasible.
 """
 
 from __future__ import annotations
@@ -263,6 +269,29 @@ def timed_max_flow(tg, src, dst, extra_arcs=()):
     return TimedFlow(tg, int(res.flow_value), capacity, res.flow)
 
 
+def base_min_cut(g, side_a, side_b):
+    """lambda(A, B): the fewest base edges whose removal separates the
+    vertex set `side_a` from the disjoint set `side_b`.
+
+    The maximum A -> B flow of the base graph with capacity 1 per edge and
+    direction (parallel edges sum), between a super source feeding A and a
+    super sink fed by B, on the same C Dinic as `timed_max_flow`.
+    """
+    from scipy.sparse.csgraph import maximum_flow
+
+    n, m = g.n, g.m
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    # n is the super source, n + 1 the super sink; their arcs (capacity
+    # m + 1) are never cut
+    tails = np.concatenate([ends.ravel(), np.full(len(side_a), n), side_b])
+    heads = np.concatenate([ends[:, ::-1].ravel(), side_a,
+                            np.full(len(side_b), n + 1)])
+    caps = np.where(np.arange(tails.size) < 2 * m, 1, m + 1)
+    capacity = sparse.csr_matrix(
+        (caps.astype(np.int32), (tails, heads)), shape=(n + 2, n + 2))
+    return int(maximum_flow(capacity, n, n + 1, method="dinic").flow_value)
+
+
 def decompose_paths(tg, flows, sources, eps=1e-9):
     """Split an arc-key flow map {(layer, eid, tail, head): amount} into
     (TimedPath, amount) parcels running from layer 0 to layer tau.
@@ -320,18 +349,21 @@ def max_route_flow(g, a, b, tau, integral=True):
 
 
 def least_feasible_horizon(feasible, lo, cutoff, name):
-    """Least horizon tau >= lo (lo >= 1) with feasible(tau), for a
-    predicate monotone in tau.
+    """Least horizon tau >= lo with feasible(tau), for a predicate monotone
+    in tau and a certified lower bound lo >= 1 (no tau < lo is feasible).
 
-    Probe order: doubling lo, 2*lo, 4*lo, ... up to the first feasible
-    horizon hi, then bisection over [lo, hi] from the original lo, probing
-    mid = (lo + hi) // 2 and keeping [lo, mid] when mid is feasible and
-    [mid + 1, hi] otherwise.  Raises SearchLimitError, naming `name`, when
-    the doubling passes 2 * cutoff or the result exceeds cutoff.
+    Probe order: gallop upward, lo, lo+1, lo+3, lo+7, ..., lo + 2**j - 1,
+    to the first feasible horizon hi, then bisect over (last infeasible
+    probe, hi], probing mid = (lo + hi) // 2 and keeping [lo, mid] when mid
+    is feasible and [mid + 1, hi] otherwise.  A feasible lo is thus
+    certified minimal after one probe, and a bound short by d costs about
+    2 log2(d) probes.  Raises SearchLimitError, naming `name`, when the
+    gallop passes 2 * cutoff or the result exceeds cutoff.
     """
-    hi = lo
+    hi, step = lo, 1
     while not feasible(hi):
-        hi *= 2
+        lo, hi = hi + 1, hi + step
+        step *= 2
         if hi > 2 * cutoff:
             raise SearchLimitError(f"{name} exceeded cutoff {cutoff}")
     while lo < hi:
@@ -345,26 +377,43 @@ def least_feasible_horizon(feasible, lo, cutoff, name):
     return lo
 
 
-def tau_route(g, a, b, n_prime):
-    """Least horizon tau with max_route_flow value >= n_prime.
+def tau_route_lower_bound(g, a, b, n_prime):
+    """dist(a, b) - 1 + ceil(n' / lambda(a, b)), a lower bound on
+    tau_route: Ford-Fulkerson's bound for flows over time.
 
-    `least_feasible_horizon` from the a-b distance.  Raises
-    UnreachableError for disconnected endpoints and SearchLimitError past
-    the n_prime * |V| safety cutoff.
+    Proof: every path has length >= dist and the static flow is at most
+    lambda, so the flow over tau rounds is at most lambda * (tau - dist +
+    1).  Since n' >= 1 the bound is at least dist.  For a == b it is 1:
+    (a, 0) -> (a, tau) rides the memory arcs, which no base cut bounds.
+    Raises UnreachableError for disconnected endpoints.
     """
-    if n_prime < 1:
-        raise GraphError("n_prime must be >= 1")
     dist = g.distances_from(a)[b]
     if dist is None:
         raise UnreachableError(f"vertices {a} and {b} are disconnected")
+    if a == b:
+        return 1
+    return dist - 1 - (-n_prime // base_min_cut(g, (a,), (b,)))
+
+
+def tau_route(g, a, b, n_prime):
+    """Least horizon tau with max_route_flow value >= n_prime.
+
+    `least_feasible_horizon` from `tau_route_lower_bound`; where the bound
+    is exact (paths, and every tau-route instance of the benchmark) one
+    max flow certifies the answer.  Raises UnreachableError for
+    disconnected endpoints and SearchLimitError past the n_prime * |V|
+    safety cutoff.
+    """
+    if n_prime < 1:
+        raise GraphError("n_prime must be >= 1")
+    lo = tau_route_lower_bound(g, a, b, n_prime)
 
     def feasible(tau):
         tg = build_timed_graph(g, tau)
         return timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau)).value \
             >= n_prime
 
-    return least_feasible_horizon(feasible, max(dist, 1), n_prime * g.n,
-                                  "tau_route")
+    return least_feasible_horizon(feasible, lo, n_prime * g.n, "tau_route")
 
 
 def extract_level_vector(g, a, b, n_bits, horizon):

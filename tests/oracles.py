@@ -64,6 +64,21 @@ def timed_flow_bruteforce(g, a, b, tau):
         flow += bottleneck
 
 
+def base_cut_bruteforce(g, side_a, side_b):
+    """Fewest base edges crossing a vertex bipartition (S, V - S) with
+    side_a inside S and side_b outside, over every such S."""
+    side_a, side_b = set(side_a), set(side_b)
+    free = [v for v in range(g.n) if v not in side_a | side_b]
+    best = None
+    for r in range(len(free) + 1):
+        for extra in itertools.combinations(free, r):
+            inside = side_a | set(extra)
+            crossing = sum(1 for u, v in g.edges
+                           if (u in inside) != (v in inside))
+            best = crossing if best is None else min(best, crossing)
+    return best
+
+
 def tau_route_bruteforce(g, a, b, n_prime, tau_max=64):
     for tau in range(0, tau_max + 1):
         if timed_flow_bruteforce(g, a, b, tau)[0] >= n_prime:

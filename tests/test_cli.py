@@ -8,6 +8,7 @@ from scipy.optimize import OptimizeResult, linprog
 import roundlab.cli as cli_mod
 import roundlab.mcf as mcf_mod
 import roundlab.steiner as steiner_mod
+from roundlab.sim import ExtractionError
 from roundlab import (
     clique, format_graph_text, graph_to_json, grid_graph, parallel_edges,
     path_graph, random_connected_graph, ring_of_cliques,
@@ -199,8 +200,9 @@ def test_bench_ed_small_clique(tmp_path, capsys):
 
 
 def test_bench_ed_lp_solve_count(tmp_path, capsys, monkeypatch):
-    # the compiler solves LPs only for the horizons it routes at, 46 HiGHS
-    # solves here; the reporting-only window bounds would add 186 more
+    # the compiler solves LPs only for the horizons it routes at, and each
+    # tau_mcf search starts at its cut bound: 10 HiGHS solves here (46 with
+    # blind doubling, and the reporting-only window bounds would add 186)
     solves = []
 
     def counting_linprog(*args, **kwargs):
@@ -213,7 +215,7 @@ def test_bench_ed_lp_solve_count(tmp_path, capsys, monkeypatch):
     code, payload = _run(capsys, ["bench", "--function", "ed",
                                   "--graph", gpath, "--n", "3"])
     assert code == 0 and payload["rounds"] == 148
-    assert len(solves) <= 46
+    assert len(solves) <= 10
 
 
 @pytest.mark.parametrize("status,exit_code", [(1, 4), (4, 4), (2, 2)])
@@ -281,6 +283,31 @@ def test_convergence_error_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 4
     assert "failed to converge" in err and "Traceback" not in err
+
+
+def test_extraction_error_exit_code(tmp_path, capsys, monkeypatch):
+    def unknown_bit(*args, **kwargs):
+        raise ExtractionError((0, 1, 0, 3))
+
+    monkeypatch.setattr(cli_mod, "run_protocol", unknown_bit)
+    path = _write_graph(tmp_path, clique(2))
+    code = main(["run", "--graph", path, "--protocol", "ed-compiled"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "unknown bit (0->1, edge 0, round 3)" in err
+
+
+@pytest.mark.parametrize("delta,value,trees", [(1199, 0, 0),
+                                               (1200, "1/16", 1)])
+def test_st_pack_sample_past_recursion_ceiling(tmp_path, capsys, delta,
+                                               value, trees):
+    # the recursive path DFS raised RecursionError 1199 hops deep
+    path = _write_graph(tmp_path, path_graph(1200))
+    code, payload = _run(capsys, ["st-pack", "--graph", path, "--delta",
+                                  str(delta), "--mode", "sample"])
+    assert code == 0
+    assert payload["value"] == value and len(payload["trees"]) == trees
 
 
 def test_csv_nested_values_are_json_cells(capsys):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import OptimizeResult, linprog
 
 import roundlab.mcf as mcf_mod
@@ -13,7 +14,7 @@ from roundlab.mcf import (
     LP_TOLERANCE, BoundedDemandError, DemandMatrix, LPSolveError,
     PartitionInfeasibleError, _assemble_mcf_lp, _solve_mcf,
     balanced_partition_paths, mcf_feasible, route_bounded_demand,
-    route_unit_demands, tau_mcf, uniform_demand,
+    route_unit_demands, tau_mcf, tau_mcf_lower_bound, uniform_demand,
 )
 from roundlab.schedules import audit_schedule, congestion_to_delay
 from roundlab.timed import build_timed_graph, validate_timed_path
@@ -73,6 +74,91 @@ def test_tau_mcf_subadditive():
         t1 = tau_mcf(g, g.terminals, 2)
         t2 = tau_mcf(g, g.terminals, 7)
         assert t2 <= -(-7 // 2) * t1
+
+
+def _tau_mcf_cases():
+    cases = [(clique(k), n) for k in (2, 3, 4) for n in (1, 2, 5, 8)]
+    cases.append((Graph(2, ((0, 1),), (0, 1)), 2))
+    cases.append((path_graph(2, terminals=(0, 2)), 2))
+    cases += [(random_connected_graph(5, 3, seed=50 + s, k=3), n)
+              for s in range(10) for n in (2, 7)]
+    return cases
+
+
+def _tau_mcf_by_scan(g, n_prime):
+    """tau_MCF by a plain upward scan of LP feasibility from tau = 1."""
+    demand = uniform_demand(g.terminals, n_prime)
+    tau = 1
+    while not mcf_feasible(g, demand, tau):
+        tau += 1
+    return tau
+
+
+def test_tau_mcf_matches_linear_scan():
+    mcf_mod._tau_mcf.cache_clear()
+    for g, n_prime in _tau_mcf_cases():
+        assert tau_mcf(g, g.terminals, n_prime) == \
+            _tau_mcf_by_scan(g, n_prime), (g, n_prime)
+
+
+@st.composite
+def terminal_multigraphs(draw):
+    n = draw(st.integers(2, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = tuple(draw(st.lists(pair, min_size=1, max_size=8)))
+    k = draw(st.integers(2, min(4, n)))
+    terms = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                          unique=True))
+    return Graph(n, edges, tuple(terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(terminal_multigraphs(), st.integers(1, 6))
+def test_tau_mcf_cut_bound_below_lp(g, n_prime):
+    assume(g.connected(g.terminals))
+    scanned = _tau_mcf_by_scan(g, n_prime)
+    assert tau_mcf_lower_bound(g, g.terminals, n_prime) <= scanned
+    assert tau_mcf(g, g.terminals, n_prime) == scanned
+
+
+def test_tau_mcf_lower_bound_on_bench_graphs():
+    # the answers are 18, 33 and 24
+    cases = [(grid_graph(6, 6), 32, 12), (ring_of_cliques(4, 4), 64, 32),
+             (random_connected_graph(12, 10, seed=1, k=4), 32, 24)]
+    for g, n_prime, bound in cases:
+        assert tau_mcf_lower_bound(g, g.terminals, n_prime) == bound
+
+
+@pytest.mark.parametrize("k,cuts", [(4, 7), (10, 511), (11, 11)])
+def test_tau_mcf_lower_bound_cut_count(monkeypatch, k, cuts):
+    # every bipartition up to CUT_BOUND_MAX_TERMINALS, singletons above
+    sides = []
+
+    def recording_cut(g, side_a, side_b):
+        sides.append(tuple(side_a))
+        return len(side_a) * len(side_b)   # the clique's cut
+
+    monkeypatch.setattr(mcf_mod, "base_min_cut", recording_cut)
+    g = clique(k)
+    # n'/k rounds push n'/k units over each of |T||K - T| cut edges
+    assert tau_mcf_lower_bound(g, g.terminals, 3 * k) == 3
+    assert len(set(sides)) == len(sides) == cuts
+
+
+def test_tau_mcf_probe_order(monkeypatch):
+    # the cut bound 32 is one short of ring44's answer: two LPs
+    probes = []
+
+    def recording_feasible(g, demand, tau):
+        probes.append(tau)
+        return mcf_feasible(g, demand, tau)
+
+    mcf_mod._tau_mcf.cache_clear()
+    monkeypatch.setattr(mcf_mod, "mcf_feasible", recording_feasible)
+    g = ring_of_cliques(4, 4)
+    assert tau_mcf(g, g.terminals, 64) == 33
+    assert probes == [32, 33]
 
 
 def test_route_bounded_demand_zero():
@@ -300,10 +386,7 @@ def test_lp_readback_matches_reference():
 
 
 def test_tau_mcf_unchanged_with_reference_assembly(monkeypatch):
-    cases = [(clique(k), n) for k in (2, 3, 4) for n in (1, 2, 5, 8)]
-    cases.append((path_graph(2, terminals=(0, 2)), 2))
-    cases += [(random_connected_graph(5, 3, seed=50 + s, k=3), n)
-              for s in range(10) for n in (2, 7)]
+    cases = _tau_mcf_cases()
 
     def values():
         mcf_mod._tau_mcf.cache_clear()

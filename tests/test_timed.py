@@ -10,9 +10,12 @@ from roundlab import (
 )
 import roundlab.timed as timed_mod
 from roundlab.timed import (
-    SearchLimitError, TimedGraph, least_feasible_horizon, timed_max_flow,
+    SearchLimitError, TimedGraph, base_min_cut, least_feasible_horizon,
+    tau_route_lower_bound, timed_max_flow,
 )
-from oracles import timed_flow_bruteforce, tau_route_bruteforce
+from oracles import (
+    base_cut_bruteforce, timed_flow_bruteforce, tau_route_bruteforce,
+)
 
 
 def test_timed_graph_edge_counts():
@@ -239,8 +242,28 @@ def test_tau_route_matches_bruteforce_oracle(case, n_prime):
                                                                n_prime)
 
 
+@settings(max_examples=60, deadline=None)
+@given(multigraph_pairs())
+def test_base_min_cut_matches_bruteforce_oracle(case):
+    g, a, b = case
+    assert base_min_cut(g, (a,), (b,)) == base_cut_bruteforce(g, (a,), (b,))
+    rest = [v for v in range(g.n) if v not in (a, b)]
+    assert base_min_cut(g, [a] + rest[:1], [b] + rest[1:2]) == \
+        base_cut_bruteforce(g, [a] + rest[:1], [b] + rest[1:2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraph_pairs(), st.integers(1, 6))
+def test_tau_route_lower_bound_below_bruteforce(case, n_prime):
+    g, a, b = case
+    assume(g.distances_from(a)[b] is not None)
+    assert tau_route_lower_bound(g, a, b, n_prime) <= \
+        tau_route_bruteforce(g, a, b, n_prime)
+
+
 def test_tau_route_probe_order(monkeypatch):
-    # doubling from the a-b distance, then bisection from the original lo
+    # the flow-over-time bound 3 - 1 + ceil(300 / 1) is exact, so one
+    # max flow certifies the answer
     probes = []
 
     def recording_flow(tg, src, dst, extra_arcs=()):
@@ -249,8 +272,22 @@ def test_tau_route_probe_order(monkeypatch):
 
     monkeypatch.setattr(timed_mod, "timed_max_flow", recording_flow)
     assert tau_route(path_graph(3), 0, 3, 300) == 302
-    assert probes == [3, 6, 12, 24, 48, 96, 192, 384,
-                      193, 289, 337, 313, 301, 307, 304, 303, 302]
+    assert probes == [302]
+
+
+def test_least_feasible_horizon_gallops_then_bisects():
+    probes = []
+
+    def from_20(tau):
+        probes.append(tau)
+        return tau >= 20
+
+    assert least_feasible_horizon(from_20, 5, 100, "x") == 20
+    # gallop 5, 6, 8, 12, 20, then bisection over (12, 20]
+    assert probes == [5, 6, 8, 12, 20, 16, 18, 19]
+    probes.clear()
+    assert least_feasible_horizon(from_20, 20, 100, "x") == 20
+    assert probes == [20]
 
 
 def test_least_feasible_horizon_search_limit():
