@@ -177,9 +177,8 @@ def _build_named_protocol(name, g, inputs, seed):
     n = len(next(iter(inputs.values())))
     if name == "disj-aggregate":
         best = disjointness_bound(g, terms, n)
-        packing = pack_steiner_trees(g, terms, best.delta)
         func = disjointness_function(len(terms), n)
-        proto = steiner_aggregate_protocol(g, terms, packing, func)
+        proto = steiner_aggregate_protocol(g, terms, best.packing, func)
         return proto, inputs, disj_oracle(xs), best.value
     if name == "ed-compiled":
         red = ed_hash_reduce(xs, seed=seed, n_bits=n, trials=1)

@@ -135,98 +135,103 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
     bits_per = max(1, math.ceil(math.log2(k)))
 
     shapes = [bfs_tree(g, root, tree.edge_ids) for tree in trees]
-    plans = []
+    blocks = [range(j * m, min((j + 1) * m, n)) for j in range(len(trees))]
+    # per vertex, built once: absorb entries (buffer key, child edge, first
+    # round, width), emit entries (tree, own start, width, coords, parent
+    # edge, child buffer keys) and the rounds [lo, hi] it has work in
+    absorb = [[] for _ in range(g.n)]
+    emit = [[] for _ in range(g.n)]
+    spans = [[] for _ in range(g.n)]
+    data_rounds = 0
     for j, (parent, depth, children) in enumerate(shapes):
-        lo = j * m
-        hi = min((j + 1) * m, n)
+        coords = blocks[j]
+        width = len(coords) * bits_per
         height = {}
         for v in sorted(depth, key=lambda x: -depth[x]):
             kids = [w for _, w in children[v]]
             height[v] = 1 + max((height[w] for w in kids), default=-1)
-        start = {v: height[v] + 1 for v in parent}
-        plans.append({
-            "coords": range(lo, hi),
-            "parent": parent,
-            "children": children,
-            "start": start,
-        })
-    data_rounds = 0
-    for plan in plans:
-        width = len(plan["coords"]) * bits_per
         if width == 0:
             continue
-        for _, child in plan["children"][root]:
-            data_rounds = max(data_rounds, plan["start"][child] + width - 1)
+        for v, kids in children.items():
+            for eid, child in kids:
+                first = height[child] + 2
+                absorb[v].append(((j, child), eid, first, width))
+                spans[v].append((first, first + width - 1))
+            if v == root:
+                continue
+            start = height[v] + 1
+            emit[v].append((j, start, width, coords, parent[v][0],
+                            [(j, child) for _, child in kids]))
+            spans[v].append((start, start + width - 1))
+        for _, child in children[root]:
+            data_rounds = max(data_rounds, height[child] + width)
     parent0, depth0, children0 = shapes[0]
     bcast_rounds = max((depth0[t] for t in terms), default=0)
-    term_index = {t: i for i, t in enumerate(terms)}
+    spans[root].append((data_rounds + 1, data_rounds + 1))
+    for v, d in depth0.items():
+        spans[v].append((data_rounds + d + 1, data_rounds + d + 1))
+    busy = [(min(lo for lo, _ in s), max(hi for _, hi in s)) if s else (1, 0)
+            for s in spans]
+    term_set = set(terms)
 
     def init(v, _g, block):
-        return {"in": block, "buf": {}, "carry": {}, "bcast": None}
+        buf = {key: [0] * width for key, _, _, width in absorb[v]}
+        return {"in": block, "buf": buf, "carry": {}, "bcast": None}
 
     def step(v, rnd, state, inbox, pub):
+        lo, hi = busy[v]
+        if rnd < lo or rnd > hi:
+            return {}, state, None
         sends = {}
         out = None
+        buf = state["buf"]
         # absorb stream bits from children, per tree
-        for j, plan in enumerate(plans):
-            if v not in plan["parent"]:
-                continue
-            for eid, child in plan["children"][v]:
-                q = rnd - 1 - plan["start"].get(child, 10 ** 9)
-                width = len(plan["coords"]) * bits_per
-                if 0 <= q < width and eid in inbox:
-                    state["buf"].setdefault((j, child), {})[q] = inbox[eid]
+        for key, eid, first, width in absorb[v]:
+            q = rnd - first
+            if 0 <= q < width and eid in inbox:
+                buf[key][q] = inbox[eid]
         # emit own aggregated stream positions
-        for j, plan in enumerate(plans):
-            if v == root or v not in plan["parent"]:
-                continue
-            width = len(plan["coords"]) * bits_per
-            q = rnd - plan["start"][v]
+        for j, start, width, coords, eid, keys in emit[v]:
+            q = rnd - start
             if 0 <= q < width:
-                coord = plan["coords"][q // bits_per]
                 bitpos = q % bits_per
                 total = state["carry"].get(j, 0)
                 if bitpos == 0:
                     if total:
                         raise ContractViolation("carry persisted across coords")
-                    if v in term_index and state["in"] is not None:
-                        total += state["in"][coord]
-                for _, child in plan["children"][v]:
-                    total += state["buf"].get((j, child), {}).get(q, 0)
-                eid, _ = plan["parent"][v]
+                    if v in term_set and state["in"] is not None:
+                        total += state["in"][coords[q // bits_per]]
+                for key in keys:
+                    total += buf[key][q]
                 sends[eid] = total & 1
                 state["carry"][j] = total >> 1
         # the root finishes the data phase, computes, and starts broadcast
-        if rnd == data_rounds + 1:
-            if v == root:
-                inner = []
-                for j, plan in enumerate(plans):
-                    for ci, coord in enumerate(plan["coords"]):
-                        count = state["in"][coord] if state["in"] is not None else 0
-                        for _, child in plan["children"][root]:
-                            buf = state["buf"].get((j, child), {})
-                            for bp in range(bits_per):
-                                count += buf.get(ci * bits_per + bp, 0) << bp
-                        inner.append((coord, func.tables[coord][count]))
-                inner.sort()
-                answer = int(func.outer(tuple(bit for _, bit in inner)))
-                state["bcast"] = answer
-                out = answer
+        if rnd == data_rounds + 1 and v == root:
+            inner = []
+            for j, (_, _, children) in enumerate(shapes):
+                for ci, coord in enumerate(blocks[j]):
+                    count = state["in"][coord] if state["in"] is not None else 0
+                    for _, child in children[root]:
+                        stream = buf[(j, child)]
+                        for bp in range(bits_per):
+                            count += stream[ci * bits_per + bp] << bp
+                    inner.append((coord, func.tables[coord][count]))
+            inner.sort()
+            answer = int(func.outer(tuple(bit for _, bit in inner)))
+            state["bcast"] = answer
+            out = answer
         # broadcast relay down the first tree
-        if state["bcast"] is None and v in depth0 and depth0[v] > 0:
-            expect = data_rounds + depth0[v]
-            if rnd == expect + 1:
+        if v in depth0 and rnd == data_rounds + depth0[v] + 1:
+            if state["bcast"] is None:
                 eid, _ = parent0[v]
                 if eid not in inbox:
                     raise ContractViolation(
                         f"broadcast bit missing at vertex {v} round {rnd}")
                 state["bcast"] = inbox[eid]
-                if v in term_index:
+                if v in term_set:
                     out = state["bcast"]
-        if state["bcast"] is not None and v in children0:
-            for eid, child in children0[v]:
-                if rnd == data_rounds + depth0[v] + 1:
-                    sends[eid] = state["bcast"]
+            for eid, _ in children0[v]:
+                sends[eid] = state["bcast"]
         return sends, state, out
 
     return ProtocolSpec(

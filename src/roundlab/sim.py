@@ -16,7 +16,9 @@ correctness bug detector).
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .graphs import GraphError
 
@@ -79,6 +81,10 @@ class ProtocolSpec:
     (sends, state, output): inbox and sends map incident edge ids to bits;
     omitted edges carry no bit.  output None means "not done yet";
     max_rounds is the declared horizon.
+
+    step runs for every vertex in every round, so an idle vertex should
+    return at once; an empty or None send set costs the simulator nothing
+    (no checks, no delivery).
     """
 
     name: str
@@ -100,26 +106,22 @@ class Transcript:
         return sum(len(r) for r in self.bits)
 
     def per_edge_bits(self):
-        out = {}
-        for rnd in self.bits:
-            for (u, v, eid), _ in rnd.items():
-                key = (u, v, eid)
-                out[key] = out.get(key, 0) + 1
-        return out
+        return dict(Counter(chain.from_iterable(self.bits)))
 
 
-def _check_sends(g, v, sends):
-    incident = {eid for eid, _ in g.incidence[v]}
-    clean = {}
-    for eid, bit in sorted(sends.items()):
+def _check_sends(v, sends, incident):
+    """sends as (edge_id, bit) pairs in edge order, after checking that
+    every edge is in `incident` (a container of v's edge ids) and every
+    value is a bit."""
+    items = sorted(sends.items()) if len(sends) > 1 else sends.items()
+    for eid, bit in items:
         if eid not in incident:
             raise ContractViolation(
                 f"vertex {v} sent on non-incident edge {eid}")
         if bit not in (0, 1):
             raise ContractViolation(
                 f"vertex {v} emitted non-bit {bit!r} on edge {eid}")
-        clean[eid] = bit
-    return clean
+    return items
 
 
 def run_protocol(g, protocol, inputs, seed=0, max_rounds=None):
@@ -133,7 +135,7 @@ def run_protocol(g, protocol, inputs, seed=0, max_rounds=None):
         raise GraphError("inputs must cover exactly the terminals")
     limit = max_rounds if max_rounds is not None else protocol.max_rounds
     pub = PublicRandomness(seed)
-    other = {v: {eid: w for eid, w in g.incidence[v]} for v in range(g.n)}
+    other = [dict(g.incidence[v]) for v in range(g.n)]
     states = [protocol.init(v, g, inputs.get(v)) for v in range(g.n)]
     inbox = [dict() for _ in range(g.n)]
     outputs = {}
@@ -146,10 +148,12 @@ def run_protocol(g, protocol, inputs, seed=0, max_rounds=None):
         for v in range(g.n):
             sends, state, out = protocol.step(v, rnd, states[v], inbox[v], pub)
             states[v] = state
-            for eid, bit in _check_sends(g, v, sends or {}).items():
-                w = other[v][eid]
-                round_bits[(v, w, eid)] = bit
-                nxt[w][eid] = bit
+            if sends:
+                ends = other[v]
+                for eid, bit in _check_sends(v, sends, ends):
+                    w = ends[eid]
+                    round_bits[(v, w, eid)] = bit
+                    nxt[w][eid] = bit
             if out is not None:
                 if v not in terminals:
                     raise ContractViolation(
@@ -160,7 +164,7 @@ def run_protocol(g, protocol, inputs, seed=0, max_rounds=None):
                 outputs[v] = out
         inbox = nxt
         log.append(round_bits)
-        if terminals <= set(outputs):
+        if len(outputs) == len(terminals):
             halted = True
             break
     transcript = Transcript(len(log), tuple(log), outputs, halted)
@@ -203,6 +207,7 @@ class _PartyView:
         self.hidden = hidden
         self.pub = pub
         self.knows = knows
+        self.ends = [dict(g.incidence[v]) for v in range(g.n)]
         self.states = {}
         self.stepped = {}
         self.sends = {}      # (v, round) -> dense {edge_id: bit}
@@ -227,10 +232,9 @@ class _PartyView:
             inbox = self._inbox_for(v, r - 1)
             sends, state, out = self.protocol.step(
                 v, r, self.states[v], inbox, self.pub)
-            dense = {}
-            raw = _check_sends(self.g, v, sends or {})
-            for eid, _ in self.g.incidence[v]:
-                dense[eid] = raw.get(eid, 0)
+            dense = dict.fromkeys(self.ends[v], 0)
+            if sends:
+                dense.update(_check_sends(v, sends, self.ends[v]))
             self.sends[(v, r)] = dense
             self.states[v] = state
             if out is not None and v not in self.outputs:

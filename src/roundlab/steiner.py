@@ -555,27 +555,39 @@ class DisjointnessBound:
     value: Fraction
     delta: int
     packing_values: dict
+    packing: TreePacking     # the greedy packing at `delta`
 
 
 def disjointness_bound(g, terminals, n_bits):
     """min over delta in [|V|] of (n / greedy packing value + delta); the
-    aggregate-protocol comparandum."""
+    aggregate-protocol comparandum.
+
+    A Steiner tree's terminal diameter is at least the terminals' diameter
+    in g, so every delta below that packs nothing and is recorded as 0
+    without packing.
+    """
     if n_bits < 1:
         raise GraphError("n_bits must be >= 1")
     terms = tuple(sorted(set(terminals)))
+    if len(terms) < 2:
+        raise GraphError("need at least two terminals")
     if not g.connected(terms):
         raise UnreachableError("terminals are disconnected")
-    best = None
-    best_delta = None
+    spread = max(d[u] for d in map(g.distances_from, terms) for u in terms)
+    best = None     # (value, delta, packing)
     table = {}
     for delta in range(1, g.n + 1):
-        value = _pack_greedy(g, terms, delta).value
-        table[delta] = value
-        if value == 0:
+        if delta < spread:
+            table[delta] = 0
             continue
-        candidate = Fraction(n_bits, value) + delta
-        if best is None or candidate < best:
-            best, best_delta = candidate, delta
+        packing = _pack_greedy(g, terms, delta)
+        table[delta] = packing.value
+        if packing.value == 0:
+            continue
+        candidate = Fraction(n_bits, packing.value) + delta
+        if best is None or candidate < best[0]:
+            best = (candidate, delta, packing)
     if best is None:
         raise UnreachableError("no Steiner tree at any diameter bound")
-    return DisjointnessBound(best, best_delta, table)
+    value, delta, packing = best
+    return DisjointnessBound(value, delta, table, packing)

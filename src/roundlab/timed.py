@@ -383,15 +383,12 @@ def tau_route_lower_bound(g, a, b, n_prime):
 
     Proof: every path has length >= dist and the static flow is at most
     lambda, so the flow over tau rounds is at most lambda * (tau - dist +
-    1).  Since n' >= 1 the bound is at least dist.  For a == b it is 1:
-    (a, 0) -> (a, tau) rides the memory arcs, which no base cut bounds.
-    Raises UnreachableError for disconnected endpoints.
+    1).  Since n' >= 1 the bound is at least dist.  The endpoints must
+    differ.  Raises UnreachableError for disconnected endpoints.
     """
     dist = g.distances_from(a)[b]
     if dist is None:
         raise UnreachableError(f"vertices {a} and {b} are disconnected")
-    if a == b:
-        return 1
     return dist - 1 - (-n_prime // base_min_cut(g, (a,), (b,)))
 
 
@@ -404,6 +401,11 @@ def tau_route(g, a, b, n_prime):
     disconnected endpoints and SearchLimitError past the n_prime * |V|
     safety cutoff.
     """
+    for v in (a, b):
+        if not 0 <= v < g.n:
+            raise GraphError(f"endpoint {v} out of range for n={g.n}")
+    if a == b:
+        raise GraphError("endpoints must differ")
     if n_prime < 1:
         raise GraphError("n_prime must be >= 1")
     lo = tau_route_lower_bound(g, a, b, n_prime)

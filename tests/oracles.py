@@ -499,3 +499,110 @@ def and_disj_oracle(strings):
         for w in players[i + 1:]:
             val &= pair_disj_oracle(strings[(u, w)], strings[(w, u)])
     return val
+
+
+# ---------------------------------------------------------------------------
+# reference Steiner aggregation protocol
+
+def aggregate_protocol_reference(g, terminals, packing, func):
+    """The Steiner aggregation protocol with a `step` that scans every
+    tree's plan for every vertex in every round: the plain form of
+    `roundlab.protocols.steiner_aggregate_protocol`, whose transcripts
+    (bits, outputs, rounds) it must reproduce exactly."""
+    import math
+
+    from roundlab.graphs import bfs_tree
+    from roundlab.sim import ContractViolation, ProtocolSpec
+
+    terms = tuple(sorted(terminals))
+    k = len(terms)
+    trees = [tree for tree, _ in packing.trees]
+    root = terms[0]
+    n = func.n
+    m = math.ceil(n / len(trees)) if n else 0
+    bits_per = max(1, math.ceil(math.log2(k)))
+
+    shapes = [bfs_tree(g, root, tree.edge_ids) for tree in trees]
+    plans = []
+    for j, (parent, depth, children) in enumerate(shapes):
+        height = {}
+        for v in sorted(depth, key=lambda x: -depth[x]):
+            kids = [w for _, w in children[v]]
+            height[v] = 1 + max((height[w] for w in kids), default=-1)
+        plans.append({
+            "coords": range(j * m, min((j + 1) * m, n)),
+            "parent": parent,
+            "children": children,
+            "start": {v: height[v] + 1 for v in parent},
+        })
+    data_rounds = 0
+    for plan in plans:
+        width = len(plan["coords"]) * bits_per
+        if width == 0:
+            continue
+        for _, child in plan["children"][root]:
+            data_rounds = max(data_rounds, plan["start"][child] + width - 1)
+    parent0, depth0, children0 = shapes[0]
+    bcast_rounds = max((depth0[t] for t in terms), default=0)
+
+    def init(v, _g, block):
+        return {"in": block, "buf": {}, "carry": {}, "bcast": None}
+
+    def step(v, rnd, state, inbox, pub):
+        sends = {}
+        out = None
+        for j, plan in enumerate(plans):
+            if v not in plan["parent"]:
+                continue
+            width = len(plan["coords"]) * bits_per
+            for eid, child in plan["children"][v]:
+                q = rnd - 1 - plan["start"][child]
+                if 0 <= q < width and eid in inbox:
+                    state["buf"].setdefault((j, child), {})[q] = inbox[eid]
+        for j, plan in enumerate(plans):
+            if v == root or v not in plan["parent"]:
+                continue
+            width = len(plan["coords"]) * bits_per
+            q = rnd - plan["start"][v]
+            if 0 <= q < width:
+                coord = plan["coords"][q // bits_per]
+                total = state["carry"].get(j, 0)
+                if q % bits_per == 0:
+                    if total:
+                        raise ContractViolation("carry persisted across coords")
+                    if v in terms and state["in"] is not None:
+                        total += state["in"][coord]
+                for _, child in plan["children"][v]:
+                    total += state["buf"].get((j, child), {}).get(q, 0)
+                sends[plan["parent"][v][0]] = total & 1
+                state["carry"][j] = total >> 1
+        if rnd == data_rounds + 1 and v == root:
+            inner = []
+            for j, plan in enumerate(plans):
+                for ci, coord in enumerate(plan["coords"]):
+                    count = state["in"][coord] if state["in"] is not None else 0
+                    for _, child in plan["children"][root]:
+                        buf = state["buf"].get((j, child), {})
+                        for bp in range(bits_per):
+                            count += buf.get(ci * bits_per + bp, 0) << bp
+                    inner.append((coord, func.tables[coord][count]))
+            inner.sort()
+            state["bcast"] = int(func.outer(tuple(bit for _, bit in inner)))
+            out = state["bcast"]
+        if state["bcast"] is None and v in depth0 and depth0[v] > 0:
+            if rnd == data_rounds + depth0[v] + 1:
+                eid, _ = parent0[v]
+                if eid not in inbox:
+                    raise ContractViolation(
+                        f"broadcast bit missing at vertex {v} round {rnd}")
+                state["bcast"] = inbox[eid]
+                if v in terms:
+                    out = state["bcast"]
+        if state["bcast"] is not None and v in children0:
+            for eid, _ in children0[v]:
+                if rnd == data_rounds + depth0[v] + 1:
+                    sends[eid] = state["bcast"]
+        return sends, state, out
+
+    return ProtocolSpec("aggregate-reference",
+                        data_rounds + bcast_rounds + 2, init, step)

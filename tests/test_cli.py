@@ -60,6 +60,45 @@ def test_tau_route_unreachable_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("a, b, message", [
+    ("0", "0", "endpoints must differ"),
+    ("0", "9", "endpoint 9 out of range"),
+    ("-1", "3", "endpoint -1 out of range"),
+])
+def test_tau_route_bad_endpoints_exit_code(tmp_path, capsys, a, b, message):
+    path = _write_graph(tmp_path, path_graph(3))
+    code = main(["tau-route", "--graph", path, "--a", a, "--b", b,
+                 "--nprime", "5"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1 and message in err
+
+
+def test_disj_bound_single_terminal_exit_code(tmp_path, capsys):
+    from roundlab import Graph
+    path = _write_graph(tmp_path, Graph(3, ((0, 1), (1, 2)), (1,)))
+    assert main(["disj-bound", "--graph", path, "--n", "4"]) == 3
+    assert "at least two terminals" in capsys.readouterr().err
+
+
+def test_disj_aggregate_packs_once(tmp_path, capsys, monkeypatch):
+    # one greedy packing per delta at or above the terminal diameter (4 on
+    # ring44), none repeated for the protocol
+    deltas = []
+    real = steiner_mod._pack_greedy
+
+    def counting(g, terms, delta):
+        deltas.append(delta)
+        return real(g, terms, delta)
+
+    monkeypatch.setattr(steiner_mod, "_pack_greedy", counting)
+    path = _write_graph(tmp_path, ring_of_cliques(4, 4))
+    code, payload = _run(capsys, ["run", "--graph", path, "--protocol",
+                                  "disj-aggregate", "--n", "16"])
+    assert code == 0
+    assert deltas == list(range(4, 17))
+
+
 def test_input_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a graph\n")

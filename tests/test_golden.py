@@ -58,6 +58,8 @@ CASES = {
     "disj-bound-intro": "disj-bound --graph {intro} --n 64",
     "disj-bound-rand12": "disj-bound --graph {rand12} --n 64",
     "run-disj-ring44": "run --graph {ring44} --protocol disj-aggregate --n 64",
+    "run-disj-grid6": "run --graph {grid6} --protocol disj-aggregate --n 64",
+    "run-disj-intro": "run --graph {intro} --protocol disj-aggregate --n 64",
     "run-disj-rand12-inputs":
         "run --graph {rand12} --protocol disj-aggregate --inputs {rand12_in}",
     "run-ed-k2": "run --graph {k2} --protocol ed-compiled --n 3",

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import roundlab.protocols as protocols_mod
 from roundlab import Graph, clique, parallel_edges, star_graph, path_graph
@@ -16,6 +17,7 @@ from roundlab.protocols import (
 from roundlab.sim import run_protocol
 from roundlab.steiner import pack_steiner_trees
 
+from oracles import aggregate_protocol_reference
 from oracles import and_disj_oracle as and_oracle_ref
 from oracles import disj_oracle as disj_ref
 from oracles import ed_oracle as ed_ref
@@ -106,6 +108,66 @@ def test_aggregate_round_accounting_vs_transcript():
     proto, tr = _run_aggregate(g, func, packing, inputs)
     assert tr.rounds <= proto.meta["data_rounds"] + \
         proto.meta["broadcast_rounds"] + 2
+
+
+@st.composite
+def aggregate_cases(draw):
+    """A connected multigraph (a random spanning tree, up to three copies
+    of it, and extra edges), k = 2-5 terminals, a greedy packing, a composed function
+    and inputs of n = 1-40 bits."""
+    size = draw(st.integers(2, 7))
+    spanning = [(draw(st.integers(0, v - 1)), v) for v in range(1, size)]
+    edges = spanning * draw(st.integers(1, 3))
+    pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    edges += draw(st.lists(pair.filter(lambda e: e[0] != e[1]),
+                           max_size=10))
+    k = draw(st.integers(2, min(5, size)))
+    terms = draw(st.lists(st.integers(0, size - 1), min_size=k, max_size=k,
+                          unique=True))
+    g = Graph(size, tuple(edges), tuple(terms))
+    packing = pack_steiner_trees(g, terms, draw(st.integers(1, size)))
+    assume(packing.value > 0)
+    n = draw(st.one_of(st.integers(1, 3), st.integers(1, 40)))
+    make = draw(st.sampled_from((disjointness_function, parity_of_majorities,
+                                 all_unique_marks)))
+    inputs = {t: tuple(draw(st.lists(st.integers(0, 1), min_size=n,
+                                     max_size=n)))
+              for t in g.terminals}
+    return g, packing, make(k, n), inputs
+
+
+def _assert_matches_reference(g, packing, func, inputs):
+    fast = steiner_aggregate_protocol(g, g.terminals, packing, func)
+    slow = aggregate_protocol_reference(g, g.terminals, packing, func)
+    assert fast.max_rounds == slow.max_rounds
+    tr = run_protocol(g, fast, inputs, seed=0)
+    ref = run_protocol(g, slow, inputs, seed=0)
+    assert tr.bits == ref.bits
+    assert tr.outputs == ref.outputs
+    assert tr.rounds == ref.rounds
+    assert set(tr.outputs.values()) == {func.evaluate(inputs)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(aggregate_cases())
+def test_aggregate_matches_reference(case):
+    _assert_matches_reference(*case)
+
+
+def test_aggregate_matches_reference_with_empty_trees():
+    # 6 trees for 3 coordinates: three trees carry no coordinate
+    g = parallel_edges(6)
+    packing = pack_steiner_trees(g, g.terminals, delta=1)
+    assert packing.value == 6
+    _assert_matches_reference(g, packing, disjointness_function(2, 3),
+                              {0: (1, 0, 1), 1: (0, 1, 1)})
+    # k = 5 needs 3 bits per coordinate, so partial counts carry
+    g = Graph(7, tuple((c, t) for c in (0, 6) for t in range(1, 6)),
+              (1, 2, 3, 4, 5))
+    packing = pack_steiner_trees(g, g.terminals, delta=2)
+    assert packing.value == 2
+    _assert_matches_reference(g, packing, parity_of_majorities(5, 5),
+                              {t: (1, 1, 0, 1, 1) for t in g.terminals})
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,24 @@ def test_contract_violations():
                                      nonbit), {0: None, 1: None})
 
 
+@pytest.mark.parametrize("sends, message", [
+    ({5: 1}, "non-incident edge 5"),
+    ({0: 1, 1: 0, 5: 1}, "non-incident edge 5"),
+    ({1: 2}, "non-bit 2"),
+    ({0: 1, 1: 2}, "non-bit 2"),
+])
+def test_contract_violations_single_and_multi_send(sends, message):
+    # vertex 1 of the path 0-1-2 owns edges 0 and 1
+    g = path_graph(2)
+
+    def step(v, rnd, state, inbox, pub):
+        return (sends if v == 1 else {}), state, None
+
+    with pytest.raises(ContractViolation, match=f"vertex 1 .*{message}"):
+        run_protocol(g, ProtocolSpec("bad", 2, lambda v, g2, b: None, step),
+                     {0: None, 2: None})
+
+
 def test_max_rounds_exhaustion():
     g = Graph(2, ((0, 1),), (0, 1))
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from roundlab import (
-    Graph, clique, cycle_graph, grid_graph, parallel_edges, path_graph,
+    Graph, GraphError, clique, cycle_graph, grid_graph, parallel_edges, path_graph,
     random_connected_graph, star_graph,
 )
 import roundlab.steiner as steiner_mod
@@ -272,6 +272,43 @@ def test_disjointness_bound_grid():
     # frozen via the greedy packing table itself: best trade-off observed
     assert res.value == min(Fraction(32, v) + d
                             for d, v in res.packing_values.items() if v)
+
+
+def test_disjointness_bound_returns_its_packing():
+    for g in (grid_graph(4, 4), parallel_edges(5),
+              random_connected_graph(10, 8, seed=3, k=4)):
+        res = disjointness_bound(g, g.terminals, 32)
+        again = pack_steiner_trees(g, g.terminals, res.delta)
+        assert res.packing.trees == again.trees
+        assert res.packing.value == res.packing_values[res.delta]
+
+
+def test_disjointness_bound_skips_deltas_below_terminal_diameter(
+        monkeypatch):
+    # packing_values equal a full scan, with no packing below the diameter
+    cases = [path_graph(30), grid_graph(5, 5), cycle_graph(9)]
+    cases += [random_connected_graph(9, 6, seed=s, k=3) for s in range(6)]
+    for g in cases:
+        full = {d: steiner_mod._pack_greedy(g, g.terminals, d).value
+                for d in range(1, g.n + 1)}
+        spread = max(g.dist(t, u) for t in g.terminals for u in g.terminals)
+        packed = []
+        real = steiner_mod._pack_greedy
+
+        def recording(g2, terms, delta):
+            packed.append(delta)
+            return real(g2, terms, delta)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(steiner_mod, "_pack_greedy", recording)
+            res = disjointness_bound(g, g.terminals, 16)
+        assert res.packing_values == full
+        assert packed == list(range(spread, g.n + 1))
+
+
+def test_disjointness_bound_needs_two_terminals():
+    with pytest.raises(GraphError, match="two terminals"):
+        disjointness_bound(path_graph(2, terminals=(1,)), (1,), 4)
 
 
 def test_tree_diameter_measure():
