@@ -280,7 +280,7 @@ def cmd_solve(args):
         inst = instance_from_json(json.load(fh))
     if inst.mode == "edge":
         inst, _ = edge_to_node_rebalance(g, g.terminals, inst, seed=args.seed)
-    proto = bfs_protocol(g, g.terminals, inst, args.variant, seed=args.seed)
+    proto = bfs_protocol(g, g.terminals, inst, args.variant)
     tr = run_protocol(g, proto, inst.blocks(), seed=args.seed)
     answer = tr.outputs[g.terminals[0]]
     query = {"connectivity": "connected", "components": "components",

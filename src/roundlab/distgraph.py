@@ -334,7 +334,7 @@ def _decode(bits):
     return sum(b << i for i, b in enumerate(bits))
 
 
-def bfs_protocol(g, terminals, inp, variant, seed=0, balance_bound=None):
+def bfs_protocol(g, terminals, inp, variant, balance_bound=None):
     """Flooding BFS over a node-distributed H, as a bit-level protocol.
 
     Token notifications are framed packets (start bit + target vertex +

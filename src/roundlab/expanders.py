@@ -197,6 +197,12 @@ def _decompose_matchings(pairs, n_prime, side_a, side_b):
     return matchings
 
 
+def _congestion(paths, tau):
+    """Most of the timed paths on one non-memory arc."""
+    return RoutingSchedule(
+        tau, tuple(ScheduleEntry(None, tp, 1) for tp in paths)).max_load()
+
+
 def cut_matching_embed(g, terminals, tau, n_prime, seed, max_retries=64):
     """Run the cut-matching game over the terminals at horizon tau.
 
@@ -237,27 +243,19 @@ def cut_matching_embed(g, terminals, tau, n_prime, seed, max_retries=64):
             matchings = _decompose_matchings(pairs, n_prime, side_a, side_b)
             chosen = matchings[rng.randrange(n_prime)]
             term_index = {t: i for i, t in enumerate(terms)}
-            load = {}
+            played = []
             for u, v, path in chosen:
                 i, j = term_index[u], term_index[v]
                 edges.append((min(i, j), max(i, j)))
                 mirrored = mirror_timed_path(path, tau)
                 paths[(i, j, it)] = path
                 paths[(j, i, it)] = mirrored
-                for tp in (path, mirrored):
-                    for key in tp.steps():
-                        if key[1] is not None:
-                            load[key] = load.get(key, 0) + 1
-            cong_iters.append(max(load.values(), default=0))
+                played += (path, mirrored)
+            cong_iters.append(_congestion(played, tau))
             x = Graph(k, tuple(edges), tuple(range(k)))
             phi = expansion(x)
             best_seen = max(best_seen, phi)
             if phi >= Fraction(1, 2):
-                total_load = {}
-                for tp in paths.values():
-                    for key in tp.steps():
-                        if key[1] is not None:
-                            total_load[key] = total_load.get(key, 0) + 1
                 return ExpanderEmbedding(
                     terminals=terms,
                     expander=x,
@@ -268,7 +266,7 @@ def cut_matching_embed(g, terminals, tau, n_prime, seed, max_retries=64):
                     lambda2=second_eigenvalue(x),
                     expansion=phi,
                     congestion_per_iteration=tuple(cong_iters),
-                    congestion=max(total_load.values(), default=0),
+                    congestion=_congestion(paths.values(), tau),
                     retries=attempt,
                 )
     raise ExpansionNotReached(max_retries, best_seen)
@@ -345,19 +343,14 @@ def random_walk_route(emb, steps):
                     share * scale))
                 nxt[(j, com)] = nxt.get((j, com), Fraction(0)) + share
         mass = nxt
-    loads = {}
-    for e in entries:
-        for key in e.path.steps():
-            if key[1] is not None:
-                loads[key] = loads.get(key, 0) + e.amount
-    max_load = max(loads.values(), default=Fraction(0))
     delivered_min = min(mass[(v, c)] for v in range(k) for c in range(k)) * scale
-    return RoutingSchedule(
+    schedule = RoutingSchedule(
         horizon=steps * tau,
         entries=tuple(entries),
-        congestion=max_load,
         tolerance=0.0,
         meta={"walk_steps": steps, "tau": tau, "scale": scale,
               "delivered_min": delivered_min,
               "per_pair_target": Fraction(emb.n_prime, k)},
     )
+    schedule.congestion = schedule.max_load()
+    return schedule

@@ -145,6 +145,22 @@ def bfs(g, roots, edge_ids=None):
     return parent, depth
 
 
+def tree_terminal_diameter(g, edge_ids, terminals):
+    """Largest hop distance between two terminals using only `edge_ids`
+    (None: every edge), one `bfs` per terminal but the last.  Raises
+    GraphError when the edges do not connect the terminals."""
+    # hop distances are symmetric: the last terminal needs no search
+    terminals = list(terminals)
+    best = 0
+    for t in terminals[:-1]:
+        dist = bfs(g, t, edge_ids)[1]
+        for s in terminals:
+            if s not in dist:
+                raise GraphError("edge set does not connect the terminals")
+            best = max(best, dist[s])
+    return best
+
+
 def bfs_tree(g, root, edge_ids=None):
     """`bfs` from one root as (parent, depth, children); children[v] lists
     (edge_id, child) in discovery order."""

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .graphs import GraphError, UnreachableError
+from .graphs import GraphError, UnreachableError, tree_terminal_diameter
 from .schedules import RoutingSchedule, ScheduleEntry
 from .timed import (
     TimedPath, base_min_cut, build_timed_graph, decompose_paths,
@@ -219,8 +219,7 @@ def tau_mcf_lower_bound(g, terminals, n_prime):
     if not g.connected(terminals):
         raise UnreachableError("terminals are disconnected")
     k = len(terminals)
-    lo = max(max(g.distances_from(a)[b] for b in terminals)
-             for a in terminals)
+    lo = tree_terminal_diameter(g, None, terminals)
     if k <= CUT_BOUND_MAX_TERMINALS:
         first, others = terminals[0], terminals[1:]
         sides = [(first,) + tuple(t for i, t in enumerate(others)

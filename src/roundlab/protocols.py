@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import GraphError, bfs_tree
-from .mcf import DemandMatrix, route_unit_demands, tau_mcf
+from .mcf import route_unit_demands, tau_mcf
 from .sim import ContractViolation, ProtocolSpec
 
 
@@ -289,16 +289,17 @@ def _assign_gates(circuit, terms, seed, budget=64):
         f"(best observed peak load {worst})")
 
 
-def compile_circuit(g, terminals, circuit, seed, input_layout=None,
-                    output_pos=0):
+def compile_circuit(g, terminals, circuit, seed, output_pos=0):
     """Compile a leveled circuit into a synchronous protocol.
 
     Gates are mapped to terminals at random (load-balanced by rejection);
     per level, the wire values cross the network as an integral routing of
     unit demands inside a dedicated window of rounds, starting from the
     bounded-demand horizon 2*tau_mcf and escalating one round at a time if
-    the integral router needs slack.  The final gate's owner broadcasts the
-    answer over a spanning tree.
+    the integral router needs slack.  Terminal i (in sorted order) holds
+    input bits i*n .. (i+1)*n - 1 (`default_input_layout`).  The final
+    gate's owner broadcasts the answer over a BFS tree; every other vertex
+    takes it from its tree parent's edge.
 
     meta keys: windows (rounds per level, 0 for a level with no units),
     thresholds (per-level load thresholds of the gate assignment),
@@ -310,11 +311,7 @@ def compile_circuit(g, terminals, circuit, seed, input_layout=None,
     n = circuit.n
     if circuit.k != len(terms):
         raise GraphError("circuit terminal arity mismatch")
-    if input_layout is None:
-        input_layout = default_input_layout(terms, n)
-    held = sorted(j for bits in input_layout.values() for j in bits)
-    if held != list(range(n * len(terms))):
-        raise GraphError("input layout must cover each input bit exactly once")
+    input_layout = default_input_layout(terms, n)
     holder = {}
     for t, bits in input_layout.items():
         for j in bits:
@@ -406,7 +403,7 @@ def compile_circuit(g, terminals, circuit, seed, input_layout=None,
         if v in input_layout and block is not None:
             for idx, j in enumerate(input_layout[v]):
                 values[("bit", j)] = block[idx]
-        return {"vals": values, "ans": None}
+        return {"vals": values}
 
     def value_of(state, li, pos):
         if li == 0:
@@ -423,10 +420,6 @@ def compile_circuit(g, terminals, circuit, seed, input_layout=None,
             token = recv_plan.get((rnd, v, eid))
             if token is not None:
                 state["vals"][token] = bit
-            elif state["ans"] is None and rnd > answer_round:
-                state["ans"] = bit
-                if v in term_set:
-                    out = bit
         # evaluate levels whose routing window has closed
         for li in evals_at.get(rnd, ()):
             level = circuit.levels[li]
@@ -448,10 +441,6 @@ def compile_circuit(g, terminals, circuit, seed, input_layout=None,
                 else:
                     val = args[0]
                 state["vals"][("gate", li, pos)] = val
-        if rnd == answer_round and v == owner:
-            state["ans"] = value_of(state, circuit.depth, output_pos)
-            if v in term_set:
-                out = state["ans"]
         for eid, token, origin in send_plan.get((rnd, v), ()):
             if origin:
                 _, tli, tpos, tai = token
@@ -466,10 +455,17 @@ def compile_circuit(g, terminals, circuit, seed, input_layout=None,
                 raise ContractViolation(
                     f"vertex {v} must forward {token} before holding it")
             sends[eid] = bit
-        if state["ans"] is not None and v in depth_b:
-            if rnd == answer_round + depth_b[v]:
-                for eid, child in children_b[v]:
-                    sends[eid] = state["ans"]
+        # the owner computes the answer; every other vertex takes it from
+        # its tree parent (an omitted bit reads as 0) and passes it on
+        if v in depth_b and rnd == answer_round + depth_b[v]:
+            if v == owner:
+                ans = value_of(state, circuit.depth, output_pos)
+            else:
+                ans = inbox.get(parent_b[v][0], 0)
+            if v in term_set:
+                out = ans
+            for eid, _ in children_b[v]:
+                sends[eid] = ans
         return sends, state, out
 
     data_rounds = sum(windows)

@@ -6,11 +6,12 @@ per-round bit log (Transcript) that can be replayed bit-for-bit, plus the
 terminals' outputs.
 
 Also here: the reduction of a two-terminal graph protocol to a two-party
-message exchange guided by a min-cut level vector.  Each party simulates
-exactly the vertices whose receive history it is entitled to know; if a
-simulation ever needs a bit outside that entitlement the extraction fails
-loudly (that would disprove the knowledge invariant, so it doubles as a
-correctness bug detector).
+message exchange guided by a min-cut level vector.  Both simulated
+parties run round-synchronously on the same round step as the simulator,
+each stepping exactly the vertices whose receive history it is entitled
+to know; if a stepped vertex ever needs a bit outside that entitlement
+the extraction fails loudly (that would disprove the knowledge invariant,
+so it doubles as a correctness bug detector).
 """
 
 from __future__ import annotations
@@ -82,6 +83,12 @@ class ProtocolSpec:
     omitted edges carry no bit.  output None means "not done yet";
     max_rounds is the declared horizon.
 
+    An omitted send reads as 0: a step must act the same whether an edge
+    is absent from its inbox or present with bit 0.  The simulator
+    delivers only the bits that were sent, while the two-party extractor
+    ships every crossing bit, an omitted one as 0; this contract makes
+    the two agree.
+
     step runs for every vertex in every round, so an idle vertex should
     return at once; an empty or None send set costs the simulator nothing
     (no checks, no delivery).
@@ -124,6 +131,33 @@ def _check_sends(v, sends, incident):
     return items
 
 
+def _step_round(step, rnd, vertices, states, inbox, ends, pub, terminals,
+                outputs):
+    """Step each of `vertices` in round rnd on inbox[v], check and deliver
+    its sends, and apply the output rules: only a terminal outputs, and it
+    never changes its output.  Returns the round's bits, keyed (tail, head,
+    edge_id), and the next round's inboxes."""
+    nxt = [{} for _ in inbox]
+    round_bits = {}
+    for v in vertices:
+        sends, states[v], out = step(v, rnd, states[v], inbox[v], pub)
+        if sends:
+            to = ends[v]
+            for eid, bit in _check_sends(v, sends, to):
+                w = to[eid]
+                round_bits[(v, w, eid)] = bit
+                nxt[w][eid] = bit
+        if out is not None:
+            if v not in terminals:
+                raise ContractViolation(
+                    f"non-terminal {v} produced an output")
+            if v in outputs and outputs[v] != out:
+                raise ContractViolation(
+                    f"terminal {v} changed its output")
+            outputs[v] = out
+    return round_bits, nxt
+
+
 def run_protocol(g, protocol, inputs, seed=0, max_rounds=None):
     """Synchronous execution; halts once every terminal has output.
 
@@ -135,34 +169,17 @@ def run_protocol(g, protocol, inputs, seed=0, max_rounds=None):
         raise GraphError("inputs must cover exactly the terminals")
     limit = max_rounds if max_rounds is not None else protocol.max_rounds
     pub = PublicRandomness(seed)
-    other = [dict(g.incidence[v]) for v in range(g.n)]
+    ends = [dict(g.incidence[v]) for v in range(g.n)]
     states = [protocol.init(v, g, inputs.get(v)) for v in range(g.n)]
-    inbox = [dict() for _ in range(g.n)]
+    inbox = [{} for _ in range(g.n)]
     outputs = {}
     log = []
     halted = False
     terminals = set(g.terminals)
     for rnd in range(1, limit + 1):
-        nxt = [dict() for _ in range(g.n)]
-        round_bits = {}
-        for v in range(g.n):
-            sends, state, out = protocol.step(v, rnd, states[v], inbox[v], pub)
-            states[v] = state
-            if sends:
-                ends = other[v]
-                for eid, bit in _check_sends(v, sends, ends):
-                    w = ends[eid]
-                    round_bits[(v, w, eid)] = bit
-                    nxt[w][eid] = bit
-            if out is not None:
-                if v not in terminals:
-                    raise ContractViolation(
-                        f"non-terminal {v} produced an output")
-                if v in outputs and outputs[v] != out:
-                    raise ContractViolation(
-                        f"terminal {v} changed its output")
-                outputs[v] = out
-        inbox = nxt
+        round_bits, inbox = _step_round(protocol.step, rnd, range(g.n),
+                                        states, inbox, ends, pub, terminals,
+                                        outputs)
         log.append(round_bits)
         if len(outputs) == len(terminals):
             halted = True
@@ -194,78 +211,22 @@ class TwoPartyTranscript:
         return len(self.messages)
 
 
-class _PartyView:
-    """Partial simulation owned by one simulated party.
-
-    knows(v, r) says whether this party may reconstruct v's receive
-    history through round r; the hidden vertex's input is never readable.
-    """
-
-    def __init__(self, g, protocol, inputs, hidden, pub, knows):
-        self.g = g
-        self.protocol = protocol
-        self.hidden = hidden
-        self.pub = pub
-        self.knows = knows
-        self.ends = [dict(g.incidence[v]) for v in range(g.n)]
-        self.states = {}
-        self.stepped = {}
-        self.sends = {}      # (v, round) -> dense {edge_id: bit}
-        self.outputs = {}
-        self.received = {}   # (u, v, edge_id, round) -> bit
-        for v in range(g.n):
-            if v == hidden:
-                continue
-            self.states[v] = protocol.init(v, g, inputs.get(v))
-            self.stepped[v] = 0
-
-    def sends_of(self, v, rnd):
-        if v == self.hidden:
-            raise ExtractionError((v, v, -1, rnd))
-        key = (v, rnd)
-        if key not in self.sends:
-            self._advance(v, rnd)
-        return self.sends[key]
-
-    def _advance(self, v, rnd):
-        for r in range(self.stepped[v] + 1, rnd + 1):
-            inbox = self._inbox_for(v, r - 1)
-            sends, state, out = self.protocol.step(
-                v, r, self.states[v], inbox, self.pub)
-            dense = dict.fromkeys(self.ends[v], 0)
-            if sends:
-                dense.update(_check_sends(v, sends, self.ends[v]))
-            self.sends[(v, r)] = dense
-            self.states[v] = state
-            if out is not None and v not in self.outputs:
-                self.outputs[v] = out
-            self.stepped[v] = r
-
-    def _inbox_for(self, v, rnd):
-        """Bits v received during round rnd (dense; omitted sends are 0)."""
-        if rnd == 0:
-            return {}
-        inbox = {}
-        for eid, w in self.g.incidence[v]:
-            if w != self.hidden and self.knows(w, rnd - 1):
-                inbox[eid] = self.sends_of(w, rnd)[eid]
-            else:
-                key = (w, v, eid, rnd)
-                if key not in self.received:
-                    raise ExtractionError(key)
-                inbox[eid] = self.received[key]
-        return inbox
-
-
 def extract_two_party(g, protocol, lv, inputs, seed=0):
     """Simulate a two-terminal protocol as a two-party exchange.
 
     lv must come from extract_level_vector at horizon 2 * max_rounds.  Per
     round t and directed edge (u,v): the bit crosses a'->b' iff
     lvl_u < t < lvl_v, crosses b'->a' iff lvl_v < 2*tau+1-t < lvl_u, and
-    stays local otherwise.  Both simulated parties finish knowing their
-    endpoint's output; total bits are bounded by twice the level-vector
-    cost.
+    stays local otherwise; an omitted send crosses as 0.  Both simulated
+    parties finish knowing their endpoint's output; total bits are bounded
+    by twice the level-vector cost.
+
+    The parties run round by round on the simulator's round step.  In
+    round t party a' steps every v != b with lvl_v <= 2*tau+1-t and party
+    b' every v != a with lvl_v >= t; both sets only shrink.  Each stepped
+    vertex's inbox holds the bits its party computed in round t-1 plus the
+    bits that crossed to it; a bit from neither source raises
+    ExtractionError.
     """
     tau = protocol.max_rounds
     if lv.horizon != 2 * tau:
@@ -275,32 +236,45 @@ def extract_two_party(g, protocol, lv, inputs, seed=0):
     if set(inputs) != set(g.terminals):
         raise GraphError("inputs must cover exactly the terminals")
     levels = lv.levels
+    last = 2 * tau + 1
+    owns = (lambda v, t: t <= tau and v != b and levels[v] <= last - t,
+            lambda v, t: t <= tau and v != a and levels[v] >= t)
     pub = PublicRandomness(seed)
-    party_a = _PartyView(g, protocol, inputs, hidden=b, pub=pub,
-                         knows=lambda v, r: levels[v] <= 2 * tau - r)
-    party_b = _PartyView(g, protocol, inputs, hidden=a, pub=pub,
-                         knows=lambda v, r: levels[v] >= r + 1)
+    ends = [dict(g.incidence[v]) for v in range(g.n)]
+    terminals = set(g.terminals)
+    # a party never initialises the other endpoint, so never reads its input
+    states = [[protocol.init(v, g, inputs.get(v)) if v != hidden else None
+               for v in range(g.n)] for hidden in (b, a)]
+    inbox = [[{} for _ in range(g.n)] for _ in (a, b)]
+    outputs = ({}, {})
+    now = [{v for v in range(g.n) if owns[p](v, 1)} for p in (0, 1)]
     messages = []
     for t in range(1, tau + 1):
-        a_rules = []
-        b_rules = []
+        sent = []
+        for p in (0, 1):
+            bits, inbox[p] = _step_round(protocol.step, t, sorted(now[p]),
+                                         states[p], inbox[p], ends, pub,
+                                         terminals, outputs[p])
+            sent.append(bits)
+        nxt = [{v for v in now[p] if owns[p](v, t + 1)} for p in (0, 1)]
+        rules = ([], [])
         for eid, (x, y) in enumerate(g.edges):
             for u, v in ((x, y), (y, x)):
                 if levels[u] < t < levels[v]:
-                    a_rules.append((u, v, eid))
-                elif levels[v] < 2 * tau + 1 - t < levels[u]:
-                    b_rules.append((u, v, eid))
-        for u, v, eid in sorted(a_rules):
-            bit = party_a.sends_of(u, t)[eid]
-            messages.append(("a->b", bit, (u, v, eid, t)))
-            party_b.received[(u, v, eid, t)] = bit
-        for u, v, eid in sorted(b_rules):
-            bit = party_b.sends_of(u, t)[eid]
-            messages.append(("b->a", bit, (u, v, eid, t)))
-            party_a.received[(u, v, eid, t)] = bit
-    party_a.sends_of(a, tau)
-    party_b.sends_of(b, tau)
-    if a not in party_a.outputs or b not in party_b.outputs:
+                    rules[0].append((u, v, eid))
+                elif levels[v] < last - t < levels[u]:
+                    rules[1].append((u, v, eid))
+                elif (v in nxt[0] and u not in now[0]
+                      or v in nxt[1] and u not in now[1]):
+                    raise ExtractionError((u, v, eid, t))
+        for p, direction in ((0, "a->b"), (1, "b->a")):
+            for u, v, eid in sorted(rules[p]):
+                if u not in now[p]:
+                    raise ExtractionError((u, v, eid, t))
+                bit = sent[p].get((u, v, eid), 0)
+                messages.append((direction, bit, (u, v, eid, t)))
+                inbox[1 - p][v][eid] = bit
+        now = nxt
+    if a not in outputs[0] or b not in outputs[1]:
         raise ExtractionError((a, b, -1, tau))
-    return TwoPartyTranscript(tuple(messages),
-                              party_a.outputs[a], party_b.outputs[b])
+    return TwoPartyTranscript(tuple(messages), outputs[0][a], outputs[1][b])

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import GraphError, UnreachableError, bfs
+from .graphs import GraphError, UnreachableError, bfs, tree_terminal_diameter
 
 
 class HypothesisError(ValueError):
@@ -117,18 +117,6 @@ class TreePacking:
 
 # ---------------------------------------------------------------------------
 # tree utilities
-
-def tree_terminal_diameter(g, edge_ids, terminals):
-    # hop distances are symmetric: the last terminal needs no search
-    terminals = list(terminals)
-    best = 0
-    for t in terminals[:-1]:
-        dist = bfs(g, t, edge_ids)[1]
-        for s in terminals:
-            if s not in dist:
-                raise GraphError("edge set does not connect the terminals")
-            best = max(best, dist[s])
-    return best
 
 def tree_from_edges(g, edge_ids, terminals):
     """Validate acyclicity + terminal connectivity and measure diameter."""
@@ -573,7 +561,7 @@ def disjointness_bound(g, terminals, n_bits):
         raise GraphError("need at least two terminals")
     if not g.connected(terms):
         raise UnreachableError("terminals are disconnected")
-    spread = max(d[u] for d in map(g.distances_from, terms) for u in terms)
+    spread = tree_terminal_diameter(g, None, terms)
     best = None     # (value, delta, packing)
     table = {}
     for delta in range(1, g.n + 1):

@@ -54,7 +54,12 @@ class SearchLimitError(RuntimeError):
 class TimedGraph:
     base: object
     tau: int
-    memory_capacity: int
+
+    @property
+    def memory_capacity(self):
+        """Strictly larger than the total non-memory capacity, so a min cut
+        can always avoid memory arcs."""
+        return 2 * self.base.m * self.tau + 1
 
     def node(self, v, layer):
         return layer * self.base.n + v
@@ -94,14 +99,10 @@ class TimedGraph:
                 np.tile(is_edge, self.tau))
 
 
-def build_timed_graph(g, tau, memory_capacity=None):
+def build_timed_graph(g, tau):
     if tau < 0:
         raise GraphError("horizon must be nonnegative")
-    if memory_capacity is None:
-        # strictly larger than the total non-memory capacity, so a min cut
-        # can always avoid memory arcs
-        memory_capacity = 2 * g.m * tau + 1
-    return TimedGraph(g, tau, memory_capacity)
+    return TimedGraph(g, tau)
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,7 @@ def decompose_paths(tg, flows, sources, eps=1e-9):
     return parcels
 
 
-def max_route_flow(g, a, b, tau, integral=True):
+def max_route_flow(g, a, b, tau):
     """Maximum (a,0) -> (b,tau) flow in the timed expansion, unit capacity
     per non-memory arc.  Integral and fractional optima coincide here, so
     the solution is always decomposed into unit paths."""

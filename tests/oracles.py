@@ -606,3 +606,106 @@ def aggregate_protocol_reference(g, terminals, packing, func):
 
     return ProtocolSpec("aggregate-reference",
                         data_rounds + bcast_rounds + 2, init, step)
+
+
+# ---------------------------------------------------------------------------
+# reference two-party extraction
+
+def two_party_reference(g, protocol, lv, inputs, seed=0):
+    """`roundlab.sim.extract_two_party` by lazy, recursive, dense
+    simulation: each crossing bit steps its sender on demand.  Same
+    crossing rules and message order; returns a TwoPartyTranscript or
+    raises the same ExtractionError.  The recursion is one Python frame
+    pair per round, so long horizons exceed the interpreter's limit."""
+    from roundlab.sim import ExtractionError, PublicRandomness, \
+        TwoPartyTranscript
+
+    class LazyParty:
+        """One simulated party: it steps a vertex only when some bit needs
+        it, recursing through the vertices whose sends that vertex's inbox
+        needs, and fills every send set and inbox densely.
+
+        knows(v, r) says whether this party may reconstruct v's receive
+        history through round r; the hidden vertex's input is never read.
+        """
+
+        def __init__(self, g, protocol, inputs, hidden, pub, knows):
+            self.g = g
+            self.protocol = protocol
+            self.hidden = hidden
+            self.pub = pub
+            self.knows = knows
+            self.states = {}
+            self.stepped = {}
+            self.sends = {}      # (v, round) -> dense {edge_id: bit}
+            self.outputs = {}
+            self.received = {}   # (u, v, edge_id, round) -> bit
+            for v in range(g.n):
+                if v != hidden:
+                    self.states[v] = protocol.init(v, g, inputs.get(v))
+                    self.stepped[v] = 0
+
+        def sends_of(self, v, rnd):
+            if v == self.hidden:
+                raise ExtractionError((v, v, -1, rnd))
+            if (v, rnd) not in self.sends:
+                for r in range(self.stepped[v] + 1, rnd + 1):
+                    inbox = self._inbox_for(v, r - 1)
+                    sends, state, out = self.protocol.step(
+                        v, r, self.states[v], inbox, self.pub)
+                    dense = {eid: 0 for eid, _ in self.g.incidence[v]}
+                    dense.update(sends or {})
+                    self.sends[(v, r)] = dense
+                    self.states[v] = state
+                    if out is not None and v not in self.outputs:
+                        self.outputs[v] = out
+                    self.stepped[v] = r
+            return self.sends[(v, rnd)]
+
+        def _inbox_for(self, v, rnd):
+            if rnd == 0:
+                return {}
+            inbox = {}
+            for eid, w in self.g.incidence[v]:
+                if w != self.hidden and self.knows(w, rnd - 1):
+                    inbox[eid] = self.sends_of(w, rnd)[eid]
+                else:
+                    key = (w, v, eid, rnd)
+                    if key not in self.received:
+                        raise ExtractionError(key)
+                    inbox[eid] = self.received[key]
+            return inbox
+
+    tau = protocol.max_rounds
+    assert lv.horizon == 2 * tau
+    a, b = lv.a, lv.b
+    levels = lv.levels
+    pub = PublicRandomness(seed)
+    party_a = LazyParty(g, protocol, inputs, hidden=b, pub=pub,
+                         knows=lambda v, r: levels[v] <= 2 * tau - r)
+    party_b = LazyParty(g, protocol, inputs, hidden=a, pub=pub,
+                         knows=lambda v, r: levels[v] >= r + 1)
+    messages = []
+    for t in range(1, tau + 1):
+        a_rules = []
+        b_rules = []
+        for eid, (x, y) in enumerate(g.edges):
+            for u, v in ((x, y), (y, x)):
+                if levels[u] < t < levels[v]:
+                    a_rules.append((u, v, eid))
+                elif levels[v] < 2 * tau + 1 - t < levels[u]:
+                    b_rules.append((u, v, eid))
+        for u, v, eid in sorted(a_rules):
+            bit = party_a.sends_of(u, t)[eid]
+            messages.append(("a->b", bit, (u, v, eid, t)))
+            party_b.received[(u, v, eid, t)] = bit
+        for u, v, eid in sorted(b_rules):
+            bit = party_b.sends_of(u, t)[eid]
+            messages.append(("b->a", bit, (u, v, eid, t)))
+            party_a.received[(u, v, eid, t)] = bit
+    party_a.sends_of(a, tau)
+    party_b.sends_of(b, tau)
+    if a not in party_a.outputs or b not in party_b.outputs:
+        raise ExtractionError((a, b, -1, tau))
+    return TwoPartyTranscript(tuple(messages),
+                              party_a.outputs[a], party_b.outputs[b])

@@ -242,7 +242,7 @@ def _random_node_instance(rng, n_h, terms):
 
 
 def _run_variant(g, inp, variant, seed=0):
-    proto = bfs_protocol(g, g.terminals, inp, variant, seed=seed)
+    proto = bfs_protocol(g, g.terminals, inp, variant)
     tr = run_protocol(g, proto, inp.blocks(), seed=seed)
     outs = set(tr.outputs.values())
     assert len(outs) == 1

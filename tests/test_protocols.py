@@ -6,16 +6,23 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import roundlab.protocols as protocols_mod
-from roundlab import Graph, clique, parallel_edges, star_graph, path_graph
+from roundlab import (
+    Graph, clique, grid_graph, intro_split_graph, parallel_edges,
+    path_graph, ring_of_cliques, star_graph,
+)
 from roundlab.circuits import BooleanCircuit, CircuitBuilder, Gate, build_ed_circuit
+from roundlab.distgraph import (
+    and_disj_instance, bfs_protocol, edge_to_node_rebalance,
+    random_pair_strings,
+)
 from roundlab.mcf import tau_mcf
 from roundlab.protocols import (
     ComposedFunction, all_unique_marks, compile_circuit, default_input_layout,
     disjointness_function, ed_hash_reduce, parity_of_majorities,
     reference_oracles, steiner_aggregate_protocol, window_bounds,
 )
-from roundlab.sim import run_protocol
-from roundlab.steiner import pack_steiner_trees
+from roundlab.sim import ProtocolSpec, run_protocol
+from roundlab.steiner import disjointness_bound, pack_steiner_trees
 
 from oracles import aggregate_protocol_reference
 from oracles import and_disj_oracle as and_oracle_ref
@@ -289,6 +296,68 @@ def test_compile_ed_circuit_small():
         tr = run_protocol(g, proto, inputs, seed=0)
         want = ed_ref([(b,) for b in bits])
         assert set(tr.outputs.values()) == {want}
+
+
+# ---------------------------------------------------------------------------
+# the silence contract: an omitted send reads as 0
+
+def _dense_inboxes(g, proto):
+    """`proto` with every inbox filled densely: each incident edge that
+    carried no bit shows a 0."""
+
+    def step(v, rnd, state, inbox, pub):
+        dense = {eid: inbox.get(eid, 0) for eid, _ in g.incidence[v]}
+        return proto.step(v, rnd, state, dense, pub)
+
+    return ProtocolSpec(proto.name, proto.max_rounds, proto.init, step,
+                        proto.meta)
+
+
+def _disj_case(g):
+    rng = random.Random(3)
+    inputs = {t: tuple(rng.randint(0, 1) for _ in range(16))
+              for t in g.terminals}
+    packing = disjointness_bound(g, g.terminals, 16).packing
+    func = disjointness_function(len(g.terminals), 16)
+    return g, steiner_aggregate_protocol(g, g.terminals, packing, func), inputs
+
+
+def _ed_case(g):
+    # distinct inputs, so the answer is 1 and a silent edge read as the
+    # answer shows
+    c, pos = build_ed_circuit(len(g.terminals), 2)
+    inputs = {t: ((i >> 1) & 1, i & 1) for i, t in enumerate(g.terminals)}
+    return g, compile_circuit(g, g.terminals, c, seed=0, output_pos=pos), inputs
+
+
+def _bfs_case(variant):
+    g = ring_of_cliques(4, 4)
+    terms = g.terminals
+    inst = and_disj_instance(random_pair_strings(terms, 2, seed=0), terms, 2)
+    inst, _ = edge_to_node_rebalance(g, terms, inst, seed=0)
+    return g, bfs_protocol(g, terms, inst, variant), inst.blocks()
+
+
+SILENCE_CASES = {
+    "disj-grid6": lambda: _disj_case(grid_graph(6, 6)),
+    "disj-ring44": lambda: _disj_case(ring_of_cliques(4, 4)),
+    "disj-intro": lambda: _disj_case(intro_split_graph()),
+    "ed-k3": lambda: _ed_case(clique(3)),
+    "ed-path2": lambda: _ed_case(path_graph(2)),
+    **{f"bfs-{variant}": lambda variant=variant: _bfs_case(variant)
+       for variant in ("connectivity", "components", "acyclicity",
+                       "bipartiteness")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SILENCE_CASES))
+def test_protocols_read_silence_as_zero(case):
+    g, proto, inputs = SILENCE_CASES[case]()
+    tr = run_protocol(g, proto, inputs, seed=0)
+    dense = run_protocol(g, _dense_inboxes(g, proto), inputs, seed=0)
+    assert dense.bits == tr.bits
+    assert dense.outputs == tr.outputs
+    assert dense.rounds == tr.rounds
 
 
 # ---------------------------------------------------------------------------

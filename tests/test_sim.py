@@ -2,33 +2,47 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roundlab import (
     Graph, path_graph, extract_level_vector, max_route_flow,
     random_connected_graph,
 )
-from roundlab.sim import (
-    ContractViolation, MaxRoundsExceeded, ProtocolSpec, PublicRandomness,
-    extract_two_party, replay_matches, run_protocol,
+from roundlab.circuits import build_ed_circuit
+from roundlab.protocols import (
+    compile_circuit, disjointness_function, steiner_aggregate_protocol,
 )
+from roundlab.sim import (
+    ContractViolation, ExtractionError, MaxRoundsExceeded, ProtocolSpec,
+    PublicRandomness, extract_two_party, replay_matches, run_protocol,
+)
+from roundlab.steiner import disjointness_bound
+from roundlab.timed import LevelVector
+
+from oracles import disj_oracle, ed_oracle, two_party_reference
 
 
 def _prf_bit(*args):
     return hashlib.sha256("|".join(map(str, args)).encode()).digest()[0] & 1
 
 
-def make_random_protocol(g, rounds, proto_seed):
-    """Full-send protocol: every bit is a PRF of the sender's history."""
+def make_random_protocol(g, rounds, proto_seed, subset=False):
+    """Every bit is a PRF of the sender's history, which it reads from a
+    dense copy of its inbox (an omitted bit reads as 0).  Full-send by
+    default; with `subset`, each send is itself switched on by a PRF."""
 
     def init(v, _g, block):
         return {"in": block, "hist": ()}
 
     def step(v, rnd, state, inbox, pub):
-        hist = state["hist"] + (tuple(sorted(inbox.items())),)
+        dense = tuple(inbox.get(eid, 0) for eid, _ in g.incidence[v])
+        hist = state["hist"] + (dense,)
         pubbit = pub.bits(f"round{rnd}", 1)[0]
         sends = {eid: _prf_bit(proto_seed, "s", v, eid, rnd, state["in"],
                                hist, pubbit)
-                 for eid, _ in g.incidence[v]}
+                 for eid, _ in g.incidence[v]
+                 if not subset or _prf_bit(proto_seed, "on", v, eid, rnd,
+                                           state["in"], hist)}
         out = None
         if rnd == rounds and v in g.terminals:
             out = _prf_bit(proto_seed, "out", v, state["in"], hist)
@@ -217,3 +231,104 @@ def test_extract_random_protocols_exhaustive_inputs():
             assert two.total_bits <= 2 * n_bits - 2
             cases += 1
     assert cases >= 100
+
+
+def _level_vector(g, a, b, protocol):
+    """The min-cut level vector at twice the protocol's rounds (any n_bits
+    above the max flow gives the same cut)."""
+    horizon = 2 * protocol.max_rounds
+    return extract_level_vector(g, a, b, horizon * g.m + 1, horizon)
+
+
+def _aggregate(g, n):
+    packing = disjointness_bound(g, g.terminals, n).packing
+    return steiner_aggregate_protocol(g, g.terminals, packing,
+                                      disjointness_function(2, n))
+
+
+@st.composite
+def extraction_cases(draw):
+    """A random connected multigraph with two terminals and a protocol on
+    it: random full-send, random subset-send (1-4 rounds) or the DISJ
+    aggregate protocol."""
+    size = draw(st.integers(2, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, size)]
+    pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    edges += draw(st.lists(pair.filter(lambda e: e[0] != e[1]),
+                           max_size=5))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3))
+    a, b = sorted(draw(st.lists(st.integers(0, size - 1), min_size=2,
+                                max_size=2, unique=True)))
+    g = Graph(size, tuple(edges), (a, b))
+    kind = draw(st.sampled_from(("full", "subset", "disj")))
+    if kind == "disj":
+        n = draw(st.integers(1, 4))
+        protocol = _aggregate(g, n)
+    else:
+        n = 1
+        protocol = make_random_protocol(g, draw(st.integers(1, 4)),
+                                        draw(st.integers(0, 999)),
+                                        subset=kind == "subset")
+    bits = st.tuples(*[st.integers(0, 1)] * n)
+    inputs = {a: draw(bits), b: draw(bits)}
+    return g, protocol, inputs, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(extraction_cases())
+def test_extract_matches_lazy_reference(case):
+    g, protocol, inputs, seed = case
+    a, b = g.terminals
+    lv = _level_vector(g, a, b, protocol)
+    try:
+        want = two_party_reference(g, protocol, lv, inputs, seed=seed)
+    except ExtractionError as exc:
+        with pytest.raises(ExtractionError) as got:
+            extract_two_party(g, protocol, lv, inputs, seed=seed)
+        assert got.value.origin == exc.origin
+        return
+    two = extract_two_party(g, protocol, lv, inputs, seed=seed)
+    assert two.messages == want.messages
+    assert (two.output_a, two.output_b) == (want.output_a, want.output_b)
+    assert two.total_bits <= 2 * lv.cost
+    tr = run_protocol(g, protocol, inputs, seed=seed)
+    assert (two.output_a, two.output_b) == (tr.outputs[a], tr.outputs[b])
+
+
+def test_extract_long_path_needs_no_recursion():
+    # 805 rounds; a lazy simulation that recurses once per round runs out
+    # of interpreter frames here
+    g = path_graph(400)
+    protocol = _aggregate(g, 4)
+    assert protocol.max_rounds == 805
+    inputs = {0: (1, 0, 1, 1), 400: (0, 1, 1, 0)}
+    lv = _level_vector(g, 0, 400, protocol)
+    two = extract_two_party(g, protocol, lv, inputs, seed=0)
+    want = disj_oracle([inputs[0], inputs[400]])
+    assert two.output_a == two.output_b == want == 1
+    assert two.total_bits <= 2 * lv.cost
+
+
+def test_extract_unknown_bit_raises():
+    # b's level 4 (not horizon + 1 = 5) keeps its round-1 bit to a from
+    # crossing, yet party a' steps a again in round 2
+    g = Graph(2, ((0, 1),), (0, 1))
+    p = make_random_protocol(g, rounds=2, proto_seed=0)
+    lv = LevelVector(0, 1, 4, (0, 4), 0)
+    with pytest.raises(ExtractionError, match=r"\(1->0, edge 0, round 1\)"):
+        extract_two_party(g, p, lv, {0: (0,), 1: (1,)})
+
+
+def test_extract_compiled_ed_matches_run():
+    # the far terminal takes the broadcast answer from its tree parent,
+    # not from whichever silent edge crosses the cut as 0
+    g = path_graph(2)
+    c, pos = build_ed_circuit(2, 2)
+    protocol = compile_circuit(g, g.terminals, c, seed=0, output_pos=pos)
+    inputs = {0: (0, 1), 2: (1, 1)}
+    tr = run_protocol(g, protocol, inputs, seed=0)
+    two = extract_two_party(g, protocol, _level_vector(g, 0, 2, protocol),
+                            inputs, seed=0)
+    assert ed_oracle(list(inputs.values())) == 1
+    assert tr.outputs == {0: 1, 2: 1}
+    assert (two.output_a, two.output_b) == (1, 1)
