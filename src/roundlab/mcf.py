@@ -4,7 +4,11 @@ The central quantity is the least horizon tau at which the uniform
 all-pairs demand (n'/k per ordered terminal pair) admits a fractional
 congestion-1 routing in the tau-layer expansion.  Feasibility is decided
 by an exact arc-based LP (HiGHS), with the solver tolerance recorded on
-every produced schedule.
+every produced schedule.  The search for that horizon solves only the LPs
+that certified bounds and earlier answers leave open: it starts at a
+flow-over-time cut bound, which timed single-commodity max flows certify,
+and a per-(graph, terminals) ledger of decided answers brackets it from
+both sides, because feasibility is monotone up in tau and down in n'.
 
 Also here: the two-stage router that handles every n'-bounded demand
 within twice that horizon, the balanced-partition edge-disjoint path
@@ -15,9 +19,10 @@ protocol builders.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -147,6 +152,22 @@ def _assemble_mcf_lp(tg, demands_by_source):
     return cost.ravel(), a_ub, np.ones(nonmem.size), a_eq, b_eq
 
 
+def _mcf_vertex(tg, demands_by_source):
+    """HiGHS's optimal vertex of the `_assemble_mcf_lp` LP on `tg` (tau >=
+    1, at least one source), or None when the LP is infeasible.  Raises
+    LPSolveError when HiGHS ends without deciding."""
+    cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(tg, demands_by_source)
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise LPSolveError(
+            f"HiGHS status {res.status} at tau={tg.tau} with "
+            f"{len(demands_by_source)} commodities: {res.message}")
+    return res.x
+
+
 def _solve_mcf(g, tau, demands_by_source):
     """Exact-feasibility multicommodity LP on the tau-layer expansion.
 
@@ -163,17 +184,11 @@ def _solve_mcf(g, tau, demands_by_source):
         ok = all(u == v or amt == 0
                  for u, d in demands_by_source.items() for v, amt in d.items())
         return {u: {} for u in sources} if ok else None
-    cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(tg, demands_by_source)
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    if res.status == 2:
+    x = _mcf_vertex(tg, demands_by_source)
+    if x is None:
         return None
-    if res.status != 0:
-        raise LPSolveError(
-            f"HiGHS status {res.status} at tau={tau} with {len(sources)} "
-            f"commodities: {res.message}")
     arcs = tg.arcs
-    x = res.x.reshape(len(sources), len(arcs))
+    x = x.reshape(len(sources), len(arcs))
     out = {}
     for si, src in enumerate(sources):
         used = np.flatnonzero(x[si] > LP_TOLERANCE / 10).tolist()
@@ -182,26 +197,78 @@ def _solve_mcf(g, tau, demands_by_source):
 
 
 def mcf_feasible(g, demand, tau):
-    """Whether a DemandMatrix routes fractionally at horizon tau."""
+    """Whether a DemandMatrix routes fractionally at horizon tau.
+
+    Solves the LP of `_solve_mcf` and reads only its status; a
+    DemandMatrix holds only positive off-diagonal amounts, so any demand
+    is infeasible at tau = 0."""
     by_source = {}
     for (u, v), amt in demand.amounts.items():
         by_source.setdefault(u, {})[v] = amt
-    return _solve_mcf(g, tau, by_source) is not None
+    tg = build_timed_graph(g, tau)
+    if not by_source or tau == 0:
+        return not by_source
+    return _mcf_vertex(tg, by_source) is not None
+
+
+# ---------------------------------------------------------------------------
+# tau_MCF: cut bounds, answer ledger, monotone search
+
+# the ledger keeps the answers of at most this many (graph, terminals)
+# keys, least recently used first out, and at most this many n' per key
+LEDGER_SIZE = 256
+_LEDGER = OrderedDict()     # (graph, sorted terminals) -> {n': tau_mcf}
+
+
+def reset_tau_mcf_ledger():
+    """Forget every answer `tau_mcf` has recorded in this process."""
+    _LEDGER.clear()
 
 
 def tau_mcf(g, terminals, n_prime):
     """Least tau at which the uniform n'/k all-pairs demand is routable.
 
-    `least_feasible_horizon` over exact LP feasibility, from
-    `tau_mcf_lower_bound`.  Results are memoised per (graph, sorted
-    terminals, exact n') in a least-recently-used cache of 256 entries.
+    Routability is monotone up in tau (commodities can dwell) and down in
+    n' (a routing scales down), so an answer tau* at n0 decides (tau* - 1,
+    n') infeasible for every n' >= n0 and (tau*, n') feasible for every
+    n' <= n0.  Every answer goes into a ledger per (graph, sorted
+    terminals), bounded by LEDGER_SIZE.  A call brackets its answer
+    between the ledger's answers at smaller and at larger n'; when that
+    leaves more than one horizon, `least_feasible_horizon` searches by
+    exact LP feasibility from `tau_mcf_flow_bound` (searched from the
+    bracket's low end), reading every horizon at or past the high end as
+    feasible without an LP.  Only a finished search is recorded, so a
+    probe HiGHS could not decide (LPSolveError) leaves nothing behind.
     """
     if n_prime <= 0:
         raise GraphError("n_prime must be positive")
     terminals = tuple(sorted(terminals))
     if len(terminals) < 2:
         raise GraphError("need at least two terminals")
-    return _tau_mcf(g, terminals, Fraction(n_prime))
+    n_prime = Fraction(n_prime)
+    key = (g, terminals)
+    answers = _LEDGER.get(key, {})
+    lo = max((tau for n, tau in answers.items() if n <= n_prime), default=1)
+    hi = min((tau for n, tau in answers.items() if n >= n_prime),
+             default=math.inf)
+    if lo != hi:
+        lo = _flow_bound(g, terminals, n_prime, lo)
+        demand = uniform_demand(terminals, n_prime)
+        lo = least_feasible_horizon(
+            lambda tau: tau >= hi or mcf_feasible(g, demand, tau),
+            lo, _search_cutoff(g, terminals, n_prime), "tau_mcf")
+        answers[n_prime] = lo
+        if len(answers) > LEDGER_SIZE:
+            del answers[next(iter(answers))]
+    _LEDGER[key] = answers
+    _LEDGER.move_to_end(key)
+    if len(_LEDGER) > LEDGER_SIZE:
+        _LEDGER.popitem(last=False)
+    return lo
+
+
+def _search_cutoff(g, terminals, n_prime):
+    return (int(n_prime) + 1) * g.n * len(terminals) ** 2 + g.n
 
 
 def tau_mcf_lower_bound(g, terminals, n_prime):
@@ -215,11 +282,14 @@ def tau_mcf_lower_bound(g, terminals, n_prime):
     only the singletons T = {t} above that.  Raises UnreachableError for
     disconnected terminals.
     """
-    terminals = tuple(sorted(terminals))
+    return _base_bound(g, tuple(sorted(terminals)), Fraction(n_prime))[0]
+
+
+def _base_bound(g, terminals, n_prime):
+    """(tau_mcf_lower_bound, [(cut term, T, K - T)] per bipartition cut)."""
     if not g.connected(terminals):
         raise UnreachableError("terminals are disconnected")
     k = len(terminals)
-    lo = tree_terminal_diameter(g, None, terminals)
     if k <= CUT_BOUND_MAX_TERMINALS:
         first, others = terminals[0], terminals[1:]
         sides = [(first,) + tuple(t for i, t in enumerate(others)
@@ -227,20 +297,73 @@ def tau_mcf_lower_bound(g, terminals, n_prime):
                  for mask in range(2 ** (k - 1) - 1)]
     else:
         sides = [(t,) for t in terminals]
+    cuts = []
     for side in sides:
-        rest = [t for t in terminals if t not in side]
-        crossing = Fraction(len(side) * len(rest)) * Fraction(n_prime) / k
-        lo = max(lo, math.ceil(crossing / base_min_cut(g, side, rest)))
+        rest = tuple(t for t in terminals if t not in side)
+        crossing = len(side) * len(rest) * n_prime / k
+        cuts.append((math.ceil(crossing / base_min_cut(g, side, rest)),
+                     side, rest))
+    lo = max([tree_terminal_diameter(g, None, terminals)]
+             + [term for term, _, _ in cuts])
+    return lo, cuts
+
+
+def tau_mcf_flow_bound(g, terminals, n_prime):
+    """The flow-over-time cut bound on tau_mcf, at least
+    `tau_mcf_lower_bound`.
+
+    It is the least tau >= tau_mcf_lower_bound at which every checked
+    bipartition (T, K - T) passes: a timed single-commodity max flow
+    (`timed_max_flow`) from T x {0} to (K - T) x {tau}, through a super
+    source with an arc of capacity ceil(|K - T| n'/k) into each (t, 0) and
+    a super sink fed by an arc of capacity ceil(|T| n'/k) from each (u,
+    tau), reaches ceil(|T| |K - T| n'/k).
+
+    Proof: at tau_mcf the uniform demand routes with congestion 1.  Its
+    commodities from T to K - T together form a flow of |T| |K - T| n'/k
+    units from T x {0} to (K - T) x {tau} that uses each edge arc at most
+    once, sends |K - T| n'/k from each t and delivers |T| n'/k to each u.
+    The capacities are integers, so the maximum flow is integral and
+    reaches the ceiling.  Each side's test is monotone in tau (the flow
+    can dwell at its sources), so `least_feasible_horizon` finds each
+    side's least horizon from the bound so far.  This is the cut condition
+    on the timed network, the bound of flows over time (Ford-Fulkerson
+    1958, Hoppe-Tardos 2000): unlike the per-round base-cut bound, it
+    counts the rounds a unit needs to reach the cut.  Reversing time maps
+    a flow from T to K - T onto one from K - T to T with the two
+    capacities swapped, so one direction per bipartition suffices.
+    Checked are the singletons and every bipartition whose cut term
+    attains the largest one; the others count only through the base
+    bound.  Raises UnreachableError for disconnected terminals, and
+    GraphError, before allocating the network, when its capacities pass
+    int32.
+    """
+    terminals = tuple(sorted(terminals))
+    return _flow_bound(g, terminals, Fraction(n_prime), 1)
+
+
+def _flow_bound(g, terminals, n_prime, lo):
+    """`tau_mcf_flow_bound` searched from max(lo, tau_mcf_lower_bound),
+    for an lo below which no horizon is feasible."""
+    base, cuts = _base_bound(g, terminals, n_prime)
+    top = max(term for term, _, _ in cuts)
+    share = n_prime / len(terminals)
+    lo = max(lo, base)
+    cutoff = _search_cutoff(g, terminals, n_prime)
+    # the sides attaining the top cut term go first: they bind most often
+    for term, side, rest in sorted(cuts, key=lambda cut: -cut[0]):
+        if term == top or min(len(side), len(rest)) == 1:
+            lo = least_feasible_horizon(
+                partial(_side_routes, g, side, rest, share), lo, cutoff,
+                "tau_mcf flow bound")
     return lo
 
 
-@lru_cache(maxsize=256)
-def _tau_mcf(g, terminals, n_prime):
-    lo = tau_mcf_lower_bound(g, terminals, n_prime)
-    demand = uniform_demand(terminals, n_prime)
-    cutoff = (int(n_prime) + 1) * g.n * len(terminals) ** 2 + g.n
-    return least_feasible_horizon(lambda tau: mcf_feasible(g, demand, tau),
-                                  lo, cutoff, "tau_mcf")
+def _side_routes(g, side, rest, share, tau):
+    tg = build_timed_graph(g, tau)
+    flow = _partition_flow(tg, side, rest, math.ceil(len(rest) * share),
+                           math.ceil(len(side) * share))
+    return flow.value >= math.ceil(len(side) * len(rest) * share)
 
 
 def route_bounded_demand(g, terminals, demand, n_prime):
@@ -342,16 +465,23 @@ def balanced_partition_paths(g, tau, side_a, side_b, n_prime):
     if set(side_a) & set(side_b):
         raise GraphError("sides overlap")
     tg = build_timed_graph(g, tau)
-    s, t = tg.node_count, tg.node_count + 1
-    terminal_arcs = ([(s, tg.node(u, 0), n_prime) for u in side_a]
-                     + [(tg.node(v, tau), t, n_prime) for v in side_b])
-    flow = timed_max_flow(tg, s, t, terminal_arcs)
+    flow = _partition_flow(tg, side_a, side_b, n_prime, n_prime)
     required = n_prime * len(side_a)
     if flow.value < required:
         raise PartitionInfeasibleError(flow.value, required)
     return [path for path, units in decompose_paths(tg, flow.arc_flows(),
                                                     side_a)
             for _ in range(units)]
+
+
+def _partition_flow(tg, side_a, side_b, cap_a, cap_b):
+    """Maximum flow from side_a x {0} to side_b x {tau} in `tg`, through a
+    super source with an arc of capacity cap_a into each (a, 0) and a super
+    sink fed by an arc of capacity cap_b from each (b, tau)."""
+    s, t = tg.node_count, tg.node_count + 1
+    arcs = ([(s, tg.node(u, 0), cap_a) for u in side_a]
+            + [(tg.node(v, tg.tau), t, cap_b) for v in side_b])
+    return timed_max_flow(tg, s, t, arcs)
 
 
 # ---------------------------------------------------------------------------

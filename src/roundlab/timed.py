@@ -24,9 +24,14 @@ flow, so the levels do not depend on which maximum flow Dinic finds.
 
 Both horizons, tau_route here and tau_MCF in `mcf`, come from the one
 monotone search `least_feasible_horizon`, started at a certified lower
-bound built from base-graph min cuts (`base_min_cut`, the same C Dinic on
-the base graph): a base cut of lambda edges carries at most lambda units
-per direction per round, so no horizon below the bound is feasible.
+bound.  Both bounds begin with base-graph min cuts (`base_min_cut`, the
+same C Dinic on the base graph): a base cut of lambda edges carries at
+most lambda units per direction per round.  tau_route's bound is
+Ford-Fulkerson's bound for flows over time, built on that cut.  tau_MCF's
+bound raises the base-cut bound with timed max flows across terminal
+bipartitions (`mcf.tau_mcf_flow_bound`), found by the same search with
+`timed_max_flow` as its predicate.  No horizon below either bound is
+feasible.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ from roundlab.mcf import (
     LP_TOLERANCE, BoundedDemandError, DemandMatrix, LPSolveError,
     PartitionInfeasibleError, _assemble_mcf_lp, _solve_mcf,
     balanced_partition_paths, mcf_feasible, route_bounded_demand,
-    route_unit_demands, tau_mcf, tau_mcf_lower_bound, uniform_demand,
+    route_unit_demands, tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound,
+    uniform_demand,
 )
 from roundlab.schedules import audit_schedule, congestion_to_delay
 from roundlab.timed import build_timed_graph, validate_timed_path
@@ -95,7 +96,6 @@ def _tau_mcf_by_scan(g, n_prime):
 
 
 def test_tau_mcf_matches_linear_scan():
-    mcf_mod._tau_mcf.cache_clear()
     for g, n_prime in _tau_mcf_cases():
         assert tau_mcf(g, g.terminals, n_prime) == \
             _tau_mcf_by_scan(g, n_prime), (g, n_prime)
@@ -114,12 +114,18 @@ def terminal_multigraphs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(terminal_multigraphs(), st.integers(1, 6))
-def test_tau_mcf_cut_bound_below_lp(g, n_prime):
+@given(terminal_multigraphs(), st.lists(st.integers(1, 8), min_size=1,
+                                        max_size=4))
+def test_tau_mcf_cut_bound_below_lp(g, n_primes):
+    # one ledger serves the whole sequence (and every earlier example), so
+    # answers bracketed by earlier ones are checked too; the scan calls
+    # mcf_feasible directly and never reads the ledger
     assume(g.connected(g.terminals))
-    scanned = _tau_mcf_by_scan(g, n_prime)
-    assert tau_mcf_lower_bound(g, g.terminals, n_prime) <= scanned
-    assert tau_mcf(g, g.terminals, n_prime) == scanned
+    for n_prime in n_primes:
+        scanned = _tau_mcf_by_scan(g, n_prime)
+        base = tau_mcf_lower_bound(g, g.terminals, n_prime)
+        assert base <= tau_mcf_flow_bound(g, g.terminals, n_prime) <= scanned
+        assert tau_mcf(g, g.terminals, n_prime) == scanned
 
 
 def test_tau_mcf_lower_bound_on_bench_graphs():
@@ -147,18 +153,23 @@ def test_tau_mcf_lower_bound_cut_count(monkeypatch, k, cuts):
 
 
 def test_tau_mcf_probe_order(monkeypatch):
-    # the cut bound 32 is one short of ring44's answer: two LPs
+    # the base-cut bound 32 is one short of ring44's answer; the flow bound
+    # certifies 33, so one LP confirms it
     probes = []
 
     def recording_feasible(g, demand, tau):
         probes.append(tau)
         return mcf_feasible(g, demand, tau)
 
-    mcf_mod._tau_mcf.cache_clear()
     monkeypatch.setattr(mcf_mod, "mcf_feasible", recording_feasible)
     g = ring_of_cliques(4, 4)
     assert tau_mcf(g, g.terminals, 64) == 33
-    assert probes == [32, 33]
+    assert probes == [33]
+    # n' = 62 has 33 above it in the ledger and costs one LP at its flow
+    # bound 32; n' = 63 then lies between 32 and 33, where its flow bound
+    # 33 meets the ledger's 33: no LP; a repeated n' needs no search
+    assert [tau_mcf(g, g.terminals, n) for n in (62, 63, 64)] == [32, 33, 33]
+    assert probes == [33, 32]
 
 
 def test_route_bounded_demand_zero():
@@ -389,7 +400,7 @@ def test_tau_mcf_unchanged_with_reference_assembly(monkeypatch):
     cases = _tau_mcf_cases()
 
     def values():
-        mcf_mod._tau_mcf.cache_clear()
+        mcf_mod.reset_tau_mcf_ledger()
         return [tau_mcf(g, g.terminals, n) for g, n in cases]
 
     fast = values()
@@ -404,7 +415,6 @@ def test_tau_mcf_unchanged_with_reference_assembly(monkeypatch):
 
 @pytest.mark.parametrize("status", [1, 4])
 def test_solver_failure_is_not_infeasible(monkeypatch, status):
-    mcf_mod._tau_mcf.cache_clear()
     monkeypatch.setattr(mcf_mod, "linprog", lambda *a, **kw: OptimizeResult(
         status=status, message="solver gave up", x=None))
     g = clique(3)
@@ -413,6 +423,9 @@ def test_solver_failure_is_not_infeasible(monkeypatch, status):
     text = str(exc.value)
     assert f"status {status}" in text and "solver gave up" in text
     assert "tau=1" in text and "3 commodities" in text
+    # the undecided probe left nothing in the ledger
+    monkeypatch.undo()
+    assert tau_mcf(g, g.terminals, 2) == 1
 
 
 def test_solver_status_2_reads_infeasible(monkeypatch):
