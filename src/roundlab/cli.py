@@ -14,6 +14,17 @@ JSON is written once, to ``--out`` or to stdout; for ``ed-circuit`` and
 ``gen`` it is the artifact itself (circuit or instance JSON) with the
 command's summary keys added, so the file loads with ``circuit_from_json``
 or ``instance_from_json``.
+
+Size ceiling: a timed network holds at most ``timed.MAX_TIMED_ARCS``
+(2**25, about 33.5 million) arcs, tau * (2m + n); past it, or when its
+capacities pass int32, a command exits 3 naming m, tau and the size before
+allocating.  The desk scale, ``path_graph(1200)`` at horizon 4,810, has
+17.3 million.
+
+``solve`` on an edge-distributed instance computes the n'-bounded
+rebalance routing to a node distribution and then drops it: its
+``rounds`` count only the flooding protocol, not the 2 tau_MCF rounds of
+that routing.
 """
 
 from __future__ import annotations
@@ -386,7 +397,10 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="run a flooding variant on an instance")
+    text = ("run a flooding variant on an instance; an edge-mode instance "
+            "is first rebalanced to a node distribution, whose routing is "
+            "computed and dropped, so rounds count the flooding only")
+    p = sub.add_parser("solve", help=text, description=text)
     p.add_argument("--variant", required=True,
                    choices=("connectivity", "components", "acyclicity",
                             "bipartiteness"))

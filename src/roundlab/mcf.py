@@ -9,11 +9,13 @@ that certified bounds and earlier answers leave open: it starts at a
 flow-over-time cut bound, which timed single-commodity max flows certify,
 and a per-(graph, terminals) ledger of decided answers brackets it from
 both sides, because feasibility is monotone up in tau and down in n'.
+Each answer is recorded with a witness: the LP vertex that certified it,
+a congestion-1 routing of the uniform demand at exactly that horizon.
 
 Also here: the two-stage router that handles every n'-bounded demand
-within twice that horizon, the balanced-partition edge-disjoint path
-extractor, and a small integral unit-demand router used by the bit-level
-protocol builders.
+within twice that horizon, built from the witness without an LP of its
+own, the balanced-partition edge-disjoint path extractor, and a small
+integral unit-demand router used by the bit-level protocol builders.
 """
 
 from __future__ import annotations
@@ -110,13 +112,17 @@ def uniform_demand(terminals, n_prime):
 # arc-based LP
 
 def _assemble_mcf_lp(tg, demands_by_source):
-    """The arc-based LP of `_solve_mcf` as (cost, A_ub, b_ub, A_eq, b_eq).
+    """The arc-based LP on `tg` for demands {source: {dest: amount}} as
+    (cost, A_ub, b_ub, A_eq, b_eq).
 
     Variable si * len(arcs) + ai is commodity si's flow on arc ai (in
-    `TimedGraph.arcs` order).  Each commodity numbers its conservation rows
-    by first appearance along the arcs, tail before head.  HiGHS picks
-    among optimal vertices by input order, and the routed paths come from
-    that vertex, so the numbering is kept exactly.
+    `TimedGraph.arcs` order, sources sorted).  Each edge arc carries at
+    most one unit over all commodities; memory arcs are free in the
+    objective, so idle commodities dwell in place.  Each commodity numbers
+    its conservation rows by first appearance along the arcs, tail before
+    head.  HiGHS picks among optimal vertices by input order, and the
+    witness routings come from that vertex, so the numbering is kept
+    exactly.
     """
     sources = sorted(demands_by_source)
     tails, heads, is_edge = tg.arc_arrays()
@@ -168,47 +174,43 @@ def _mcf_vertex(tg, demands_by_source):
     return res.x
 
 
-def _solve_mcf(g, tau, demands_by_source):
-    """Exact-feasibility multicommodity LP on the tau-layer expansion.
+def _support(x):
+    """The entries of an `_mcf_vertex` solution x above LP_TOLERANCE / 10,
+    as (indices, amounts).  A basic solution has at most as many nonzeros
+    as its LP has rows."""
+    support = np.flatnonzero(x > LP_TOLERANCE / 10)
+    return support, x[support]
 
-    demands_by_source: {source: {dest: amount}}.  Returns per-source arc
-    flows ({source: {arc_key: amount}}) or None when infeasible, and
-    raises LPSolveError when HiGHS ends without deciding.  Memory arcs are
-    free in the objective, so idle commodities dwell in place.
-    """
-    tg = build_timed_graph(g, tau)
-    sources = sorted(demands_by_source)
-    if not sources:
-        return {}
-    if tau == 0:
-        ok = all(u == v or amt == 0
-                 for u, d in demands_by_source.items() for v, amt in d.items())
-        return {u: {} for u in sources} if ok else None
-    x = _mcf_vertex(tg, demands_by_source)
-    if x is None:
-        return None
+
+def _read_flows(tg, sources, support, amounts):
+    """Per-source arc flows {source: {arc_key: amount}} from the
+    `_support` of an `_mcf_vertex` solution on `tg` for the sorted
+    `sources`."""
     arcs = tg.arcs
-    x = x.reshape(len(sources), len(arcs))
-    out = {}
-    for si, src in enumerate(sources):
-        used = np.flatnonzero(x[si] > LP_TOLERANCE / 10).tolist()
-        out[src] = {arcs[ai]: x[si, ai] for ai in used}
+    out = {src: {} for src in sources}
+    for i, amount in zip(support.tolist(), amounts):
+        si, ai = divmod(i, len(arcs))
+        out[sources[si]][arcs[ai]] = amount
     return out
 
 
-def mcf_feasible(g, demand, tau):
+def mcf_feasible(g, demand, tau, vertices=None):
     """Whether a DemandMatrix routes fractionally at horizon tau.
 
-    Solves the LP of `_solve_mcf` and reads only its status; a
-    DemandMatrix holds only positive off-diagonal amounts, so any demand
-    is infeasible at tau = 0."""
+    Solves the `_assemble_mcf_lp` LP and reads its status; when
+    `vertices` is a dict, a feasible LP's vertex is stored in it under
+    tau.  A DemandMatrix holds only positive off-diagonal amounts, so any
+    demand is infeasible at tau = 0."""
     by_source = {}
     for (u, v), amt in demand.amounts.items():
         by_source.setdefault(u, {})[v] = amt
     tg = build_timed_graph(g, tau)
     if not by_source or tau == 0:
         return not by_source
-    return _mcf_vertex(tg, by_source) is not None
+    x = _mcf_vertex(tg, by_source)
+    if x is not None and vertices is not None:
+        vertices[tau] = x
+    return x is not None
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +219,25 @@ def mcf_feasible(g, demand, tau):
 # the ledger keeps the answers of at most this many (graph, terminals)
 # keys, least recently used first out, and at most this many n' per key
 LEDGER_SIZE = 256
-_LEDGER = OrderedDict()     # (graph, sorted terminals) -> {n': tau_mcf}
+_LEDGER = OrderedDict()     # (graph, sorted terminals) -> {n': Witness}
+
+
+@dataclass(frozen=True)
+class Witness:
+    """The routing behind a recorded tau_mcf answer: the LP vertex, kept
+    as its `_support` (indices, amounts), routes the uniform n_prime/k
+    demand with congestion 1 at horizon tau.  `_read_flows` turns it into
+    arc flows when a router needs them."""
+
+    tau: int
+    n_prime: Fraction
+    support: np.ndarray
+    amounts: np.ndarray
 
 
 def reset_tau_mcf_ledger():
-    """Forget every answer `tau_mcf` has recorded in this process."""
+    """Forget every answer and witness `tau_mcf` has recorded in this
+    process."""
     _LEDGER.clear()
 
 
@@ -239,6 +255,13 @@ def tau_mcf(g, terminals, n_prime):
     bracket's low end), reading every horizon at or past the high end as
     feasible without an LP.  Only a finished search is recorded, so a
     probe HiGHS could not decide (LPSolveError) leaves nothing behind.
+
+    Each answer is recorded with its `Witness`.  An answer an LP
+    certified keeps that LP's vertex.  An answer read from the ledger's
+    high end, by the search or because the two ends met, shares the
+    witness of the nearest entry at n_w >= n', whose tau it is, and which
+    routes n_w/k >= n'/k per pair.  So every recorded answer has a
+    witness at exactly its tau, which `route_bounded_demand` routes from.
     """
     if n_prime <= 0:
         raise GraphError("n_prime must be positive")
@@ -248,16 +271,22 @@ def tau_mcf(g, terminals, n_prime):
     n_prime = Fraction(n_prime)
     key = (g, terminals)
     answers = _LEDGER.get(key, {})
-    lo = max((tau for n, tau in answers.items() if n <= n_prime), default=1)
-    hi = min((tau for n, tau in answers.items() if n >= n_prime),
+    lo = max((w.tau for n, w in answers.items() if n <= n_prime), default=1)
+    hi = min((w.tau for n, w in answers.items() if n >= n_prime),
              default=math.inf)
+    vertices = {}
     if lo != hi:
         lo = _flow_bound(g, terminals, n_prime, lo)
         demand = uniform_demand(terminals, n_prime)
         lo = least_feasible_horizon(
-            lambda tau: tau >= hi or mcf_feasible(g, demand, tau),
+            lambda tau: tau >= hi or mcf_feasible(g, demand, tau, vertices),
             lo, _search_cutoff(g, terminals, n_prime), "tau_mcf")
-        answers[n_prime] = lo
+    if n_prime not in answers:
+        if lo in vertices:
+            witness = Witness(lo, n_prime, *_support(vertices[lo]))
+        else:   # the nearest answer above is hi = lo
+            witness = answers[min(n for n in answers if n >= n_prime)]
+        answers[n_prime] = witness
         if len(answers) > LEDGER_SIZE:
             del answers[next(iter(answers))]
     _LEDGER[key] = answers
@@ -369,11 +398,34 @@ def _side_routes(g, side, rest, share, tau):
 def route_bounded_demand(g, terminals, demand, n_prime):
     """Route any n'-bounded demand in at most twice the uniform horizon.
 
-    Two stages of the uniform-routing horizon tau* each: first every origin
+    Two stages of the uniform horizon tau* = tau_mcf(n') each, in the
+    manner of Valiant-Brebner two-phase routing: first every origin
     scatters its outgoing commodity evenly over all terminals (colored by
     final destination), then every terminal forwards each color to its
     destination.  The returned schedule carries end-to-end entries tagged
-    by (origin, destination) commodity.
+    by (origin, destination) commodity, each the concatenation of a
+    stage-1 and a stage-2 path matched at their junction terminal.
+
+    Both stages come from the `Witness` that `tau_mcf` recorded for n':
+    a congestion-1 routing at tau* of the uniform demand n_w/k per ordered
+    pair, for some n_w >= n'.  Each source's witness flow is decomposed
+    into paths once.  Write rows[u] and cols[w] for the demand's row and
+    column sums.
+    - Stage 1 sends rows[u]/k from u to every terminal: each witness path
+      of u, carrying n_w/k to its end in total, is scaled by rows[u]/n_w,
+      and a dwell path (all memory steps) keeps u's own share rows[u]/k.
+    - Stage 2 sends cols[w]/k from every v to w: each witness path of v
+      that ends at w is scaled by cols[w]/n_w, and a dwell path keeps
+      cols[v]/k at v.
+
+    Proof that each stage has congestion <= 1: the demand is n'-bounded
+    and n' <= n_w, so every factor rows[u]/n_w and cols[w]/n_w is at most
+    1.  An edge arc's load in a stage is a sum over sources of their
+    witness flow on the arc, each scaled by a factor <= 1, so it is at
+    most the witness's load, which is at most 1; dwell paths use only
+    memory arcs.  At a junction v the stage-1 inflow of color w is
+    sum_u (rows[u]/k) (d(u, w)/rows[u]) = cols[w]/k, the stage-2 outflow
+    of color w, so the matching consumes every parcel.
     """
     terminals = tuple(sorted(terminals))
     k = len(terminals)
@@ -382,28 +434,28 @@ def route_bounded_demand(g, terminals, demand, n_prime):
     if demand.total == 0:
         return RoutingSchedule(0, (), congestion=1, tolerance=LP_TOLERANCE)
     tau_star = tau_mcf(g, terminals, n_prime)
-
-    rows = {u: demand.row_sum(u) for u in terminals}
-    stage1 = {u: {v: rows[u] / k for v in terminals}
-              for u in terminals if rows[u] > 0}
-    sol1 = _solve_mcf(g, tau_star, stage1)
-    if sol1 is None:
-        raise AssertionError("stage-1 routing infeasible at tau_mcf horizon")
-    cols = {v: demand.col_sum(v) for v in terminals}
-    stage2 = {v: {w: cols[w] / k for w in terminals if cols[w] > 0}
-              for v in terminals}
-    stage2 = {v: d for v, d in stage2.items() if d}
-    sol2 = _solve_mcf(g, tau_star, stage2)
-    if sol2 is None:
-        raise AssertionError("stage-2 routing infeasible at tau_mcf horizon")
+    witness = _LEDGER[(g, terminals)][Fraction(n_prime)]
 
     tg = build_timed_graph(g, tau_star)
     eps = 1e-9
+    flows = _read_flows(tg, terminals, witness.support, witness.amounts)
+    paths = {u: decompose_paths(tg, flows[u], (u,), eps) for u in terminals}
+
+    def dwell(v):
+        return TimedPath(0, (v,) * (tau_star + 1), (None,) * tau_star)
+
+    rows = {u: demand.row_sum(u) for u in terminals}
+    cols = {v: demand.col_sum(v) for v in terminals}
     # stage-1 parcels split by color (= final destination), grouped by the
     # junction terminal they land on
     inflow = {}  # (junction, color) -> list of (origin, path, amount)
-    for u in stage1:
-        for path, amt in decompose_paths(tg, sol1[u], (u,), eps):
+    for u in terminals:
+        if rows[u] <= 0:
+            continue
+        scale = rows[u] / witness.n_prime
+        parcels = [(path, amt * scale) for path, amt in paths[u]]
+        parcels.append((dwell(u), rows[u] / k))
+        for path, amt in parcels:
             junction = path.verts[-1]
             for color in terminals:
                 d_uc = demand.amount(u, color)
@@ -414,11 +466,14 @@ def route_bounded_demand(g, terminals, demand, n_prime):
                     inflow.setdefault((junction, color), []).append(
                         (u, path, share))
     outflow = {}  # (junction, color) -> list of [path, amount]
-    for v in stage2:
-        for path, amt in decompose_paths(tg, sol2[v], (v,), eps):
-            color = path.verts[-1]
+    for v in terminals:
+        parcels = [(path, amt * cols[path.verts[-1]] / witness.n_prime)
+                   for path, amt in paths[v]]
+        parcels.append((dwell(v), cols[v] / k))
+        for path, amt in parcels:
             if amt > eps:
-                outflow.setdefault((v, color), []).append([path, amt])
+                outflow.setdefault((v, path.verts[-1]), []).append(
+                    [path, amt])
     entries = []
     for key in sorted(inflow):
         outs = outflow.get(key, [])

@@ -17,10 +17,12 @@ the arcs out as an int32 CSR capacity matrix straight from
 limit.  The CSR sums parallel arcs into one entry; `TimedFlow.arc_flows`
 splits each summed flow back over its parallel base edges in edge-id
 order.  Flows become timed paths through the one decomposer,
-`decompose_paths`.  The level vector of `extract_level_vector` is read off
-the residual network: the set of nodes reachable from the source is the
-source side of the minimal min cut, which is the same for every maximum
-flow, so the levels do not depend on which maximum flow Dinic finds.
+`decompose_paths`.  A network of more than MAX_TIMED_ARCS arcs is refused
+with a GraphError before anything is allocated.  The level vector of
+`extract_level_vector` is read off the residual network: the set of
+nodes reachable from the source is the source side of the minimal min
+cut, which is the same for every maximum flow, so the levels do not
+depend on which maximum flow Dinic finds.
 
 Both horizons, tau_route here and tau_MCF in `mcf`, come from the one
 monotone search `least_feasible_horizon`, started at a certified lower
@@ -45,6 +47,9 @@ from scipy import sparse
 from .graphs import GraphError, UnreachableError
 
 INT32_MAX = int(np.iinfo(np.int32).max)
+# the most arcs a timed network may have: about twice the 17.3 million of
+# path_graph(1200) at horizon 4,810, the desk-scale cut certificate
+MAX_TIMED_ARCS = 2 ** 25
 
 
 class RoutableError(ValueError):
@@ -77,9 +82,18 @@ class TimedGraph:
     def nonmemory_edge_count(self):
         return 2 * self.base.m * self.tau
 
+    def _check_size(self):
+        count = (2 * self.base.m + self.base.n) * self.tau
+        if count > MAX_TIMED_ARCS:
+            raise GraphError(
+                f"timed network with m={self.base.m} edges at tau={self.tau} "
+                f"has {count} arcs, past the limit {MAX_TIMED_ARCS}")
+
     @cached_property
     def arcs(self):
-        """All arcs as (layer, edge_id, tail, head); edge_id None = memory."""
+        """All arcs as (layer, edge_id, tail, head); edge_id None = memory.
+        Raises GraphError, before building any, past MAX_TIMED_ARCS."""
+        self._check_size()
         out = []
         for layer in range(self.tau):
             for eid, (u, v) in enumerate(self.base.edges):
@@ -91,7 +105,9 @@ class TimedGraph:
 
     def arc_arrays(self):
         """`arcs` as numpy columns (tail, head, is_edge), entry i for
-        arcs[i]; tail and head are node ids (layer * n + vertex)."""
+        arcs[i]; tail and head are node ids (layer * n + vertex).  Raises
+        GraphError, before allocating, past MAX_TIMED_ARCS."""
+        self._check_size()
         n = self.base.n
         ends = np.array(self.base.edges, dtype=np.int64).reshape(-1, 2)
         verts = np.arange(n)
@@ -177,18 +193,6 @@ def mirror_timed_path(path, tau):
 
 
 @dataclass(frozen=True)
-class FlowSolution:
-    value: int
-    paths: tuple
-    utilization: dict
-
-    def max_nonmemory_load(self):
-        loads = [amt for (layer, eid, u, v), amt in self.utilization.items()
-                 if eid is not None]
-        return max(loads, default=0)
-
-
-@dataclass(frozen=True)
 class LevelVector:
     a: int
     b: int
@@ -240,6 +244,34 @@ class TimedFlow:
         mask = np.zeros(residual.shape[0], dtype=bool)
         mask[reached] = True
         return mask
+
+
+@dataclass(frozen=True)
+class FlowSolution:
+    """A maximum (a, 0) -> (b, tau) flow of `max_route_flow`.  Its arc
+    flows and unit paths are built on first read: the paths take memory
+    in value x tau, and callers that need only `value` build neither."""
+
+    value: int
+    flow: TimedFlow
+    source: int
+
+    @cached_property
+    def utilization(self):
+        """{arc_key: units} over the arcs the flow uses."""
+        return self.flow.arc_flows()
+
+    @cached_property
+    def paths(self):
+        """The flow as `value` unit timed paths."""
+        return tuple(path for path, units in decompose_paths(
+            self.flow.tg, self.utilization, (self.source,))
+            for _ in range(units))
+
+    def max_nonmemory_load(self):
+        loads = [amt for (layer, eid, u, v), amt in self.utilization.items()
+                 if eid is not None]
+        return max(loads, default=0)
 
 
 def timed_max_flow(tg, src, dst, extra_arcs=()):
@@ -341,17 +373,15 @@ def decompose_paths(tg, flows, sources, eps=1e-9):
 def max_route_flow(g, a, b, tau):
     """Maximum (a,0) -> (b,tau) flow in the timed expansion, unit capacity
     per non-memory arc.  Integral and fractional optima coincide here, so
-    the solution is always decomposed into unit paths."""
+    the solution decomposes into unit paths, on the first read of
+    `FlowSolution.paths`."""
     if a == b:
         raise GraphError("endpoints must differ")
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise GraphError("endpoint out of range")
     tg = build_timed_graph(g, tau)
     flow = timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau))
-    utilization = flow.arc_flows()
-    paths = tuple(path for path, units in decompose_paths(tg, utilization, (a,))
-                  for _ in range(units))
-    return FlowSolution(flow.value, paths, utilization)
+    return FlowSolution(flow.value, flow, a)
 
 
 def least_feasible_horizon(feasible, lo, cutoff, name):

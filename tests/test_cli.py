@@ -15,7 +15,9 @@ from roundlab import (
 )
 from roundlab.circuits import build_ed_circuit, circuit_from_json, circuit_to_json
 from roundlab.cli import main
-from roundlab.distgraph import instance_from_json
+from roundlab.distgraph import (
+    and_disj_instance, instance_from_json, random_pair_strings,
+)
 
 from oracles import disj_oracle, ed_oracle
 
@@ -258,6 +260,38 @@ def test_bench_ed_lp_solve_count(tmp_path, capsys, monkeypatch):
     assert len(solves) <= 9
 
 
+def test_solve_lp_count_is_tau_mcf(tmp_path, capsys, monkeypatch):
+    # the rebalance routes from tau_mcf's witness: every LP of solve on an
+    # edge-mode instance is one of tau_mcf's probes (1 here; the two
+    # stage LPs of a separate routing made it 3)
+    solves, under_tau_mcf = [], []
+    real_tau_mcf = mcf_mod.tau_mcf
+
+    def counting_linprog(*args, **kwargs):
+        solves.append(1)
+        return linprog(*args, **kwargs)
+
+    def counting_tau_mcf(*args):
+        before = len(solves)
+        value = real_tau_mcf(*args)
+        under_tau_mcf.append(len(solves) - before)
+        return value
+
+    monkeypatch.setattr(mcf_mod, "linprog", counting_linprog)
+    monkeypatch.setattr(mcf_mod, "tau_mcf", counting_tau_mcf)
+    g = ring_of_cliques(4, 4)
+    gpath = _write_graph(tmp_path, g)
+    inst = and_disj_instance(random_pair_strings(g.terminals, 1, seed=0),
+                             g.terminals, 1)
+    ipath = tmp_path / "inst.json"
+    ipath.write_text(json.dumps(inst.to_json()))
+    code, payload = _run(capsys, ["solve", "--variant", "connectivity",
+                                  "--graph", gpath, "--instance", str(ipath)])
+    assert code == 0 and payload["answer"] == payload["oracle"]
+    assert len(under_tau_mcf) == 1
+    assert len(solves) == sum(under_tau_mcf) == 1
+
+
 @pytest.mark.parametrize("status,exit_code", [(1, 4), (4, 4), (2, 2)])
 def test_lp_status_exit_codes(tmp_path, capsys, monkeypatch, status,
                               exit_code):
@@ -321,6 +355,19 @@ def test_tau_mcf_huge_nprime_exit_code(tmp_path, capsys):
     assert code == 3
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert "m=60" in err and "tau=375000000" in err and "int32" in err
+
+
+def test_tau_mcf_mid_nprime_exit_code(tmp_path, capsys):
+    # at n' = 10**7 the cut bounds put tau at 3,750,000, whose capacities
+    # fit int32; the network's 585,000,000 arcs pass the arc ceiling, which
+    # stops it before allocating (arc_arrays asked numpy for 4.36 GiB and
+    # escaped as a raw traceback with exit 1)
+    path = _write_graph(tmp_path, grid_graph(6, 6))
+    code = main(["tau-mcf", "--graph", path, "--nprime", "10000000"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "m=60" in err and "tau=3750000" in err and "585000000" in err
 
 
 def test_convergence_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -12,8 +12,8 @@ from roundlab import (
 )
 from roundlab.mcf import (
     LP_TOLERANCE, BoundedDemandError, DemandMatrix, LPSolveError,
-    PartitionInfeasibleError, _assemble_mcf_lp, _solve_mcf,
-    balanced_partition_paths, mcf_feasible, route_bounded_demand,
+    PartitionInfeasibleError, _assemble_mcf_lp, _mcf_vertex, _read_flows,
+    _support, balanced_partition_paths, mcf_feasible, route_bounded_demand,
     route_unit_demands, tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound,
     uniform_demand,
 )
@@ -157,9 +157,9 @@ def test_tau_mcf_probe_order(monkeypatch):
     # certifies 33, so one LP confirms it
     probes = []
 
-    def recording_feasible(g, demand, tau):
+    def recording_feasible(g, demand, tau, *witness_sink):
         probes.append(tau)
-        return mcf_feasible(g, demand, tau)
+        return mcf_feasible(g, demand, tau, *witness_sink)
 
     monkeypatch.setattr(mcf_mod, "mcf_feasible", recording_feasible)
     g = ring_of_cliques(4, 4)
@@ -218,6 +218,71 @@ def _random_bounded_demand(terms, n_prime, rng):
                 budget_out[u] -= amt
                 budget_in[v] -= amt
     return DemandMatrix(terms, amounts)
+
+
+@st.composite
+def bounded_demands(draw, terms, n_prime):
+    """An n'-bounded demand over `terms` in halves, drawn pair by pair
+    within the row and column budgets left."""
+    out_left = {u: 2 * n_prime for u in terms}
+    in_left = {v: 2 * n_prime for v in terms}
+    amounts = {}
+    for u in terms:
+        for v in terms:
+            if u != v:
+                halves = min(draw(st.integers(0, 2 * n_prime)),
+                             out_left[u], in_left[v])
+                out_left[u] -= halves
+                in_left[v] -= halves
+                amounts[(u, v)] = Fraction(halves, 2)
+    return DemandMatrix(terms, amounts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(terminal_multigraphs(), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+def test_witness_router_audits(g, n_prime, extra, data):
+    # the larger n' goes first, so an answer at the same tau inherits its
+    # witness through the ledger
+    assume(g.connected(g.terminals))
+    terms = g.terminals
+    demand = data.draw(bounded_demands(terms, n_prime))
+    assume(demand.total > 0)
+    mcf_mod.reset_tau_mcf_ledger()
+    tau_big = tau_mcf(g, terms, n_prime + extra)
+    tau = tau_mcf(g, terms, n_prime)
+    witness = mcf_mod._LEDGER[(g, terms)][n_prime]
+    assert witness.tau == tau
+    assert witness.n_prime == (n_prime + extra if tau == tau_big else n_prime)
+    sched = route_bounded_demand(g, terms, demand, n_prime)
+    assert sched.horizon == 2 * tau
+    stats = audit_schedule(sched, g, demands=dict(demand.amounts))
+    assert stats["max_load"] <= 1 + sched.tolerance
+
+
+def test_route_bounded_demand_solves_no_lp(monkeypatch):
+    # at n' = 8 the router reuses the witness of the LP that decided
+    # tau_mcf; at n' = 7 the ledger's answer 5 at n' = 8 decides tau_mcf
+    # and lends its witness
+    g = ring_of_cliques(4, 4)
+    terms = g.terminals
+    assert tau_mcf(g, terms, 8) == 5
+    solves = []
+
+    def counting_linprog(*args, **kwargs):
+        solves.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(mcf_mod, "linprog", counting_linprog)
+    demand = DemandMatrix(terms, {(terms[0], terms[1]): 4,
+                                  (terms[0], terms[2]): 3,
+                                  (terms[3], terms[1]): 3})
+    for n_prime in (8, 7):
+        sched = route_bounded_demand(g, terms, demand, n_prime)
+        assert solves == [] and sched.horizon == 10
+        stats = audit_schedule(sched, g, demands=dict(demand.amounts))
+        assert stats["max_load"] <= 1 + sched.tolerance
+    assert mcf_mod._LEDGER[(g, terms)][7].n_prime == 8
 
 
 def test_balanced_partition_clique():
@@ -386,10 +451,12 @@ def test_lp_readback_matches_reference():
         cost, a_ub, b_ub, a_eq, b_eq = mcf_lp_reference(g, tau, demands)
         res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                       bounds=(0, None), method="highs")
-        got = _solve_mcf(g, tau, demands)
+        tg = build_timed_graph(g, tau)
+        x = _mcf_vertex(tg, demands)
         if res.status == 2:
-            assert got is None
+            assert x is None
             continue
+        got = _read_flows(tg, sorted(demands), *_support(x))
         assert got == mcf_flows_reference(g, tau, demands, res.x,
                                           LP_TOLERANCE / 10), (g, tau)
         solved += 1

@@ -5,13 +5,13 @@ from roundlab import (
     Graph, GraphError, UnreachableError, RoutableError,
     build_timed_graph, max_route_flow, tau_route, extract_level_vector,
     mirror_timed_path, validate_timed_path, TimedPath,
-    path_graph, clique, intro_split_graph, random_connected_graph,
-    parallel_edges,
+    path_graph, clique, grid_graph, intro_split_graph,
+    random_connected_graph, parallel_edges,
 )
 import roundlab.timed as timed_mod
 from roundlab.timed import (
-    SearchLimitError, TimedGraph, base_min_cut, least_feasible_horizon,
-    tau_route_lower_bound, timed_max_flow,
+    SearchLimitError, TimedGraph, base_min_cut, decompose_paths,
+    least_feasible_horizon, tau_route_lower_bound, timed_max_flow,
 )
 from oracles import (
     base_cut_bruteforce, timed_flow_bruteforce, tau_route_bruteforce,
@@ -201,6 +201,48 @@ def test_engine_int32_guard(monkeypatch):
     with pytest.raises(GraphError, match="2147483648"):
         timed_max_flow(tg, 0, tg.node_count,
                        [(tg.node(3, 4), tg.node_count, 2 ** 31)])
+
+
+class Allocated(Exception):
+    pass
+
+
+class NoNumpy:
+    """Stands in for numpy: the first array the code asks for raises."""
+
+    def __getattr__(self, name):
+        raise Allocated(name)
+
+
+def test_arc_ceiling_before_allocating(monkeypatch):
+    # grid 6x6 at tau = 3,750,000 (tau-mcf with n' = 10**7) has 156 arcs
+    # per layer: its capacities fit int32, and arc_arrays asked numpy for
+    # 4.36 GiB
+    monkeypatch.setattr(timed_mod, "np", NoNumpy())
+    tg = build_timed_graph(grid_graph(6, 6), 3_750_000)
+    for build in (tg.arc_arrays, lambda: tg.arcs):
+        with pytest.raises(GraphError,
+                           match=r"m=60 .*tau=3750000 .*585000000 arcs"):
+            build()
+    # the desk-scale cut certificate, path_graph(1200) at horizon 4,810
+    # (17.3 million arcs), passes the ceiling and goes on to allocate
+    with pytest.raises(Allocated):
+        build_timed_graph(path_graph(1200), 4810).arc_arrays()
+
+
+def test_flow_paths_are_lazy(monkeypatch):
+    g = parallel_edges(3)
+    sol = max_route_flow(g, 0, 1, 4)
+    eager = tuple(path for path, units in decompose_paths(
+        build_timed_graph(g, 4), sol.utilization, (0,)) for _ in range(units))
+    assert sol.paths == eager and len(eager) == sol.value == 12
+
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("decomposed a flow read only for its value")
+
+    monkeypatch.setattr(timed_mod, "decompose_paths", no_decompose)
+    assert max_route_flow(g, 0, 1, 4).value == 12
+    assert max_route_flow(intro_split_graph(), 0, 1, 6).value == 18
 
 
 @st.composite
