@@ -39,13 +39,11 @@ from fractions import Fraction
 
 from .circuits import build_ed_circuit, circuit_from_json, circuit_to_json
 from .distgraph import (
-    BalanceError, and_disj_instance, bfs_protocol, graph_oracles,
+    and_disj_instance, bfs_protocol, graph_oracles,
     instance_from_json, or_disj_instance, random_pair_strings,
     edge_to_node_rebalance,
 )
-from .expanders import (
-    ExpansionNotReached, MixingError, cut_matching_embed,
-)
+from .expanders import ExpansionNotReached, cut_matching_embed
 from .graphs import GraphError, UnreachableError, load_graph
 from .mcf import LPSolveError, PartitionInfeasibleError, tau_mcf
 from .protocols import (
@@ -68,10 +66,9 @@ EXIT_INFEASIBLE = 2
 EXIT_INPUT = 3
 EXIT_CONTRACT = 4
 
-INFEASIBLE_ERRORS = (UnreachableError, PartitionInfeasibleError, MixingError,
-                     BalanceError, HypothesisError, NoGoodTreeError,
-                     RoutableError, SearchLimitError, ExpansionNotReached,
-                     MaxRoundsExceeded)
+INFEASIBLE_ERRORS = (UnreachableError, PartitionInfeasibleError,
+                     HypothesisError, NoGoodTreeError, RoutableError,
+                     SearchLimitError, ExpansionNotReached, MaxRoundsExceeded)
 INPUT_ERRORS = (GraphError, FileNotFoundError, json.JSONDecodeError,
                 KeyError, ValueError)
 CONTRACT_ERRORS = (AuditError, ContractViolation, CompileError, AssertionError,
@@ -209,7 +206,7 @@ def cmd_run(args):
     proto, inputs, _, _ = _build_named_protocol(args.protocol, g, inputs,
                                                 args.seed)
     tr = run_protocol(g, proto, inputs, seed=args.seed,
-                      max_rounds=args.max_rounds or proto.max_rounds)
+                      max_rounds=args.max_rounds)
     return {"command": "run", "protocol": args.protocol,
             "rounds": tr.rounds,
             "outputs": {str(t): tr.outputs[t] for t in sorted(tr.outputs)},

@@ -25,15 +25,6 @@ from .mcf import DemandMatrix, route_bounded_demand
 from .sim import ProtocolSpec
 
 
-class BalanceError(ValueError):
-    """Input distribution exceeds the configured balance bound."""
-
-    def __init__(self, skew, bound):
-        super().__init__(f"measured skew {skew} exceeds bound {bound}")
-        self.skew = skew
-        self.bound = bound
-
-
 @dataclass
 class DistributedGraphInput:
     """H = union of per-terminal subgraphs, with its distribution mode."""
@@ -334,7 +325,7 @@ def _decode(bits):
     return sum(b << i for i, b in enumerate(bits))
 
 
-def bfs_protocol(g, terminals, inp, variant, balance_bound=None):
+def bfs_protocol(g, terminals, inp, variant):
     """Flooding BFS over a node-distributed H, as a bit-level protocol.
 
     Token notifications are framed packets (start bit + target vertex +
@@ -361,10 +352,6 @@ def bfs_protocol(g, terminals, inp, variant, balance_bound=None):
         raise GraphError("input terminals do not match")
     if not g.connected():
         raise GraphError("communication graph must be connected")
-    if balance_bound is not None:
-        skew = max(inp.sizes().values(), default=0)
-        if skew > balance_bound:
-            raise BalanceError(skew, balance_bound)
 
     n_h = inp.num_vertices
     placement = dict(inp.assignment)
@@ -667,27 +654,3 @@ def bfs_protocol(g, terminals, inp, variant, balance_bound=None):
               "vertex_bits": b_v},
     )
 
-
-def bfs_layer_demands(inp, start=0):
-    """Analytic per-layer notification demands of the flood over H, as
-    DemandMatrix-shaped dicts per BFS layer (used by the boundedness
-    checks; independent of the protocol's transport machinery)."""
-    adj = inp.adjacency()
-    placement = dict(inp.assignment)
-    dist = {start: 0}
-    frontier = [start]
-    layers = []
-    while frontier:
-        demand = {}
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                src, dst = placement[v], placement[w]
-                if src != dst:
-                    demand[(src, dst)] = demand.get((src, dst), 0) + 1
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        layers.append(demand)
-        frontier = nxt
-    return layers

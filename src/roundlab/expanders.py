@@ -5,8 +5,10 @@ matching per iteration, together with an embedding that maps every
 directed expander edge to a timed path.  The cut player is spectral
 (median split of the lazy-walk second eigenvector); the matching player
 samples one of the n' matchings carried by a balanced-partition flow.
-Expansion is measured by brute force and the whole game retries until the
-target 1/2 is reached.
+Expansion is measured by brute force and the whole game retries, at most
+MAX_RETRIES times, until the target 1/2 is reached.  `embed-expander`
+reports the embedding (expander edges, paths, congestion, lambda2,
+expansion); nothing routes over it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import numpy as np
 from .graphs import Graph, GraphError
 from .mcf import balanced_partition_paths
 from .schedules import RoutingSchedule, ScheduleEntry
-from .timed import TimedPath, mirror_timed_path
+from .timed import mirror_timed_path
+
+# cut-matching games played, each with fresh randomness, before giving up
+MAX_RETRIES = 64
 
 
 class ExpansionNotReached(RuntimeError):
@@ -31,15 +36,6 @@ class ExpansionNotReached(RuntimeError):
             f"no 1/2-expander after {attempts} games (best expansion {best})")
         self.attempts = attempts
         self.best = best
-
-
-class MixingError(ValueError):
-    """The walk length is too short for the required per-entry mass."""
-
-    def __init__(self, given, required):
-        super().__init__(
-            f"T={given} does not reach the 1/(2k) entry bound; need T>={required}")
-        self.required = required
 
 
 def expansion(h):
@@ -71,65 +67,10 @@ def adjacency_counts(h):
     return a
 
 
-def regular_degree(h):
-    degs = {h.degree(v) for v in range(h.n)}
-    if len(degs) != 1:
-        raise GraphError("graph is not regular")
-    return degs.pop()
-
-
 def second_eigenvalue(h):
     """Second largest adjacency eigenvalue (dense symmetric solve)."""
     vals = np.linalg.eigvalsh(adjacency_counts(h))
     return float(vals[-2])
-
-
-def cheeger_bounds(h):
-    """(d - lambda2)/2 <= expansion <= sqrt(2 d (d - lambda2))."""
-    d = regular_degree(h)
-    lam2 = second_eigenvalue(h)
-    gap = max(d - lam2, 0.0)
-    return gap / 2.0, float(np.sqrt(2.0 * d * gap))
-
-
-def lazy_walk_distribution(x, q, steps):
-    """Exact lazy-walk distribution ((I + A/d)/2)^T q on a regular
-    multigraph, in rational arithmetic.
-
-    Also verifies the mixing inequality
-    ||result - uniform||_1 <= sqrt(N) * ((1 + lambda2/d)/2)^T
-    against the measured lambda2 (1e-9 arithmetic slack).
-    """
-    d = regular_degree(x)
-    n = x.n
-    if len(q) != n:
-        raise GraphError("distribution length mismatch")
-    p = [Fraction(v) if not isinstance(v, float) else Fraction(v) for v in q]
-    if sum(p) != 1:
-        raise GraphError("initial distribution must sum to 1")
-    counts = [[0] * n for _ in range(n)]
-    for u, v in x.edges:
-        counts[u][v] += 1
-        counts[v][u] += 1
-    for _ in range(steps):
-        nxt = [Fraction(0)] * n
-        for v in range(n):
-            if p[v] == 0:
-                continue
-            nxt[v] += p[v] / 2
-            share = p[v] / (2 * d)
-            row = counts[v]
-            for w in range(n):
-                if row[w]:
-                    nxt[w] += share * row[w]
-        p = nxt
-    l1 = float(sum(abs(pi - Fraction(1, n)) for pi in p))
-    lam2 = second_eigenvalue(x)
-    bound = np.sqrt(n) * ((1 + lam2 / d) / 2) ** steps
-    if l1 > bound + 1e-9:
-        raise AssertionError(
-            f"lazy walk L1 distance {l1} exceeds spectral bound {bound}")
-    return tuple(p)
 
 
 @dataclass
@@ -145,10 +86,6 @@ class ExpanderEmbedding:
     congestion_per_iteration: tuple
     congestion: int
     retries: int
-
-    def out_instances(self, i):
-        """Directed edge instances leaving expander vertex i."""
-        return sorted(key for key in self.paths if key[0] == i)
 
 
 def _perfect_matching(k_half, adj):
@@ -203,7 +140,7 @@ def _congestion(paths, tau):
         tau, tuple(ScheduleEntry(None, tp, 1) for tp in paths)).max_load()
 
 
-def cut_matching_embed(g, terminals, tau, n_prime, seed, max_retries=64):
+def cut_matching_embed(g, terminals, tau, n_prime, seed):
     """Run the cut-matching game over the terminals at horizon tau.
 
     Per iteration the spectral cut player proposes a balanced bipartition
@@ -211,15 +148,18 @@ def cut_matching_embed(g, terminals, tau, n_prime, seed, max_retries=64):
     from a balanced-partition flow and plays one uniformly at random, and
     both the matched paths and their time-mirrored twins enter the
     embedding (congestion at most 2 per iteration).  The game retries with
-    fresh randomness until the measured expansion reaches 1/2.
+    fresh randomness, at most MAX_RETRIES games, until the measured
+    expansion reaches 1/2.
     """
     terms = tuple(sorted(terminals))
     k = len(terms)
     if k < 2 or k % 2:
         raise GraphError("cut-matching game needs an even number of terminals")
+    if n_prime < 1:
+        raise GraphError(f"n_prime must be at least 1, got {n_prime}")
     budget = max(1, int(np.ceil(np.log2(k))) ** 2)
     best_seen = Fraction(0)
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = random.Random(f"cmg:{seed}:{attempt}")
         edges = []
         paths = {}
@@ -269,88 +209,5 @@ def cut_matching_embed(g, terminals, tau, n_prime, seed, max_retries=64):
                     congestion=_congestion(paths.values(), tau),
                     retries=attempt,
                 )
-    raise ExpansionNotReached(max_retries, best_seen)
+    raise ExpansionNotReached(MAX_RETRIES, best_seen)
 
-
-def minimal_mixing_steps(emb, cap=10_000):
-    """Smallest T at which every entry of the lazy-walk distribution from
-    every start vertex reaches 1/(2k)."""
-    k = emb.expander.n
-    d = emb.d
-    a = adjacency_counts(emb.expander)
-    walk = (np.eye(k) + a / d) / 2.0
-    target = 1.0 / (2 * k)
-    power = np.eye(k)
-    for steps in range(cap + 1):
-        if power.min() >= target - 1e-12:
-            # confirm exactly with rationals (float guard)
-            if _exact_min_entry(emb, steps) >= Fraction(1, 2 * k):
-                return steps
-        power = walk @ power
-    raise MixingError(cap, None)
-
-
-def _exact_min_entry(emb, steps):
-    k = emb.expander.n
-    low = None
-    for start in range(k):
-        q = [Fraction(1) if i == start else Fraction(0) for i in range(k)]
-        dist = lazy_walk_distribution(emb.expander, q, steps)
-        m = min(dist)
-        low = m if low is None else min(low, m)
-    return low
-
-
-def random_walk_route(emb, steps):
-    """Simulate the lazy walk over the embedded expander as a fractional
-    schedule on the (steps * tau)-horizon expansion of the base graph.
-
-    Each walk step t time-shifts the embedded paths by (t-1)*tau; staying
-    mass rides memory edges.  Amounts are exact rationals, scaled by 2n'
-    so that every ordered terminal pair receives at least n'/k flow; the
-    resulting congestion is measured and recorded (use congestion_to_delay
-    for a congestion-1 schedule).
-    """
-    k = emb.expander.n
-    d = emb.d
-    tau = emb.tau
-    if _exact_min_entry(emb, steps) < Fraction(1, 2 * k):
-        required = minimal_mixing_steps(emb)
-        raise MixingError(steps, required)
-    scale = 2 * emb.n_prime
-    mass = {(i, i): Fraction(1) for i in range(k)}
-    out_inst = {i: emb.out_instances(i) for i in range(k)}
-    entries = []
-    for t in range(1, steps + 1):
-        offset = (t - 1) * tau
-        nxt = {}
-        for (v, com), amt in sorted(mass.items()):
-            if amt == 0:
-                continue
-            stay = amt / 2
-            u_term = emb.terminals[v]
-            entries.append(ScheduleEntry(
-                ("walk", emb.terminals[com]),
-                TimedPath(offset, (u_term,) * (tau + 1), (None,) * tau),
-                stay * scale))
-            nxt[(v, com)] = nxt.get((v, com), Fraction(0)) + stay
-            share = amt / (2 * d)
-            for key in out_inst[v]:
-                _, j, _ = key
-                entries.append(ScheduleEntry(
-                    ("walk", emb.terminals[com]),
-                    emb.paths[key].shifted(offset),
-                    share * scale))
-                nxt[(j, com)] = nxt.get((j, com), Fraction(0)) + share
-        mass = nxt
-    delivered_min = min(mass[(v, c)] for v in range(k) for c in range(k)) * scale
-    schedule = RoutingSchedule(
-        horizon=steps * tau,
-        entries=tuple(entries),
-        tolerance=0.0,
-        meta={"walk_steps": steps, "tau": tau, "scale": scale,
-              "delivered_min": delivered_min,
-              "per_pair_target": Fraction(emb.n_prime, k)},
-    )
-    schedule.congestion = schedule.max_load()
-    return schedule

@@ -283,7 +283,7 @@ def intro_split_graph(num_paths=4, path_length=4):
         edges.append((prev, b))
     return Graph(n, tuple(edges), (a, b))
 
-def random_connected_graph(n, extra_edges, seed, k=2, allow_parallel=False):
+def random_connected_graph(n, extra_edges, seed, k=2):
     """Random connected multigraph: a random spanning tree plus extra edges."""
     rng = random.Random(seed)
     if n < 2:
@@ -299,7 +299,7 @@ def random_connected_graph(n, extra_edges, seed, k=2, allow_parallel=False):
             if u == v:
                 continue
             e = (min(u, v), max(u, v))
-            if allow_parallel or e not in edges:
+            if e not in edges:
                 edges.append(e)
                 break
         # give up quietly when the simple graph is saturated

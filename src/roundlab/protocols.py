@@ -60,17 +60,6 @@ def disjointness_function(k, n):
     return ComposedFunction(n, k, lambda bits: int(any(bits)), (table,) * n)
 
 
-def parity_of_majorities(k, n):
-    table = tuple(int(c > k / 2) for c in range(k + 1))
-    return ComposedFunction(n, k, lambda bits: sum(bits) % 2, (table,) * n)
-
-
-def all_unique_marks(k, n):
-    """1 iff every coordinate is held by exactly one terminal."""
-    table = tuple(int(c == 1) for c in range(k + 1))
-    return ComposedFunction(n, k, lambda bits: int(all(bits)), (table,) * n)
-
-
 def disj_oracle(xs):
     n = len(xs[0])
     return int(any(all(x[i] for x in xs) for i in range(n)))
@@ -78,32 +67,6 @@ def disj_oracle(xs):
 
 def ed_oracle(xs):
     return int(len({tuple(x) for x in xs}) == len(xs))
-
-
-def _pairwise(strings, combine):
-    players = sorted({u for u, _ in strings})
-    vals = []
-    for i, u in enumerate(players):
-        for w in players[i + 1:]:
-            x, y = strings[(u, w)], strings[(w, u)]
-            vals.append(int(any(a and b for a, b in zip(x, y))))
-    return combine(vals)
-
-
-def or_disj_oracle(strings):
-    return _pairwise(strings, lambda vs: int(any(vs)))
-
-
-def and_disj_oracle(strings):
-    return _pairwise(strings, lambda vs: int(all(vs)))
-
-
-def reference_oracles(name):
-    table = {"DISJ": disj_oracle, "ED": ed_oracle,
-             "OR-DISJ": or_disj_oracle, "AND-DISJ": and_disj_oracle}
-    if name not in table:
-        raise GraphError(f"unknown oracle {name!r}")
-    return table[name]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +268,7 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
     thresholds (per-level load thresholds of the gate assignment),
     data_rounds, broadcast_rounds, answer_round, assignment (per level, the
     terminal owning each gate) and output_owner.  The reporting-only
-    per-level horizons 2*tau_mcf(3*threshold) come from `window_bounds()`.
+    per-level horizons 2*tau_mcf(3*threshold) are not computed.
     """
     terms = tuple(sorted(terminals))
     n = circuit.n
@@ -480,17 +443,6 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
               "assignment": tuple(tuple(row) for row in assignment),
               "output_owner": owner},
     )
-
-
-def window_bounds(g, terminals, meta):
-    """Per level of a compiled circuit, the bounded-demand horizon
-    2*tau_mcf(G, K, 3*threshold) that its window is measured against; 0
-    for a level whose window is 0 (no units to route).  Reporting only:
-    the compiler routes by the actual unit loads and never needs these."""
-    terms = tuple(sorted(terminals))
-    return tuple(0 if window == 0 else 2 * tau_mcf(g, terms, 3 * threshold)
-                 for window, threshold in zip(meta["windows"],
-                                              meta["thresholds"]))
 
 
 # ---------------------------------------------------------------------------

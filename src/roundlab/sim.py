@@ -167,6 +167,8 @@ def run_protocol(g, protocol, inputs, seed=0, max_rounds=None):
     """
     if set(inputs) != set(g.terminals):
         raise GraphError("inputs must cover exactly the terminals")
+    if max_rounds is not None and max_rounds < 0:
+        raise GraphError(f"max_rounds must be nonnegative, got {max_rounds}")
     limit = max_rounds if max_rounds is not None else protocol.max_rounds
     pub = PublicRandomness(seed)
     ends = [dict(g.incidence[v]) for v in range(g.n)]

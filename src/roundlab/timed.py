@@ -78,10 +78,6 @@ class TimedGraph:
     def node_count(self):
         return (self.tau + 1) * self.base.n
 
-    @property
-    def nonmemory_edge_count(self):
-        return 2 * self.base.m * self.tau
-
     def _check_size(self):
         count = (2 * self.base.m + self.base.n) * self.tau
         if count > MAX_TIMED_ARCS:
@@ -146,28 +142,10 @@ class TimedPath:
     def end(self):
         return self.start + len(self.edge_ids)
 
-    @property
-    def hops(self):
-        """Number of non-memory steps."""
-        return sum(1 for e in self.edge_ids if e is not None)
-
     def steps(self):
         """Yield (layer, edge_id, tail, head) per step."""
         for j, eid in enumerate(self.edge_ids):
             yield (self.start + j, eid, self.verts[j], self.verts[j + 1])
-
-    def shifted(self, offset):
-        return TimedPath(self.start + offset, self.verts, self.edge_ids)
-
-    def base_path(self):
-        """Project to the base graph, dropping memory dwell steps."""
-        verts = [self.verts[0]]
-        eids = []
-        for j, eid in enumerate(self.edge_ids):
-            if eid is not None:
-                verts.append(self.verts[j + 1])
-                eids.append(eid)
-        return tuple(verts), tuple(eids)
 
 
 def validate_timed_path(g, path, horizon):

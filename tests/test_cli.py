@@ -10,7 +10,7 @@ import roundlab.mcf as mcf_mod
 import roundlab.steiner as steiner_mod
 from roundlab.sim import ExtractionError
 from roundlab import (
-    clique, format_graph_text, graph_to_json, grid_graph, parallel_edges,
+    clique, format_graph_text, grid_graph, parallel_edges,
     path_graph, random_connected_graph, ring_of_cliques,
 )
 from roundlab.circuits import build_ed_circuit, circuit_from_json, circuit_to_json
@@ -219,6 +219,15 @@ def test_embed_expander_payload(tmp_path, capsys):
     assert code == 0
     assert set(payload) >= {"expander_edges", "paths", "congestion",
                             "lambda2", "expansion"}
+
+
+def test_embed_expander_rejects_nprime_below_one(tmp_path, capsys):
+    gpath = _write_graph(tmp_path, clique(4))
+    for nprime in ("0", "-1"):
+        code = main(["embed-expander", "--graph", gpath, "--tau", "1",
+                     "--nprime", nprime])
+        err = capsys.readouterr().err
+        assert code == 3 and "n_prime" in err and "Traceback" not in err
 
 
 def test_bench_disj_parallel_bundle(tmp_path, capsys):
@@ -454,6 +463,20 @@ def test_run_with_random_inputs(tmp_path, capsys, protocol, g):
     oracle = disj_oracle if protocol == "disj-aggregate" else ed_oracle
     assert set(payload["outputs"].values()) == {oracle(xs)}
     assert payload["seed"] == 5
+
+
+def test_run_max_rounds(tmp_path, capsys):
+    gpath = _write_graph(tmp_path, grid_graph(3, 3))
+    argv = ["run", "--graph", gpath, "--protocol", "disj-aggregate",
+            "--n", "6"]
+    code, full = _run(capsys, argv)
+    assert code == 0
+    code, capped = _run(capsys, argv + ["--max-rounds", str(full["rounds"])])
+    assert code == 0 and capped == full
+    assert main(argv + ["--max-rounds", "0"]) == 2
+    assert "within 0 rounds" in capsys.readouterr().err
+    assert main(argv + ["--max-rounds", "-1"]) == 3
+    assert "max_rounds" in capsys.readouterr().err
 
 
 def test_run_unknown_protocol_exit_code(tmp_path, capsys):

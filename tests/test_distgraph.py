@@ -2,12 +2,10 @@ import itertools
 import math
 import random
 
-import pytest
-
-from roundlab import Graph, clique, path_graph, random_connected_graph
+from roundlab import Graph, clique, random_connected_graph
 from roundlab.distgraph import (
-    BalanceError, DistributedGraphInput, and_disj_instance, bfs_layer_demands,
-    bfs_protocol, edge_to_node_rebalance, graph_oracles, instance_from_json,
+    DistributedGraphInput, and_disj_instance, bfs_protocol,
+    edge_to_node_rebalance, graph_oracles, instance_from_json,
     or_disj_instance, random_pair_strings,
 )
 from roundlab.schedules import audit_schedule
@@ -309,33 +307,3 @@ def test_bfs_random_instances_all_variants():
             ans, _ = _run_variant(g, inp, variant, seed=case)
             want = graph_oracles(inp.num_vertices, inp.edges, query)
             assert ans == want, (case, variant)
-
-
-def test_bfs_balance_rejection():
-    g = clique(3)
-    inp = DistributedGraphInput(4, ((0, 1), (1, 2), (2, 3)), "node",
-                                g.terminals, {0: 0, 1: 0, 2: 0, 3: 0})
-    with pytest.raises(BalanceError) as exc:
-        bfs_protocol(g, g.terminals, inp, "connectivity", balance_bound=3)
-    assert exc.value.skew == 6
-
-
-def test_bfs_layer_demand_boundedness():
-    rng = random.Random(7)
-    for case in range(15):
-        g = clique(4)
-        inp = _random_node_instance(rng, rng.randint(4, 16), g.terminals)
-        layers = bfs_layer_demands(inp, start=0)
-        k = len(g.terminals)
-        for demand in layers:
-            if not demand:
-                continue
-            m_i = sum(demand.values())
-            delta_i = inp.max_degree
-            peak = max(
-                max(sum(a for (s, _), a in demand.items() if s == t)
-                    for t in g.terminals),
-                max(sum(a for (_, d), a in demand.items() if d == t)
-                    for t in g.terminals))
-            log_factor = math.log2(inp.num_vertices * k + 2)
-            assert peak <= (m_i / k + delta_i) * log_factor * 4

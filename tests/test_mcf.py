@@ -136,6 +136,17 @@ def test_tau_mcf_lower_bound_on_bench_graphs():
         assert tau_mcf_lower_bound(g, g.terminals, n_prime) == bound
 
 
+def test_tau_mcf_flow_bound_on_one_edge_cuts():
+    # a one-edge cut leaves the timed flows work to do: on the path they
+    # lift the base-cut bound 4 to the answer 6; only where the cut edge
+    # joins the two terminals (K2) do tau rounds carry exactly tau units,
+    # the base-cut bound, so the flows add nothing there
+    for g, bounds in ((path_graph(3), (4, 6, 6)), (clique(2), (4, 4, 4))):
+        assert (tau_mcf_lower_bound(g, g.terminals, 8),
+                tau_mcf_flow_bound(g, g.terminals, 8),
+                tau_mcf(g, g.terminals, 8)) == bounds
+
+
 @pytest.mark.parametrize("k,cuts", [(4, 7), (10, 511), (11, 11)])
 def test_tau_mcf_lower_bound_cut_count(monkeypatch, k, cuts):
     # every bipartition up to CUT_BOUND_MAX_TERMINALS, singletons above

@@ -17,30 +17,35 @@ from roundlab.distgraph import (
 )
 from roundlab.mcf import tau_mcf
 from roundlab.protocols import (
-    ComposedFunction, all_unique_marks, compile_circuit, default_input_layout,
-    disjointness_function, ed_hash_reduce, parity_of_majorities,
-    reference_oracles, steiner_aggregate_protocol, window_bounds,
+    ComposedFunction, compile_circuit, default_input_layout, disj_oracle,
+    disjointness_function, ed_hash_reduce, ed_oracle,
+    steiner_aggregate_protocol,
 )
 from roundlab.sim import ProtocolSpec, run_protocol
 from roundlab.steiner import disjointness_bound, pack_steiner_trees
 
 from oracles import aggregate_protocol_reference
-from oracles import and_disj_oracle as and_oracle_ref
 from oracles import disj_oracle as disj_ref
 from oracles import ed_oracle as ed_ref
-from oracles import or_disj_oracle as or_oracle_ref
+
+
+def parity_of_majorities(k, n):
+    table = tuple(int(c > k / 2) for c in range(k + 1))
+    return ComposedFunction(n, k, lambda bits: sum(bits) % 2, (table,) * n)
+
+
+def all_unique_marks(k, n):
+    """1 iff every coordinate is held by exactly one terminal."""
+    table = tuple(int(c == 1) for c in range(k + 1))
+    return ComposedFunction(n, k, lambda bits: int(all(bits)), (table,) * n)
 
 
 def test_reference_oracles_agree_with_test_oracles():
-    disj = reference_oracles("DISJ")
-    ed = reference_oracles("ED")
-    assert disj([(1, 0, 1), (0, 1, 1), (1, 1, 1)]) == 1 == \
+    assert disj_oracle([(1, 0, 1), (0, 1, 1), (1, 1, 1)]) == 1 == \
         disj_ref([(1, 0, 1), (0, 1, 1), (1, 1, 1)])
-    assert ed([(0, 1), (0, 1)]) == 0 == ed_ref([(0, 1), (0, 1)])
-    strings = {(0, 1): (1, 0), (1, 0): (1, 1)}
-    assert reference_oracles("OR-DISJ")(strings) == or_oracle_ref(strings)
-    assert reference_oracles("AND-DISJ")(strings) == and_oracle_ref(strings)
-    assert reference_oracles("AND-DISJ")({(0, 1): (1,), (1, 0): (1,)}) == 1
+    assert disj_oracle([(1, 0), (0, 1)]) == 0 == disj_ref([(1, 0), (0, 1)])
+    assert ed_oracle([(0, 1), (0, 1)]) == 0 == ed_ref([(0, 1), (0, 1)])
+    assert ed_oracle([(0, 1), (1, 0)]) == 1 == ed_ref([(0, 1), (1, 0)])
 
 
 def test_composed_function_evaluate():
@@ -246,7 +251,8 @@ def test_compile_round_accounting():
     inputs = {t: (1, 0) for t in g.terminals}
     tr = run_protocol(g, proto, inputs, seed=0)
     windows = proto.meta["windows"]
-    bounds = window_bounds(g, g.terminals, proto.meta)
+    bounds = [0 if window == 0 else 2 * tau_mcf(g, g.terminals, 3 * t)
+              for window, t in zip(windows, proto.meta["thresholds"])]
     assert sum(windows) <= sum(bounds)
     assert tr.rounds <= sum(bounds) + proto.meta["broadcast_rounds"] + 2
 
