@@ -403,8 +403,9 @@ def bfs_protocol(g, terminals, inp, variant):
         pending = [v for v in state["adj"] if v not in state["tokens"]]
         return min(pending) if pending else None
 
-    def process_token(state, v_self, target, source, parity, injections):
-        """Handle an arriving token at the owner; returns packets to emit."""
+    def process_token(state, target, source, parity, injections):
+        """Handle an arriving token at the owner; appends the tokens it
+        sends on to `injections`."""
         tokens = state["tokens"]
         if target in tokens:
             state["dup"] = 1
@@ -423,8 +424,7 @@ def bfs_protocol(g, terminals, inp, variant):
             target, source, parity = injections.pop(0)
             owner = placement[target]
             if owner == v_self:
-                process_token(state, v_self, target, source, parity,
-                              injections)
+                process_token(state, target, source, parity, injections)
             else:
                 eid, _ = next_hop[(v_self, owner)]
                 payload = (_encode(target, b_v) + _encode(source, b_v)
@@ -432,17 +432,9 @@ def bfs_protocol(g, terminals, inp, variant):
                 state["queues"][eid].append(payload)
 
     def handle_packet(state, v_self, payload):
-        target = _decode(payload[:b_v])
-        source = _decode(payload[b_v:2 * b_v])
-        parity = payload[2 * b_v]
-        owner = placement[target]
-        if owner == v_self:
-            injections = []
-            process_token(state, v_self, target, source, parity, injections)
-            deliver_local(state, v_self, injections)
-        else:
-            eid, _ = next_hop[(v_self, owner)]
-            state["queues"][eid].append(payload)
+        deliver_local(state, v_self, [(_decode(payload[:b_v]),
+                                       _decode(payload[b_v:2 * b_v]),
+                                       payload[2 * b_v])])
 
     def transport_round(state, v_self, r, inbox, sends):
         # receive side: continue or start frames
@@ -613,9 +605,7 @@ def bfs_protocol(g, terminals, inp, variant):
         if rep["phase"] == "transport":
             if r == 0 and rep["inject"] is not None \
                     and placement[rep["inject"]] == v:
-                injections = []
-                process_token(state, v, rep["inject"], None, 0, injections)
-                deliver_local(state, v, injections)
+                deliver_local(state, v, [(rep["inject"], None, 0)])
             transport_round(state, v, r, inbox, sends)
         elif rep["phase"] == "sync":
             if r == 0:

@@ -115,12 +115,12 @@ def _assemble_mcf_lp(tg, demands_by_source):
     """The arc-based LP on `tg` for demands {source: {dest: amount}} as
     (cost, A_ub, b_ub, A_eq, b_eq).
 
-    Variable si * len(arcs) + ai is commodity si's flow on arc ai (in
-    `TimedGraph.arcs` order, sources sorted).  Each edge arc carries at
-    most one unit over all commodities; memory arcs are free in the
-    objective, so idle commodities dwell in place.  Each commodity numbers
-    its conservation rows by first appearance along the arcs, tail before
-    head.  HiGHS picks among optimal vertices by input order, and the
+    Variable si * n_arcs + ai is commodity si's flow on arc ai (indexed
+    like `TimedGraph.arc_arrays()`, sources sorted).  Each edge arc
+    carries at most one unit over all commodities; memory arcs are free in
+    the objective, so idle commodities dwell in place.  Each commodity
+    numbers its conservation rows by first appearance along the arcs, tail
+    before head.  HiGHS picks among optimal vertices by input order, and the
     witness routings come from that vertex, so the numbering is kept
     exactly.
     """
@@ -182,16 +182,13 @@ def _support(x):
     return support, x[support]
 
 
-def _read_flows(tg, sources, support, amounts):
-    """Per-source arc flows {source: {arc_key: amount}} from the
-    `_support` of an `_mcf_vertex` solution on `tg` for the sorted
-    `sources`."""
-    arcs = tg.arcs
-    out = {src: {} for src in sources}
-    for i, amount in zip(support.tolist(), amounts):
-        si, ai = divmod(i, len(arcs))
-        out[sources[si]][arcs[ai]] = amount
-    return out
+def _source_flows(tg, n_sources, support, amounts):
+    """The `_support` of an `_mcf_vertex` solution on `tg` scattered back
+    into one arc-flow vector per source: row si is sorted source si's flow,
+    indexed like `TimedGraph.arc_arrays()`."""
+    flows = np.zeros((n_sources, (2 * tg.base.m + tg.base.n) * tg.tau))
+    flows.flat[support] = amounts
+    return flows
 
 
 def mcf_feasible(g, demand, tau, vertices=None):
@@ -226,8 +223,8 @@ _LEDGER = OrderedDict()     # (graph, sorted terminals) -> {n': Witness}
 class Witness:
     """The routing behind a recorded tau_mcf answer: the LP vertex, kept
     as its `_support` (indices, amounts), routes the uniform n_prime/k
-    demand with congestion 1 at horizon tau.  `_read_flows` turns it into
-    arc flows when a router needs them."""
+    demand with congestion 1 at horizon tau.  `_source_flows` turns it
+    into arc flows when a router needs them."""
 
     tau: int
     n_prime: Fraction
@@ -438,8 +435,9 @@ def route_bounded_demand(g, terminals, demand, n_prime):
 
     tg = build_timed_graph(g, tau_star)
     eps = 1e-9
-    flows = _read_flows(tg, terminals, witness.support, witness.amounts)
-    paths = {u: decompose_paths(tg, flows[u], (u,), eps) for u in terminals}
+    flows = _source_flows(tg, k, witness.support, witness.amounts)
+    paths = {u: decompose_paths(tg, flow, (u,), eps)
+             for u, flow in zip(terminals, flows)}
 
     def dwell(v):
         return TimedPath(0, (v,) * (tau_star + 1), (None,) * tau_star)
@@ -524,7 +522,7 @@ def balanced_partition_paths(g, tau, side_a, side_b, n_prime):
     required = n_prime * len(side_a)
     if flow.value < required:
         raise PartitionInfeasibleError(flow.value, required)
-    return [path for path, units in decompose_paths(tg, flow.arc_flows(),
+    return [path for path, units in decompose_paths(tg, flow.arc_units(),
                                                     side_a)
             for _ in range(units)]
 

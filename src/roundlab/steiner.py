@@ -61,10 +61,7 @@ class BasePath:
 
 @dataclass(frozen=True)
 class PathCollection:
-    source: int
-    sink: int
     paths: tuple
-    bound: int
 
     @property
     def value(self):
@@ -204,12 +201,12 @@ def short_disjoint_paths(g, a, b, max_hops, target=None):
     if a == b:
         raise GraphError("endpoints must differ")
     if target is not None and target <= 0:
-        return PathCollection(a, b, (), max_hops)
+        return PathCollection(())
     hop_limits = [max_hops]
     if target is not None:
         dist = g.distances_from(a)[b]
         if dist is None or dist > max_hops:
-            return PathCollection(a, b, (), max_hops)
+            return PathCollection(())
         hop_limits = list(range(dist, max_hops + 1))
     # edge-disjoint a-b paths leave a and enter b on distinct edges
     bound = min(g.degree(a), g.degree(b))
@@ -221,8 +218,8 @@ def short_disjoint_paths(g, a, b, max_hops, target=None):
         if len(found) > len(best):
             best = found
         if target is not None and len(best) >= target:
-            return PathCollection(a, b, tuple(best[:target]), max_hops)
-    return PathCollection(a, b, tuple(best), max_hops)
+            return PathCollection(tuple(best[:target]))
+    return PathCollection(tuple(best))
 
 
 def _max_disjoint(candidates, target, bound):
@@ -321,10 +318,6 @@ def pair_terminals_on_tree(g, edge_ids, subset, root):
 class MatchingResult:
     matching: tuple
     paths: tuple
-    length_bound: int
-    tree_edges: frozenset
-    good_trees: int
-    total_trees: int
 
 
 def matching_with_paths(g, k_prime, path_budget, max_hops, seed):
@@ -367,12 +360,12 @@ def matching_with_paths(g, k_prime, path_budget, max_hops, seed):
         matching, paths = pair_terminals_on_tree(g, tree_edges, k_prime, root)
         long_count = sum(1 for p in paths if p.length > length_bound)
         if 4 * long_count < len(k_prime):
-            good.append((tree_edges, matching, paths))
+            good.append((matching, paths))
     if not good:
         raise NoGoodTreeError(
             f"all {len(trees)} support trees were bad for k'={k_prime}")
     rng = random.Random(f"match:{seed}")
-    tree_edges, matching, paths = good[rng.randrange(len(good))]
+    matching, paths = good[rng.randrange(len(good))]
     kept = [(m, p) for m, p in zip(matching, paths)
             if p.length <= length_bound]
     matching = tuple(m for m, _ in kept)
@@ -383,8 +376,7 @@ def matching_with_paths(g, k_prime, path_budget, max_hops, seed):
         for eid in p.edge_ids:
             assert eid not in used, "matching paths overlap"
             used.add(eid)
-    return MatchingResult(matching, paths, length_bound, tree_edges,
-                          len(good), len(trees))
+    return MatchingResult(matching, paths)
 
 
 def _grow_steiner_tree(g, terminals, residual):

@@ -14,11 +14,13 @@ Every maximum flow here comes from one engine, `timed_max_flow`: it lays
 the arcs out as an int32 CSR capacity matrix straight from
 `TimedGraph.arc_arrays` and runs scipy's C Dinic on it
 (`scipy.sparse.csgraph.maximum_flow`), so no horizon meets a recursion
-limit.  The CSR sums parallel arcs into one entry; `TimedFlow.arc_flows`
-splits each summed flow back over its parallel base edges in edge-id
-order.  Flows become timed paths through the one decomposer,
-`decompose_paths`.  A network of more than MAX_TIMED_ARCS arcs is refused
-with a GraphError before anything is allocated.  The level vector of
+limit.  The index of `arc_arrays` is the one layout of a timed flow: a
+flow is a vector with one entry per arc, as are the LP columns of `mcf`.
+The CSR sums parallel arcs into one entry; `TimedFlow.arc_units` splits
+each summed flow back over its parallel base edges in edge-id order.
+Flows become timed paths through the one decomposer, `decompose_paths`.
+A network of more than MAX_TIMED_ARCS arcs is refused with a GraphError
+before anything is allocated.  The level vector of
 `extract_level_vector` is read off the residual network: the set of
 nodes reachable from the source is the source side of the minimal min
 cut, which is the same for every maximum flow, so the levels do not
@@ -78,33 +80,20 @@ class TimedGraph:
     def node_count(self):
         return (self.tau + 1) * self.base.n
 
-    def _check_size(self):
-        count = (2 * self.base.m + self.base.n) * self.tau
+    def arc_arrays(self):
+        """The arcs as numpy columns (tail, head, is_edge); tail and head
+        are node ids (layer * n + vertex).  Arc index i lies in layer
+        i // (2m + n); within a layer, index 2 * eid is edge eid's arc
+        u -> v and 2 * eid + 1 its arc v -> u, for edges[eid] = (u, v),
+        and 2m + v is vertex v's memory arc.  Every timed flow is a vector
+        over this index.  Raises GraphError, before allocating, past
+        MAX_TIMED_ARCS."""
+        n, m = self.base.n, self.base.m
+        count = (2 * m + n) * self.tau
         if count > MAX_TIMED_ARCS:
             raise GraphError(
-                f"timed network with m={self.base.m} edges at tau={self.tau} "
+                f"timed network with m={m} edges at tau={self.tau} "
                 f"has {count} arcs, past the limit {MAX_TIMED_ARCS}")
-
-    @cached_property
-    def arcs(self):
-        """All arcs as (layer, edge_id, tail, head); edge_id None = memory.
-        Raises GraphError, before building any, past MAX_TIMED_ARCS."""
-        self._check_size()
-        out = []
-        for layer in range(self.tau):
-            for eid, (u, v) in enumerate(self.base.edges):
-                out.append((layer, eid, u, v))
-                out.append((layer, eid, v, u))
-            for v in range(self.base.n):
-                out.append((layer, None, v, v))
-        return tuple(out)
-
-    def arc_arrays(self):
-        """`arcs` as numpy columns (tail, head, is_edge), entry i for
-        arcs[i]; tail and head are node ids (layer * n + vertex).  Raises
-        GraphError, before allocating, past MAX_TIMED_ARCS."""
-        self._check_size()
-        n = self.base.n
         ends = np.array(self.base.edges, dtype=np.int64).reshape(-1, 2)
         verts = np.arange(n)
         layer_tails = np.concatenate([ends.ravel(), verts])
@@ -192,11 +181,10 @@ class TimedFlow:
     capacity: object
     flow: object
 
-    def arc_flows(self):
-        """{(layer, eid, tail, head): units} over the arcs of `tg` that
-        carry flow.  The CSR summed parallel arcs; each sum is handed back
-        one unit per edge arc in edge-id order (memory arcs have no
-        parallels)."""
+    def arc_units(self):
+        """Units per arc, a vector indexed like `tg.arc_arrays()`.  The
+        CSR summed parallel arcs; each sum is handed back one unit per
+        edge arc in edge-id order (memory arcs have no parallels)."""
         tg = self.tg
         tails, heads, is_edge = tg.arc_arrays()
         summed = np.asarray(self.flow[tails, heads]).ravel()
@@ -206,9 +194,7 @@ class TimedFlow:
                 rank.append(seen.get(pair, 0))
                 seen[pair] = rank[-1] + 1
         rank = np.tile(rank + [0] * tg.base.n, tg.tau)
-        units = np.where(is_edge, summed > rank, summed)
-        arcs = tg.arcs
-        return {arcs[i]: int(units[i]) for i in np.flatnonzero(units)}
+        return np.where(is_edge, summed > rank, summed)
 
     def residual_reachable(self, node):
         """Boolean mask of the nodes reachable from `node` along arcs with
@@ -235,21 +221,19 @@ class FlowSolution:
     source: int
 
     @cached_property
-    def utilization(self):
-        """{arc_key: units} over the arcs the flow uses."""
-        return self.flow.arc_flows()
+    def units(self):
+        """Units per arc, indexed like `TimedGraph.arc_arrays()`."""
+        return self.flow.arc_units()
 
     @cached_property
     def paths(self):
         """The flow as `value` unit timed paths."""
         return tuple(path for path, units in decompose_paths(
-            self.flow.tg, self.utilization, (self.source,))
+            self.flow.tg, self.units, (self.source,))
             for _ in range(units))
 
     def max_nonmemory_load(self):
-        loads = [amt for (layer, eid, u, v), amt in self.utilization.items()
-                 if eid is not None]
-        return max(loads, default=0)
+        return int(self.units[self.flow.tg.arc_arrays()[2]].max(initial=0))
 
 
 def timed_max_flow(tg, src, dst, extra_arcs=()):
@@ -308,43 +292,50 @@ def base_min_cut(g, side_a, side_b):
     return int(maximum_flow(capacity, n, n + 1, method="dinic").flow_value)
 
 
-def decompose_paths(tg, flows, sources, eps=1e-9):
-    """Split an arc-key flow map {(layer, eid, tail, head): amount} into
+def decompose_paths(tg, flow, sources, eps=1e-9):
+    """Split a flow vector, indexed like `TimedGraph.arc_arrays()`, into
     (TimedPath, amount) parcels running from layer 0 to layer tau.
 
     For each source vertex in turn, walk from (source, 0), at every node
-    taking the first arc in `TimedGraph.arcs` order whose residual exceeds
-    eps, and cut the walk's bottleneck; repeat until no flow leaves
-    (source, 0).  Valid for conserved flows on the layered network, which
-    has no cycles.  Integral flows give integral amounts.
+    taking the lowest-indexed arc whose residual exceeds eps, and cut the
+    walk's bottleneck; repeat until no flow leaves (source, 0).  Only the
+    arcs above eps are indexed.  Valid for conserved flows on the layered
+    network, which has no cycles.  Integral flows give integral amounts.
     """
-    residual = dict(flows)
-    by_tail = {}
-    for key in tg.arcs:
-        if key in residual:
-            by_tail.setdefault((key[2], key[0]), []).append(key)
+    n, m = tg.base.n, tg.base.m
+    used = np.flatnonzero(flow > eps)
+    tails, heads, _ = tg.arc_arrays()
+    arcs = used.tolist()
+    residual = dict(zip(arcs, flow[used].tolist()))
+    step, by_tail = {}, {}   # arc -> (head node, edge id or None)
+    for ai, tail, head in zip(arcs, tails[used].tolist(),
+                              heads[used].tolist()):
+        r = ai % (2 * m + n)
+        step[ai] = (head, r // 2 if r < 2 * m else None)
+        by_tail.setdefault(tail, []).append(ai)
 
-    def next_arc(node, layer):
-        for key in by_tail.get((node, layer), ()):
-            if residual[key] > eps:
-                return key
+    def next_arc(node):
+        for ai in by_tail.get(node, ()):
+            if residual[ai] > eps:
+                return ai
         return None
 
     parcels = []
     for source in sources:
-        while next_arc(source, 0) is not None:
-            verts, eids, used = [source], [], []
-            for layer in range(tg.tau):
-                key = next_arc(verts[-1], layer)
-                if key is None:
+        while next_arc(tg.node(source, 0)) is not None:
+            nodes, eids, walk = [tg.node(source, 0)], [], []
+            for _ in range(tg.tau):
+                ai = next_arc(nodes[-1])
+                if ai is None:
                     raise AssertionError("flow decomposition stalled")
-                used.append(key)
-                verts.append(key[3])
-                eids.append(key[1])
-            amount = min(residual[key] for key in used)
-            for key in used:
-                residual[key] -= amount
-            parcels.append((TimedPath(0, tuple(verts), tuple(eids)), amount))
+                walk.append(ai)
+                nodes.append(step[ai][0])
+                eids.append(step[ai][1])
+            amount = min(residual[ai] for ai in walk)
+            for ai in walk:
+                residual[ai] -= amount
+            parcels.append((TimedPath(0, tuple(v % n for v in nodes),
+                                      tuple(eids)), amount))
     return parcels
 
 

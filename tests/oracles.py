@@ -314,19 +314,80 @@ def mcf_feasible_bruteforce(g, demands, tau, tol=1e-7):
 
 
 # ---------------------------------------------------------------------------
+# the timed arcs, enumerated one by one, and the arc-key path decomposer
+
+def timed_arcs(g, tau):
+    """Every arc of the tau-horizon timed graph as (layer, eid, tail, head),
+    eid None for a memory arc, in the order of roundlab's arc index: per
+    layer, edge eid's arcs u -> v and v -> u for each eid in turn, then
+    each vertex's memory arc."""
+    out = []
+    for layer in range(tau):
+        for eid, (u, v) in enumerate(g.edges):
+            out.append((layer, eid, u, v))
+            out.append((layer, eid, v, u))
+        for v in range(g.n):
+            out.append((layer, None, v, v))
+    return out
+
+
+def arc_key_flows(g, tau, flow):
+    """A flow vector over `timed_arcs` order as {arc_key: amount} over its
+    nonzero entries (amounts as Python numbers)."""
+    arcs = timed_arcs(g, tau)
+    return {arcs[i]: amount for i, amount in enumerate(flow.tolist())
+            if amount}
+
+
+def decompose_paths_reference(g, tau, flows, sources, eps=1e-9):
+    """Split an arc-key flow map {(layer, eid, tail, head): amount} into
+    (verts, edge_ids, amount) parcels from layer 0 to layer tau.
+
+    For each source in turn, walk from (source, 0), at every node taking
+    the first arc in `timed_arcs` order whose residual exceeds eps, and cut
+    the walk's bottleneck; repeat until no flow leaves (source, 0)."""
+    residual = dict(flows)
+    by_tail = {}
+    for key in timed_arcs(g, tau):
+        if key in residual:
+            by_tail.setdefault((key[2], key[0]), []).append(key)
+
+    def next_arc(node, layer):
+        for key in by_tail.get((node, layer), ()):
+            if residual[key] > eps:
+                return key
+        return None
+
+    parcels = []
+    for source in sources:
+        while next_arc(source, 0) is not None:
+            verts, eids, used = [source], [], []
+            for layer in range(tau):
+                key = next_arc(verts[-1], layer)
+                if key is None:
+                    raise AssertionError("flow decomposition stalled")
+                used.append(key)
+                verts.append(key[3])
+                eids.append(key[1])
+            amount = min(residual[key] for key in used)
+            for key in used:
+                residual[key] -= amount
+            parcels.append((tuple(verts), tuple(eids), amount))
+    return parcels
+
+
+# ---------------------------------------------------------------------------
 # arc-based multicommodity LP, assembled entry by entry
 
 def mcf_lp_reference(g, tau, demands_by_source):
     """(cost, A_ub, b_ub, A_eq, b_eq) of the arc-based LP, one Python call
     per matrix entry: the reference for the vectorised assembly in
     `roundlab.mcf`.  Rows are numbered per commodity by first appearance
-    along `TimedGraph.arcs` (tail row, then head row).  tau >= 1."""
+    along `timed_arcs` (tail row, then head row).  tau >= 1."""
     import numpy as np
     from scipy import sparse
 
-    from roundlab.timed import build_timed_graph
-
-    arcs = build_timed_graph(g, tau).arcs
+    arcs = timed_arcs(g, tau)
     n_arcs = len(arcs)
     sources = sorted(demands_by_source)
     n_src = len(sources)
@@ -376,9 +437,7 @@ def mcf_lp_reference(g, tau, demands_by_source):
 def mcf_flows_reference(g, tau, demands_by_source, x, tolerance):
     """Per-source arc flows read back from an LP solution vector x, one
     entry at a time: {source: {arc_key: amount}} for amounts > tolerance."""
-    from roundlab.timed import build_timed_graph
-
-    arcs = build_timed_graph(g, tau).arcs
+    arcs = timed_arcs(g, tau)
     out = {}
     for si, src in enumerate(sorted(demands_by_source)):
         flows = {}

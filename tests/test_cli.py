@@ -381,8 +381,7 @@ def test_tau_mcf_mid_nprime_exit_code(tmp_path, capsys):
 
 def test_convergence_error_exit_code(tmp_path, capsys, monkeypatch):
     def stuck(g, k_prime, path_budget, max_hops, seed):
-        return steiner_mod.MatchingResult((), (), 16 * max_hops,
-                                          frozenset(), 1, 1)
+        return steiner_mod.MatchingResult((), ())
 
     monkeypatch.setattr(steiner_mod, "matching_with_paths", stuck)
     path = _write_graph(tmp_path, random_connected_graph(8, 6, seed=1, k=4))

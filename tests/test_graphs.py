@@ -15,7 +15,7 @@ def test_basic_invariants():
     g = Graph(3, ((0, 1), (1, 2), (2, 0)), (0, 1))
     assert g.m == 3 and g.k == 2
     assert g.degree(0) == 2
-    assert g.dist(0, 2) == 1
+    assert g.distances_from(0)[2] == 1
 
 
 def test_rejects_self_loops_and_bad_terminals():

@@ -12,7 +12,7 @@ from roundlab import (
 )
 from roundlab.mcf import (
     LP_TOLERANCE, BoundedDemandError, DemandMatrix, LPSolveError,
-    PartitionInfeasibleError, _assemble_mcf_lp, _mcf_vertex, _read_flows,
+    PartitionInfeasibleError, _assemble_mcf_lp, _mcf_vertex, _source_flows,
     _support, balanced_partition_paths, mcf_feasible, route_bounded_demand,
     route_unit_demands, tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound,
     uniform_demand,
@@ -21,7 +21,8 @@ from roundlab.schedules import audit_schedule, congestion_to_delay
 from roundlab.timed import build_timed_graph, validate_timed_path
 
 from oracles import (
-    mcf_feasible_bruteforce, mcf_flows_reference, mcf_lp_reference,
+    arc_key_flows, mcf_feasible_bruteforce, mcf_flows_reference,
+    mcf_lp_reference,
 )
 
 
@@ -467,7 +468,9 @@ def test_lp_readback_matches_reference():
         if res.status == 2:
             assert x is None
             continue
-        got = _read_flows(tg, sorted(demands), *_support(x))
+        flows = _source_flows(tg, len(demands), *_support(x))
+        got = {src: arc_key_flows(g, tau, flow)
+               for src, flow in zip(sorted(demands), flows)}
         assert got == mcf_flows_reference(g, tau, demands, res.x,
                                           LP_TOLERANCE / 10), (g, tau)
         solved += 1

@@ -291,7 +291,8 @@ def test_disjointness_bound_skips_deltas_below_terminal_diameter(
     for g in cases:
         full = {d: steiner_mod._pack_greedy(g, g.terminals, d).value
                 for d in range(1, g.n + 1)}
-        spread = max(g.dist(t, u) for t in g.terminals for u in g.terminals)
+        spread = max(g.distances_from(t)[u]
+                     for t in g.terminals for u in g.terminals)
         packed = []
         real = steiner_mod._pack_greedy
 
@@ -326,7 +327,7 @@ def test_short_disjoint_paths_past_recursion_ceiling():
 
 def test_build_steiner_tree_convergence_error(monkeypatch):
     def stuck(g, k_prime, path_budget, max_hops, seed):
-        return MatchingResult((), (), 16 * max_hops, frozenset(), 1, 1)
+        return MatchingResult((), ())
 
     monkeypatch.setattr(steiner_mod, "matching_with_paths", stuck)
     g = clique(4)

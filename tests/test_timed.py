@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -13,8 +15,10 @@ from roundlab.timed import (
     SearchLimitError, TimedGraph, base_min_cut, decompose_paths,
     least_feasible_horizon, tau_route_lower_bound, timed_max_flow,
 )
+from roundlab.mcf import _mcf_vertex, _partition_flow, _source_flows, _support
 from oracles import (
-    base_cut_bruteforce, timed_flow_bruteforce, tau_route_bruteforce,
+    arc_key_flows, base_cut_bruteforce, decompose_paths_reference,
+    timed_flow_bruteforce, tau_route_bruteforce,
 )
 
 
@@ -29,8 +33,11 @@ def test_timed_graph_edge_counts():
 
 def test_timed_arcs_connect_consecutive_layers():
     tg = build_timed_graph(clique(3), 2)
-    for layer, eid, u, v in tg.arcs:
+    tails, heads, _ = tg.arc_arrays()
+    for tail, head in zip(tails.tolist(), heads.tolist()):
+        layer = tail // tg.base.n
         assert 0 <= layer < tg.tau
+        assert head // tg.base.n == layer + 1
 
 
 def test_single_edge_pipelines_one_bit_per_round():
@@ -175,8 +182,8 @@ def test_engine_splits_parallel_arcs_in_edge_id_order():
     tg = build_timed_graph(g, 2)
     flow = timed_max_flow(tg, tg.node(0, 0), tg.node(2, 2))
     assert flow.value == 2
-    assert flow.arc_flows() == {(0, 0, 0, 1): 1, (0, 1, 0, 1): 1,
-                                (1, 3, 1, 2): 1, (1, 4, 1, 2): 1}
+    assert arc_key_flows(g, 2, flow.arc_units()) == {
+        (0, 0, 0, 1): 1, (0, 1, 0, 1): 1, (1, 3, 1, 2): 1, (1, 4, 1, 2): 1}
     sol = max_route_flow(g, 0, 2, 2)
     assert [p.edge_ids for p in sol.paths] == [(0, 3), (1, 4)]
 
@@ -213,10 +220,9 @@ def test_arc_ceiling_before_allocating(monkeypatch):
     # 4.36 GiB
     monkeypatch.setattr(timed_mod, "np", NoNumpy())
     tg = build_timed_graph(grid_graph(6, 6), 3_750_000)
-    for build in (tg.arc_arrays, lambda: tg.arcs):
-        with pytest.raises(GraphError,
-                           match=r"m=60 .*tau=3750000 .*585000000 arcs"):
-            build()
+    with pytest.raises(GraphError,
+                       match=r"m=60 .*tau=3750000 .*585000000 arcs"):
+        tg.arc_arrays()
     # the desk-scale cut certificate, path_graph(1200) at horizon 4,810
     # (17.3 million arcs), passes the ceiling and goes on to allocate
     with pytest.raises(Allocated):
@@ -227,7 +233,7 @@ def test_flow_paths_are_lazy(monkeypatch):
     g = parallel_edges(3)
     sol = max_route_flow(g, 0, 1, 4)
     eager = tuple(path for path, units in decompose_paths(
-        build_timed_graph(g, 4), sol.utilization, (0,)) for _ in range(units))
+        build_timed_graph(g, 4), sol.units, (0,)) for _ in range(units))
     assert sol.paths == eager and len(eager) == sol.value == 12
 
     def no_decompose(*args, **kwargs):
@@ -266,6 +272,32 @@ def test_engine_matches_bruteforce_oracle(case, tau):
              tau + 1)
         for v in range(g.n))
     assert lv.levels == expected and lv.cost == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraph_pairs(), st.integers(1, 4),
+       st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 2)]))
+def test_decomposer_matches_arc_key_reference(case, tau, amount):
+    # integral Dinic flows (single pair and partition) and fractional LP
+    # witnesses give the arc-key decomposer's parcels, in its order, with
+    # its amounts
+    g, a, b = case
+    tg = build_timed_graph(g, tau)
+    rest = [v for v in range(g.n) if v not in (a, b)]
+    side_a, side_b = [a] + rest[:1], [b] + rest[1:2]
+    cases = [
+        ((a,), timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau)).arc_units()),
+        (side_a, _partition_flow(tg, side_a, side_b, 2, 2).arc_units()),
+    ]
+    x = _mcf_vertex(tg, {a: {b: amount}, b: {a: amount}})
+    if x is not None:
+        flows = _source_flows(tg, 2, *_support(x))
+        cases += [((src,), flow) for src, flow in zip(sorted((a, b)), flows)]
+    for sources, flow in cases:
+        got = [(path.verts, path.edge_ids, amt)
+               for path, amt in decompose_paths(tg, flow, sources)]
+        assert got == decompose_paths_reference(
+            g, tau, arc_key_flows(g, tau, flow), sources)
 
 
 @settings(max_examples=40, deadline=None)
