@@ -18,8 +18,8 @@ or ``instance_from_json``.
 Size ceiling: a timed network holds at most ``timed.MAX_TIMED_ARCS``
 (2**25, about 33.5 million) arcs, tau * (2m + n); past it, or when its
 capacities pass int32, a command exits 3 naming m, tau and the size before
-allocating.  The desk scale, ``path_graph(1200)`` at horizon 4,810, has
-17.3 million.
+allocating.  ``tau-route`` builds no timed network and has no such
+ceiling: it reads the horizon off one static min-cost flow.
 
 ``solve`` on an edge-distributed instance computes the n'-bounded
 rebalance routing to a node distribution and then drops it: its

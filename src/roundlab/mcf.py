@@ -34,7 +34,7 @@ from .graphs import GraphError, UnreachableError, tree_terminal_diameter
 from .schedules import RoutingSchedule, ScheduleEntry
 from .timed import (
     TimedPath, base_min_cut, build_timed_graph, decompose_paths,
-    least_feasible_horizon, timed_max_flow,
+    least_feasible_horizon, tau_route, timed_max_flow,
 )
 
 LP_TOLERANCE = 1e-6
@@ -360,9 +360,12 @@ def tau_mcf_flow_bound(g, terminals, n_prime):
     capacities swapped, so one direction per bipartition suffices.
     Checked are the singletons and every bipartition whose cut term
     attains the largest one; the others count only through the base
-    bound.  Raises UnreachableError for disconnected terminals, and
-    GraphError, before allocating the network, when its capacities pass
-    int32.
+    bound.  With two terminals a, b the one test reads F_ab(tau) >=
+    ceil(n'/2), since both capacities are ceil(n'/2): it is the
+    single-pair flow over time, and `tau_route` gives its least horizon
+    without a timed network.  Raises UnreachableError for disconnected
+    terminals, and GraphError, before allocating a network, when its
+    capacities pass int32.
     """
     terminals = tuple(sorted(terminals))
     return _flow_bound(g, terminals, Fraction(n_prime), 1)
@@ -372,9 +375,13 @@ def _flow_bound(g, terminals, n_prime, lo):
     """`tau_mcf_flow_bound` searched from max(lo, tau_mcf_lower_bound),
     for an lo below which no horizon is feasible."""
     base, cuts = _base_bound(g, terminals, n_prime)
+    lo = max(lo, base)
+    if len(terminals) == 2:
+        # the one side's test is F_ab(tau) >= ceil(n'/2), the single-pair
+        # flow over time, which tau_route reads in closed form
+        return max(lo, tau_route(g, *terminals, math.ceil(n_prime / 2)))
     top = max(term for term, _, _ in cuts)
     share = n_prime / len(terminals)
-    lo = max(lo, base)
     cutoff = _search_cutoff(g, terminals, n_prime)
     # the sides attaining the top cut term go first: they bind most often
     for term, side, rest in sorted(cuts, key=lambda cut: -cut[0]):

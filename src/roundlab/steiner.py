@@ -74,12 +74,6 @@ class SteinerTree:
     terminals: tuple
     diameter: int
 
-    def vertices(self, g):
-        out = set()
-        for eid in self.edge_ids:
-            out.update(g.edges[eid])
-        return out
-
 
 @dataclass
 class TreePacking:

@@ -10,9 +10,23 @@ them.
 Congestion-1 flows from (a,0) to (b,tau) are exactly the tau-round
 transmission schedules from a to b.
 
-Every maximum flow here comes from one engine, `timed_max_flow`: it lays
-the arcs out as an int32 CSR capacity matrix straight from
-`TimedGraph.arc_arrays` and runs scipy's C Dinic on it
+Single-pair flows over time build no timed network.  They are
+temporally repeated flows (Ford and Fulkerson, "Constructing maximal
+dynamic flows from static flows", Operations Research 1958), computed
+from one static min-cost flow on the base graph: each edge gives two
+arcs, u -> v and v -> u, of capacity 1 and cost 1 (parallel edges stay
+separate), and successive shortest paths (`_static_flow`) from a to b
+augment along paths of lengths l_1 <= ... <= l_lambda.  The maximum
+(a,0) -> (b,tau) flow is F(tau) = sum_i max(0, tau + 1 - l_i).
+`tau_route` reads the least tau with F(tau) >= n' straight from the l_i,
+`max_route_flow` repeats each path of the static flow from every start
+that fits the horizon, and `extract_level_vector` reads the minimal min
+cut off shortest distances in the static residual network.
+
+The timed network remains for the multi-terminal flows of `mcf` and as
+the test oracle.  Its maximum flows come from one engine,
+`timed_max_flow`: it lays the arcs out as an int32 CSR capacity matrix
+straight from `TimedGraph.arc_arrays` and runs scipy's C Dinic on it
 (`scipy.sparse.csgraph.maximum_flow`), so no horizon meets a recursion
 limit.  The index of `arc_arrays` is the one layout of a timed flow: a
 flow is a vector with one entry per arc, as are the LP columns of `mcf`.
@@ -20,28 +34,24 @@ The CSR sums parallel arcs into one entry; `TimedFlow.arc_units` splits
 each summed flow back over its parallel base edges in edge-id order.
 Flows become timed paths through the one decomposer, `decompose_paths`.
 A network of more than MAX_TIMED_ARCS arcs is refused with a GraphError
-before anything is allocated.  The level vector of
-`extract_level_vector` is read off the residual network: the set of
-nodes reachable from the source is the source side of the minimal min
-cut, which is the same for every maximum flow, so the levels do not
-depend on which maximum flow Dinic finds.
+before anything is allocated.
 
-Both horizons, tau_route here and tau_MCF in `mcf`, come from the one
-monotone search `least_feasible_horizon`, started at a certified lower
-bound.  Both bounds begin with base-graph min cuts (`base_min_cut`, the
-same C Dinic on the base graph): a base cut of lambda edges carries at
-most lambda units per direction per round.  tau_route's bound is
-Ford-Fulkerson's bound for flows over time, built on that cut.  tau_MCF's
-bound raises the base-cut bound with timed max flows across terminal
-bipartitions (`mcf.tau_mcf_flow_bound`), found by the same search with
-`timed_max_flow` as its predicate.  No horizon below either bound is
+tau_MCF in `mcf` comes from the monotone search `least_feasible_horizon`,
+started at a certified lower bound.  That bound begins with base-graph
+min cuts (`base_min_cut`, the same C Dinic on the base graph): a base
+cut of lambda edges carries at most lambda units per direction per round.
+It is raised with timed max flows across terminal bipartitions
+(`mcf.tau_mcf_flow_bound`), found by the same search with
+`timed_max_flow` as its predicate.  No horizon below the bound is
 feasible.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
@@ -49,8 +59,8 @@ from scipy import sparse
 from .graphs import GraphError, UnreachableError
 
 INT32_MAX = int(np.iinfo(np.int32).max)
-# the most arcs a timed network may have: about twice the 17.3 million of
-# path_graph(1200) at horizon 4,810, the desk-scale cut certificate
+# the most arcs a timed network of `mcf` may have: about twice the 17.3
+# million of path_graph(1200) at horizon 4,810
 MAX_TIMED_ARCS = 2 ** 25
 
 
@@ -172,13 +182,12 @@ class LevelVector:
 class TimedFlow:
     """A maximum flow of `timed_max_flow`.
 
-    `capacity` and `flow` are square CSR matrices over node ids; `flow` is
-    antisymmetric, so the reverse entry of an arc holds its negated flow.
+    `flow` is a square CSR matrix over node ids; it is antisymmetric, so
+    the reverse entry of an arc holds its negated flow.
     """
 
     tg: TimedGraph
     value: int
-    capacity: object
     flow: object
 
     def arc_units(self):
@@ -196,44 +205,32 @@ class TimedFlow:
         rank = np.tile(rank + [0] * tg.base.n, tg.tau)
         return np.where(is_edge, summed > rank, summed)
 
-    def residual_reachable(self, node):
-        """Boolean mask of the nodes reachable from `node` along arcs with
-        positive residual capacity (reverse arcs of flow included)."""
-        from scipy.sparse.csgraph import breadth_first_order
-
-        residual = self.capacity - self.flow
-        residual.eliminate_zeros()
-        reached = breadth_first_order(residual, node, directed=True,
-                                      return_predecessors=False)
-        mask = np.zeros(residual.shape[0], dtype=bool)
-        mask[reached] = True
-        return mask
-
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """A maximum (a, 0) -> (b, tau) flow of `max_route_flow`.  Its arc
-    flows and unit paths are built on first read: the paths take memory
-    in value x tau, and callers that need only `value` build neither."""
+    """A maximum (a, 0) -> (b, tau) flow of `max_route_flow`: `value`
+    units, temporally repeated from `static_paths`, the a -> b paths
+    (verts, edge_ids) of a static min-cost flow.  The unit paths are
+    built on first read: they take memory in value x tau, and callers
+    that need only `value` never build them."""
 
     value: int
-    flow: TimedFlow
-    source: int
-
-    @cached_property
-    def units(self):
-        """Units per arc, indexed like `TimedGraph.arc_arrays()`."""
-        return self.flow.arc_units()
+    tau: int
+    static_paths: tuple
 
     @cached_property
     def paths(self):
-        """The flow as `value` unit timed paths."""
-        return tuple(path for path, units in decompose_paths(
-            self.flow.tg, self.units, (self.source,))
-            for _ in range(units))
-
-    def max_nonmemory_load(self):
-        return int(self.units[self.flow.tg.arc_arrays()[2]].max(initial=0))
+        """The flow as `value` unit timed paths from (a, 0) to (b, tau):
+        each static path P, started at every s = 0..tau - |P|, dwells at a
+        for s layers, walks P, then dwells at b."""
+        out = []
+        for verts, eids in self.static_paths:
+            for s in range(self.tau - len(eids) + 1):
+                rest = self.tau - s - len(eids)
+                out.append(TimedPath(
+                    0, (verts[0],) * s + verts + (verts[-1],) * rest,
+                    (None,) * s + eids + (None,) * rest))
+        return tuple(out)
 
 
 def timed_max_flow(tg, src, dst, extra_arcs=()):
@@ -266,7 +263,7 @@ def timed_max_flow(tg, src, dst, extra_arcs=()):
     capacity = sparse.csr_matrix(
         (caps.astype(np.int32), (tails, heads)), shape=(size, size))
     res = maximum_flow(capacity, src, dst, method="dinic")
-    return TimedFlow(tg, int(res.flow_value), capacity, res.flow)
+    return TimedFlow(tg, int(res.flow_value), res.flow)
 
 
 def base_min_cut(g, side_a, side_b):
@@ -339,20 +336,6 @@ def decompose_paths(tg, flow, sources, eps=1e-9):
     return parcels
 
 
-def max_route_flow(g, a, b, tau):
-    """Maximum (a,0) -> (b,tau) flow in the timed expansion, unit capacity
-    per non-memory arc.  Integral and fractional optima coincide here, so
-    the solution decomposes into unit paths, on the first read of
-    `FlowSolution.paths`."""
-    if a == b:
-        raise GraphError("endpoints must differ")
-    if not (0 <= a < g.n and 0 <= b < g.n):
-        raise GraphError("endpoint out of range")
-    tg = build_timed_graph(g, tau)
-    flow = timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau))
-    return FlowSolution(flow.value, flow, a)
-
-
 def least_feasible_horizon(feasible, lo, cutoff, name):
     """Least horizon tau >= lo with feasible(tau), for a predicate monotone
     in tau and a certified lower bound lo >= 1 (no tau < lo is feasible).
@@ -382,45 +365,156 @@ def least_feasible_horizon(feasible, lo, cutoff, name):
     return lo
 
 
-def tau_route_lower_bound(g, a, b, n_prime):
-    """dist(a, b) - 1 + ceil(n' / lambda(a, b)), a lower bound on
-    tau_route: Ford-Fulkerson's bound for flows over time.
+# ---------------------------------------------------------------------------
+# single-pair flows over time, temporally repeated from one static flow
 
-    Proof: every path has length >= dist and the static flow is at most
-    lambda, so the flow over tau rounds is at most lambda * (tau - dist +
-    1).  Since n' >= 1 the bound is at least dist.  The endpoints must
-    differ.  Raises UnreachableError for disconnected endpoints.
-    """
-    dist = g.distances_from(a)[b]
-    if dist is None:
-        raise UnreachableError(f"vertices {a} and {b} are disconnected")
-    return dist - 1 - (-n_prime // base_min_cut(g, (a,), (b,)))
-
-
-def tau_route(g, a, b, n_prime):
-    """Least horizon tau with max_route_flow value >= n_prime.
-
-    `least_feasible_horizon` from `tau_route_lower_bound`; where the bound
-    is exact (paths, and every tau-route instance of the benchmark) one
-    max flow certifies the answer.  Raises UnreachableError for
-    disconnected endpoints and SearchLimitError past the n_prime * |V|
-    safety cutoff.
-    """
+def _check_pair(g, a, b):
     for v in (a, b):
         if not 0 <= v < g.n:
             raise GraphError(f"endpoint {v} out of range for n={g.n}")
     if a == b:
         raise GraphError("endpoints must differ")
+
+
+def _arc_ends(g, arc):
+    """(tail, head) of static arc `arc`: 2 * eid is edge eid's u -> v and
+    2 * eid + 1 its v -> u, for edges[eid] = (u, v)."""
+    u, v = g.edges[arc // 2]
+    return (u, v) if arc % 2 == 0 else (v, u)
+
+
+def _residual_distances(g, a, used, shortcut=None):
+    """(dist, pred): shortest distances from a in the residual network of
+    the static flow `used` (a set of arc ids), with an unused arc at cost
+    +1, a used arc reversed at cost -1, and the optional arc `shortcut`
+    = (head, cost) out of a.  dist[v] is None where v is unreachable, and
+    pred[v] is the arc whose residual last lowered it.
+
+    Bellman-Ford with a FIFO queue, since reversed arcs cost -1.  The
+    residual network of a min-cost flow has no negative cycle, so it
+    ends.
+    """
+    out = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        for arc, tail, head in ((2 * eid, u, v), (2 * eid + 1, v, u)):
+            if arc in used:
+                out[head].append((tail, -1, arc))
+            else:
+                out[tail].append((head, 1, arc))
+    if shortcut is not None:
+        out[a].append((*shortcut, None))
+    dist, pred = [None] * g.n, [None] * g.n
+    dist[a] = 0
+    queue, queued = deque([a]), {a}
+    while queue:
+        x = queue.popleft()
+        queued.discard(x)
+        for y, cost, arc in out[x]:
+            d = dist[x] + cost
+            if dist[y] is None or d < dist[y]:
+                dist[y], pred[y] = d, arc
+                if y not in queued:
+                    queued.add(y)
+                    queue.append(y)
+    return dist, pred
+
+
+def _static_flow(g, a, b, horizon=None):
+    """(lengths, used): successive shortest paths from a to b in the base
+    graph with unit capacity and unit cost per arc.  `lengths` are the
+    augmenting-path costs l_1 <= l_2 <= ..., and `used` the arcs that
+    carry the resulting min-cost flow, of value len(lengths) and cost
+    sum(lengths).  With `horizon` given, no path longer than it is
+    augmented.  There are at most min(deg a, deg b) augmentations."""
+    lengths, used = [], set()
+    while True:
+        dist, pred = _residual_distances(g, a, used)
+        if dist[b] is None or horizon is not None and dist[b] > horizon:
+            return lengths, used
+        lengths.append(dist[b])
+        v = b
+        while v != a:
+            arc = pred[v]
+            tail, head = _arc_ends(g, arc)
+            if arc in used:     # walked in reverse, head -> tail
+                used.remove(arc)
+                v = head
+            else:
+                used.add(arc)
+                v = tail
+
+
+def _horizon_flow(g, a, b, tau):
+    """(F(tau), used): the static flow of the shortest paths no longer
+    than tau, and F(tau) = sum_i (tau + 1 - l_i) over their lengths, the
+    units they carry from (a,0) to (b,tau) when each is repeated from
+    every start 0..tau - l_i."""
+    _check_pair(g, a, b)
+    if tau < 0:
+        raise GraphError("horizon must be nonnegative")
+    lengths, used = _static_flow(g, a, b, tau)
+    return sum(tau + 1 - ell for ell in lengths), used
+
+
+def _static_paths(g, a, b, used):
+    """The static flow `used` as a -> b paths (verts, edge_ids), walking
+    the lowest-numbered flow arc out of each vertex.  At min cost the
+    flow's support has no cycle (every arc costs 1, so a cycle could be
+    cancelled), so every walk ends at b."""
+    out = {}
+    for arc in sorted(used, reverse=True):
+        tail, head = _arc_ends(g, arc)
+        out.setdefault(tail, []).append((head, arc // 2))
+    paths = []
+    while out.get(a):
+        verts, eids = [a], []
+        while verts[-1] != b:
+            head, eid = out[verts[-1]].pop()
+            verts.append(head)
+            eids.append(eid)
+        paths.append((tuple(verts), tuple(eids)))
+    return tuple(paths)
+
+
+def max_route_flow(g, a, b, tau):
+    """Maximum (a,0) -> (b,tau) flow in the timed expansion, unit capacity
+    per non-memory arc, as a temporally repeated flow: its value is
+    F(tau) = sum_i max(0, tau + 1 - l_i) over the successive shortest
+    path lengths l_i, and `FlowSolution.paths` repeats each path P_j of
+    the static flow of the paths with l_i <= tau from every start s =
+    0..tau - |P_j| (Ford-Fulkerson 1958).
+
+    Proof that every P_j fits the horizon: the static flow x_k of the k
+    augmented paths has the least cost of any flow of value k, and x_k -
+    P_j is a flow of value k - 1, which costs at least the min cost
+    c(x_k) - l_k of that value.  So |P_j| <= l_k <= tau.  P_j repeated
+    from its tau + 1 - |P_j| starts carries sum_j (tau + 1 - |P_j|) =
+    k (tau + 1) - c(x_k) = F(tau) units, and no timed arc twice: the P_j
+    use each directed base arc at most once between them, and the starts
+    of one P_j put that arc in different layers.  F(tau) is maximum: the
+    cut at the residual distances, as in `extract_level_vector`, costs
+    exactly F(tau).
+    """
+    value, used = _horizon_flow(g, a, b, tau)
+    return FlowSolution(value, tau, _static_paths(g, a, b, used))
+
+
+def tau_route(g, a, b, n_prime):
+    """Least horizon tau with max_route_flow value >= n_prime.
+
+    F(tau) = max over k of sum_{i <= k} (tau + 1 - l_i), since the terms
+    fall with i, so F(tau) >= n' >= 1 exactly when some k has tau >=
+    ceil((n' + l_1 + ... + l_k) / k) - 1; the answer is the least of
+    these.  Raises UnreachableError for disconnected endpoints.
+    """
+    _check_pair(g, a, b)
     if n_prime < 1:
         raise GraphError("n_prime must be >= 1")
-    lo = tau_route_lower_bound(g, a, b, n_prime)
-
-    def feasible(tau):
-        tg = build_timed_graph(g, tau)
-        return timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau)).value \
-            >= n_prime
-
-    return least_feasible_horizon(feasible, lo, n_prime * g.n, "tau_route")
+    lengths, _ = _static_flow(g, a, b)
+    if not lengths:
+        raise UnreachableError(f"vertices {a} and {b} are disconnected")
+    return min(-(-(n_prime + total) // k) - 1
+               for k, total in enumerate(accumulate(lengths), 1))
 
 
 def extract_level_vector(g, a, b, n_bits, horizon):
@@ -428,27 +522,27 @@ def extract_level_vector(g, a, b, n_bits, horizon):
 
     Requires max_route_flow(g,a,b,horizon).value < n_bits.  Returns levels
     with levels[a]=0, levels[b]=horizon+1 and
-    sum over edges of max(|lvl_u - lvl_v| - 1, 0) < n_bits, built from the
-    monotone family A_0 <= ... <= A_T of the residual min cut (memory arcs
-    are never cut).
+    sum over edges of max(|lvl_u - lvl_v| - 1, 0) < n_bits.  The levels
+    are the minimal min cut of the timed network, whose source side holds
+    (v, t) for t >= lvl_v: lvl_v = min(horizon + 1, d(v)), for d the
+    shortest distance from a in the residual network of the static flow
+    of `max_route_flow`, with forward arcs at cost +1, reversed flow arcs
+    at cost -1 and, when the flow is nonzero, one arc a -> b of cost
+    horizon + 1 (the reverse of the return arc b -> a in the flow's
+    circulation form).  The cut's cost is checked against F(horizon),
+    which it must equal as a min cut; the two are computed independently.
     """
-    if a == b:
-        raise GraphError("endpoints must differ")
-    tg = build_timed_graph(g, horizon)
-    src = tg.node(a, 0)
-    flow = timed_max_flow(tg, src, tg.node(b, horizon))
-    if flow.value >= n_bits:
+    value, used = _horizon_flow(g, a, b, horizon)
+    if value >= n_bits:
         raise RoutableError(
-            f"routable: {flow.value} >= {n_bits} units fit in horizon {horizon}")
-    # reach[t, v]: (v, t) is on the source side of the minimal min cut
-    reach = flow.residual_reachable(src).reshape(horizon + 1, g.n)
-    if np.any(reach[:-1] > reach[1:]):
-        raise AssertionError("residual cut layers are not monotone")
-    levels = np.where(reach.any(axis=0), reach.argmax(axis=0),
-                      horizon + 1).tolist()
+            f"routable: {value} >= {n_bits} units fit in horizon {horizon}")
+    dist, _ = _residual_distances(g, a, used,
+                                  (b, horizon + 1) if used else None)
+    levels = [horizon + 1 if d is None else min(horizon + 1, d)
+              for d in dist]
     if levels[a] != 0 or levels[b] != horizon + 1:
         raise AssertionError("endpoint levels violated by residual cut")
     cost = sum(max(abs(levels[u] - levels[v]) - 1, 0) for u, v in g.edges)
-    if cost != flow.value:
-        raise AssertionError(f"level cost {cost} != min cut value {flow.value}")
+    if cost != value:
+        raise AssertionError(f"level cost {cost} != min cut value {value}")
     return LevelVector(a, b, horizon, tuple(levels), cost)

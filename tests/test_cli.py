@@ -343,6 +343,16 @@ def test_tau_route_past_recursion_ceiling_cli(tmp_path, capsys):
     assert code == 0 and payload["tau_route"] == 802
 
 
+def test_tau_route_huge_nprime_cli(tmp_path, capsys):
+    # corner to corner on grid 6x6 the static flow has two paths of length
+    # 10, so tau_route = ceil((n' + 20) / 2) - 1; the timed network at
+    # that horizon would have 780 million arcs
+    path = _write_graph(tmp_path, grid_graph(6, 6))
+    code, payload = _run(capsys, ["tau-route", "--graph", path,
+                                  "--nprime", "10000000"])
+    assert code == 0 and payload["tau_route"] == 5_000_009
+
+
 def test_int32_guard_exit_code(tmp_path, capsys):
     # 2 * m * tau + 1 = 2**31 + 1 does not fit the engine's int32 CSR
     path = _write_graph(tmp_path, clique(2))

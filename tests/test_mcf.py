@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +19,9 @@ from roundlab.mcf import (
     uniform_demand,
 )
 from roundlab.schedules import audit_schedule, congestion_to_delay
-from roundlab.timed import build_timed_graph, validate_timed_path
+from roundlab.timed import (
+    build_timed_graph, least_feasible_horizon, validate_timed_path,
+)
 
 from oracles import (
     arc_key_flows, mcf_feasible_bruteforce, mcf_flows_reference,
@@ -146,6 +149,62 @@ def test_tau_mcf_flow_bound_on_one_edge_cuts():
         assert (tau_mcf_lower_bound(g, g.terminals, 8),
                 tau_mcf_flow_bound(g, g.terminals, 8),
                 tau_mcf(g, g.terminals, 8)) == bounds
+
+
+def _side_routes_search(g, n_prime, lo):
+    """The two-terminal flow bound as the timed-network search finds it:
+    the least horizon from max(lo, base bound) whose partition flow
+    passes."""
+    a, b = g.terminals
+    base, _ = mcf_mod._base_bound(g, g.terminals, n_prime)
+    return least_feasible_horizon(
+        partial(mcf_mod._side_routes, g, (a,), (b,), n_prime / 2),
+        max(lo, base), mcf_mod._search_cutoff(g, g.terminals, n_prime),
+        "reference flow bound")
+
+
+@st.composite
+def two_terminal_multigraphs(draw):
+    n = draw(st.integers(2, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, min_size=1, max_size=7))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    terms = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                          unique=True))
+    return Graph(n, tuple(edges), tuple(terms))
+
+
+TWO_TERMINAL_NPRIMES = st.sampled_from(
+    [Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 5, 8, 13])
+
+
+def _check_two_terminal_flow_bound(g, n_prime, below):
+    # with k = 2 the flow bound is max(lo, base, tau_route(ceil(n'/2))),
+    # the horizon the timed partition-flow search finds; lo is an earlier
+    # bound, at most the bound from lo = 1, and `below` under it
+    n_prime = Fraction(n_prime)
+    bound = _side_routes_search(g, n_prime, 1)
+    assert mcf_mod._flow_bound(g, g.terminals, n_prime, 1) == bound
+    lo = max(1, bound - below)
+    assert mcf_mod._flow_bound(g, g.terminals, n_prime, lo) == \
+        _side_routes_search(g, n_prime, lo) == bound
+
+
+@settings(max_examples=50, deadline=None)
+@given(two_terminal_multigraphs(), TWO_TERMINAL_NPRIMES, st.integers(0, 6))
+def test_two_terminal_flow_bound_is_closed_form(g, n_prime, below):
+    assume(g.connected(g.terminals))
+    _check_two_terminal_flow_bound(g, n_prime, below)
+
+
+@pytest.mark.parametrize("g", [clique(2), parallel_edges(3)]
+                         + [path_graph(length) for length in (1, 2, 3, 6)],
+                         ids=["K2", "K2x3", "P1", "P2", "P3", "P6"])
+def test_two_terminal_flow_bound_on_k2_and_paths(g):
+    for n_prime in (Fraction(1, 3), 1, 2, 7, 8, 40):
+        for below in (0, 1, 4):
+            _check_two_terminal_flow_bound(g, n_prime, below)
 
 
 @pytest.mark.parametrize("k,cuts", [(4, 7), (10, 511), (11, 11)])

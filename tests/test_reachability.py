@@ -1,6 +1,9 @@
 """Reachability: every function, class and method in a source module is
 referred to by some other source name or attribute, is exported by
-`__init__`, or is on the allowlist below with its reason."""
+`__init__`, or is on the allowlist below with its reason.  A name load
+that a local variable of an enclosing function shadows refers to that
+variable, and a method named like a field or a self.<name> assignment is
+ambiguous, since its attribute references may read the data instead."""
 
 import ast
 from collections import Counter
@@ -8,20 +11,29 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "roundlab"
 
-# definitions no source refers to, kept as public API or as checkers
+# definitions no source refers to, kept as public API or as checkers, and
+# ambiguous methods, each with where it is really used
 ALLOWED = {
+    "amount": "ambiguous: DemandMatrix.amount, read by "
+              "route_bounded_demand; also ScheduleEntry's field",
     "audit_schedule": "checker: validates a routing schedule's paths, "
                       "loads and deliveries in the tests",
     "congestion_to_delay": "kept for ROADMAP item 6, the dilated "
                            "schedule audit",
     "evaluate": "checkers: the truth of BooleanCircuit and "
                 "ComposedFunction that compiled protocols are tested against",
+    "bits": "ambiguous: PublicRandomness.bits, the public coins of every "
+            "protocol step, read by the tests' random protocols; also "
+            "Transcript's field",
     "extract_two_party": "public API of the two-party extraction, called "
                          "by the tests and the benchmark's cut certificate",
+    "k": "ambiguous: Graph.k, read by format_graph_text; also the "
+         "ED circuit's field",
     "max_degree": "checker: the degree of a distributed input, read by "
                   "the rebalance tests",
-    "max_nonmemory_load": "checker: the congestion of a FlowSolution, "
-                          "asserted to be at most 1 in the tests",
+    "paths": "ambiguous: FlowSolution.paths, the unit paths of "
+             "max_route_flow, read by the tests and the benchmark's cut "
+             "certificate; also PathCollection's field",
     "reset_tau_mcf_ledger": "clears the process-wide tau_mcf ledger "
                             "between tests",
     "sorting_network_sorts": "checker: the 0-1 principle test of the "
@@ -30,38 +42,106 @@ ALLOWED = {
                           "search, tested against tau_mcf",
     "tau_mcf_lower_bound": "public API: the base-cut bound on tau_mcf, "
                            "tested against tau_mcf",
+    "value": "ambiguous: PathCollection.value and TreePacking.value, read "
+             "by the Steiner bounds and the CLI; also the flow results' "
+             "field",
 }
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
-def _ref(node):
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+def _locals(func):
+    """The variables a function or lambda binds: its parameters and the
+    names it assigns, imports or catches, outside nested functions."""
+    args = func.args
+    names = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if arg is not None}
+    stack = list(func.body) if isinstance(func.body, list) else [func.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _fields(tree):
+    """Attribute names that data can hold: class-body assignments (dataclass
+    fields included) and assignments to self.<name>."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+                           else [])
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+    return names
+
+
+def _scan(node, bound, enclosing, refs, own):
+    """Count the references below `node`: attribute loads, and name loads
+    that no enclosing function binds as a variable (`bound`).  A reference
+    inside a definition of the same name (`enclosing`) also counts in
+    `own`."""
+    if isinstance(node, SCOPES):
+        bound = bound | _locals(node)
+    if isinstance(node, DEFS):
+        enclosing = enclosing | {node.name}
+    name = None
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        name = None if node.id in bound else node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        name = node.attr
+    if name is not None:
+        refs[name] += 1
+        own[name] += name in enclosing
+    for child in ast.iter_child_nodes(node):
+        _scan(child, bound, enclosing, refs, own)
 
 
 def _unreached(sources):
-    """Sorted (name, file, line) of the definitions in `sources` ({file
-    name: text}) that no name or attribute outside their own body refers
-    to.  The names `__init__.py` imports count as referred to; dunder
-    methods are called implicitly and are skipped."""
-    defs, refs, own = [], Counter(), Counter()
+    """Sorted (name, file, line, why) of the definitions in `sources`
+    ({file name: text}) that are "unreached": no name or attribute outside
+    their own body refers to them, or "ambiguous": methods named like a
+    field or a self.<name> assignment, whose attribute references cannot
+    be told apart from reads of the data.  The names `__init__.py` imports
+    count as referred to; dunder methods are called implicitly and are
+    skipped."""
+    defs, refs, own, fields = [], Counter(), Counter(), set()
     for fname, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        fields |= _fields(tree)
+        methods = {id(stmt) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for stmt in node.body
+                   if isinstance(stmt, SCOPES)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and fname == "__init__.py":
                 refs.update(alias.asname or alias.name for alias in node.names)
             elif isinstance(node, DEFS):
-                defs.append((node.name, fname, node.lineno))
-                own[node.name] += sum(_ref(sub) == node.name
-                                      for sub in ast.walk(node))
-            elif _ref(node) is not None:
-                refs[_ref(node)] += 1
-    return sorted((name, fname, line) for name, fname, line in defs
-                  if refs[name] <= own[name]
-                  and not (name.startswith("__") and name.endswith("__")))
+                defs.append((node.name, fname, node.lineno,
+                             id(node) in methods))
+        _scan(tree, frozenset(), frozenset(), refs, own)
+    found = []
+    for name, fname, line, is_method in defs:
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if refs[name] <= own[name]:
+            found.append((name, fname, line, "unreached"))
+        elif is_method and name in fields:
+            found.append((name, fname, line, "ambiguous"))
+    return sorted(found)
 
 
 def test_scan_finds_a_planted_dead_function():
@@ -86,8 +166,38 @@ def test_scan_finds_a_planted_dead_function():
                  "    def unused(self):\n"
                  "        return self.used()\n"),
     }
-    assert _unreached(sources) == [("dead", "m.py", 7),
-                                   ("unused", "m.py", 17)]
+    assert _unreached(sources) == [("dead", "m.py", 7, "unreached"),
+                                   ("unused", "m.py", 17, "unreached")]
+
+
+def test_scan_sees_through_locals_and_fields():
+    # a dead method named like a local variable, and one named like a
+    # dataclass field, are both reported; a call from a lambda inside a
+    # function that does not bind the name still counts
+    sources = {
+        "__init__.py": "from .g import route\n",
+        "g.py": ("from dataclasses import dataclass\n"
+                 "\n"
+                 "class Graph:\n"
+                 "    def dist(self, a):\n"
+                 "        return a\n"
+                 "\n"
+                 "    def diameter(self):\n"
+                 "        return 0\n"
+                 "\n"
+                 "@dataclass\n"
+                 "class Tree:\n"
+                 "    diameter: int\n"
+                 "\n"
+                 "def route(size):\n"
+                 "    tree, dist = Tree(size), [Graph()] * size\n"
+                 "    return dist, tree.diameter + (lambda: cut())()\n"
+                 "\n"
+                 "def cut():\n"
+                 "    return 0\n"),
+    }
+    assert _unreached(sources) == [("diameter", "g.py", 7, "ambiguous"),
+                                   ("dist", "g.py", 4, "unreached")]
 
 
 def test_every_definition_is_reachable():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from roundlab import (
 import roundlab.timed as timed_mod
 from roundlab.timed import (
     SearchLimitError, TimedGraph, base_min_cut, decompose_paths,
-    least_feasible_horizon, tau_route_lower_bound, timed_max_flow,
+    least_feasible_horizon, timed_max_flow,
 )
 from roundlab.mcf import _mcf_vertex, _partition_flow, _source_flows, _support
 from oracles import (
@@ -74,14 +75,32 @@ def test_flow_monotone_in_horizon():
     assert vals == sorted(vals)
 
 
+def _check_unit_paths(g, a, b, tau, sol):
+    """`sol.paths` are `sol.value` valid timed paths (a,0) -> (b,tau), and
+    no directed timed edge arc carries two of them."""
+    assert len(sol.paths) == sol.value
+    used = set()
+    for p in sol.paths:
+        validate_timed_path(g, p, tau)
+        assert p.start == 0 and p.end == tau
+        assert p.verts[0] == a and p.verts[-1] == b
+        for step in p.steps():
+            if step[1] is not None:
+                assert step not in used
+                used.add(step)
+
+
+def _oracle_levels(g, tau, source_side):
+    """The levels of the brute-force oracle's minimal min cut."""
+    return tuple(
+        next((t for t in range(tau + 1) if t * g.n + v in source_side),
+             tau + 1)
+        for v in range(g.n))
+
+
 def test_flow_paths_are_valid_and_disjoint():
     g = intro_split_graph()
-    sol = max_route_flow(g, 0, 1, 4)
-    assert len(sol.paths) == sol.value
-    assert sol.max_nonmemory_load() <= 1
-    for p in sol.paths:
-        validate_timed_path(g, p, 4)
-        assert p.verts[0] == 0 and p.verts[-1] == 1
+    _check_unit_paths(g, 0, 1, 4, max_route_flow(g, 0, 1, 4))
 
 
 def test_tau_route_single_edge():
@@ -194,9 +213,9 @@ def test_engine_int32_guard(monkeypatch):
 
     monkeypatch.setattr(TimedGraph, "arc_arrays", no_build)
     g = path_graph(3)
-    tau = 2 ** 29   # memory capacity 2 * 3 * tau + 1 > 2**31 - 1
+    tg = build_timed_graph(g, 2 ** 29)   # memory capacity 2*3*tau + 1
     with pytest.raises(GraphError, match=r"m=3 .*tau=536870912 .*3221225473"):
-        max_route_flow(g, 0, 3, tau)
+        timed_max_flow(tg, tg.node(0, 0), tg.node(3, tg.tau))
     tg = build_timed_graph(g, 4)
     with pytest.raises(GraphError, match="2147483648"):
         timed_max_flow(tg, 0, tg.node_count,
@@ -223,25 +242,27 @@ def test_arc_ceiling_before_allocating(monkeypatch):
     with pytest.raises(GraphError,
                        match=r"m=60 .*tau=3750000 .*585000000 arcs"):
         tg.arc_arrays()
-    # the desk-scale cut certificate, path_graph(1200) at horizon 4,810
-    # (17.3 million arcs), passes the ceiling and goes on to allocate
+    # path_graph(1200) at horizon 4,810 (17.3 million arcs) passes the
+    # ceiling and goes on to allocate
     with pytest.raises(Allocated):
         build_timed_graph(path_graph(1200), 4810).arc_arrays()
 
 
 def test_flow_paths_are_lazy(monkeypatch):
+    def no_path(*args, **kwargs):
+        raise AssertionError("built a path of a flow read only for its value")
+
     g = parallel_edges(3)
-    sol = max_route_flow(g, 0, 1, 4)
-    eager = tuple(path for path, units in decompose_paths(
-        build_timed_graph(g, 4), sol.units, (0,)) for _ in range(units))
-    assert sol.paths == eager and len(eager) == sol.value == 12
-
-    def no_decompose(*args, **kwargs):
-        raise AssertionError("decomposed a flow read only for its value")
-
-    monkeypatch.setattr(timed_mod, "decompose_paths", no_decompose)
-    assert max_route_flow(g, 0, 1, 4).value == 12
-    assert max_route_flow(intro_split_graph(), 0, 1, 6).value == 18
+    with monkeypatch.context() as patch:
+        patch.setattr(timed_mod, "TimedPath", no_path)
+        sol = max_route_flow(g, 0, 1, 4)
+        assert sol.value == 12
+        assert max_route_flow(intro_split_graph(), 0, 1, 6).value == 18
+    # each parallel edge repeated from the starts 0..3, in edge-id order
+    assert sol.paths == tuple(
+        timed_mod.TimedPath(0, (0,) * (s + 1) + (1,) * (4 - s),
+                            (None,) * s + (eid,) + (None,) * (3 - s))
+        for eid in range(3) for s in range(4))
 
 
 @st.composite
@@ -258,20 +279,46 @@ def multigraph_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(multigraph_pairs(), st.integers(0, 4))
 def test_engine_matches_bruteforce_oracle(case, tau):
-    g, a, b = case
+    _check_single_pair(*case, tau)
+
+
+def _check_single_pair(g, a, b, tau):
+    """The engine's max flow, the repeated flow's value and paths, and the
+    levels against the brute-force oracle at horizon tau."""
     value, source_side = timed_flow_bruteforce(g, a, b, tau)
     tg = build_timed_graph(g, tau)
     assert timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau)).value == value
     sol = max_route_flow(g, a, b, tau)
-    assert sol.value == len(sol.paths) == value
-    assert sol.max_nonmemory_load() <= 1
+    assert sol.value == value
+    _check_unit_paths(g, a, b, tau, sol)
     # the minimal min cut is unique, so the levels match the oracle's cut
     lv = extract_level_vector(g, a, b, value + 1, tau)
-    expected = tuple(
-        next((t for t in range(tau + 1) if t * g.n + v in source_side),
-             tau + 1)
-        for v in range(g.n))
-    assert lv.levels == expected and lv.cost == value
+    assert lv.levels == _oracle_levels(g, tau, source_side)
+    assert lv.cost == value
+
+
+@st.composite
+def parallel_multigraph_pairs(draw):
+    g, a, b = draw(multigraph_pairs())
+    doubled = draw(st.lists(st.sampled_from(g.edges), min_size=1,
+                            max_size=3))
+    return Graph(g.n, g.edges + tuple(doubled), (a, b)), a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallel_multigraph_pairs(), st.integers(0, 6), st.integers(1, 6))
+def test_repeated_flow_matches_engine_and_oracle(case, tau, n_prime):
+    # the temporally repeated flow against the timed engine and the
+    # brute-force oracle, on multigraphs with parallel edges
+    g, a, b = case
+    _check_single_pair(g, a, b, tau)
+    if g.distances_from(a)[b] is not None:
+        got = tau_route(g, a, b, n_prime)
+        assert max_route_flow(g, a, b, got - 1).value < n_prime
+        tg = build_timed_graph(g, got)
+        assert timed_max_flow(tg, tg.node(a, 0),
+                              tg.node(b, got)).value >= n_prime
+        assert got == tau_route_bruteforce(g, a, b, n_prime)
 
 
 @settings(max_examples=60, deadline=None)
@@ -319,27 +366,33 @@ def test_base_min_cut_matches_bruteforce_oracle(case):
         base_cut_bruteforce(g, [a] + rest[:1], [b] + rest[1:2])
 
 
-@settings(max_examples=60, deadline=None)
-@given(multigraph_pairs(), st.integers(1, 6))
-def test_tau_route_lower_bound_below_bruteforce(case, n_prime):
-    g, a, b = case
-    assume(g.distances_from(a)[b] is not None)
-    assert tau_route_lower_bound(g, a, b, n_prime) <= \
-        tau_route_bruteforce(g, a, b, n_prime)
+def test_single_pair_calls_build_no_timed_network(monkeypatch):
+    def no_network(*args, **kwargs):
+        raise AssertionError("a single-pair call built a timed network")
 
-
-def test_tau_route_probe_order(monkeypatch):
-    # the flow-over-time bound 3 - 1 + ceil(300 / 1) is exact, so one
-    # max flow certifies the answer
-    probes = []
-
-    def recording_flow(tg, src, dst, extra_arcs=()):
-        probes.append(tg.tau)
-        return timed_max_flow(tg, src, dst, extra_arcs)
-
-    monkeypatch.setattr(timed_mod, "timed_max_flow", recording_flow)
+    monkeypatch.setattr(timed_mod, "TimedGraph", no_network)
+    monkeypatch.setattr(TimedGraph, "arc_arrays", no_network)
+    monkeypatch.setattr(timed_mod, "timed_max_flow", no_network)
+    g = intro_split_graph()
     assert tau_route(path_graph(3), 0, 3, 300) == 302
-    assert probes == [302]
+    assert tau_route(g, 0, 1, 16) == 6
+    sol = max_route_flow(g, 0, 1, 6)
+    assert sol.value == len(sol.paths) == 18
+    assert extract_level_vector(g, 0, 1, 19, 6).cost == 18
+
+
+@pytest.mark.parametrize("call,want", [
+    (lambda g: tau_route(g, 0, 1200, 3611), 4810),
+    (lambda g: max_route_flow(g, 0, 1200, 4810).value, 3611),
+    (lambda g: extract_level_vector(g, 0, 1200, 3612, 4810).cost, 3611),
+], ids=["tau_route", "max_route_flow", "extract_level_vector"])
+def test_desk_scale_path_1200(call, want):
+    # the desk-scale cut certificate: each call took 22-24 s and 1.33 GB
+    # on a 17.3-million-arc timed network; the budget is 2 s
+    g = path_graph(1200)
+    start = time.perf_counter()
+    assert call(g) == want
+    assert time.perf_counter() - start < 2.0
 
 
 def test_least_feasible_horizon_gallops_then_bisects():
