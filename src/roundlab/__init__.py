@@ -8,7 +8,7 @@ compare measured protocol rounds against the computed bounds.
 """
 
 from .graphs import (
-    Graph, GraphError, UnreachableError, contract_sides,
+    Graph, GraphError, UnreachableError,
     path_graph, cycle_graph, clique, star_graph, parallel_edges,
     grid_graph, ring_of_cliques, intro_split_graph, random_connected_graph,
     parse_graph_text, format_graph_text, graph_to_json, graph_from_json,

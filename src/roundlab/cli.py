@@ -21,10 +21,10 @@ capacities pass int32, a command exits 3 naming m, tau and the size before
 allocating.  ``tau-route`` builds no timed network and has no such
 ceiling: it reads the horizon off one static min-cost flow.
 
-``solve`` on an edge-distributed instance computes the n'-bounded
-rebalance routing to a node distribution and then drops it: its
-``rounds`` count only the flooding protocol, not the 2 tau_MCF rounds of
-that routing.
+``solve`` places an edge-distributed instance on a random node
+distribution and computes no routing for that move: its ``rounds`` count
+only the flooding protocol, not the 2 tau_MCF rounds that the paper's
+reduction spends routing the adjacency lists there.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .protocols import (
     CompileError, compile_circuit, disjointness_function, disj_oracle,
     ed_hash_reduce, ed_oracle, steiner_aggregate_protocol,
 )
-from .schedules import AuditError
 from .sim import (
     ContractViolation, ExtractionError, MaxRoundsExceeded, replay_matches,
     run_protocol,
@@ -71,7 +70,7 @@ INFEASIBLE_ERRORS = (UnreachableError, PartitionInfeasibleError,
                      SearchLimitError, ExpansionNotReached, MaxRoundsExceeded)
 INPUT_ERRORS = (GraphError, FileNotFoundError, json.JSONDecodeError,
                 KeyError, ValueError)
-CONTRACT_ERRORS = (AuditError, ContractViolation, CompileError, AssertionError,
+CONTRACT_ERRORS = (ContractViolation, CompileError, AssertionError,
                    LPSolveError, ConvergenceError, ExtractionError)
 
 
@@ -287,7 +286,7 @@ def cmd_solve(args):
     with open(args.instance) as fh:
         inst = instance_from_json(json.load(fh))
     if inst.mode == "edge":
-        inst, _ = edge_to_node_rebalance(g, g.terminals, inst, seed=args.seed)
+        inst = edge_to_node_rebalance(g.terminals, inst, seed=args.seed)
     proto = bfs_protocol(g, g.terminals, inst, args.variant)
     tr = run_protocol(g, proto, inst.blocks(), seed=args.seed)
     answer = tr.outputs[g.terminals[0]]
@@ -395,8 +394,8 @@ def build_parser():
     p.set_defaults(func=cmd_gen)
 
     text = ("run a flooding variant on an instance; an edge-mode instance "
-            "is first rebalanced to a node distribution, whose routing is "
-            "computed and dropped, so rounds count the flooding only")
+            "is first placed on a random node distribution, with no routing "
+            "computed, so rounds count the flooding only")
     p = sub.add_parser("solve", help=text, description=text)
     p.add_argument("--variant", required=True,
                    choices=("connectivity", "components", "acyclicity",

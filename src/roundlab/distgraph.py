@@ -4,7 +4,9 @@ A problem graph H lives on the terminals either edge-distributed or
 node-distributed (whole adjacency lists).  The reduction generators build
 the pairwise-gadget instances whose triangle/connectivity structure
 encodes OR/AND of two-party intersections; each player's subgraph is a
-function of that player's strings only.
+function of that player's strings only.  `edge_to_node_rebalance` turns
+an edge distribution into a random node distribution; it draws the
+placement only and computes no routing for it.
 
 The flooding protocols simulate BFS over H on top of the communication
 graph: token notifications travel as framed packets along fixed shortest
@@ -21,7 +23,6 @@ import random
 from dataclasses import dataclass, field
 
 from .graphs import GraphError, bfs, bfs_tree
-from .mcf import DemandMatrix, route_bounded_demand
 from .sim import ProtocolSpec
 
 
@@ -286,29 +287,22 @@ def graph_oracles(num_vertices, edges, query):
 # ---------------------------------------------------------------------------
 # edge -> node rebalance
 
-def edge_to_node_rebalance(g, terminals, inp, seed):
-    """Convert an edge distribution to a uniformly random node distribution,
-    shipping adjacency entries as a bounded-demand routing."""
+def edge_to_node_rebalance(terminals, inp, seed):
+    """Convert an edge distribution to a uniformly random node distribution.
+
+    Each vertex of H goes to a terminal drawn from a generator seeded with
+    `seed`.  Only the placement is computed: the routing that would ship
+    the adjacency entries there (an n'-bounded demand, 2 tau_MCF rounds in
+    the paper's reduction) is not."""
     if inp.mode != "edge":
         raise GraphError("input must be edge-distributed")
     terms = tuple(sorted(terminals))
     rng = random.Random(f"rebalance:{seed}")
     placement = {v: terms[rng.randrange(len(terms))]
                  for v in range(inp.num_vertices)}
-    demand = {}
-    for (u, v), owner in zip(inp.edges, inp.assignment):
-        for endpoint in (u, v):
-            dst = placement[endpoint]
-            if dst != owner:
-                demand[(owner, dst)] = demand.get((owner, dst), 0) + 1
-    matrix = DemandMatrix(terms, demand)
-    n_prime = max([1] + [matrix.row_sum(t) for t in terms]
-                  + [matrix.col_sum(t) for t in terms])
-    schedule = route_bounded_demand(g, terms, matrix, n_prime)
-    node_input = DistributedGraphInput(
+    return DistributedGraphInput(
         inp.num_vertices, inp.edges, "node", terms, placement,
         names=inp.names)
-    return node_input, schedule
 
 
 # ---------------------------------------------------------------------------
@@ -631,16 +625,12 @@ def bfs_protocol(g, terminals, inp, variant):
         def step0(v, rnd, state, inbox, pub):
             return {}, state, (trivial if v in term_set else None)
 
-        return ProtocolSpec(f"bfs-{variant}-empty", 2, init, step0,
-                            meta={"variant": variant})
+        return ProtocolSpec(f"bfs-{variant}-empty", 2, init, step0)
 
     return ProtocolSpec(
         name=f"bfs-{variant}",
         max_rounds=max_rounds,
         init=init,
         step=step,
-        meta={"variant": variant, "chunk_len": chunk_len,
-              "sync_len": sync_len, "packet_bits": packet_bits,
-              "vertex_bits": b_v},
     )
 

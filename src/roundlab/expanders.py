@@ -14,6 +14,7 @@ expansion); nothing routes over it.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from .graphs import Graph, GraphError
 from .mcf import balanced_partition_paths
-from .schedules import RoutingSchedule, ScheduleEntry
 from .timed import mirror_timed_path
 
 # cut-matching games played, each with fresh randomness, before giving up
@@ -78,8 +78,6 @@ class ExpanderEmbedding:
     terminals: tuple        # index i in the expander = terminals[i] in g
     expander: Graph         # multigraph over range(k)
     d: int
-    tau: int
-    n_prime: int
     paths: dict             # (i, j, iteration) -> TimedPath in g's expansion
     lambda2: float
     expansion: Fraction
@@ -134,10 +132,11 @@ def _decompose_matchings(pairs, n_prime, side_a, side_b):
     return matchings
 
 
-def _congestion(paths, tau):
+def _congestion(paths):
     """Most of the timed paths on one non-memory arc."""
-    return RoutingSchedule(
-        tau, tuple(ScheduleEntry(None, tp, 1) for tp in paths)).max_load()
+    loads = Counter(key for tp in paths for key in tp.steps()
+                    if key[1] is not None)
+    return max(loads.values(), default=0)
 
 
 def cut_matching_embed(g, terminals, tau, n_prime, seed):
@@ -191,7 +190,7 @@ def cut_matching_embed(g, terminals, tau, n_prime, seed):
                 paths[(i, j, it)] = path
                 paths[(j, i, it)] = mirrored
                 played += (path, mirrored)
-            cong_iters.append(_congestion(played, tau))
+            cong_iters.append(_congestion(played))
             x = Graph(k, tuple(edges), tuple(range(k)))
             phi = expansion(x)
             best_seen = max(best_seen, phi)
@@ -200,13 +199,11 @@ def cut_matching_embed(g, terminals, tau, n_prime, seed):
                     terminals=terms,
                     expander=x,
                     d=it + 1,
-                    tau=tau,
-                    n_prime=n_prime,
                     paths=paths,
                     lambda2=second_eigenvalue(x),
                     expansion=phi,
                     congestion_per_iteration=tuple(cong_iters),
-                    congestion=_congestion(paths.values(), tau),
+                    congestion=_congestion(paths.values()),
                     retries=attempt,
                 )
     raise ExpansionNotReached(MAX_RETRIES, best_seen)

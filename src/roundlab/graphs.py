@@ -156,38 +156,6 @@ def bfs_tree(g, root, edge_ids=None):
     return parent, depth, children
 
 
-def contract_sides(g, side_a, side_b):
-    """Identify the vertices of `side_a` and of `side_b` into fresh vertices.
-
-    Both sides must be disjoint nonempty subsets of the terminals.  Edges
-    internal to a side vanish (they become self-loops); parallel edges are
-    preserved.  The returned graph's terminals are exactly (v_A, v_B), in
-    that order of identity: v_A = n' - 2, v_B = n' - 1.
-    """
-    sa, sb = set(side_a), set(side_b)
-    if not sa or not sb:
-        raise GraphError("contraction sides must be nonempty")
-    if sa & sb:
-        raise GraphError("contraction sides overlap")
-    terms = set(g.terminals)
-    if not (sa <= terms and sb <= terms):
-        raise GraphError("contraction sides must be subsets of the terminals")
-    keep = [v for v in range(g.n) if v not in sa and v not in sb]
-    remap = {v: i for i, v in enumerate(keep)}
-    v_a = len(keep)
-    v_b = len(keep) + 1
-    for v in sa:
-        remap[v] = v_a
-    for v in sb:
-        remap[v] = v_b
-    new_edges = []
-    for u, v in g.edges:
-        nu, nv = remap[u], remap[v]
-        if nu != nv:
-            new_edges.append((nu, nv))
-    return Graph(len(keep) + 2, tuple(new_edges), (v_a, v_b))
-
-
 # ---------------------------------------------------------------------------
 # constructors
 

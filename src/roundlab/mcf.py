@@ -3,19 +3,16 @@
 The central quantity is the least horizon tau at which the uniform
 all-pairs demand (n'/k per ordered terminal pair) admits a fractional
 congestion-1 routing in the tau-layer expansion.  Feasibility is decided
-by an exact arc-based LP (HiGHS), with the solver tolerance recorded on
-every produced schedule.  The search for that horizon solves only the LPs
+by an exact arc-based LP (HiGHS), read off the solver's status alone; no
+routing is read back.  The search for that horizon solves only the LPs
 that certified bounds and earlier answers leave open: it starts at a
 flow-over-time cut bound, which timed single-commodity max flows certify,
 and a per-(graph, terminals) ledger of decided answers brackets it from
 both sides, because feasibility is monotone up in tau and down in n'.
-Each answer is recorded with a witness: the LP vertex that certified it,
-a congestion-1 routing of the uniform demand at exactly that horizon.
 
-Also here: the two-stage router that handles every n'-bounded demand
-within twice that horizon, built from the witness without an LP of its
-own, the balanced-partition edge-disjoint path extractor, and a small
-integral unit-demand router used by the bit-level protocol builders.
+Also here: the balanced-partition edge-disjoint path extractor, and a
+small integral unit-demand router used by the bit-level protocol
+builders.
 """
 
 from __future__ import annotations
@@ -31,13 +28,11 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .graphs import GraphError, UnreachableError, tree_terminal_diameter
-from .schedules import RoutingSchedule, ScheduleEntry
 from .timed import (
     TimedPath, base_min_cut, build_timed_graph, decompose_paths,
     least_feasible_horizon, tau_route, timed_max_flow,
 )
 
-LP_TOLERANCE = 1e-6
 # terminal sets up to this size bound tau_MCF with the min cut of every
 # terminal bipartition (2**(k-1) - 1 cuts); larger ones use the k singletons
 CUT_BOUND_MAX_TERMINALS = 10
@@ -83,23 +78,6 @@ class DemandMatrix:
                 clean[(u, v)] = amt
         self.amounts = clean
 
-    def amount(self, u, v):
-        return self.amounts.get((u, v), 0)
-
-    def row_sum(self, u):
-        return sum(a for (x, _), a in self.amounts.items() if x == u)
-
-    def col_sum(self, v):
-        return sum(a for (_, y), a in self.amounts.items() if y == v)
-
-    def is_bounded(self, n_prime):
-        return all(self.row_sum(u) <= n_prime and self.col_sum(u) <= n_prime
-                   for u in self.terminals)
-
-    @property
-    def total(self):
-        return sum(self.amounts.values())
-
 
 def uniform_demand(terminals, n_prime):
     k = len(terminals)
@@ -120,9 +98,8 @@ def _assemble_mcf_lp(tg, demands_by_source):
     carries at most one unit over all commodities; memory arcs are free in
     the objective, so idle commodities dwell in place.  Each commodity
     numbers its conservation rows by first appearance along the arcs, tail
-    before head.  HiGHS picks among optimal vertices by input order, and the
-    witness routings come from that vertex, so the numbering is kept
-    exactly.
+    before head.  HiGHS's pivots depend on the input order, so the
+    numbering is kept exactly.
     """
     sources = sorted(demands_by_source)
     tails, heads, is_edge = tg.arc_arrays()
@@ -158,56 +135,27 @@ def _assemble_mcf_lp(tg, demands_by_source):
     return cost.ravel(), a_ub, np.ones(nonmem.size), a_eq, b_eq
 
 
-def _mcf_vertex(tg, demands_by_source):
-    """HiGHS's optimal vertex of the `_assemble_mcf_lp` LP on `tg` (tau >=
-    1, at least one source), or None when the LP is infeasible.  Raises
-    LPSolveError when HiGHS ends without deciding."""
-    cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(tg, demands_by_source)
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise LPSolveError(
-            f"HiGHS status {res.status} at tau={tg.tau} with "
-            f"{len(demands_by_source)} commodities: {res.message}")
-    return res.x
-
-
-def _support(x):
-    """The entries of an `_mcf_vertex` solution x above LP_TOLERANCE / 10,
-    as (indices, amounts).  A basic solution has at most as many nonzeros
-    as its LP has rows."""
-    support = np.flatnonzero(x > LP_TOLERANCE / 10)
-    return support, x[support]
-
-
-def _source_flows(tg, n_sources, support, amounts):
-    """The `_support` of an `_mcf_vertex` solution on `tg` scattered back
-    into one arc-flow vector per source: row si is sorted source si's flow,
-    indexed like `TimedGraph.arc_arrays()`."""
-    flows = np.zeros((n_sources, (2 * tg.base.m + tg.base.n) * tg.tau))
-    flows.flat[support] = amounts
-    return flows
-
-
-def mcf_feasible(g, demand, tau, vertices=None):
+def mcf_feasible(g, demand, tau):
     """Whether a DemandMatrix routes fractionally at horizon tau.
 
-    Solves the `_assemble_mcf_lp` LP and reads its status; when
-    `vertices` is a dict, a feasible LP's vertex is stored in it under
-    tau.  A DemandMatrix holds only positive off-diagonal amounts, so any
-    demand is infeasible at tau = 0."""
+    Solves the `_assemble_mcf_lp` LP and reads HiGHS's status: 0 is
+    feasible, 2 is infeasible, and any other raises LPSolveError.  A
+    DemandMatrix holds only positive off-diagonal amounts, so any demand
+    is infeasible at tau = 0."""
     by_source = {}
     for (u, v), amt in demand.amounts.items():
         by_source.setdefault(u, {})[v] = amt
     tg = build_timed_graph(g, tau)
     if not by_source or tau == 0:
         return not by_source
-    x = _mcf_vertex(tg, by_source)
-    if x is not None and vertices is not None:
-        vertices[tau] = x
-    return x is not None
+    cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(tg, by_source)
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    if res.status not in (0, 2):
+        raise LPSolveError(
+            f"HiGHS status {res.status} at tau={tau} with "
+            f"{len(by_source)} commodities: {res.message}")
+    return res.status == 0
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +164,11 @@ def mcf_feasible(g, demand, tau, vertices=None):
 # the ledger keeps the answers of at most this many (graph, terminals)
 # keys, least recently used first out, and at most this many n' per key
 LEDGER_SIZE = 256
-_LEDGER = OrderedDict()     # (graph, sorted terminals) -> {n': Witness}
-
-
-@dataclass(frozen=True)
-class Witness:
-    """The routing behind a recorded tau_mcf answer: the LP vertex, kept
-    as its `_support` (indices, amounts), routes the uniform n_prime/k
-    demand with congestion 1 at horizon tau.  `_source_flows` turns it
-    into arc flows when a router needs them."""
-
-    tau: int
-    n_prime: Fraction
-    support: np.ndarray
-    amounts: np.ndarray
+_LEDGER = OrderedDict()     # (graph, sorted terminals) -> {n': tau}
 
 
 def reset_tau_mcf_ledger():
-    """Forget every answer and witness `tau_mcf` has recorded in this
-    process."""
+    """Forget every answer `tau_mcf` has recorded in this process."""
     _LEDGER.clear()
 
 
@@ -250,15 +184,9 @@ def tau_mcf(g, terminals, n_prime):
     leaves more than one horizon, `least_feasible_horizon` searches by
     exact LP feasibility from `tau_mcf_flow_bound` (searched from the
     bracket's low end), reading every horizon at or past the high end as
-    feasible without an LP.  Only a finished search is recorded, so a
-    probe HiGHS could not decide (LPSolveError) leaves nothing behind.
-
-    Each answer is recorded with its `Witness`.  An answer an LP
-    certified keeps that LP's vertex.  An answer read from the ledger's
-    high end, by the search or because the two ends met, shares the
-    witness of the nearest entry at n_w >= n', whose tau it is, and which
-    routes n_w/k >= n'/k per pair.  So every recorded answer has a
-    witness at exactly its tau, which `route_bounded_demand` routes from.
+    feasible without an LP.  An answer read from the ledger's high end is
+    recorded as that tau.  Only a finished search is recorded, so a probe
+    HiGHS could not decide (LPSolveError) leaves nothing behind.
     """
     if n_prime <= 0:
         raise GraphError("n_prime must be positive")
@@ -268,22 +196,17 @@ def tau_mcf(g, terminals, n_prime):
     n_prime = Fraction(n_prime)
     key = (g, terminals)
     answers = _LEDGER.get(key, {})
-    lo = max((w.tau for n, w in answers.items() if n <= n_prime), default=1)
-    hi = min((w.tau for n, w in answers.items() if n >= n_prime),
+    lo = max((t for n, t in answers.items() if n <= n_prime), default=1)
+    hi = min((t for n, t in answers.items() if n >= n_prime),
              default=math.inf)
-    vertices = {}
     if lo != hi:
         lo = _flow_bound(g, terminals, n_prime, lo)
         demand = uniform_demand(terminals, n_prime)
         lo = least_feasible_horizon(
-            lambda tau: tau >= hi or mcf_feasible(g, demand, tau, vertices),
+            lambda tau: tau >= hi or mcf_feasible(g, demand, tau),
             lo, _search_cutoff(g, terminals, n_prime), "tau_mcf")
     if n_prime not in answers:
-        if lo in vertices:
-            witness = Witness(lo, n_prime, *_support(vertices[lo]))
-        else:   # the nearest answer above is hi = lo
-            witness = answers[min(n for n in answers if n >= n_prime)]
-        answers[n_prime] = witness
+        answers[n_prime] = lo
         if len(answers) > LEDGER_SIZE:
             del answers[next(iter(answers))]
     _LEDGER[key] = answers
@@ -397,118 +320,6 @@ def _side_routes(g, side, rest, share, tau):
     flow = _partition_flow(tg, side, rest, math.ceil(len(rest) * share),
                            math.ceil(len(side) * share))
     return flow.value >= math.ceil(len(side) * len(rest) * share)
-
-
-def route_bounded_demand(g, terminals, demand, n_prime):
-    """Route any n'-bounded demand in at most twice the uniform horizon.
-
-    Two stages of the uniform horizon tau* = tau_mcf(n') each, in the
-    manner of Valiant-Brebner two-phase routing: first every origin
-    scatters its outgoing commodity evenly over all terminals (colored by
-    final destination), then every terminal forwards each color to its
-    destination.  The returned schedule carries end-to-end entries tagged
-    by (origin, destination) commodity, each the concatenation of a
-    stage-1 and a stage-2 path matched at their junction terminal.
-
-    Both stages come from the `Witness` that `tau_mcf` recorded for n':
-    a congestion-1 routing at tau* of the uniform demand n_w/k per ordered
-    pair, for some n_w >= n'.  Each source's witness flow is decomposed
-    into paths once.  Write rows[u] and cols[w] for the demand's row and
-    column sums.
-    - Stage 1 sends rows[u]/k from u to every terminal: each witness path
-      of u, carrying n_w/k to its end in total, is scaled by rows[u]/n_w,
-      and a dwell path (all memory steps) keeps u's own share rows[u]/k.
-    - Stage 2 sends cols[w]/k from every v to w: each witness path of v
-      that ends at w is scaled by cols[w]/n_w, and a dwell path keeps
-      cols[v]/k at v.
-
-    Proof that each stage has congestion <= 1: the demand is n'-bounded
-    and n' <= n_w, so every factor rows[u]/n_w and cols[w]/n_w is at most
-    1.  An edge arc's load in a stage is a sum over sources of their
-    witness flow on the arc, each scaled by a factor <= 1, so it is at
-    most the witness's load, which is at most 1; dwell paths use only
-    memory arcs.  At a junction v the stage-1 inflow of color w is
-    sum_u (rows[u]/k) (d(u, w)/rows[u]) = cols[w]/k, the stage-2 outflow
-    of color w, so the matching consumes every parcel.
-    """
-    terminals = tuple(sorted(terminals))
-    k = len(terminals)
-    if not demand.is_bounded(n_prime):
-        raise BoundedDemandError(f"demand is not {n_prime}-bounded")
-    if demand.total == 0:
-        return RoutingSchedule(0, (), congestion=1, tolerance=LP_TOLERANCE)
-    tau_star = tau_mcf(g, terminals, n_prime)
-    witness = _LEDGER[(g, terminals)][Fraction(n_prime)]
-
-    tg = build_timed_graph(g, tau_star)
-    eps = 1e-9
-    flows = _source_flows(tg, k, witness.support, witness.amounts)
-    paths = {u: decompose_paths(tg, flow, (u,), eps)
-             for u, flow in zip(terminals, flows)}
-
-    def dwell(v):
-        return TimedPath(0, (v,) * (tau_star + 1), (None,) * tau_star)
-
-    rows = {u: demand.row_sum(u) for u in terminals}
-    cols = {v: demand.col_sum(v) for v in terminals}
-    # stage-1 parcels split by color (= final destination), grouped by the
-    # junction terminal they land on
-    inflow = {}  # (junction, color) -> list of (origin, path, amount)
-    for u in terminals:
-        if rows[u] <= 0:
-            continue
-        scale = rows[u] / witness.n_prime
-        parcels = [(path, amt * scale) for path, amt in paths[u]]
-        parcels.append((dwell(u), rows[u] / k))
-        for path, amt in parcels:
-            junction = path.verts[-1]
-            for color in terminals:
-                d_uc = demand.amount(u, color)
-                if d_uc <= 0:
-                    continue
-                share = amt * d_uc / rows[u]
-                if share > eps:
-                    inflow.setdefault((junction, color), []).append(
-                        (u, path, share))
-    outflow = {}  # (junction, color) -> list of [path, amount]
-    for v in terminals:
-        parcels = [(path, amt * cols[path.verts[-1]] / witness.n_prime)
-                   for path, amt in paths[v]]
-        parcels.append((dwell(v), cols[v] / k))
-        for path, amt in parcels:
-            if amt > eps:
-                outflow.setdefault((v, path.verts[-1]), []).append(
-                    [path, amt])
-    entries = []
-    for key in sorted(inflow):
-        outs = outflow.get(key, [])
-        oi = 0
-        for origin, path1, amt in inflow[key]:
-            remaining = amt
-            while remaining > eps:
-                if oi >= len(outs):
-                    raise AssertionError(
-                        f"junction {key} under-supplied by stage 2")
-                path2, avail = outs[oi]
-                take = min(remaining, avail)
-                entries.append(ScheduleEntry(
-                    (origin, path2.verts[-1]),
-                    _concat_paths(path1, path2, tau_star),
-                    take))
-                remaining -= take
-                outs[oi][1] -= take
-                if outs[oi][1] <= eps:
-                    oi += 1
-    return RoutingSchedule(horizon=2 * tau_star, entries=tuple(entries),
-                           congestion=1, tolerance=LP_TOLERANCE,
-                           meta={"tau_mcf": tau_star})
-
-
-def _concat_paths(path1, path2, offset):
-    assert path1.verts[-1] == path2.verts[0]
-    return TimedPath(path1.start,
-                     path1.verts + path2.verts[1:],
-                     path1.edge_ids + path2.edge_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ from .graphs import GraphError, bfs_tree
 from .mcf import route_unit_demands, tau_mcf
 from .sim import ContractViolation, ProtocolSpec
 
+# random gate assignments drawn before compilation gives up
+ASSIGN_RESAMPLES = 64
+
 
 class CompileError(RuntimeError):
     """Gate placement or level routing could not be completed."""
@@ -203,8 +206,7 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
         init=init,
         step=step,
         meta={"data_rounds": data_rounds, "broadcast_rounds": bcast_rounds,
-              "block_size": m, "bits_per_coordinate": bits_per,
-              "trees": len(trees), "delta": max(t.diameter for t in trees),
+              "block_size": m,
               "round_bound": m * bits_per + max(t.diameter for t in trees)},
     )
 
@@ -217,9 +219,10 @@ def default_input_layout(terminals, n):
     return {t: tuple(range(i * n, (i + 1) * n)) for i, t in enumerate(terms)}
 
 
-def _assign_gates(circuit, terms, seed, budget=64):
-    """Random gate->terminal map, resampled until every level's
-    gates-plus-inputs load stays within the explicit threshold."""
+def _assign_gates(circuit, terms, seed):
+    """Random gate->terminal map, resampled (at most ASSIGN_RESAMPLES
+    draws) until every level's gates-plus-inputs load stays within the
+    explicit threshold."""
     k = len(terms)
     d = max(1, circuit.depth)
     s = max(1, circuit.wire_count)
@@ -228,7 +231,7 @@ def _assign_gates(circuit, terms, seed, budget=64):
     thresholds = [3 * max(math.ceil(sz / k) * log_term, 1) for sz in sizes]
     rng = random.Random(f"assign:{seed}")
     worst = None
-    for attempt in range(budget):
+    for _ in range(ASSIGN_RESAMPLES):
         assignment = [tuple(terms[rng.randrange(k)] for _ in range(sz))
                       for sz in sizes]
         ok = True
@@ -248,7 +251,7 @@ def _assign_gates(circuit, terms, seed, budget=64):
         if ok:
             return assignment, thresholds
     raise CompileError(
-        f"no balanced gate assignment in {budget} resamples "
+        f"no balanced gate assignment in {ASSIGN_RESAMPLES} resamples "
         f"(best observed peak load {worst})")
 
 
@@ -266,8 +269,8 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
 
     meta keys: windows (rounds per level, 0 for a level with no units),
     thresholds (per-level load thresholds of the gate assignment),
-    data_rounds, broadcast_rounds, answer_round, assignment (per level, the
-    terminal owning each gate) and output_owner.  The reporting-only
+    data_rounds, broadcast_rounds and assignment (per level, the terminal
+    owning each gate).  The reporting-only
     per-level horizons 2*tau_mcf(3*threshold) are not computed.
     """
     terms = tuple(sorted(terminals))
@@ -439,9 +442,8 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
         step=step,
         meta={"windows": tuple(windows), "thresholds": tuple(thresholds),
               "data_rounds": data_rounds,
-              "broadcast_rounds": bcast_depth, "answer_round": answer_round,
-              "assignment": tuple(tuple(row) for row in assignment),
-              "output_owner": owner},
+              "broadcast_rounds": bcast_depth,
+              "assignment": tuple(tuple(row) for row in assignment)},
     )
 
 

@@ -66,12 +66,6 @@ class PublicRandomness:
             block += 1
         return tuple(out)
 
-    def randint(self, label, lo, hi):
-        raw = int.from_bytes(
-            hashlib.sha256(f"{self.seed}|{label}|int".encode()).digest()[:8],
-            "big")
-        return lo + raw % (hi - lo + 1)
-
 
 @dataclass(frozen=True)
 class ProtocolSpec:
@@ -106,7 +100,6 @@ class Transcript:
     rounds: int
     bits: tuple     # bits[t-1]: dict (tail, head, edge_id) -> bit, round t
     outputs: dict
-    halted: bool
 
     @property
     def total_bits(self):
@@ -176,7 +169,6 @@ def run_protocol(g, protocol, inputs, seed=0, max_rounds=None):
     inbox = [{} for _ in range(g.n)]
     outputs = {}
     log = []
-    halted = False
     terminals = set(g.terminals)
     for rnd in range(1, limit + 1):
         round_bits, inbox = _step_round(protocol.step, rnd, range(g.n),
@@ -184,12 +176,10 @@ def run_protocol(g, protocol, inputs, seed=0, max_rounds=None):
                                         outputs)
         log.append(round_bits)
         if len(outputs) == len(terminals):
-            halted = True
             break
-    transcript = Transcript(len(log), tuple(log), outputs, halted)
-    if not halted:
-        raise MaxRoundsExceeded(transcript)
-    return transcript
+    else:
+        raise MaxRoundsExceeded(Transcript(len(log), tuple(log), outputs))
+    return Transcript(len(log), tuple(log), outputs)
 
 
 def replay_matches(g, protocol, inputs, seed, transcript):

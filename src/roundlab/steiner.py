@@ -23,6 +23,11 @@ from fractions import Fraction
 
 from .graphs import GraphError, UnreachableError, bfs, tree_terminal_diameter
 
+# the sampled packing draws this many randomized trees
+PACKING_SAMPLES = 24
+# simple-path enumeration gives up past this many paths
+MAX_SIMPLE_PATHS = 500_000
+
 
 class HypothesisError(ValueError):
     """A terminal lacks the required short-path budget to the anchor."""
@@ -78,9 +83,7 @@ class SteinerTree:
 @dataclass
 class TreePacking:
     trees: list              # (SteinerTree, weight)
-    delta: int               # requested diameter bound
     bound_used: float        # bound actually enforced/recorded
-    mode: str
     meta: dict = field(default_factory=dict)
 
     @property
@@ -149,7 +152,7 @@ def _paths_to_root(parent, terminals):
 # ---------------------------------------------------------------------------
 # bounded-length edge-disjoint paths
 
-def _simple_paths(g, a, b, max_hops, cap=500_000):
+def _simple_paths(g, a, b, max_hops):
     """Every simple a-b path of at most max_hops edges, depth first in
     `g.incidence` order.  The DFS keeps an explicit stack of incidence
     iterators, so path length is not bounded by the recursion limit."""
@@ -171,7 +174,7 @@ def _simple_paths(g, a, b, max_hops, cap=500_000):
         eid, w = step
         if w in visited:
             continue
-        if len(out) > cap:
+        if len(out) > MAX_SIMPLE_PATHS:
             raise GraphError("path enumeration exceeded the desk-scale cap")
         if w == b:
             out.append(BasePath(tuple(verts) + (w,), tuple(eids) + (eid,)))
@@ -437,16 +440,16 @@ def build_steiner_tree(g, terminals, max_hops, path_budget, seed):
 # ---------------------------------------------------------------------------
 # packing
 
-def pack_steiner_trees(g, terminals, delta, mode="greedy", seed=0, samples=24):
+def pack_steiner_trees(g, terminals, delta, mode="greedy", seed=0):
     """Diameter-bounded Steiner tree packing.
 
     greedy: integral; repeatedly carve a diameter-<=delta tree out of the
     residual edges (shortest-path trees around candidate centers) until
     none fits.  sample: fractional; the randomized tree builder is sampled
-    and each distinct tree gets weight (p / (16 log2 k)) * frequency,
-    where p is the common short-path budget the graph supports at bound
-    delta.  Per-edge weight <= 1 is enforced (scaled down if violated,
-    recorded in meta).
+    PACKING_SAMPLES times and each distinct tree gets weight
+    (p / (16 log2 k)) * frequency, where p is the common short-path budget
+    the graph supports at bound delta.  Per-edge weight <= 1 is enforced
+    (scaled down if violated).
     """
     terms = tuple(sorted(set(terminals)))
     if len(terms) < 2:
@@ -456,7 +459,7 @@ def pack_steiner_trees(g, terminals, delta, mode="greedy", seed=0, samples=24):
     if mode == "greedy":
         return _pack_greedy(g, terms, delta)
     if mode == "sample":
-        return _pack_sampled(g, terms, delta, seed, samples)
+        return _pack_sampled(g, terms, delta, seed)
     raise GraphError(f"unknown packing mode {mode!r}")
 
 
@@ -486,12 +489,12 @@ def _pack_greedy(g, terms, delta):
             break
         trees.append((found, 1))
         residual -= found.edge_ids
-    packing = TreePacking(trees, delta, bound_used=delta, mode="greedy")
+    packing = TreePacking(trees, bound_used=delta)
     packing.validate()
     return packing
 
 
-def _pack_sampled(g, terms, delta, seed, samples):
+def _pack_sampled(g, terms, delta, seed):
     anchor = min(g.terminals)
     budget = None
     for t in terms:
@@ -500,26 +503,24 @@ def _pack_sampled(g, terms, delta, seed, samples):
         pc = short_disjoint_paths(g, t, anchor, delta)
         budget = pc.value if budget is None else min(budget, pc.value)
     if not budget:
-        return TreePacking([], delta, bound_used=delta, mode="sample",
-                           meta={"path_budget": 0, "samples": 0})
+        return TreePacking([], bound_used=delta, meta={"path_budget": 0})
     log_k = max(1, math.ceil(math.log2(len(terms))))
     bound_used = 64 * delta * max(1.0, math.log2(len(terms)))
     counts = {}
     kept = {}
-    for i in range(samples):
+    for i in range(PACKING_SAMPLES):
         tree = build_steiner_tree(g, terms, delta, budget, seed=f"{seed}:{i}")
         counts[tree.edge_ids] = counts.get(tree.edge_ids, 0) + 1
         kept[tree.edge_ids] = tree
     unit = Fraction(budget, 16 * log_k)
-    trees = [(kept[key], unit * Fraction(c, samples))
+    trees = [(kept[key], unit * Fraction(c, PACKING_SAMPLES))
              for key, c in sorted(counts.items(), key=lambda kv: sorted(kv[0]))]
-    packing = TreePacking(trees, delta, bound_used=bound_used, mode="sample",
-                          meta={"path_budget": budget, "samples": samples})
+    packing = TreePacking(trees, bound_used=bound_used,
+                          meta={"path_budget": budget})
     heaviest = max(packing.edge_weights().values(), default=0)
     if heaviest > 1:
         factor = Fraction(1) / Fraction(heaviest)
         packing.trees = [(t, w * factor) for t, w in packing.trees]
-        packing.meta["capacity_rescale"] = factor
     packing.validate()
     return packing
 

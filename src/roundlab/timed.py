@@ -23,8 +23,8 @@ augment along paths of lengths l_1 <= ... <= l_lambda.  The maximum
 that fits the horizon, and `extract_level_vector` reads the minimal min
 cut off shortest distances in the static residual network.
 
-The timed network remains for the multi-terminal flows of `mcf` and as
-the test oracle.  Its maximum flows come from one engine,
+The timed network remains for the multi-terminal flows and the LP of
+`mcf` and as the test oracle.  Its maximum flows come from one engine,
 `timed_max_flow`: it lays the arcs out as an int32 CSR capacity matrix
 straight from `TimedGraph.arc_arrays` and runs scipy's C Dinic on it
 (`scipy.sparse.csgraph.maximum_flow`), so no horizon meets a recursion
@@ -32,7 +32,9 @@ limit.  The index of `arc_arrays` is the one layout of a timed flow: a
 flow is a vector with one entry per arc, as are the LP columns of `mcf`.
 The CSR sums parallel arcs into one entry; `TimedFlow.arc_units` splits
 each summed flow back over its parallel base edges in edge-id order.
-Flows become timed paths through the one decomposer, `decompose_paths`.
+Flows become timed paths through the one decomposer, `decompose_paths`;
+its one caller is `mcf.balanced_partition_paths`, since `mcf` reads only
+the status of its LPs, never a solution.
 A network of more than MAX_TIMED_ARCS arcs is refused with a GraphError
 before anything is allocated.
 
@@ -62,6 +64,8 @@ INT32_MAX = int(np.iinfo(np.int32).max)
 # the most arcs a timed network of `mcf` may have: about twice the 17.3
 # million of path_graph(1200) at horizon 4,810
 MAX_TIMED_ARCS = 2 ** 25
+# `decompose_paths` reads arc flows at or below this as zero
+DECOMPOSE_EPS = 1e-9
 
 
 class RoutableError(ValueError):
@@ -289,18 +293,18 @@ def base_min_cut(g, side_a, side_b):
     return int(maximum_flow(capacity, n, n + 1, method="dinic").flow_value)
 
 
-def decompose_paths(tg, flow, sources, eps=1e-9):
+def decompose_paths(tg, flow, sources):
     """Split a flow vector, indexed like `TimedGraph.arc_arrays()`, into
     (TimedPath, amount) parcels running from layer 0 to layer tau.
 
     For each source vertex in turn, walk from (source, 0), at every node
-    taking the lowest-indexed arc whose residual exceeds eps, and cut the
-    walk's bottleneck; repeat until no flow leaves (source, 0).  Only the
-    arcs above eps are indexed.  Valid for conserved flows on the layered
+    taking the lowest-indexed arc whose residual exceeds DECOMPOSE_EPS,
+    and cut the walk's bottleneck; repeat until no flow leaves (source,
+    0).  Only the arcs above DECOMPOSE_EPS are indexed.  Valid for conserved flows on the layered
     network, which has no cycles.  Integral flows give integral amounts.
     """
     n, m = tg.base.n, tg.base.m
-    used = np.flatnonzero(flow > eps)
+    used = np.flatnonzero(flow > DECOMPOSE_EPS)
     tails, heads, _ = tg.arc_arrays()
     arcs = used.tolist()
     residual = dict(zip(arcs, flow[used].tolist()))
@@ -313,7 +317,7 @@ def decompose_paths(tg, flow, sources, eps=1e-9):
 
     def next_arc(node):
         for ai in by_tail.get(node, ()):
-            if residual[ai] > eps:
+            if residual[ai] > DECOMPOSE_EPS:
                 return ai
         return None
 

@@ -434,23 +434,6 @@ def mcf_lp_reference(g, tau, demands_by_source):
     return cost, a_ub, np.ones(len(nonmem)), a_eq, np.array(b_eq)
 
 
-def mcf_flows_reference(g, tau, demands_by_source, x, tolerance):
-    """Per-source arc flows read back from an LP solution vector x, one
-    entry at a time: {source: {arc_key: amount}} for amounts > tolerance."""
-    arcs = timed_arcs(g, tau)
-    out = {}
-    for si, src in enumerate(sorted(demands_by_source)):
-        flows = {}
-        for ai, key in enumerate(arcs):
-            if x[si * len(arcs) + ai] > tolerance:
-                flows[key] = x[si * len(arcs) + ai]
-        out[src] = flows
-    return out
-
-
-# ---------------------------------------------------------------------------
-# expansion / graph-property oracles
-
 def expansion_bruteforce(edges, n):
     """Min over nonempty S with |S| <= n/2 of boundary(S)/|S| (Fraction)."""
     best = None

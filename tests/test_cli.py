@@ -269,36 +269,23 @@ def test_bench_ed_lp_solve_count(tmp_path, capsys, monkeypatch):
     assert len(solves) <= 9
 
 
-def test_solve_lp_count_is_tau_mcf(tmp_path, capsys, monkeypatch):
-    # the rebalance routes from tau_mcf's witness: every LP of solve on an
-    # edge-mode instance is one of tau_mcf's probes (1 here; the two
-    # stage LPs of a separate routing made it 3)
-    solves, under_tau_mcf = [], []
-    real_tau_mcf = mcf_mod.tau_mcf
+def test_solve_edge_mode_solves_no_lp(tmp_path, capsys, monkeypatch):
+    # an edge-mode instance is placed on a random node distribution; no
+    # routing, and so no LP, is computed for that move
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solve solved an LP")
 
-    def counting_linprog(*args, **kwargs):
-        solves.append(1)
-        return linprog(*args, **kwargs)
-
-    def counting_tau_mcf(*args):
-        before = len(solves)
-        value = real_tau_mcf(*args)
-        under_tau_mcf.append(len(solves) - before)
-        return value
-
-    monkeypatch.setattr(mcf_mod, "linprog", counting_linprog)
-    monkeypatch.setattr(mcf_mod, "tau_mcf", counting_tau_mcf)
+    monkeypatch.setattr(mcf_mod, "linprog", no_lp)
     g = ring_of_cliques(4, 4)
     gpath = _write_graph(tmp_path, g)
     inst = and_disj_instance(random_pair_strings(g.terminals, 1, seed=0),
                              g.terminals, 1)
+    assert inst.mode == "edge"
     ipath = tmp_path / "inst.json"
     ipath.write_text(json.dumps(inst.to_json()))
     code, payload = _run(capsys, ["solve", "--variant", "connectivity",
                                   "--graph", gpath, "--instance", str(ipath)])
     assert code == 0 and payload["answer"] == payload["oracle"]
-    assert len(under_tau_mcf) == 1
-    assert len(solves) == sum(under_tau_mcf) == 1
 
 
 @pytest.mark.parametrize("status,exit_code", [(1, 4), (4, 4), (2, 2)])

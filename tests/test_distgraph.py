@@ -8,7 +8,6 @@ from roundlab.distgraph import (
     edge_to_node_rebalance, graph_oracles, instance_from_json,
     or_disj_instance, random_pair_strings,
 )
-from roundlab.schedules import audit_schedule
 from roundlab.sim import run_protocol
 
 from oracles import (
@@ -191,17 +190,19 @@ def test_rebalance_moves_edge_input_to_node_input():
     terms = g.terminals
     strings = random_pair_strings(terms, 2, seed=3)
     inst = or_disj_instance(strings, terms, 2)
-    node_inp, sched = edge_to_node_rebalance(g, terms, inst, seed=0)
+    node_inp = edge_to_node_rebalance(terms, inst, seed=0)
     assert node_inp.mode == "node"
     assert set(node_inp.assignment) == set(range(inst.num_vertices))
-    audit_schedule(sched, g, legged=False, demands=None)
+    assert set(node_inp.assignment.values()) <= set(terms)
+    assert node_inp.edges == inst.edges
 
 
 def test_rebalance_empty_graph():
     g = clique(3)
     inst = DistributedGraphInput(3, (), "edge", g.terminals, ())
-    node_inp, sched = edge_to_node_rebalance(g, g.terminals, inst, seed=1)
-    assert sched.horizon == 0
+    node_inp = edge_to_node_rebalance(g.terminals, inst, seed=1)
+    assert node_inp.mode == "node" and node_inp.edges == ()
+    assert set(node_inp.assignment) == {0, 1, 2}
 
 
 def test_rebalance_balance_concentrates():
@@ -219,7 +220,7 @@ def test_rebalance_balance_concentrates():
         inst = DistributedGraphInput(
             n_h, tuple(edges), "edge", g.terminals,
             tuple(g.terminals[0] for _ in edges))  # everything at one player
-        node_inp, _ = edge_to_node_rebalance(g, g.terminals, inst, seed=seed)
+        node_inp = edge_to_node_rebalance(g.terminals, inst, seed=seed)
         m_h = len(edges)
         delta_h = inst.max_degree
         bound = 4 * (m_h / 4 + delta_h) * math.log2(n_h * 4 + 2)
@@ -287,7 +288,7 @@ def test_bfs_and_disj_connectivity_matches_oracle():
     for seed in range(6):
         strings = random_pair_strings(terms, 2, seed=seed)
         inst = and_disj_instance(strings, terms, 2)
-        node_inp, _ = edge_to_node_rebalance(g, terms, inst, seed=seed)
+        node_inp = edge_to_node_rebalance(terms, inst, seed=seed)
         ans, _ = _run_variant(g, node_inp, "connectivity", seed=seed)
         assert ans == bool(and_disj_oracle(strings))
 

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from roundlab import (
-    Graph, GraphError, contract_sides, clique, cycle_graph, path_graph,
-    parallel_edges, grid_graph, random_connected_graph,
+    Graph, GraphError, path_graph, parallel_edges, grid_graph,
     parse_graph_text, format_graph_text, graph_to_json, graph_from_json,
 )
 from roundlab.graphs import bfs, bfs_tree
@@ -33,45 +32,6 @@ def test_parallel_edges_are_distinct():
     g = parallel_edges(3)
     assert g.m == 3
     assert g.degree(0) == 3
-
-
-def test_contract_singletons_is_identity_shape():
-    g = clique(3, terminals=(0, 1, 2))
-    h = contract_sides(g, {1}, {2})
-    # triangle again: 3 vertices, 3 edges
-    assert h.n == 3 and h.m == 3
-    assert h.terminals == (1, 2)
-
-
-def test_contract_four_cycle_to_parallel_bundle():
-    g = cycle_graph(4, terminals=(0, 1, 2, 3))
-    h = contract_sides(g, {0, 2}, {1, 3})
-    assert h.n == 2
-    assert h.m == 4
-    assert all(e == (0, 1) for e in h.edges)
-
-
-def test_contract_random_recount():
-    # independent recount: classify each original edge by side membership
-    for seed in range(20):
-        g = random_connected_graph(8, 6, seed=seed, k=5)
-        a = set(g.terminals[:2])
-        b = set(g.terminals[2:4])
-        h = contract_sides(g, a, b)
-        expect = 0
-        for u, v in g.edges:
-            internal = (u in a and v in a) or (u in b and v in b)
-            if not internal:
-                expect += 1
-        assert h.m == expect
-
-
-def test_contract_validation():
-    g = clique(4)
-    with pytest.raises(GraphError):
-        contract_sides(g, {0}, {0})
-    with pytest.raises(GraphError):
-        contract_sides(g, set(), {1})
 
 
 def test_text_roundtrip():

@@ -340,7 +340,7 @@ def _bfs_case(variant):
     g = ring_of_cliques(4, 4)
     terms = g.terminals
     inst = and_disj_instance(random_pair_strings(terms, 2, seed=0), terms, 2)
-    inst, _ = edge_to_node_rebalance(g, terms, inst, seed=0)
+    inst = edge_to_node_rebalance(terms, inst, seed=0)
     return g, bfs_protocol(g, terms, inst, variant), inst.blocks()
 
 

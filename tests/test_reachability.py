@@ -2,24 +2,28 @@
 referred to by some other source name or attribute, is exported by
 `__init__`, or is on the allowlist below with its reason.  A name load
 that a local variable of an enclosing function shadows refers to that
-variable, and a method named like a field or a self.<name> assignment is
-ambiguous, since its attribute references may read the data instead."""
+variable.  A method named like a field, a self.<name> assignment or a
+method of a library type the sources use is ambiguous, since its
+attribute references may read the data or call the library instead."""
 
 import ast
+import random
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "roundlab"
+
+# attributes of the library types the sources call methods on: a
+# reference such as rng.randint(...) on a random.Random counts for any
+# method of that name
+LIBRARY_ATTRS = frozenset().union(*map(dir, (
+    random.Random, dict, list, set, tuple, str, np.ndarray)))
 
 # definitions no source refers to, kept as public API or as checkers, and
 # ambiguous methods, each with where it is really used
 ALLOWED = {
-    "amount": "ambiguous: DemandMatrix.amount, read by "
-              "route_bounded_demand; also ScheduleEntry's field",
-    "audit_schedule": "checker: validates a routing schedule's paths, "
-                      "loads and deliveries in the tests",
-    "congestion_to_delay": "kept for ROADMAP item 6, the dilated "
-                           "schedule audit",
     "evaluate": "checkers: the truth of BooleanCircuit and "
                 "ComposedFunction that compiled protocols are tested against",
     "bits": "ambiguous: PublicRandomness.bits, the public coins of every "
@@ -115,8 +119,9 @@ def _unreached(sources):
     """Sorted (name, file, line, why) of the definitions in `sources`
     ({file name: text}) that are "unreached": no name or attribute outside
     their own body refers to them, or "ambiguous": methods named like a
-    field or a self.<name> assignment, whose attribute references cannot
-    be told apart from reads of the data.  The names `__init__.py` imports
+    field, a self.<name> assignment or a LIBRARY_ATTRS name, whose
+    attribute references cannot be told apart from reads of the data or
+    library calls.  The names `__init__.py` imports
     count as referred to; dunder methods are called implicitly and are
     skipped."""
     defs, refs, own, fields = [], Counter(), Counter(), set()
@@ -139,7 +144,7 @@ def _unreached(sources):
             continue
         if refs[name] <= own[name]:
             found.append((name, fname, line, "unreached"))
-        elif is_method and name in fields:
+        elif is_method and (name in fields or name in LIBRARY_ATTRS):
             found.append((name, fname, line, "ambiguous"))
     return sorted(found)
 
@@ -171,12 +176,14 @@ def test_scan_finds_a_planted_dead_function():
 
 
 def test_scan_sees_through_locals_and_fields():
-    # a dead method named like a local variable, and one named like a
-    # dataclass field, are both reported; a call from a lambda inside a
-    # function that does not bind the name still counts
+    # a dead method named like a local variable, one named like a
+    # dataclass field and one named like a random.Random method called
+    # elsewhere are all reported; a call from a lambda inside a function
+    # that does not bind the name still counts
     sources = {
         "__init__.py": "from .g import route\n",
-        "g.py": ("from dataclasses import dataclass\n"
+        "g.py": ("import random\n"
+                 "from dataclasses import dataclass\n"
                  "\n"
                  "class Graph:\n"
                  "    def dist(self, a):\n"
@@ -185,19 +192,24 @@ def test_scan_sees_through_locals_and_fields():
                  "    def diameter(self):\n"
                  "        return 0\n"
                  "\n"
+                 "    def randint(self, lo, hi):\n"
+                 "        return lo\n"
+                 "\n"
                  "@dataclass\n"
                  "class Tree:\n"
                  "    diameter: int\n"
                  "\n"
                  "def route(size):\n"
                  "    tree, dist = Tree(size), [Graph()] * size\n"
+                 "    size += random.Random(size).randint(0, 1)\n"
                  "    return dist, tree.diameter + (lambda: cut())()\n"
                  "\n"
                  "def cut():\n"
                  "    return 0\n"),
     }
-    assert _unreached(sources) == [("diameter", "g.py", 7, "ambiguous"),
-                                   ("dist", "g.py", 4, "unreached")]
+    assert _unreached(sources) == [("diameter", "g.py", 8, "ambiguous"),
+                                   ("dist", "g.py", 5, "unreached"),
+                                   ("randint", "g.py", 11, "ambiguous")]
 
 
 def test_every_definition_is_reachable():

@@ -230,12 +230,13 @@ def test_pack_respects_capacity_and_delta():
                 assert tree.diameter <= delta
 
 
-def test_pack_sampled_value_and_monotonicity():
+def test_pack_sampled_value_and_monotonicity(monkeypatch):
+    monkeypatch.setattr(steiner_mod, "PACKING_SAMPLES", 12)
     g = grid_graph(2, 3, terminals=(0, 2, 3, 5))
     values = []
     for delta in (3, 4, 5):
         packing = pack_steiner_trees(g, g.terminals, delta=delta,
-                                     mode="sample", seed=11, samples=12)
+                                     mode="sample", seed=11)
         packing.validate()
         values.append(packing.value)
         budget = packing.meta["path_budget"]

@@ -1,8 +1,10 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from roundlab import (
     Graph, GraphError, UnreachableError, RoutableError,
@@ -16,10 +18,10 @@ from roundlab.timed import (
     SearchLimitError, TimedGraph, base_min_cut, decompose_paths,
     least_feasible_horizon, timed_max_flow,
 )
-from roundlab.mcf import _mcf_vertex, _partition_flow, _source_flows, _support
+from roundlab.mcf import _partition_flow
 from oracles import (
     arc_key_flows, base_cut_bruteforce, decompose_paths_reference,
-    timed_flow_bruteforce, tau_route_bruteforce,
+    mcf_lp_reference, timed_flow_bruteforce, tau_route_bruteforce,
 )
 
 
@@ -326,7 +328,7 @@ def test_repeated_flow_matches_engine_and_oracle(case, tau, n_prime):
        st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 2)]))
 def test_decomposer_matches_arc_key_reference(case, tau, amount):
     # integral Dinic flows (single pair and partition) and fractional LP
-    # witnesses give the arc-key decomposer's parcels, in its order, with
+    # vertices give the arc-key decomposer's parcels, in its order, with
     # its amounts
     g, a, b = case
     tg = build_timed_graph(g, tau)
@@ -336,9 +338,11 @@ def test_decomposer_matches_arc_key_reference(case, tau, amount):
         ((a,), timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau)).arc_units()),
         (side_a, _partition_flow(tg, side_a, side_b, 2, 2).arc_units()),
     ]
-    x = _mcf_vertex(tg, {a: {b: amount}, b: {a: amount}})
-    if x is not None:
-        flows = _source_flows(tg, 2, *_support(x))
+    lp = mcf_lp_reference(g, tau, {a: {b: amount}, b: {a: amount}})
+    res = linprog(*lp, bounds=(0, None), method="highs")
+    if res.status == 0:
+        # each source's arc flows, solver noise at or below 1e-7 dropped
+        flows = np.where(res.x > 1e-7, res.x, 0.0).reshape(2, -1)
         cases += [((src,), flow) for src, flow in zip(sorted((a, b)), flows)]
     for sources, flow in cases:
         got = [(path.verts, path.edge_ids, amt)
