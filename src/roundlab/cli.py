@@ -120,10 +120,40 @@ def _emit(payload, args):
         sys.stdout.write(text)
 
 
-def _load_inputs(path):
+def _load_inputs(path, terminals):
+    """The --inputs file as {terminal: bit tuple}.  It must be a JSON
+    object with one key per terminal, each holding a nonempty list of
+    0/1 bits, all lists of one length; anything else raises a GraphError
+    naming --inputs and, where there is one, the terminal."""
     with open(path) as fh:
         raw = json.load(fh)
-    return {int(t): tuple(bits) for t, bits in raw.items()}
+    if not isinstance(raw, dict):
+        raise GraphError("--inputs must be a JSON object of terminal: bit "
+                         f"list, not a {type(raw).__name__}")
+    inputs = {}
+    for key, bits in raw.items():
+        try:
+            t = int(key)
+        except ValueError:
+            raise GraphError(f"--inputs key {key!r} is not a terminal") \
+                from None
+        if t in inputs:
+            raise GraphError(f"--inputs names terminal {t} twice")
+        if not isinstance(bits, list) or not bits or any(
+                type(b) is not int or b not in (0, 1) for b in bits):
+            raise GraphError(f"--inputs terminal {t}: expected a nonempty "
+                             f"list of 0/1 bits, got {bits!r}")
+        inputs[t] = tuple(bits)
+    if sorted(inputs) != sorted(terminals):
+        raise GraphError(f"--inputs covers terminals {sorted(inputs)}, "
+                         f"the graph's are {sorted(terminals)}")
+    first = min(inputs)
+    for t in sorted(inputs):
+        if len(inputs[t]) != len(inputs[first]):
+            raise GraphError(
+                f"--inputs terminal {t} has {len(inputs[t])} bits, "
+                f"terminal {first} has {len(inputs[first])}")
+    return inputs
 
 
 def _random_inputs(terminals, n, seed):
@@ -188,7 +218,7 @@ def _build_named_protocol(name, g, inputs, seed):
         proto = steiner_aggregate_protocol(g, terms, best.packing, func)
         return proto, inputs, disj_oracle(xs), best.value
     if name == "ed-compiled":
-        red = ed_hash_reduce(xs, seed=seed, n_bits=n, trials=1)
+        red = ed_hash_reduce(xs, seed=seed, n_bits=n)
         hashed = red.bitstrings()
         circuit, pos = build_ed_circuit(len(terms), red.bits_per_hash)
         proto = compile_circuit(g, terms, circuit, seed=seed, output_pos=pos)
@@ -200,7 +230,7 @@ def _build_named_protocol(name, g, inputs, seed):
 
 def cmd_run(args):
     g = load_graph(args.graph)
-    inputs = _load_inputs(args.inputs) if args.inputs else \
+    inputs = _load_inputs(args.inputs, g.terminals) if args.inputs else \
         _random_inputs(g.terminals, args.n, args.seed)
     proto, inputs, _, _ = _build_named_protocol(args.protocol, g, inputs,
                                                 args.seed)
@@ -229,7 +259,11 @@ def cmd_compile(args):
                "broadcast_rounds": proto.meta["broadcast_rounds"],
                "seed": args.seed}
     if args.inputs:
-        inputs = _load_inputs(args.inputs)
+        inputs = _load_inputs(args.inputs, g.terminals)
+        width = len(inputs[g.terminals[0]])
+        if width != circuit.n:
+            raise GraphError(f"--inputs gives {width} bits per terminal, "
+                             f"the circuit reads {circuit.n}")
         tr = run_protocol(g, proto, inputs, seed=args.seed)
         payload["rounds"] = tr.rounds
         payload["outputs"] = {str(t): tr.outputs[t]
@@ -251,7 +285,7 @@ def cmd_embed_expander(args):
     emb = cut_matching_embed(g, g.terminals, args.tau, args.nprime,
                              seed=args.seed)
     paths = {f"{emb.terminals[i]}->{emb.terminals[j]}@{it}":
-             {"start": p.start, "verts": list(p.verts),
+             {"start": 0, "verts": list(p.verts),
               "edge_ids": [e if e is not None else -1 for e in p.edge_ids]}
              for (i, j, it), p in sorted(emb.paths.items())}
     return {"command": "embed-expander",

@@ -625,10 +625,9 @@ def bfs_protocol(g, terminals, inp, variant):
         def step0(v, rnd, state, inbox, pub):
             return {}, state, (trivial if v in term_set else None)
 
-        return ProtocolSpec(f"bfs-{variant}-empty", 2, init, step0)
+        return ProtocolSpec(2, init, step0)
 
     return ProtocolSpec(
-        name=f"bfs-{variant}",
         max_rounds=max_rounds,
         init=init,
         step=step,

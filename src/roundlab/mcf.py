@@ -4,22 +4,24 @@ The central quantity is the least horizon tau at which the uniform
 all-pairs demand (n'/k per ordered terminal pair) admits a fractional
 congestion-1 routing in the tau-layer expansion.  Feasibility is decided
 by an exact arc-based LP (HiGHS), read off the solver's status alone; no
-routing is read back.  The search for that horizon solves only the LPs
-that certified bounds and earlier answers leave open: it starts at a
-flow-over-time cut bound, which timed single-commodity max flows certify,
-and a per-(graph, terminals) ledger of decided answers brackets it from
-both sides, because feasibility is monotone up in tau and down in n'.
+routing is read back.  `tau_mcf` builds the demand once per search, as
+the by-source dict {s: {t: n'/k}} that `mcf_feasible` hands to the LP.
+The search for that horizon solves only the LPs that certified bounds
+and earlier answers leave open: it starts at a flow-over-time cut bound,
+which timed single-commodity max flows certify, and a per-(graph,
+terminals) ledger of decided answers brackets it from both sides,
+because feasibility is monotone up in tau and down in n'.
 
-Also here: the balanced-partition edge-disjoint path extractor, and a
-small integral unit-demand router used by the bit-level protocol
-builders.
+Also here: the balanced-partition edge-disjoint path extractor, which
+peels its integral Dinic flow into unit paths with the one decomposer of
+`timed`, and a small integral unit-demand router used by the bit-level
+protocol builders.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -29,8 +31,8 @@ from scipy.optimize import linprog
 
 from .graphs import GraphError, UnreachableError, tree_terminal_diameter
 from .timed import (
-    TimedPath, base_min_cut, build_timed_graph, decompose_paths,
-    least_feasible_horizon, tau_route, timed_max_flow,
+    TimedPath, base_min_cut, build_timed_graph, least_feasible_horizon,
+    tau_route, timed_max_flow,
 )
 
 # terminal sets up to this size bound tau_MCF with the min cut of every
@@ -43,10 +45,6 @@ class LPSolveError(RuntimeError):
     numerical trouble); such a probe is never read as infeasible."""
 
 
-class BoundedDemandError(ValueError):
-    """A demand matrix violates its claimed n'-bound."""
-
-
 class PartitionInfeasibleError(RuntimeError):
     """The balanced-partition flow fell short; carries the achieved value."""
 
@@ -54,36 +52,6 @@ class PartitionInfeasibleError(RuntimeError):
         super().__init__(f"partition flow {achieved} < required {required}")
         self.achieved = achieved
         self.required = required
-
-
-@dataclass
-class DemandMatrix:
-    """Directed nonnegative demand over ordered terminal pairs."""
-
-    terminals: tuple
-    amounts: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terminals = tuple(sorted(self.terminals))
-        terms = set(self.terminals)
-        clean = {}
-        for (u, v), amt in sorted(self.amounts.items()):
-            if u not in terms or v not in terms:
-                raise BoundedDemandError(f"pair ({u},{v}) outside terminal set")
-            if u == v and amt != 0:
-                raise BoundedDemandError("diagonal demands must be zero")
-            if amt < 0:
-                raise BoundedDemandError("negative demand")
-            if amt > 0:
-                clean[(u, v)] = amt
-        self.amounts = clean
-
-
-def uniform_demand(terminals, n_prime):
-    k = len(terminals)
-    per_pair = Fraction(n_prime) / k
-    amounts = {(u, v): per_pair for u in terminals for v in terminals if u != v}
-    return DemandMatrix(tuple(terminals), amounts)
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +103,17 @@ def _assemble_mcf_lp(tg, demands_by_source):
     return cost.ravel(), a_ub, np.ones(nonmem.size), a_eq, b_eq
 
 
-def mcf_feasible(g, demand, tau):
-    """Whether a DemandMatrix routes fractionally at horizon tau.
+def mcf_feasible(g, by_source, tau):
+    """Whether the positive demands {source: {dest: amount}} route
+    fractionally at horizon tau.
 
     Solves the `_assemble_mcf_lp` LP and reads HiGHS's status: 0 is
-    feasible, 2 is infeasible, and any other raises LPSolveError.  A
-    DemandMatrix holds only positive off-diagonal amounts, so any demand
-    is infeasible at tau = 0."""
-    by_source = {}
-    for (u, v), amt in demand.amounts.items():
-        by_source.setdefault(u, {})[v] = amt
+    feasible, 2 is infeasible, and any other raises LPSolveError.  No
+    demand moves in zero rounds, so tau = 0 is infeasible without an
+    LP."""
     tg = build_timed_graph(g, tau)
-    if not by_source or tau == 0:
-        return not by_source
+    if tau == 0:
+        return False
     cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(tg, by_source)
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=(0, None), method="highs")
@@ -201,9 +167,11 @@ def tau_mcf(g, terminals, n_prime):
              default=math.inf)
     if lo != hi:
         lo = _flow_bound(g, terminals, n_prime, lo)
-        demand = uniform_demand(terminals, n_prime)
+        share = n_prime / len(terminals)
+        by_source = {s: {t: share for t in terminals if t != s}
+                     for s in terminals}
         lo = least_feasible_horizon(
-            lambda tau: tau >= hi or mcf_feasible(g, demand, tau),
+            lambda tau: tau >= hi or mcf_feasible(g, by_source, tau),
             lo, _search_cutoff(g, terminals, n_prime), "tau_mcf")
     if n_prime not in answers:
         answers[n_prime] = lo
@@ -340,9 +308,7 @@ def balanced_partition_paths(g, tau, side_a, side_b, n_prime):
     required = n_prime * len(side_a)
     if flow.value < required:
         raise PartitionInfeasibleError(flow.value, required)
-    return [path for path, units in decompose_paths(tg, flow.arc_units(),
-                                                    side_a)
-            for _ in range(units)]
+    return flow.unit_paths(side_a)
 
 
 def _partition_flow(tg, side_a, side_b, cap_a, cap_b):
@@ -411,7 +377,7 @@ def _bfs_timed(g, src, dst, horizon, used):
     from collections import deque
 
     if horizon == 0:
-        return TimedPath(0, (src,), ()) if src == dst else None
+        return TimedPath((src,), ()) if src == dst else None
     start = (src, 0)
     target = (dst, horizon)
     parent = {start: None}
@@ -450,4 +416,4 @@ def _bfs_timed(g, src, dst, horizon, used):
         state = (v, layer)
     verts.reverse()
     eids.reverse()
-    return TimedPath(0, tuple(verts), tuple(eids))
+    return TimedPath(tuple(verts), tuple(eids))

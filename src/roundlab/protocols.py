@@ -201,7 +201,6 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
         return sends, state, out
 
     return ProtocolSpec(
-        name=f"aggregate-{func.n}x{func.k}",
         max_rounds=data_rounds + bcast_rounds + 2,
         init=init,
         step=step,
@@ -436,7 +435,6 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
 
     data_rounds = sum(windows)
     return ProtocolSpec(
-        name=f"compiled-{circuit.depth}x{circuit.wire_count}",
         max_rounds=max_rounds,
         init=init,
         step=step,
@@ -452,19 +450,12 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
 
 @dataclass(frozen=True)
 class HashReduction:
-    hashes: tuple
+    hashes: tuple   # one hash per input
     bits_per_hash: int
-    trials: int
-    family: str
 
     def bitstrings(self):
-        out = []
-        for row in self.hashes:
-            bits = []
-            for h in row:
-                bits.extend((h >> i) & 1 for i in range(self.bits_per_hash))
-            out.append(tuple(bits))
-        return tuple(out)
+        return tuple(tuple((h >> i) & 1 for i in range(self.bits_per_hash))
+                     for h in self.hashes)
 
 
 def _to_int(x):
@@ -473,33 +464,25 @@ def _to_int(x):
     return sum(bit << i for i, bit in enumerate(x))
 
 
-def ed_hash_reduce(inputs, seed, n_bits=None, trials=None):
-    """Compress k inputs to tuples of short pairwise-independent hashes.
+def ed_hash_reduce(inputs, seed, n_bits):
+    """Compress k inputs of n_bits bits to one short pairwise-independent
+    hash each.
 
-    Multiply-shift family over 2w-bit words (w = input width): hash_j(x) =
-    ((a_j x + b_j) mod 2^{2w}) >> (2w - bits), bits = 2 ceil(log2 k) + 2,
-    repeated ceil(log2(3 k^2)) independent times (override with `trials`;
-    one trial already keeps the union-bound collision chance under 1/8).
-    Equal inputs always collide on every trial; an unequal pair survives a
-    single trial with probability at most 1/(4 k^2).
+    Multiply-shift over 2w-bit words, w = max(n_bits, bits): hash(x) =
+    ((a x + b) mod 2^{2w}) >> (2w - bits), bits = 2 ceil(log2 k) + 2.
+    Equal inputs always collide; an unequal pair collides with
+    probability at most 1/(4 k^2), so by the union bound over the k(k-1)/2
+    pairs all distinct inputs keep distinct hashes with probability over
+    7/8.
     """
     k = len(inputs)
     if k < 2:
         raise GraphError("need at least two inputs")
-    values = [_to_int(x) for x in inputs]
-    if n_bits is None:
-        n_bits = max(1, max(values).bit_length())
     bits = 2 * max(1, math.ceil(math.log2(k))) + 2
-    if trials is None:
-        trials = max(1, math.ceil(math.log2(3 * k * k)))
     width = 2 * max(n_bits, bits)
     mask = (1 << width) - 1
     rng = random.Random(f"edhash:{seed}")
-    rows = [[] for _ in range(k)]
-    for j in range(trials):
-        a = rng.randrange(1, 1 << width) | 1
-        b = rng.randrange(0, 1 << width)
-        for i, x in enumerate(values):
-            rows[i].append(((a * x + b) & mask) >> (width - bits))
-    return HashReduction(tuple(tuple(r) for r in rows), bits, trials,
-                         family=f"multiply-shift-{width}bit:{seed}")
+    a = rng.randrange(1, 1 << width) | 1
+    b = rng.randrange(0, 1 << width)
+    return HashReduction(tuple(((a * _to_int(x) + b) & mask) >> (width - bits)
+                               for x in inputs), bits)

@@ -88,7 +88,6 @@ class ProtocolSpec:
     (no checks, no delivery).
     """
 
-    name: str
     max_rounds: int
     init: object
     step: object

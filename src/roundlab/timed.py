@@ -32,9 +32,11 @@ limit.  The index of `arc_arrays` is the one layout of a timed flow: a
 flow is a vector with one entry per arc, as are the LP columns of `mcf`.
 The CSR sums parallel arcs into one entry; `TimedFlow.arc_units` splits
 each summed flow back over its parallel base edges in edge-id order.
-Flows become timed paths through the one decomposer, `decompose_paths`;
-its one caller is `mcf.balanced_partition_paths`, since `mcf` reads only
-the status of its LPs, never a solution.
+Every flow the package turns into paths is integral, and one walk,
+`peel_unit_paths`, peels them into unit paths.  It has two callers: the
+static flow of `max_route_flow`, whose arcs 2 * eid and 2 * eid + 1 are
+laid out like the edge arcs of layer 0, and `TimedFlow.unit_paths`, the
+Dinic flow of `mcf.balanced_partition_paths`.
 A network of more than MAX_TIMED_ARCS arcs is refused with a GraphError
 before anything is allocated.
 
@@ -64,8 +66,6 @@ INT32_MAX = int(np.iinfo(np.int32).max)
 # the most arcs a timed network of `mcf` may have: about twice the 17.3
 # million of path_graph(1200) at horizon 4,810
 MAX_TIMED_ARCS = 2 ** 25
-# `decompose_paths` reads arc flows at or below this as zero
-DECOMPOSE_EPS = 1e-9
 
 
 class RoutableError(ValueError):
@@ -127,33 +127,31 @@ def build_timed_graph(g, tau):
 
 @dataclass(frozen=True)
 class TimedPath:
-    """A path through consecutive layers of a timed graph.
+    """A path through consecutive layers of a timed graph, from layer 0.
 
-    verts[j] sits at layer start+j; edge_ids[j] is the base edge used for
-    the step to layer start+j+1, or None for a memory (dwell) step.
+    verts[j] sits at layer j; edge_ids[j] is the base edge used for the
+    step to layer j+1, or None for a memory (dwell) step.
     """
 
-    start: int
     verts: tuple
     edge_ids: tuple
+    # every path starts at layer 0; the benchmark's flow check reads it
+    start = 0
 
     def __post_init__(self):
         if len(self.verts) != len(self.edge_ids) + 1:
             raise GraphError("vertex/step count mismatch")
 
-    @property
-    def end(self):
-        return self.start + len(self.edge_ids)
-
     def steps(self):
         """Yield (layer, edge_id, tail, head) per step."""
         for j, eid in enumerate(self.edge_ids):
-            yield (self.start + j, eid, self.verts[j], self.verts[j + 1])
+            yield (j, eid, self.verts[j], self.verts[j + 1])
 
 
 def validate_timed_path(g, path, horizon):
-    if path.start < 0 or path.end > horizon:
-        raise GraphError(f"path layers [{path.start},{path.end}] exceed horizon {horizon}")
+    if len(path.edge_ids) > horizon:
+        raise GraphError(f"path of {len(path.edge_ids)} steps exceeds "
+                         f"horizon {horizon}")
     for layer, eid, u, v in path.steps():
         if eid is None:
             if u != v:
@@ -166,11 +164,10 @@ def validate_timed_path(g, path, horizon):
 def mirror_timed_path(path, tau):
     """Reverse a full-span path in time: the step ((u,t-1),(v,t)) maps to
     ((v,tau-t),(u,tau-t+1)).  An involution on (a,0)->(b,tau) paths."""
-    if path.start != 0 or path.end != tau:
+    if len(path.edge_ids) != tau:
         raise GraphError("only full-span paths can be mirrored")
-    verts = tuple(reversed(path.verts))
-    eids = tuple(reversed(path.edge_ids))
-    return TimedPath(0, verts, eids)
+    return TimedPath(tuple(reversed(path.verts)),
+                     tuple(reversed(path.edge_ids)))
 
 
 @dataclass(frozen=True)
@@ -209,6 +206,19 @@ class TimedFlow:
         rank = np.tile(rank + [0] * tg.base.n, tg.tau)
         return np.where(is_edge, summed > rank, summed)
 
+    def unit_paths(self, sources):
+        """The flow as unit TimedPaths from layer 0 to layer tau, peeled
+        by `peel_unit_paths` from (source, 0) for each of `sources` in
+        turn."""
+        tg = self.tg
+        n, width = tg.base.n, 2 * tg.base.m + tg.base.n
+        tails, heads, is_edge = tg.arc_arrays()
+        return [TimedPath(tuple(v % n for v in nodes),
+                          tuple(ai % width // 2 if is_edge[ai] else None
+                                for ai in arcs))
+                for nodes, arcs in peel_unit_paths(tails, heads,
+                                                   self.arc_units(), sources)]
+
 
 @dataclass(frozen=True)
 class FlowSolution:
@@ -232,7 +242,7 @@ class FlowSolution:
             for s in range(self.tau - len(eids) + 1):
                 rest = self.tau - s - len(eids)
                 out.append(TimedPath(
-                    0, (verts[0],) * s + verts + (verts[-1],) * rest,
+                    (verts[0],) * s + verts + (verts[-1],) * rest,
                     (None,) * s + eids + (None,) * rest))
         return tuple(out)
 
@@ -293,51 +303,38 @@ def base_min_cut(g, side_a, side_b):
     return int(maximum_flow(capacity, n, n + 1, method="dinic").flow_value)
 
 
-def decompose_paths(tg, flow, sources):
-    """Split a flow vector, indexed like `TimedGraph.arc_arrays()`, into
-    (TimedPath, amount) parcels running from layer 0 to layer tau.
+def peel_unit_paths(tails, heads, units, sources):
+    """Split an integral flow on an acyclic network into unit paths, as
+    (nodes, arcs) lists: the nodes visited and the arcs taken.
 
-    For each source vertex in turn, walk from (source, 0), at every node
-    taking the lowest-indexed arc whose residual exceeds DECOMPOSE_EPS,
-    and cut the walk's bottleneck; repeat until no flow leaves (source,
-    0).  Only the arcs above DECOMPOSE_EPS are indexed.  Valid for conserved flows on the layered
-    network, which has no cycles.  Integral flows give integral amounts.
+    Arc i runs from tails[i] to heads[i] and carries units[i] units.  For
+    each source in turn, while a unit leaves it: walk from it, at every
+    node taking the lowest-indexed arc with a unit left, until no unit
+    leaves the node, and take one unit off every arc walked.  An arc a
+    walk passed over had no unit left and never regains one, so the next
+    walk repeats the last until one of its arcs runs out: peeling follows
+    each walk exactly as often as its bottleneck.  On a conserved flow
+    every walk ends at a sink.
     """
-    n, m = tg.base.n, tg.base.m
-    used = np.flatnonzero(flow > DECOMPOSE_EPS)
-    tails, heads, _ = tg.arc_arrays()
-    arcs = used.tolist()
-    residual = dict(zip(arcs, flow[used].tolist()))
-    step, by_tail = {}, {}   # arc -> (head node, edge id or None)
-    for ai, tail, head in zip(arcs, tails[used].tolist(),
-                              heads[used].tolist()):
-        r = ai % (2 * m + n)
-        step[ai] = (head, r // 2 if r < 2 * m else None)
-        by_tail.setdefault(tail, []).append(ai)
-
-    def next_arc(node):
-        for ai in by_tail.get(node, ()):
-            if residual[ai] > DECOMPOSE_EPS:
-                return ai
-        return None
-
-    parcels = []
+    used = np.flatnonzero(units).tolist()
+    left = dict(zip(used, units[used].tolist()))
+    head = dict(zip(used, heads[used].tolist()))
+    out = {}    # node -> its arcs with a unit left, lowest index last
+    for ai, tail in zip(reversed(used), reversed(tails[used].tolist())):
+        out.setdefault(tail, []).append(ai)
+    walks = []
     for source in sources:
-        while next_arc(tg.node(source, 0)) is not None:
-            nodes, eids, walk = [tg.node(source, 0)], [], []
-            for _ in range(tg.tau):
-                ai = next_arc(nodes[-1])
-                if ai is None:
-                    raise AssertionError("flow decomposition stalled")
-                walk.append(ai)
-                nodes.append(step[ai][0])
-                eids.append(step[ai][1])
-            amount = min(residual[ai] for ai in walk)
-            for ai in walk:
-                residual[ai] -= amount
-            parcels.append((TimedPath(0, tuple(v % n for v in nodes),
-                                      tuple(eids)), amount))
-    return parcels
+        while out.get(source):
+            nodes, arcs = [source], []
+            while out.get(nodes[-1]):
+                ai = out[nodes[-1]][-1]
+                left[ai] -= 1
+                if not left[ai]:
+                    out[nodes[-1]].pop()
+                nodes.append(head[ai])
+                arcs.append(ai)
+            walks.append((nodes, arcs))
+    return walks
 
 
 def least_feasible_horizon(feasible, lo, cutoff, name):
@@ -460,33 +457,16 @@ def _horizon_flow(g, a, b, tau):
     return sum(tau + 1 - ell for ell in lengths), used
 
 
-def _static_paths(g, a, b, used):
-    """The static flow `used` as a -> b paths (verts, edge_ids), walking
-    the lowest-numbered flow arc out of each vertex.  At min cost the
-    flow's support has no cycle (every arc costs 1, so a cycle could be
-    cancelled), so every walk ends at b."""
-    out = {}
-    for arc in sorted(used, reverse=True):
-        tail, head = _arc_ends(g, arc)
-        out.setdefault(tail, []).append((head, arc // 2))
-    paths = []
-    while out.get(a):
-        verts, eids = [a], []
-        while verts[-1] != b:
-            head, eid = out[verts[-1]].pop()
-            verts.append(head)
-            eids.append(eid)
-        paths.append((tuple(verts), tuple(eids)))
-    return tuple(paths)
-
-
 def max_route_flow(g, a, b, tau):
     """Maximum (a,0) -> (b,tau) flow in the timed expansion, unit capacity
     per non-memory arc, as a temporally repeated flow: its value is
     F(tau) = sum_i max(0, tau + 1 - l_i) over the successive shortest
     path lengths l_i, and `FlowSolution.paths` repeats each path P_j of
     the static flow of the paths with l_i <= tau from every start s =
-    0..tau - |P_j| (Ford-Fulkerson 1958).
+    0..tau - |P_j| (Ford-Fulkerson 1958).  `peel_unit_paths` peels the
+    P_j off the static flow, whose support has no cycle at min cost
+    (every arc costs 1, so a cycle could be cancelled): no unit leaves b,
+    and every walk from a ends there.
 
     Proof that every P_j fits the horizon: the static flow x_k of the k
     augmented paths has the least cost of any flow of value k, and x_k -
@@ -500,7 +480,13 @@ def max_route_flow(g, a, b, tau):
     exactly F(tau).
     """
     value, used = _horizon_flow(g, a, b, tau)
-    return FlowSolution(value, tau, _static_paths(g, a, b, used))
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    units = np.zeros(2 * g.m, dtype=np.int64)
+    units[list(used)] = 1
+    walks = peel_unit_paths(ends.ravel(), ends[:, ::-1].ravel(), units, (a,))
+    return FlowSolution(value, tau, tuple(
+        (tuple(nodes), tuple(arc // 2 for arc in arcs))
+        for nodes, arcs in walks))
 
 
 def tau_route(g, a, b, n_prime):

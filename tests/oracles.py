@@ -339,6 +339,27 @@ def arc_key_flows(g, tau, flow):
             if amount}
 
 
+def static_paths_reference(g, a, b, used):
+    """The static a -> b flow `used` (a set of arc ids: 2 * eid is edge
+    eid's u -> v and 2 * eid + 1 its v -> u, for edges[eid] = (u, v)) as
+    paths (verts, edge_ids), walking the lowest-numbered flow arc out of
+    each vertex until the walk reaches b, while a flow arc leaves a."""
+    out = {}
+    for arc in sorted(used, reverse=True):
+        u, v = g.edges[arc // 2]
+        tail, head = (u, v) if arc % 2 == 0 else (v, u)
+        out.setdefault(tail, []).append((head, arc // 2))
+    paths = []
+    while out.get(a):
+        verts, eids = [a], []
+        while verts[-1] != b:
+            head, eid = out[verts[-1]].pop()
+            verts.append(head)
+            eids.append(eid)
+        paths.append((tuple(verts), tuple(eids)))
+    return tuple(paths)
+
+
 def decompose_paths_reference(g, tau, flows, sources, eps=1e-9):
     """Split an arc-key flow map {(layer, eid, tail, head): amount} into
     (verts, edge_ids, amount) parcels from layer 0 to layer tau.
@@ -646,8 +667,7 @@ def aggregate_protocol_reference(g, terminals, packing, func):
                     sends[eid] = state["bcast"]
         return sends, state, out
 
-    return ProtocolSpec("aggregate-reference",
-                        data_rounds + bcast_rounds + 2, init, step)
+    return ProtocolSpec(data_rounds + bcast_rounds + 2, init, step)
 
 
 # ---------------------------------------------------------------------------

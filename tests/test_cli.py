@@ -445,6 +445,56 @@ def test_run_with_inputs_file(tmp_path, capsys, protocol, g, bits):
     assert payload["rounds"] >= 1 and payload["total_bits"] > 0
 
 
+@pytest.mark.parametrize("raw,message", [
+    ({"0": [1, 0], "1": [1]}, "terminal 1 has 1 bits, terminal 0 has 2"),
+    ({"0": [1, 0, 0], "1": [1, 0]}, "terminal 1 has 2 bits, terminal 0 has 3"),
+    ({"0": [1, 2], "1": [1, 0]}, "terminal 0: expected a nonempty list"),
+    ({"0": [True, False], "1": [0, 1]}, "terminal 0: expected"),
+    ({"0": [], "1": []}, "terminal 0: expected a nonempty list"),
+    ({"0": 5, "1": [1]}, "terminal 0: expected a nonempty list"),
+    ([[1, 0], [1, 0]], "must be a JSON object"),
+    ({"0": [1, 0]}, "covers terminals [0], the graph's are [0, 1]"),
+    ({}, "covers terminals []"),
+    ({"a": [1], "1": [0]}, "key 'a' is not a terminal"),
+    ({"0": [1], "00": [0], "1": [1]}, "names terminal 0 twice"),
+], ids=["unequal", "ed-prefix", "entry-2", "bools", "empty", "not-a-list",
+        "top-level-list", "missing-terminal", "no-terminal", "bad-key",
+        "twice"])
+@pytest.mark.parametrize("command", ["disj-aggregate", "ed-compiled",
+                                     "compile"])
+def test_malformed_inputs_exit_code(tmp_path, capsys, raw, message,
+                                    command):
+    gpath = _write_graph(tmp_path, clique(2))
+    ipath = tmp_path / "in.json"
+    ipath.write_text(json.dumps(raw))
+    if command == "compile":
+        cpath = str(tmp_path / "c.json")
+        assert main(["--out", cpath, "ed-circuit", "--k", "2",
+                     "--m", "2"]) == 0
+        argv = ["compile", "--graph", gpath, "--circuit", cpath]
+    else:
+        argv = ["run", "--graph", gpath, "--protocol", command]
+    code = main(argv + ["--inputs", str(ipath)])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert "--inputs" in err and message in err
+
+
+@pytest.mark.parametrize("bits", [[1], [1, 0, 1]])
+def test_compile_inputs_of_wrong_width_exit_code(tmp_path, capsys, bits):
+    # a 2-bit ED circuit on K2: one bit raised a raw IndexError, and three
+    # ran with the third bit ignored
+    gpath = _write_graph(tmp_path, clique(2))
+    cpath, ipath = str(tmp_path / "c.json"), tmp_path / "in.json"
+    assert main(["--out", cpath, "ed-circuit", "--k", "2", "--m", "2"]) == 0
+    ipath.write_text(json.dumps({"0": bits, "1": bits}))
+    code = main(["compile", "--graph", gpath, "--circuit", cpath,
+                 "--inputs", str(ipath)])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert f"--inputs gives {len(bits)} bits per terminal" in err
+
+
 @pytest.mark.parametrize("protocol,g", [
     ("disj-aggregate", grid_graph(3, 3)),
     ("ed-compiled", clique(2)),

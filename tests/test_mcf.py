@@ -11,10 +11,9 @@ from roundlab import (
     random_connected_graph, ring_of_cliques,
 )
 from roundlab.mcf import (
-    BoundedDemandError, DemandMatrix, LPSolveError, PartitionInfeasibleError,
-    _assemble_mcf_lp, balanced_partition_paths, mcf_feasible,
-    route_unit_demands, tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound,
-    uniform_demand,
+    LPSolveError, PartitionInfeasibleError, _assemble_mcf_lp,
+    balanced_partition_paths, mcf_feasible, route_unit_demands, tau_mcf,
+    tau_mcf_flow_bound, tau_mcf_lower_bound,
 )
 from roundlab.timed import (
     build_timed_graph, least_feasible_horizon, validate_timed_path,
@@ -23,15 +22,10 @@ from roundlab.timed import (
 from oracles import mcf_feasible_bruteforce, mcf_lp_reference
 
 
-def test_demand_matrix_validation():
-    with pytest.raises(BoundedDemandError):
-        DemandMatrix((0, 1), {(0, 0): 1})
-    with pytest.raises(BoundedDemandError):
-        DemandMatrix((0, 1), {(0, 2): 1})
-    with pytest.raises(BoundedDemandError):
-        DemandMatrix((0, 1), {(0, 1): -1})
-    d = DemandMatrix((0, 1, 2), {(0, 1): 2, (1, 0): 0, (0, 2): 1})
-    assert d.amounts == {(0, 1): 2, (0, 2): 1}
+def _uniform(terminals, n_prime):
+    """The uniform demand {s: {t: n'/k}} that tau_mcf hands the LP."""
+    share = Fraction(n_prime) / len(terminals)
+    return {s: {t: share for t in terminals if t != s} for s in terminals}
 
 
 def test_tau_mcf_clique_identity():
@@ -59,8 +53,9 @@ def test_mcf_feasibility_matches_oracle():
     for seed in range(8):
         g = random_connected_graph(5, 3, seed=seed, k=3)
         terms = g.terminals
-        demand = uniform_demand(terms, 2)
-        pairs = {pair: float(a) for pair, a in demand.amounts.items()}
+        demand = _uniform(terms, 2)
+        pairs = {(s, t): float(amt) for s, row in demand.items()
+                 for t, amt in row.items()}
         for tau in (1, 2, 3):
             assert mcf_feasible(g, demand, tau) == \
                 mcf_feasible_bruteforce(g, pairs, tau), (seed, tau)
@@ -85,7 +80,7 @@ def _tau_mcf_cases():
 
 def _tau_mcf_by_scan(g, n_prime):
     """tau_MCF by a plain upward scan of LP feasibility from tau = 1."""
-    demand = uniform_demand(g.terminals, n_prime)
+    demand = _uniform(g.terminals, n_prime)
     tau = 1
     while not mcf_feasible(g, demand, tau):
         tau += 1
@@ -221,9 +216,9 @@ def test_tau_mcf_probe_order(monkeypatch):
     # certifies 33, so one LP confirms it
     probes = []
 
-    def recording_feasible(g, demand, tau, *witness_sink):
+    def recording_feasible(g, demand, tau):
         probes.append(tau)
-        return mcf_feasible(g, demand, tau, *witness_sink)
+        return mcf_feasible(g, demand, tau)
 
     monkeypatch.setattr(mcf_mod, "mcf_feasible", recording_feasible)
     g = ring_of_cliques(4, 4)
@@ -369,4 +364,4 @@ def test_solver_status_2_reads_infeasible(monkeypatch):
     monkeypatch.setattr(mcf_mod, "linprog", lambda *a, **kw: OptimizeResult(
         status=2, message="infeasible", x=None))
     g = clique(3)
-    assert not mcf_feasible(g, uniform_demand(g.terminals, 2), 1)
+    assert not mcf_feasible(g, _uniform(g.terminals, 2), 1)

@@ -4,7 +4,10 @@ referred to by some other source name or attribute, is exported by
 that a local variable of an enclosing function shadows refers to that
 variable.  A method named like a field, a self.<name> assignment or a
 method of a library type the sources use is ambiguous, since its
-attribute references may read the data or call the library instead."""
+attribute references may read the data or call the library instead.
+
+Write-only data: every dataclass field is read as an attribute by some
+source file, or is on the field allowlist below with its reason."""
 
 import ast
 import random
@@ -49,6 +52,16 @@ ALLOWED = {
     "value": "ambiguous: PathCollection.value and TreePacking.value, read "
              "by the Steiner bounds and the CLI; also the flow results' "
              "field",
+}
+
+# dataclass fields no source reads, each with who reads it
+ALLOWED_FIELDS = {
+    "LevelVector.cost": "the cut's cost, read by the tests and the "
+                        "benchmark's cut certificate",
+    "TwoPartyTranscript.output_a": "Alice's answer, read by the tests and "
+                                   "the benchmark's cut certificate",
+    "TwoPartyTranscript.output_b": "Bob's answer, read by the tests and "
+                                   "the benchmark's cut certificate",
 }
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -149,6 +162,33 @@ def _unreached(sources):
     return sorted(found)
 
 
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+            or isinstance(decorator, ast.Attribute)
+            and decorator.attr == "dataclass")
+
+
+def _unread_fields(sources):
+    """Sorted (Class.field, file, line) of the dataclass fields in
+    `sources` ({file name: text}) whose name no attribute load in any
+    source reads."""
+    fields, reads = [], set()
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and any(
+                    map(_is_dataclass, node.decorator_list)):
+                fields += [(f"{node.name}.{stmt.target.id}", fname,
+                            stmt.lineno) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+    return sorted(f for f in fields if f[0].split(".")[1] not in reads)
+
+
 def test_scan_finds_a_planted_dead_function():
     sources = {
         "__init__.py": "from .m import public\n",
@@ -218,3 +258,43 @@ def test_every_definition_is_reachable():
     assert [d for d in unreached if d[0] not in ALLOWED] == []
     # an allowlisted name that gained a reference leaves the list
     assert sorted(ALLOWED.keys() - {d[0] for d in unreached}) == []
+
+
+def test_scan_finds_a_planted_write_only_field():
+    # a field read through an instance or through self counts as read; a
+    # field only ever written is reported, as is one of a dataclass
+    # decorated with arguments; a plain class's attributes are not fields
+    sources = {
+        "m.py": ("import dataclasses\n"
+                 "from dataclasses import dataclass\n"
+                 "\n"
+                 "@dataclass(frozen=True)\n"
+                 "class Run:\n"
+                 "    rounds: int\n"
+                 "    label: str\n"
+                 "\n"
+                 "@dataclasses.dataclass\n"
+                 "class Box:\n"
+                 "    size: int\n"
+                 "    note: str = ''\n"
+                 "\n"
+                 "    def grow(self):\n"
+                 "        return self.size + 1\n"
+                 "\n"
+                 "class Plain:\n"
+                 "    tag: str\n"
+                 "\n"
+                 "def main():\n"
+                 "    Box(1, note='x').note = 'y'\n"
+                 "    return Run(3, 'r').rounds\n"),
+    }
+    assert _unread_fields(sources) == [("Box.note", "m.py", 12),
+                                       ("Run.label", "m.py", 7)]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    unread = _unread_fields(sources)
+    assert [f for f in unread if f[0] not in ALLOWED_FIELDS] == []
+    # an allowlisted field that gained a reader leaves the list
+    assert sorted(ALLOWED_FIELDS.keys() - {f[0] for f in unread}) == []

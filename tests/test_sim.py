@@ -48,7 +48,7 @@ def make_random_protocol(g, rounds, proto_seed, subset=False):
             out = _prf_bit(proto_seed, "out", v, state["in"], hist)
         return sends, {"in": state["in"], "hist": hist}, out
 
-    return ProtocolSpec(f"rand-{proto_seed}", rounds, init, step)
+    return ProtocolSpec(rounds, init, step)
 
 
 def one_shot_protocol(g):
@@ -64,7 +64,7 @@ def one_shot_protocol(g):
             return {}, state, inbox[0]
         return {}, state, None
 
-    return ProtocolSpec("one-shot", 2, init, step)
+    return ProtocolSpec(2, init, step)
 
 
 def test_one_round_send():
@@ -97,7 +97,7 @@ def test_echo_along_path():
             out = val
         return sends, {"val": val}, out
 
-    p = ProtocolSpec("echo", 2 * length, init, step)
+    p = ProtocolSpec(2 * length, init, step)
     tr = run_protocol(g, p, {0: 1, length: None}, seed=0)
     assert tr.outputs[length] == 1
     # the bit crosses the last edge at round `length` (store-and-forward);
@@ -123,15 +123,15 @@ def test_contract_violations():
         return {5: 1}, state, None
 
     with pytest.raises(ContractViolation):
-        run_protocol(g, ProtocolSpec("bad", 2, lambda v, g2, b: None,
-                                     bad_step), {0: None, 1: None})
+        run_protocol(g, ProtocolSpec(2, lambda v, g2, b: None, bad_step),
+                     {0: None, 1: None})
 
     def nonbit(v, rnd, state, inbox, pub):
         return {0: 2}, state, None
 
     with pytest.raises(ContractViolation):
-        run_protocol(g, ProtocolSpec("bad2", 2, lambda v, g2, b: None,
-                                     nonbit), {0: None, 1: None})
+        run_protocol(g, ProtocolSpec(2, lambda v, g2, b: None, nonbit),
+                     {0: None, 1: None})
 
 
 @pytest.mark.parametrize("sends, message", [
@@ -148,7 +148,7 @@ def test_contract_violations_single_and_multi_send(sends, message):
         return (sends if v == 1 else {}), state, None
 
     with pytest.raises(ContractViolation, match=f"vertex 1 .*{message}"):
-        run_protocol(g, ProtocolSpec("bad", 2, lambda v, g2, b: None, step),
+        run_protocol(g, ProtocolSpec(2, lambda v, g2, b: None, step),
                      {0: None, 2: None})
 
 
@@ -159,8 +159,8 @@ def test_max_rounds_exhaustion():
         return {}, state, None
 
     with pytest.raises(MaxRoundsExceeded) as exc:
-        run_protocol(g, ProtocolSpec("silent", 3, lambda v, g2, b: None,
-                                     silent), {0: None, 1: None})
+        run_protocol(g, ProtocolSpec(3, lambda v, g2, b: None, silent),
+                     {0: None, 1: None})
     assert exc.value.transcript.rounds == 3
 
 

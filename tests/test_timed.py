@@ -1,10 +1,7 @@
 import time
-from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.optimize import linprog
 
 from roundlab import (
     Graph, GraphError, UnreachableError, RoutableError,
@@ -15,13 +12,13 @@ from roundlab import (
 )
 import roundlab.timed as timed_mod
 from roundlab.timed import (
-    SearchLimitError, TimedGraph, base_min_cut, decompose_paths,
+    SearchLimitError, TimedGraph, _horizon_flow, base_min_cut,
     least_feasible_horizon, timed_max_flow,
 )
 from roundlab.mcf import _partition_flow
 from oracles import (
     arc_key_flows, base_cut_bruteforce, decompose_paths_reference,
-    mcf_lp_reference, timed_flow_bruteforce, tau_route_bruteforce,
+    static_paths_reference, timed_flow_bruteforce, tau_route_bruteforce,
 )
 
 
@@ -84,7 +81,7 @@ def _check_unit_paths(g, a, b, tau, sol):
     used = set()
     for p in sol.paths:
         validate_timed_path(g, p, tau)
-        assert p.start == 0 and p.end == tau
+        assert len(p.edge_ids) == tau
         assert p.verts[0] == a and p.verts[-1] == b
         for step in p.steps():
             if step[1] is not None:
@@ -262,7 +259,7 @@ def test_flow_paths_are_lazy(monkeypatch):
         assert max_route_flow(intro_split_graph(), 0, 1, 6).value == 18
     # each parallel edge repeated from the starts 0..3, in edge-id order
     assert sol.paths == tuple(
-        timed_mod.TimedPath(0, (0,) * (s + 1) + (1,) * (4 - s),
+        timed_mod.TimedPath((0,) * (s + 1) + (1,) * (4 - s),
                             (None,) * s + (eid,) + (None,) * (3 - s))
         for eid in range(3) for s in range(4))
 
@@ -324,31 +321,38 @@ def test_repeated_flow_matches_engine_and_oracle(case, tau, n_prime):
 
 
 @settings(max_examples=60, deadline=None)
-@given(multigraph_pairs(), st.integers(1, 4),
-       st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 2)]))
-def test_decomposer_matches_arc_key_reference(case, tau, amount):
-    # integral Dinic flows (single pair and partition) and fractional LP
-    # vertices give the arc-key decomposer's parcels, in its order, with
-    # its amounts
+@given(multigraph_pairs(), st.integers(1, 4))
+def test_decomposer_matches_arc_key_reference(case, tau):
+    # integral Dinic flows (single pair and partition) peel into the
+    # arc-key decomposer's parcels, in its order, each repeated as many
+    # times as its amount
     g, a, b = case
     tg = build_timed_graph(g, tau)
     rest = [v for v in range(g.n) if v not in (a, b)]
     side_a, side_b = [a] + rest[:1], [b] + rest[1:2]
     cases = [
-        ((a,), timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau)).arc_units()),
-        (side_a, _partition_flow(tg, side_a, side_b, 2, 2).arc_units()),
+        ((a,), timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau))),
+        (side_a, _partition_flow(tg, side_a, side_b, 2, 2)),
     ]
-    lp = mcf_lp_reference(g, tau, {a: {b: amount}, b: {a: amount}})
-    res = linprog(*lp, bounds=(0, None), method="highs")
-    if res.status == 0:
-        # each source's arc flows, solver noise at or below 1e-7 dropped
-        flows = np.where(res.x > 1e-7, res.x, 0.0).reshape(2, -1)
-        cases += [((src,), flow) for src, flow in zip(sorted((a, b)), flows)]
     for sources, flow in cases:
-        got = [(path.verts, path.edge_ids, amt)
-               for path, amt in decompose_paths(tg, flow, sources)]
-        assert got == decompose_paths_reference(
-            g, tau, arc_key_flows(g, tau, flow), sources)
+        got = [(path.verts, path.edge_ids)
+               for path in flow.unit_paths(sources)]
+        assert got == [
+            (verts, eids)
+            for verts, eids, amount in decompose_paths_reference(
+                g, tau, arc_key_flows(g, tau, flow.arc_units()), sources)
+            for _ in range(amount)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallel_multigraph_pairs(), st.integers(0, 6))
+def test_static_paths_match_reference(case, tau):
+    # the shared walk gives the static flow's paths of the old per-vertex
+    # walk, in its order, on multigraphs with parallel edges
+    g, a, b = case
+    _, used = _horizon_flow(g, a, b, tau)
+    assert max_route_flow(g, a, b, tau).static_paths == \
+        static_paths_reference(g, a, b, used)
 
 
 @settings(max_examples=40, deadline=None)
