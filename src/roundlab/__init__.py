@@ -18,7 +18,7 @@ from .timed import (
     TimedGraph, TimedPath, FlowSolution, LevelVector,
     RoutableError, SearchLimitError,
     build_timed_graph, max_route_flow, tau_route, extract_level_vector,
-    mirror_timed_path, validate_timed_path,
+    validate_timed_path,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,11 +15,12 @@ JSON is written once, to ``--out`` or to stdout; for ``ed-circuit`` and
 command's summary keys added, so the file loads with ``circuit_from_json``
 or ``instance_from_json``.
 
-Size ceiling: a timed network holds at most ``timed.MAX_TIMED_ARCS``
-(2**25, about 33.5 million) arcs, tau * (2m + n); past it, or when its
-capacities pass int32, a command exits 3 naming m, tau and the size before
-allocating.  ``tau-route`` builds no timed network and has no such
-ceiling: it reads the horizon off one static min-cost flow.
+Size ceiling: the LP of ``tau-mcf`` is indexed by a timed network of
+at most ``timed.MAX_TIMED_ARCS`` (2**25, about 33.5 million) arcs, tau *
+(2m + n); past it a command exits 3 naming m, tau and the size before
+allocating.  Every other flow is read off static min-cost flows and
+builds no timed network, so ``tau-route`` and the cut bounds of
+``tau-mcf`` have no such ceiling.
 
 ``solve`` places an edge-distributed instance on a random node
 distribution and computes no routing for that move: its ``rounds`` count
@@ -43,9 +44,8 @@ from .distgraph import (
     instance_from_json, or_disj_instance, random_pair_strings,
     edge_to_node_rebalance,
 )
-from .expanders import ExpansionNotReached, cut_matching_embed
 from .graphs import GraphError, UnreachableError, load_graph
-from .mcf import LPSolveError, PartitionInfeasibleError, tau_mcf
+from .mcf import LPSolveError, tau_mcf
 from .protocols import (
     CompileError, compile_circuit, disjointness_function, disj_oracle,
     ed_hash_reduce, ed_oracle, steiner_aggregate_protocol,
@@ -65,9 +65,8 @@ EXIT_INFEASIBLE = 2
 EXIT_INPUT = 3
 EXIT_CONTRACT = 4
 
-INFEASIBLE_ERRORS = (UnreachableError, PartitionInfeasibleError,
-                     HypothesisError, NoGoodTreeError, RoutableError,
-                     SearchLimitError, ExpansionNotReached, MaxRoundsExceeded)
+INFEASIBLE_ERRORS = (UnreachableError, HypothesisError, NoGoodTreeError,
+                     RoutableError, SearchLimitError, MaxRoundsExceeded)
 INPUT_ERRORS = (GraphError, FileNotFoundError, json.JSONDecodeError,
                 KeyError, ValueError)
 CONTRACT_ERRORS = (ContractViolation, CompileError, AssertionError,
@@ -280,24 +279,6 @@ def cmd_ed_circuit(args):
     return obj
 
 
-def cmd_embed_expander(args):
-    g = load_graph(args.graph)
-    emb = cut_matching_embed(g, g.terminals, args.tau, args.nprime,
-                             seed=args.seed)
-    paths = {f"{emb.terminals[i]}->{emb.terminals[j]}@{it}":
-             {"start": 0, "verts": list(p.verts),
-              "edge_ids": [e if e is not None else -1 for e in p.edge_ids]}
-             for (i, j, it), p in sorted(emb.paths.items())}
-    return {"command": "embed-expander",
-            "expander_edges": [[emb.terminals[u], emb.terminals[v]]
-                               for u, v in emb.expander.edges],
-            "degree": emb.d, "paths": paths,
-            "congestion": emb.congestion,
-            "congestion_per_iteration": list(emb.congestion_per_iteration),
-            "lambda2": emb.lambda2, "expansion": emb.expansion,
-            "retries": emb.retries, "seed": args.seed}
-
-
 def cmd_gen(args):
     terms = tuple(range(args.k))
     strings = random_pair_strings(terms, args.n, seed=args.seed)
@@ -413,12 +394,6 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=cmd_ed_circuit)
-
-    p = sub.add_parser("embed-expander", help="cut-matching embedding")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--nprime", type=int, required=True)
-    p.set_defaults(func=cmd_embed_expander)
 
     p = sub.add_parser("gen", help="generate a reduction instance")
     p.add_argument("--reduction", choices=("or-disj", "and-disj"),

@@ -226,8 +226,14 @@ def and_disj_instance(strings, terminals, n):
 
 
 def random_pair_strings(terminals, n, seed):
-    rng = random.Random(seed)
+    """One random n-bit string per ordered pair of distinct terminals.
+    Raises GraphError for fewer than two terminals or n < 1."""
     terms = sorted(terminals)
+    if len(terms) < 2:
+        raise GraphError(f"need k >= 2 terminals, got {len(terms)}")
+    if n < 1:
+        raise GraphError(f"need n >= 1 bits per string, got n={n}")
+    rng = random.Random(seed)
     return {(u, w): tuple(rng.randint(0, 1) for _ in range(n))
             for u in terms for w in terms if u != w}
 

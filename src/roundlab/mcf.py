@@ -8,13 +8,11 @@ routing is read back.  `tau_mcf` builds the demand once per search, as
 the by-source dict {s: {t: n'/k}} that `mcf_feasible` hands to the LP.
 The search for that horizon solves only the LPs that certified bounds
 and earlier answers leave open: it starts at a flow-over-time cut bound,
-which timed single-commodity max flows certify, and a per-(graph,
-terminals) ledger of decided answers brackets it from both sides,
-because feasibility is monotone up in tau and down in n'.
+read in closed form off static min-cost flows between terminal subsets,
+and a per-(graph, terminals) ledger of decided answers brackets it from
+both sides, because feasibility is monotone up in tau and down in n'.
 
-Also here: the balanced-partition edge-disjoint path extractor, which
-peels its integral Dinic flow into unit paths with the one decomposer of
-`timed`, and a small integral unit-demand router used by the bit-level
+Also here: a small integral unit-demand router used by the bit-level
 protocol builders.
 """
 
@@ -23,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from fractions import Fraction
-from functools import partial
+from itertools import combinations
 
 import numpy as np
 from scipy import sparse
@@ -31,8 +29,8 @@ from scipy.optimize import linprog
 
 from .graphs import GraphError, UnreachableError, tree_terminal_diameter
 from .timed import (
-    TimedPath, base_min_cut, build_timed_graph, least_feasible_horizon,
-    tau_route, timed_max_flow,
+    TimedPath, _static_flow, base_min_cut, build_timed_graph,
+    least_feasible_horizon, least_horizon,
 )
 
 # terminal sets up to this size bound tau_MCF with the min cut of every
@@ -43,15 +41,6 @@ CUT_BOUND_MAX_TERMINALS = 10
 class LPSolveError(RuntimeError):
     """HiGHS ended without deciding feasibility (iteration limit,
     numerical trouble); such a probe is never read as infeasible."""
-
-
-class PartitionInfeasibleError(RuntimeError):
-    """The balanced-partition flow fell short; carries the achieved value."""
-
-    def __init__(self, achieved, required):
-        super().__init__(f"partition flow {achieved} < required {required}")
-        self.achieved = achieved
-        self.required = required
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +137,8 @@ def tau_mcf(g, terminals, n_prime):
     terminals), bounded by LEDGER_SIZE.  A call brackets its answer
     between the ledger's answers at smaller and at larger n'; when that
     leaves more than one horizon, `least_feasible_horizon` searches by
-    exact LP feasibility from `tau_mcf_flow_bound` (searched from the
-    bracket's low end), reading every horizon at or past the high end as
+    exact LP feasibility from the larger of the bracket's low end and
+    `tau_mcf_flow_bound`, reading every horizon at or past the high end as
     feasible without an LP.  An answer read from the ledger's high end is
     recorded as that tau.  Only a finished search is recorded, so a probe
     HiGHS could not decide (LPSolveError) leaves nothing behind.
@@ -166,7 +155,7 @@ def tau_mcf(g, terminals, n_prime):
     hi = min((t for n, t in answers.items() if n >= n_prime),
              default=math.inf)
     if lo != hi:
-        lo = _flow_bound(g, terminals, n_prime, lo)
+        lo = max(lo, tau_mcf_flow_bound(g, terminals, n_prime))
         share = n_prime / len(terminals)
         by_source = {s: {t: share for t in terminals if t != s}
                      for s in terminals}
@@ -203,7 +192,9 @@ def tau_mcf_lower_bound(g, terminals, n_prime):
 
 
 def _base_bound(g, terminals, n_prime):
-    """(tau_mcf_lower_bound, [(cut term, T, K - T)] per bipartition cut)."""
+    """(tau_mcf_lower_bound, the bipartitions (T, K - T) that
+    `tau_mcf_flow_bound` checks: the singletons and every one whose cut
+    term attains the largest)."""
     if not g.connected(terminals):
         raise UnreachableError("terminals are disconnected")
     k = len(terminals)
@@ -220,105 +211,86 @@ def _base_bound(g, terminals, n_prime):
         crossing = len(side) * len(rest) * n_prime / k
         cuts.append((math.ceil(crossing / base_min_cut(g, side, rest)),
                      side, rest))
-    lo = max([tree_terminal_diameter(g, None, terminals)]
-             + [term for term, _, _ in cuts])
-    return lo, cuts
+    top = max(term for term, _, _ in cuts)
+    lo = max(top, tree_terminal_diameter(g, None, terminals))
+    return lo, [(side, rest) for term, side, rest in cuts
+                if term == top or min(len(side), len(rest)) == 1]
 
 
 def tau_mcf_flow_bound(g, terminals, n_prime):
     """The flow-over-time cut bound on tau_mcf, at least
     `tau_mcf_lower_bound`.
 
-    It is the least tau >= tau_mcf_lower_bound at which every checked
-    bipartition (T, K - T) passes: a timed single-commodity max flow
-    (`timed_max_flow`) from T x {0} to (K - T) x {tau}, through a super
-    source with an arc of capacity ceil(|K - T| n'/k) into each (t, 0) and
-    a super sink fed by an arc of capacity ceil(|T| n'/k) from each (u,
-    tau), reaches ceil(|T| |K - T| n'/k).
+    It is the largest of `tau_mcf_lower_bound` and the least tau with
+    F_XY(tau) >= units(X, Y) = need - c_a |T - X| - c_b |(K - T) - Y|,
+    over each checked bipartition (T, K - T), with c_a = ceil(|K - T|
+    n'/k), c_b = ceil(|T| n'/k) and need = ceil(|T| |K - T| n'/k), and
+    every nonempty X of T and Y of K - T with units(X, Y) > 0.
+    F_XY(tau) = sum_i max(0, tau + 1 - l_i)
+    over the path lengths l_i of the static flow from X to Y
+    (`timed._static_flow`), and `timed.least_horizon` reads that tau off
+    them.  Checked are the singletons and every bipartition whose cut term
+    attains the largest one (`_base_bound`); the others count only through
+    the base bound.  F_XY grows with X and Y, so a pair whose units the
+    flow of a smaller pair (one x or one y fewer) already carries by the
+    bound so far cannot raise it, and needs no static flow of its own.
 
     Proof: at tau_mcf the uniform demand routes with congestion 1.  Its
     commodities from T to K - T together form a flow of |T| |K - T| n'/k
     units from T x {0} to (K - T) x {tau} that uses each edge arc at most
     once, sends |K - T| n'/k from each t and delivers |T| n'/k to each u.
-    The capacities are integers, so the maximum flow is integral and
-    reaches the ceiling.  Each side's test is monotone in tau (the flow
-    can dwell at its sources), so `least_feasible_horizon` finds each
-    side's least horizon from the bound so far.  This is the cut condition
-    on the timed network, the bound of flows over time (Ford-Fulkerson
-    1958, Hoppe-Tardos 2000): unlike the per-round base-cut bound, it
-    counts the rounds a unit needs to reach the cut.  Reversing time maps
-    a flow from T to K - T onto one from K - T to T with the two
-    capacities swapped, so one direction per bipartition suffices.
-    Checked are the singletons and every bipartition whose cut term
-    attains the largest one; the others count only through the base
-    bound.  With two terminals a, b the one test reads F_ab(tau) >=
-    ceil(n'/2), since both capacities are ceil(n'/2): it is the
-    single-pair flow over time, and `tau_route` gives its least horizon
-    without a timed network.  Raises UnreachableError for disconnected
-    terminals, and GraphError, before allocating a network, when its
-    capacities pass int32.
+    So in the timed network with a super source feeding each (t, 0)
+    through an arc of capacity c_a and a super sink fed by an arc of
+    capacity c_b from each (u, tau), the maximum flow, integral since the
+    capacities are, reaches need.  A minimum cut of that network leaves
+    the super arcs of some X of T and Y of K - T uncut; past them it must
+    separate X x {0} from Y x {tau}, which costs the maximum flow from
+    the one to the other, F_XY(tau).  So by max-flow min-cut, need <=
+    min over X, Y of c_a |T - X| + c_b |(K - T) - Y| + F_XY(tau), the
+    subset condition of transshipments over time (Hoppe and Tardos,
+    Mathematics of Operations Research 2000).  F_XY(tau) is the flow over
+    time temporally repeated from the static min-cost flow between a super
+    source over X and a super sink over Y (Ford and Fulkerson 1958).  An
+    empty X or Y never binds, since c_a |T| >= need and c_b |K - T| >=
+    need.  This is the cut condition on the timed network: unlike the
+    per-round base-cut bound, it counts the rounds a unit needs to reach
+    the cut.  Reversing time maps a flow from T to K - T onto one from
+    K - T to T with the two capacities swapped, so one direction per
+    bipartition suffices.  With two terminals a, b the one condition is
+    X = {a}, Y = {b} and units = ceil(n'/2): the bound is the larger of
+    the base bound and tau_route(a, b, ceil(n'/2)).  Raises
+    UnreachableError for disconnected terminals.
     """
     terminals = tuple(sorted(terminals))
-    return _flow_bound(g, terminals, Fraction(n_prime), 1)
-
-
-def _flow_bound(g, terminals, n_prime, lo):
-    """`tau_mcf_flow_bound` searched from max(lo, tau_mcf_lower_bound),
-    for an lo below which no horizon is feasible."""
-    base, cuts = _base_bound(g, terminals, n_prime)
-    lo = max(lo, base)
-    if len(terminals) == 2:
-        # the one side's test is F_ab(tau) >= ceil(n'/2), the single-pair
-        # flow over time, which tau_route reads in closed form
-        return max(lo, tau_route(g, *terminals, math.ceil(n_prime / 2)))
-    top = max(term for term, _, _ in cuts)
+    n_prime = Fraction(n_prime)
+    lo, sides = _base_bound(g, terminals, n_prime)
     share = n_prime / len(terminals)
-    cutoff = _search_cutoff(g, terminals, n_prime)
-    # the sides attaining the top cut term go first: they bind most often
-    for term, side, rest in sorted(cuts, key=lambda cut: -cut[0]):
-        if term == top or min(len(side), len(rest)) == 1:
-            lo = least_feasible_horizon(
-                partial(_side_routes, g, side, rest, share), lo, cutoff,
-                "tau_mcf flow bound")
+    for side, rest in sides:
+        cap_a = math.ceil(len(rest) * share)
+        cap_b = math.ceil(len(side) * share)
+        need = math.ceil(len(side) * len(rest) * share)
+        # (X, Y) -> the lengths of a static flow between subsets of X and
+        # Y, whose flow over time is at most F_XY
+        known, subsets_of_rest = {}, _subsets(rest)
+        for xs in _subsets(side):
+            for ys in subsets_of_rest:
+                units = (need - cap_a * (len(side) - len(xs))
+                         - cap_b * (len(rest) - len(ys)))
+                if units <= 0:
+                    continue
+                lengths = (known.get((xs[:-1], ys))
+                           or known.get((xs, ys[:-1])))
+                if lengths is None or least_horizon(lengths, units) > lo:
+                    lengths, _ = _static_flow(g, xs, ys)
+                    lo = max(lo, least_horizon(lengths, units))
+                known[xs, ys] = lengths
     return lo
 
 
-def _side_routes(g, side, rest, share, tau):
-    tg = build_timed_graph(g, tau)
-    flow = _partition_flow(tg, side, rest, math.ceil(len(rest) * share),
-                           math.ceil(len(side) * share))
-    return flow.value >= math.ceil(len(side) * len(rest) * share)
-
-
-# ---------------------------------------------------------------------------
-# balanced partition paths (integral, via super source/sink)
-
-def balanced_partition_paths(g, tau, side_a, side_b, n_prime):
-    """n'*|A| edge-disjoint timed paths from A x {0} to B x {tau}, with
-    out-degree exactly n' per A-vertex and in-degree exactly n' per
-    B-vertex.  Raises PartitionInfeasibleError (carrying the achieved flow)
-    when the super-source/super-sink flow falls short."""
-    side_a, side_b = sorted(side_a), sorted(side_b)
-    if len(side_a) != len(side_b) or not side_a:
-        raise GraphError("sides must be nonempty and balanced")
-    if set(side_a) & set(side_b):
-        raise GraphError("sides overlap")
-    tg = build_timed_graph(g, tau)
-    flow = _partition_flow(tg, side_a, side_b, n_prime, n_prime)
-    required = n_prime * len(side_a)
-    if flow.value < required:
-        raise PartitionInfeasibleError(flow.value, required)
-    return flow.unit_paths(side_a)
-
-
-def _partition_flow(tg, side_a, side_b, cap_a, cap_b):
-    """Maximum flow from side_a x {0} to side_b x {tau} in `tg`, through a
-    super source with an arc of capacity cap_a into each (a, 0) and a super
-    sink fed by an arc of capacity cap_b from each (b, tau)."""
-    s, t = tg.node_count, tg.node_count + 1
-    arcs = ([(s, tg.node(u, 0), cap_a) for u in side_a]
-            + [(tg.node(v, tg.tau), t, cap_b) for v in side_b])
-    return timed_max_flow(tg, s, t, arcs)
+def _subsets(items):
+    """The nonempty subsets of `items`, as tuples."""
+    return [sub for size in range(1, len(items) + 1)
+            for sub in combinations(items, size)]
 
 
 # ---------------------------------------------------------------------------

@@ -473,8 +473,10 @@ def ed_hash_reduce(inputs, seed, n_bits):
     Equal inputs always collide; an unequal pair collides with
     probability at most 1/(4 k^2), so by the union bound over the k(k-1)/2
     pairs all distinct inputs keep distinct hashes with probability over
-    7/8.
+    7/8.  Raises GraphError for n_bits < 1 or fewer than two inputs.
     """
+    if n_bits < 1:
+        raise GraphError("n_bits must be >= 1")
     k = len(inputs)
     if k < 2:
         raise GraphError("need at least two inputs")

@@ -1,53 +1,35 @@
-"""Timed (layered) expansions of a graph and single-pair routing bounds.
+"""Timed (layered) expansions of a graph, and flows over time computed
+from static flows.
 
 The tau-horizon expansion has one copy of each vertex per layer 0..tau.
 Each undirected base edge contributes, per layer, one unit-capacity arc in
-each direction; every vertex also has a memory arc to its next-layer copy.
-Memory arcs are conceptually unbounded; they are realized with a finite
-capacity that no cut or demand can saturate, so min cuts never contain
-them.
+each direction; every vertex also has an unbounded memory arc to its
+next-layer copy.  Congestion-1 flows from (a,0) to (b,tau) are exactly the
+tau-round transmission schedules from a to b.
 
-Congestion-1 flows from (a,0) to (b,tau) are exactly the tau-round
-transmission schedules from a to b.
+No flow here builds a timed network.  A maximum flow over time from a
+vertex set X (at layer 0) to a disjoint set Y (at layer tau) is
+temporally repeated (Ford and Fulkerson, "Constructing maximal dynamic
+flows from static flows", Operations Research 1958) from one static
+min-cost flow on the base graph: each edge gives two arcs, u -> v and
+v -> u, of capacity 1 and cost 1 (parallel edges stay separate), and
+successive shortest paths (`_static_flow`) from X to Y augment along
+paths of lengths l_1 <= ... <= l_lambda.  The maximum flow is F(tau) =
+sum_i max(0, tau + 1 - l_i), and `least_horizon` reads the least tau
+with F(tau) >= n' straight from the l_i.  For single pairs, `tau_route`
+is that horizon, `max_route_flow` repeats each path of the static flow
+from every start that fits the horizon, with `peel_unit_paths` as the one
+path decomposer, and `extract_level_vector` reads the minimal min cut
+off shortest distances in the static residual network.  Between terminal
+sets, the static flow's value is the base-graph min cut `base_min_cut`,
+and its lengths give `mcf.tau_mcf_flow_bound`.
 
-Single-pair flows over time build no timed network.  They are
-temporally repeated flows (Ford and Fulkerson, "Constructing maximal
-dynamic flows from static flows", Operations Research 1958), computed
-from one static min-cost flow on the base graph: each edge gives two
-arcs, u -> v and v -> u, of capacity 1 and cost 1 (parallel edges stay
-separate), and successive shortest paths (`_static_flow`) from a to b
-augment along paths of lengths l_1 <= ... <= l_lambda.  The maximum
-(a,0) -> (b,tau) flow is F(tau) = sum_i max(0, tau + 1 - l_i).
-`tau_route` reads the least tau with F(tau) >= n' straight from the l_i,
-`max_route_flow` repeats each path of the static flow from every start
-that fits the horizon, and `extract_level_vector` reads the minimal min
-cut off shortest distances in the static residual network.
-
-The timed network remains for the multi-terminal flows and the LP of
-`mcf` and as the test oracle.  Its maximum flows come from one engine,
-`timed_max_flow`: it lays the arcs out as an int32 CSR capacity matrix
-straight from `TimedGraph.arc_arrays` and runs scipy's C Dinic on it
-(`scipy.sparse.csgraph.maximum_flow`), so no horizon meets a recursion
-limit.  The index of `arc_arrays` is the one layout of a timed flow: a
-flow is a vector with one entry per arc, as are the LP columns of `mcf`.
-The CSR sums parallel arcs into one entry; `TimedFlow.arc_units` splits
-each summed flow back over its parallel base edges in edge-id order.
-Every flow the package turns into paths is integral, and one walk,
-`peel_unit_paths`, peels them into unit paths.  It has two callers: the
-static flow of `max_route_flow`, whose arcs 2 * eid and 2 * eid + 1 are
-laid out like the edge arcs of layer 0, and `TimedFlow.unit_paths`, the
-Dinic flow of `mcf.balanced_partition_paths`.
-A network of more than MAX_TIMED_ARCS arcs is refused with a GraphError
-before anything is allocated.
-
-tau_MCF in `mcf` comes from the monotone search `least_feasible_horizon`,
-started at a certified lower bound.  That bound begins with base-graph
-min cuts (`base_min_cut`, the same C Dinic on the base graph): a base
-cut of lambda edges carries at most lambda units per direction per round.
-It is raised with timed max flows across terminal bipartitions
-(`mcf.tau_mcf_flow_bound`), found by the same search with
-`timed_max_flow` as its predicate.  No horizon below the bound is
-feasible.
+The timed network itself is only the index of the LP in `mcf`:
+`TimedGraph.arc_arrays` lays its arcs out as numpy columns, and an LP
+column is one arc of one commodity.  A network of more than
+MAX_TIMED_ARCS arcs is refused with a GraphError before anything is
+allocated.  tau_MCF comes from the monotone search
+`least_feasible_horizon`, started at the certified lower bound.
 """
 
 from __future__ import annotations
@@ -58,11 +40,9 @@ from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
-from scipy import sparse
 
 from .graphs import GraphError, UnreachableError
 
-INT32_MAX = int(np.iinfo(np.int32).max)
 # the most arcs a timed network of `mcf` may have: about twice the 17.3
 # million of path_graph(1200) at horizon 4,810
 MAX_TIMED_ARCS = 2 ** 25
@@ -81,12 +61,6 @@ class TimedGraph:
     base: object
     tau: int
 
-    @property
-    def memory_capacity(self):
-        """Strictly larger than the total non-memory capacity, so a min cut
-        can always avoid memory arcs."""
-        return 2 * self.base.m * self.tau + 1
-
     def node(self, v, layer):
         return layer * self.base.n + v
 
@@ -99,9 +73,9 @@ class TimedGraph:
         are node ids (layer * n + vertex).  Arc index i lies in layer
         i // (2m + n); within a layer, index 2 * eid is edge eid's arc
         u -> v and 2 * eid + 1 its arc v -> u, for edges[eid] = (u, v),
-        and 2m + v is vertex v's memory arc.  Every timed flow is a vector
-        over this index.  Raises GraphError, before allocating, past
-        MAX_TIMED_ARCS."""
+        and 2m + v is vertex v's memory arc.  Each LP column of `mcf` is
+        one arc of this index for one commodity.  Raises GraphError,
+        before allocating, past MAX_TIMED_ARCS."""
         n, m = self.base.n, self.base.m
         count = (2 * m + n) * self.tau
         if count > MAX_TIMED_ARCS:
@@ -161,15 +135,6 @@ def validate_timed_path(g, path, horizon):
                 raise GraphError(f"step at layer {layer} does not ride edge {eid}")
 
 
-def mirror_timed_path(path, tau):
-    """Reverse a full-span path in time: the step ((u,t-1),(v,t)) maps to
-    ((v,tau-t),(u,tau-t+1)).  An involution on (a,0)->(b,tau) paths."""
-    if len(path.edge_ids) != tau:
-        raise GraphError("only full-span paths can be mirrored")
-    return TimedPath(tuple(reversed(path.verts)),
-                     tuple(reversed(path.edge_ids)))
-
-
 @dataclass(frozen=True)
 class LevelVector:
     a: int
@@ -177,47 +142,6 @@ class LevelVector:
     horizon: int
     levels: tuple
     cost: int
-
-
-@dataclass(frozen=True)
-class TimedFlow:
-    """A maximum flow of `timed_max_flow`.
-
-    `flow` is a square CSR matrix over node ids; it is antisymmetric, so
-    the reverse entry of an arc holds its negated flow.
-    """
-
-    tg: TimedGraph
-    value: int
-    flow: object
-
-    def arc_units(self):
-        """Units per arc, a vector indexed like `tg.arc_arrays()`.  The
-        CSR summed parallel arcs; each sum is handed back one unit per
-        edge arc in edge-id order (memory arcs have no parallels)."""
-        tg = self.tg
-        tails, heads, is_edge = tg.arc_arrays()
-        summed = np.asarray(self.flow[tails, heads]).ravel()
-        rank, seen = [], {}
-        for u, v in tg.base.edges:
-            for pair in ((u, v), (v, u)):
-                rank.append(seen.get(pair, 0))
-                seen[pair] = rank[-1] + 1
-        rank = np.tile(rank + [0] * tg.base.n, tg.tau)
-        return np.where(is_edge, summed > rank, summed)
-
-    def unit_paths(self, sources):
-        """The flow as unit TimedPaths from layer 0 to layer tau, peeled
-        by `peel_unit_paths` from (source, 0) for each of `sources` in
-        turn."""
-        tg = self.tg
-        n, width = tg.base.n, 2 * tg.base.m + tg.base.n
-        tails, heads, is_edge = tg.arc_arrays()
-        return [TimedPath(tuple(v % n for v in nodes),
-                          tuple(ai % width // 2 if is_edge[ai] else None
-                                for ai in arcs))
-                for nodes, arcs in peel_unit_paths(tails, heads,
-                                                   self.arc_units(), sources)]
 
 
 @dataclass(frozen=True)
@@ -245,62 +169,6 @@ class FlowSolution:
                     (verts[0],) * s + verts + (verts[-1],) * rest,
                     (None,) * s + eids + (None,) * rest))
         return tuple(out)
-
-
-def timed_max_flow(tg, src, dst, extra_arcs=()):
-    """Maximum src -> dst flow in the timed network of `tg` (C Dinic).
-
-    Node ids are `tg.node(v, layer)`; `extra_arcs` adds (tail, head,
-    capacity) arcs whose ends may be new nodes numbered from
-    `tg.node_count` on (super sources and sinks).  Edge arcs have
-    capacity 1 and memory arcs `tg.memory_capacity`.  Raises GraphError,
-    before allocating anything, when a capacity does not fit int32.
-    """
-    # imported on first use: csgraph's ten extension modules add about
-    # 0.8 MB of resident memory to every command, most of which run no flow
-    from scipy.sparse.csgraph import maximum_flow
-
-    cap_max = max([tg.memory_capacity] + [c for _, _, c in extra_arcs])
-    if cap_max > INT32_MAX:
-        raise GraphError(
-            f"timed network with m={tg.base.m} edges at tau={tg.tau} needs "
-            f"arc capacity {cap_max}, past the int32 limit {INT32_MAX}")
-    tails, heads, is_edge = tg.arc_arrays()
-    caps = np.where(is_edge, 1, tg.memory_capacity)
-    size = tg.node_count
-    if extra_arcs:
-        extra = np.array(extra_arcs, dtype=np.int64)
-        tails = np.concatenate([tails, extra[:, 0]])
-        heads = np.concatenate([heads, extra[:, 1]])
-        caps = np.concatenate([caps, extra[:, 2]])
-        size = max(size, int(extra[:, :2].max()) + 1)
-    capacity = sparse.csr_matrix(
-        (caps.astype(np.int32), (tails, heads)), shape=(size, size))
-    res = maximum_flow(capacity, src, dst, method="dinic")
-    return TimedFlow(tg, int(res.flow_value), res.flow)
-
-
-def base_min_cut(g, side_a, side_b):
-    """lambda(A, B): the fewest base edges whose removal separates the
-    vertex set `side_a` from the disjoint set `side_b`.
-
-    The maximum A -> B flow of the base graph with capacity 1 per edge and
-    direction (parallel edges sum), between a super source feeding A and a
-    super sink fed by B, on the same C Dinic as `timed_max_flow`.
-    """
-    from scipy.sparse.csgraph import maximum_flow
-
-    n, m = g.n, g.m
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    # n is the super source, n + 1 the super sink; their arcs (capacity
-    # m + 1) are never cut
-    tails = np.concatenate([ends.ravel(), np.full(len(side_a), n), side_b])
-    heads = np.concatenate([ends[:, ::-1].ravel(), side_a,
-                            np.full(len(side_b), n + 1)])
-    caps = np.where(np.arange(tails.size) < 2 * m, 1, m + 1)
-    capacity = sparse.csr_matrix(
-        (caps.astype(np.int32), (tails, heads)), shape=(n + 2, n + 2))
-    return int(maximum_flow(capacity, n, n + 1, method="dinic").flow_value)
 
 
 def peel_unit_paths(tails, heads, units, sources):
@@ -367,7 +235,7 @@ def least_feasible_horizon(feasible, lo, cutoff, name):
 
 
 # ---------------------------------------------------------------------------
-# single-pair flows over time, temporally repeated from one static flow
+# flows over time, temporally repeated from one static flow
 
 def _check_pair(g, a, b):
     for v in (a, b):
@@ -384,16 +252,17 @@ def _arc_ends(g, arc):
     return (u, v) if arc % 2 == 0 else (v, u)
 
 
-def _residual_distances(g, a, used, shortcut=None):
-    """(dist, pred): shortest distances from a in the residual network of
-    the static flow `used` (a set of arc ids), with an unused arc at cost
-    +1, a used arc reversed at cost -1, and the optional arc `shortcut`
-    = (head, cost) out of a.  dist[v] is None where v is unreachable, and
-    pred[v] is the arc whose residual last lowered it.
+def _residual_distances(g, sources, used, shortcut=None):
+    """(dist, pred): shortest distances from the vertex set `sources`, all
+    at distance 0, in the residual network of the static flow `used` (a
+    set of arc ids), with an unused arc at cost +1, a used arc reversed at
+    cost -1, and the optional arc `shortcut` = (tail, head, cost).
+    dist[v] is None where v is unreachable, and pred[v] is the arc whose
+    residual last lowered it.
 
     Bellman-Ford with a FIFO queue, since reversed arcs cost -1.  The
     residual network of a min-cost flow has no negative cycle, so it
-    ends.
+    ends, and pred leads from every reached vertex back to a source.
     """
     out = [[] for _ in range(g.n)]
     for eid, (u, v) in enumerate(g.edges):
@@ -403,10 +272,12 @@ def _residual_distances(g, a, used, shortcut=None):
             else:
                 out[tail].append((head, 1, arc))
     if shortcut is not None:
-        out[a].append((*shortcut, None))
+        tail, head, cost = shortcut
+        out[tail].append((head, cost, None))
     dist, pred = [None] * g.n, [None] * g.n
-    dist[a] = 0
-    queue, queued = deque([a]), {a}
+    for x in sources:
+        dist[x] = 0
+    queue, queued = deque(sources), set(sources)
     while queue:
         x = queue.popleft()
         queued.discard(x)
@@ -420,21 +291,28 @@ def _residual_distances(g, a, used, shortcut=None):
     return dist, pred
 
 
-def _static_flow(g, a, b, horizon=None):
-    """(lengths, used): successive shortest paths from a to b in the base
-    graph with unit capacity and unit cost per arc.  `lengths` are the
-    augmenting-path costs l_1 <= l_2 <= ..., and `used` the arcs that
-    carry the resulting min-cost flow, of value len(lengths) and cost
+def _static_flow(g, sources, sinks, horizon=None):
+    """(lengths, used): successive shortest paths from the vertex set
+    `sources` to the disjoint set `sinks` in the base graph with unit
+    capacity and unit cost per arc, as from a super source over `sources`
+    to a super sink over `sinks`.  Each augmentation ends at the nearest
+    sink, the first of `sinks` at the least residual distance.  `lengths`
+    are the augmenting-path costs l_1 <= l_2 <= ..., and `used` the arcs
+    that carry the resulting min-cost flow, of value len(lengths) and cost
     sum(lengths).  With `horizon` given, no path longer than it is
-    augmented.  There are at most min(deg a, deg b) augmentations."""
+    augmented.  Without it the flow is maximum: there are min(number of
+    arcs out of `sources`, into `sinks`) augmentations at most."""
     lengths, used = [], set()
     while True:
-        dist, pred = _residual_distances(g, a, used)
-        if dist[b] is None or horizon is not None and dist[b] > horizon:
+        dist, pred = _residual_distances(g, sources, used)
+        reached = [y for y in sinks if dist[y] is not None]
+        if not reached:
             return lengths, used
-        lengths.append(dist[b])
-        v = b
-        while v != a:
+        v = min(reached, key=dist.__getitem__)
+        if horizon is not None and dist[v] > horizon:
+            return lengths, used
+        lengths.append(dist[v])
+        while pred[v] is not None:
             arc = pred[v]
             tail, head = _arc_ends(g, arc)
             if arc in used:     # walked in reverse, head -> tail
@@ -445,6 +323,32 @@ def _static_flow(g, a, b, horizon=None):
                 v = tail
 
 
+def least_horizon(lengths, units):
+    """The least tau with F(tau) = sum_i max(0, tau + 1 - l_i) >= units,
+    for the nonempty lengths l_1 <= l_2 <= ... of `_static_flow` and
+    units >= 1.
+
+    The terms fall with i, so F(tau) = max over k of sum_{i <= k} (tau +
+    1 - l_i), and F(tau) >= units exactly when some k has tau >=
+    ceil((units + l_1 + ... + l_k) / k) - 1; the answer is the least of
+    these.
+    """
+    return min(-(-(units + total) // k) - 1
+               for k, total in enumerate(accumulate(lengths), 1))
+
+
+def base_min_cut(g, side_a, side_b):
+    """lambda(A, B): the fewest base edges whose removal separates the
+    vertex set `side_a` from the disjoint set `side_b`.
+
+    The value of the static flow from A to B: successive shortest paths
+    augment until no path is left, so it is a maximum flow with capacity
+    1 per edge and direction (parallel edges count separately), and its
+    value is the least number of edges that meet every A-B path.
+    """
+    return len(_static_flow(g, side_a, side_b)[0])
+
+
 def _horizon_flow(g, a, b, tau):
     """(F(tau), used): the static flow of the shortest paths no longer
     than tau, and F(tau) = sum_i (tau + 1 - l_i) over their lengths, the
@@ -453,7 +357,7 @@ def _horizon_flow(g, a, b, tau):
     _check_pair(g, a, b)
     if tau < 0:
         raise GraphError("horizon must be nonnegative")
-    lengths, used = _static_flow(g, a, b, tau)
+    lengths, used = _static_flow(g, (a,), (b,), tau)
     return sum(tau + 1 - ell for ell in lengths), used
 
 
@@ -490,21 +394,16 @@ def max_route_flow(g, a, b, tau):
 
 
 def tau_route(g, a, b, n_prime):
-    """Least horizon tau with max_route_flow value >= n_prime.
-
-    F(tau) = max over k of sum_{i <= k} (tau + 1 - l_i), since the terms
-    fall with i, so F(tau) >= n' >= 1 exactly when some k has tau >=
-    ceil((n' + l_1 + ... + l_k) / k) - 1; the answer is the least of
-    these.  Raises UnreachableError for disconnected endpoints.
-    """
+    """Least horizon tau with max_route_flow value >= n_prime: the
+    `least_horizon` of the static a -> b flow's path lengths.  Raises
+    UnreachableError for disconnected endpoints."""
     _check_pair(g, a, b)
     if n_prime < 1:
         raise GraphError("n_prime must be >= 1")
-    lengths, _ = _static_flow(g, a, b)
+    lengths, _ = _static_flow(g, (a,), (b,))
     if not lengths:
         raise UnreachableError(f"vertices {a} and {b} are disconnected")
-    return min(-(-(n_prime + total) // k) - 1
-               for k, total in enumerate(accumulate(lengths), 1))
+    return least_horizon(lengths, n_prime)
 
 
 def extract_level_vector(g, a, b, n_bits, horizon):
@@ -526,8 +425,8 @@ def extract_level_vector(g, a, b, n_bits, horizon):
     if value >= n_bits:
         raise RoutableError(
             f"routable: {value} >= {n_bits} units fit in horizon {horizon}")
-    dist, _ = _residual_distances(g, a, used,
-                                  (b, horizon + 1) if used else None)
+    dist, _ = _residual_distances(g, (a,), used,
+                                  (a, b, horizon + 1) if used else None)
     levels = [horizon + 1 if d is None else min(horizon + 1, d)
               for d in dist]
     if levels[a] != 0 or levels[b] != horizon + 1:

@@ -2,14 +2,15 @@
 
 Everything here is deliberately written against the problem definitions,
 not against the package internals: naive Ford-Fulkerson on an explicitly
-materialized layered graph, exhaustive path-set enumeration, exhaustive
-subset expansion, path-form LP feasibility, and plain truth-table
-evaluators.
+materialized layered graph, scipy's Dinic on the timed network that
+roundlab itself never builds for a flow, exhaustive path-set
+enumeration, path-form LP feasibility, and plain truth-table evaluators.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -398,6 +399,83 @@ def decompose_paths_reference(g, tau, flows, sources, eps=1e-9):
 
 
 # ---------------------------------------------------------------------------
+# timed max flows by scipy's C Dinic on the explicit timed network: the
+# reference engine for the flows over time that roundlab reads off static
+# flows
+
+def timed_max_flow(tg, src, dst, extra_arcs=()):
+    """(value, units): a maximum src -> dst flow in the timed network of
+    the roundlab TimedGraph `tg`, with `units` its units per arc, a vector
+    indexed like `tg.arc_arrays()`.
+
+    Node ids are `tg.node(v, layer)`; `extra_arcs` adds (tail, head,
+    capacity) arcs whose ends may be new nodes numbered from
+    `tg.node_count` on (super sources and sinks).  Edge arcs have capacity
+    1 and memory arcs 2 m tau + 1, more than all edge arcs together.  The
+    CSR capacity matrix sums parallel arcs; each summed flow is handed back
+    one unit per edge arc in edge-id order (memory arcs have no
+    parallels).
+    """
+    import numpy as np
+    from scipy import sparse
+    from scipy.sparse.csgraph import maximum_flow
+
+    arc_tails, arc_heads, is_edge = tg.arc_arrays()
+    caps = np.where(is_edge, 1, 2 * tg.base.m * tg.tau + 1)
+    tails, heads, size = arc_tails, arc_heads, tg.node_count
+    if extra_arcs:
+        extra = np.array(extra_arcs, dtype=np.int64)
+        tails = np.concatenate([tails, extra[:, 0]])
+        heads = np.concatenate([heads, extra[:, 1]])
+        caps = np.concatenate([caps, extra[:, 2]])
+        size = max(size, int(extra[:, :2].max()) + 1)
+    capacity = sparse.csr_matrix(
+        (caps.astype(np.int32), (tails, heads)), shape=(size, size))
+    res = maximum_flow(capacity, src, dst, method="dinic")
+    summed = np.asarray(res.flow[arc_tails, arc_heads]).ravel()
+    rank, seen = [], {}
+    for u, v in tg.base.edges:
+        for pair in ((u, v), (v, u)):
+            rank.append(seen.get(pair, 0))
+            seen[pair] = rank[-1] + 1
+    rank = np.tile(rank + [0] * tg.base.n, tg.tau)
+    return int(res.flow_value), np.where(is_edge, summed > rank, summed)
+
+
+def partition_flow(tg, side_a, side_b, cap_a, cap_b):
+    """`timed_max_flow` from side_a x {0} to side_b x {tau} in `tg`,
+    through a super source with an arc of capacity cap_a into each (a, 0)
+    and a super sink fed by an arc of capacity cap_b from each (b, tau)."""
+    s, t = tg.node_count, tg.node_count + 1
+    arcs = ([(s, tg.node(u, 0), cap_a) for u in side_a]
+            + [(tg.node(v, tg.tau), t, cap_b) for v in side_b])
+    return timed_max_flow(tg, s, t, arcs)
+
+
+def flow_bound_reference(g, sides, n_prime, lo):
+    """The least tau >= lo at which every bipartition (T, K - T) of
+    `sides` passes the side test of tau_mcf's flow bound on the timed
+    network: the `partition_flow` from T to K - T with capacities
+    ceil(|K - T| n'/k) and ceil(|T| n'/k) reaches ceil(|T| |K - T| n'/k).
+    An upward scan of timed networks, one max flow per side and
+    horizon."""
+    from roundlab.timed import build_timed_graph
+
+    share = Fraction(n_prime) / (len(sides[0][0]) + len(sides[0][1]))
+
+    def passes(tau, side, rest):
+        value, _ = partition_flow(
+            build_timed_graph(g, tau), side, rest,
+            math.ceil(len(rest) * share), math.ceil(len(side) * share))
+        return value >= math.ceil(len(side) * len(rest) * share)
+
+    tau = lo
+    while not all(passes(tau, side, rest) for side, rest in sides):
+        tau += 1
+    return tau
+
+
+# ---------------------------------------------------------------------------
 # arc-based multicommodity LP, assembled entry by entry
 
 def mcf_lp_reference(g, tau, demands_by_source):
@@ -453,23 +531,6 @@ def mcf_lp_reference(g, tau, demands_by_source):
             for si in range(n_src):
                 cost[var(si, ai)] = 1.0
     return cost, a_ub, np.ones(len(nonmem)), a_eq, np.array(b_eq)
-
-
-def expansion_bruteforce(edges, n):
-    """Min over nonempty S with |S| <= n/2 of boundary(S)/|S| (Fraction)."""
-    best = None
-    for mask in range(1, 1 << n):
-        size = bin(mask).count("1")
-        if size > n // 2:
-            continue
-        boundary = 0
-        for u, v in edges:
-            if ((mask >> u) & 1) != ((mask >> v) & 1):
-                boundary += 1
-        ratio = Fraction(boundary, size)
-        if best is None or ratio < best:
-            best = ratio
-    return best
 
 
 def has_triangle_bruteforce(n, edges):

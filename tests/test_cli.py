@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.optimize import OptimizeResult, linprog
@@ -212,24 +216,6 @@ def test_non_integral_fractions_stay_strings(tmp_path, capsys):
     assert code == 0 and payload["ratio"] == "12/7"
 
 
-def test_embed_expander_payload(tmp_path, capsys):
-    gpath = _write_graph(tmp_path, clique(4))
-    code, payload = _run(capsys, ["embed-expander", "--graph", gpath,
-                                  "--tau", "1", "--nprime", "1"])
-    assert code == 0
-    assert set(payload) >= {"expander_edges", "paths", "congestion",
-                            "lambda2", "expansion"}
-
-
-def test_embed_expander_rejects_nprime_below_one(tmp_path, capsys):
-    gpath = _write_graph(tmp_path, clique(4))
-    for nprime in ("0", "-1"):
-        code = main(["embed-expander", "--graph", gpath, "--tau", "1",
-                     "--nprime", nprime])
-        err = capsys.readouterr().err
-        assert code == 3 and "n_prime" in err and "Traceback" not in err
-
-
 def test_bench_disj_parallel_bundle(tmp_path, capsys):
     g = parallel_edges(4)
     gpath = _write_graph(tmp_path, g)
@@ -340,40 +326,33 @@ def test_tau_route_huge_nprime_cli(tmp_path, capsys):
     assert code == 0 and payload["tau_route"] == 5_000_009
 
 
-def test_int32_guard_exit_code(tmp_path, capsys):
-    # 2 * m * tau + 1 = 2**31 + 1 does not fit the engine's int32 CSR
-    path = _write_graph(tmp_path, clique(2))
-    code = main(["embed-expander", "--graph", path, "--tau", str(2 ** 30),
-                 "--nprime", "1"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "m=1" in err and "tau=1073741824" in err and "2147483649" in err
-
-
 def test_tau_mcf_huge_nprime_exit_code(tmp_path, capsys):
-    # the cut bounds put tau at 375,000,000, where the flow bound's first
-    # timed max flow meets the int32 guard before allocating the network
-    # (an LP of that size asked numpy for 2.8 GiB and escaped as a raw
-    # MemoryError traceback with exit 1)
+    # the base-cut bound is 375,000,000; the flow bound, read off static
+    # flows with no timed network, lifts it to 375,000,004 (each corner
+    # sends 750,000,000 units over two paths of length 5), where the first
+    # LP's timed network meets the arc ceiling before allocating (an LP of
+    # that size asked numpy for 2.8 GiB and escaped as a raw MemoryError
+    # traceback with exit 1)
     path = _write_graph(tmp_path, grid_graph(6, 6))
     code = main(["tau-mcf", "--graph", path, "--nprime", "1000000000"])
     err = capsys.readouterr().err
     assert code == 3
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    assert "m=60" in err and "tau=375000000" in err and "int32" in err
+    assert "m=60" in err and "tau=375000004" in err
+    assert "58500000624 arcs" in err
 
 
 def test_tau_mcf_mid_nprime_exit_code(tmp_path, capsys):
-    # at n' = 10**7 the cut bounds put tau at 3,750,000, whose capacities
-    # fit int32; the network's 585,000,000 arcs pass the arc ceiling, which
-    # stops it before allocating (arc_arrays asked numpy for 4.36 GiB and
-    # escaped as a raw traceback with exit 1)
+    # at n' = 10**7 the flow bound puts tau at 3,750,004; the network's
+    # 585,000,624 arcs pass the arc ceiling, which stops the first LP
+    # before allocating (arc_arrays asked numpy for 4.36 GiB and escaped
+    # as a raw traceback with exit 1)
     path = _write_graph(tmp_path, grid_graph(6, 6))
     code = main(["tau-mcf", "--graph", path, "--nprime", "10000000"])
     err = capsys.readouterr().err
     assert code == 3
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-    assert "m=60" in err and "tau=3750000" in err and "585000000" in err
+    assert "m=60" in err and "tau=3750004" in err and "585000624" in err
 
 
 def test_convergence_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -540,3 +519,53 @@ def test_bench_oracle_disagreement_exit_code(tmp_path, capsys, monkeypatch):
                  "--n", "4"])
     err = capsys.readouterr().err
     assert code == 4 and "oracle says" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--reduction", "or-disj", "--k", "0", "--n", "2"], "k >= 2"),
+    (["--reduction", "or-disj", "--k", "1", "--n", "2"], "k >= 2"),
+    (["--reduction", "or-disj", "--k", "-1", "--n", "2"], "k >= 2"),
+    (["--reduction", "and-disj", "--k", "3", "--n", "-1"], "n >= 1"),
+    (["--reduction", "and-disj", "--k", "3", "--n", "0"], "n >= 1"),
+], ids=["or-k0", "or-k1", "or-k-1", "and-n-1", "and-n0"])
+def test_gen_rejects_degenerate_sizes(tmp_path, capsys, argv, message):
+    out = tmp_path / "inst.json"
+    code = main(["--out", str(out), "gen", *argv])
+    err = capsys.readouterr().err
+    assert code == 3 and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--protocol", "ed-compiled", "--n", "0"],
+    ["bench", "--function", "ed", "--n", "-2"],
+    ["run", "--protocol", "disj-aggregate", "--n", "0"],
+], ids=["run-ed", "bench-ed", "run-disj"])
+def test_ed_and_disj_reject_empty_inputs(tmp_path, capsys, argv):
+    gpath = _write_graph(tmp_path, clique(2))
+    code = main([*argv, "--graph", gpath])
+    err = capsys.readouterr().err
+    assert code == 3 and "n_bits must be >= 1" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_flow_commands_import_no_csgraph(tmp_path):
+    # every flow is read off static flows and the LP is HiGHS, so neither
+    # tau-mcf nor tau-route loads scipy's graph algorithms
+    gpath = _write_graph(tmp_path, grid_graph(6, 6))
+    script = (
+        "import sys\n"
+        "from roundlab.cli import main\n"
+        "out, graph = sys.argv[1:]\n"
+        "assert main(['--out', out, 'tau-mcf', '--graph', graph,\n"
+        "             '--nprime', '32']) == 0\n"
+        "assert main(['--out', out, 'tau-route', '--graph', graph,\n"
+        "             '--nprime', '16']) == 0\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out.json"), gpath],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -66,8 +66,6 @@ CASES = {
     "run-ed-k3": "run --graph {k3} --protocol ed-compiled --n 3",
     "compile-k2": "compile --graph {k2} --circuit {ed21} --inputs {k2_in}",
     "ed-circuit": "ed-circuit --k 2 --m 1",
-    "embed-expander-grid6":
-        "embed-expander --graph {grid6} --tau 10 --nprime 1",
     "gen-and-disj": "gen --reduction and-disj --k 3 --n 2",
     "gen-or-disj": "gen --reduction or-disj --k 3 --n 2",
     "solve-ring44": "solve --variant connectivity --graph {ring44} "

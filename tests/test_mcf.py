@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,15 +10,14 @@ from roundlab import (
     random_connected_graph, ring_of_cliques,
 )
 from roundlab.mcf import (
-    LPSolveError, PartitionInfeasibleError, _assemble_mcf_lp,
-    balanced_partition_paths, mcf_feasible, route_unit_demands, tau_mcf,
-    tau_mcf_flow_bound, tau_mcf_lower_bound,
+    LPSolveError, _assemble_mcf_lp, mcf_feasible, route_unit_demands,
+    tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound,
 )
-from roundlab.timed import (
-    build_timed_graph, least_feasible_horizon, validate_timed_path,
-)
+from roundlab.timed import build_timed_graph, tau_route
 
-from oracles import mcf_feasible_bruteforce, mcf_lp_reference
+from oracles import (
+    flow_bound_reference, mcf_feasible_bruteforce, mcf_lp_reference,
+)
 
 
 def _uniform(terminals, n_prime):
@@ -139,26 +137,26 @@ def test_tau_mcf_flow_bound_on_one_edge_cuts():
                 tau_mcf(g, g.terminals, 8)) == bounds
 
 
-def _side_routes_search(g, n_prime, lo):
-    """The two-terminal flow bound as the timed-network search finds it:
-    the least horizon from max(lo, base bound) whose partition flow
-    passes."""
-    a, b = g.terminals
-    base, _ = mcf_mod._base_bound(g, g.terminals, n_prime)
-    return least_feasible_horizon(
-        partial(mcf_mod._side_routes, g, (a,), (b,), n_prime / 2),
-        max(lo, base), mcf_mod._search_cutoff(g, g.terminals, n_prime),
-        "reference flow bound")
+def _reference_flow_bound(g, n_prime):
+    """The flow bound as the timed-network search finds it: the least
+    horizon from the base bound at which the reference engine's partition
+    flow passes on every side that tau_mcf_flow_bound checks."""
+    base, sides = mcf_mod._base_bound(g, tuple(sorted(g.terminals)),
+                                      Fraction(n_prime))
+    return flow_bound_reference(g, sides, n_prime, base)
 
 
 @st.composite
-def two_terminal_multigraphs(draw):
+def parallel_multigraphs(draw, max_k):
+    """Multigraphs on 2..5 vertices with some edges doubled and 2..max_k
+    terminals."""
     n = draw(st.integers(2, 5))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda e: e[0] != e[1])
     edges = draw(st.lists(pair, min_size=1, max_size=7))
     edges += draw(st.lists(st.sampled_from(edges), max_size=2))
-    terms = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+    k = draw(st.integers(2, min(max_k, n)))
+    terms = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
                           unique=True))
     return Graph(n, tuple(edges), tuple(terms))
 
@@ -167,23 +165,21 @@ TWO_TERMINAL_NPRIMES = st.sampled_from(
     [Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 5, 8, 13])
 
 
-def _check_two_terminal_flow_bound(g, n_prime, below):
-    # with k = 2 the flow bound is max(lo, base, tau_route(ceil(n'/2))),
-    # the horizon the timed partition-flow search finds; lo is an earlier
-    # bound, at most the bound from lo = 1, and `below` under it
+def _check_two_terminal_flow_bound(g, n_prime):
+    # with k = 2 the flow bound is max(base, tau_route(ceil(n'/2))), the
+    # horizon the timed partition-flow search finds
     n_prime = Fraction(n_prime)
-    bound = _side_routes_search(g, n_prime, 1)
-    assert mcf_mod._flow_bound(g, g.terminals, n_prime, 1) == bound
-    lo = max(1, bound - below)
-    assert mcf_mod._flow_bound(g, g.terminals, n_prime, lo) == \
-        _side_routes_search(g, n_prime, lo) == bound
+    bound = tau_mcf_flow_bound(g, g.terminals, n_prime)
+    assert bound == _reference_flow_bound(g, n_prime)
+    assert bound == max(tau_mcf_lower_bound(g, g.terminals, n_prime),
+                        tau_route(g, *g.terminals, -(-n_prime // 2)))
 
 
 @settings(max_examples=50, deadline=None)
-@given(two_terminal_multigraphs(), TWO_TERMINAL_NPRIMES, st.integers(0, 6))
-def test_two_terminal_flow_bound_is_closed_form(g, n_prime, below):
+@given(parallel_multigraphs(2), TWO_TERMINAL_NPRIMES)
+def test_two_terminal_flow_bound_is_closed_form(g, n_prime):
     assume(g.connected(g.terminals))
-    _check_two_terminal_flow_bound(g, n_prime, below)
+    _check_two_terminal_flow_bound(g, n_prime)
 
 
 @pytest.mark.parametrize("g", [clique(2), parallel_edges(3)]
@@ -191,8 +187,27 @@ def test_two_terminal_flow_bound_is_closed_form(g, n_prime, below):
                          ids=["K2", "K2x3", "P1", "P2", "P3", "P6"])
 def test_two_terminal_flow_bound_on_k2_and_paths(g):
     for n_prime in (Fraction(1, 3), 1, 2, 7, 8, 40):
-        for below in (0, 1, 4):
-            _check_two_terminal_flow_bound(g, n_prime, below)
+        _check_two_terminal_flow_bound(g, n_prime)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallel_multigraphs(5), TWO_TERMINAL_NPRIMES)
+def test_flow_bound_matches_timed_side_search(g, n_prime):
+    # the closed form over terminal subsets against the reference engine's
+    # partition flows, on multigraphs with parallel edges and k = 2..5
+    assume(g.connected(g.terminals))
+    assert tau_mcf_flow_bound(g, g.terminals, n_prime) == \
+        _reference_flow_bound(g, n_prime)
+
+
+def test_flow_bound_on_bench_graphs():
+    # tau_mcf is 18, 33 and 24 on the first three; the k = 10 graph's
+    # bound was 9 with the timed side search too
+    cases = [(grid_graph(6, 6), 32, 16), (ring_of_cliques(4, 4), 64, 33),
+             (random_connected_graph(12, 10, seed=1, k=4), 32, 24),
+             (random_connected_graph(30, 30, seed=3, k=10), 20, 9)]
+    for g, n_prime, bound in cases:
+        assert tau_mcf_flow_bound(g, g.terminals, n_prime) == bound
 
 
 @pytest.mark.parametrize("k,cuts", [(4, 7), (10, 511), (11, 11)])
@@ -229,53 +244,6 @@ def test_tau_mcf_probe_order(monkeypatch):
     # 33 meets the ledger's 33: no LP; a repeated n' needs no search
     assert [tau_mcf(g, g.terminals, n) for n in (62, 63, 64)] == [32, 33, 33]
     assert probes == [33, 32]
-
-
-def test_balanced_partition_clique():
-    g = clique(4)
-    paths = balanced_partition_paths(g, 1, (0, 1), (2, 3), 1)
-    assert len(paths) == 2
-    for p in paths:
-        validate_timed_path(g, p, 1)
-        assert p.verts[0] in (0, 1) and p.verts[-1] in (2, 3)
-
-
-def test_balanced_partition_single_edge():
-    g = Graph(2, ((0, 1),), (0, 1))
-    paths = balanced_partition_paths(g, 1, (0,), (1,), 1)
-    assert len(paths) == 1
-
-
-def test_balanced_partition_infeasible_reports_value():
-    g = path_graph(3, terminals=(0, 3))
-    with pytest.raises(PartitionInfeasibleError) as exc:
-        balanced_partition_paths(g, 1, (0,), (3,), 1)
-    assert exc.value.achieved == 0
-
-
-def test_balanced_partition_degree_recount():
-    for seed in range(10):
-        g = random_connected_graph(8, 8, seed=400 + seed, k=4)
-        terms = g.terminals
-        a, b = terms[:2], terms[2:]
-        tau = 4
-        try:
-            paths = balanced_partition_paths(g, tau, a, b, 2)
-        except PartitionInfeasibleError:
-            continue
-        outs = {u: 0 for u in a}
-        ins = {v: 0 for v in b}
-        used = set()
-        for p in paths:
-            validate_timed_path(g, p, tau)
-            outs[p.verts[0]] += 1
-            ins[p.verts[-1]] += 1
-            for key in p.steps():
-                if key[1] is not None:
-                    assert key not in used
-                    used.add(key)
-        assert all(c == 2 for c in outs.values())
-        assert all(c == 2 for c in ins.values())
 
 
 def test_route_unit_demands_basic():

@@ -45,8 +45,6 @@ ALLOWED = {
                             "between tests",
     "sorting_network_sorts": "checker: the 0-1 principle test of the "
                              "sorting networks behind ED circuits",
-    "tau_mcf_flow_bound": "public API: the certified start of the tau_mcf "
-                          "search, tested against tau_mcf",
     "tau_mcf_lower_bound": "public API: the base-cut bound on tau_mcf, "
                            "tested against tau_mcf",
     "value": "ambiguous: PathCollection.value and TreePacking.value, read "

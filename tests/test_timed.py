@@ -6,19 +6,19 @@ from hypothesis import assume, given, settings, strategies as st
 from roundlab import (
     Graph, GraphError, UnreachableError, RoutableError,
     build_timed_graph, max_route_flow, tau_route, extract_level_vector,
-    mirror_timed_path, validate_timed_path,
+    validate_timed_path,
     path_graph, clique, grid_graph, intro_split_graph,
     random_connected_graph, parallel_edges,
 )
 import roundlab.timed as timed_mod
 from roundlab.timed import (
-    SearchLimitError, TimedGraph, _horizon_flow, base_min_cut,
-    least_feasible_horizon, timed_max_flow,
+    SearchLimitError, TimedGraph, _horizon_flow, _static_flow, base_min_cut,
+    least_feasible_horizon, least_horizon, peel_unit_paths,
 )
-from roundlab.mcf import _partition_flow
 from oracles import (
     arc_key_flows, base_cut_bruteforce, decompose_paths_reference,
-    static_paths_reference, timed_flow_bruteforce, tau_route_bruteforce,
+    partition_flow, static_paths_reference, timed_flow_bruteforce,
+    timed_max_flow, tau_route_bruteforce,
 )
 
 
@@ -172,16 +172,6 @@ def test_level_vector_random_cases():
     assert checked >= 100
 
 
-def test_mirror_is_involution():
-    g = path_graph(3, terminals=(0, 3))
-    sol = max_route_flow(g, 0, 3, 4)
-    for p in sol.paths:
-        m = mirror_timed_path(p, 4)
-        validate_timed_path(g, m, 4)
-        assert mirror_timed_path(m, 4) == p
-        assert m.verts[0] == p.verts[-1] and m.verts[-1] == p.verts[0]
-
-
 def test_parallel_edges_capacity():
     g = parallel_edges(3)
     assert max_route_flow(g, 0, 1, 1).value == 3
@@ -194,31 +184,17 @@ def test_tau_route_past_recursion_ceiling():
 
 
 def test_engine_splits_parallel_arcs_in_edge_id_order():
-    # three parallel 0-1 edges then two parallel 1-2 edges: the CSR sums
-    # each bundle, and the two units come back on the lowest edge ids
+    # three parallel 0-1 edges then two parallel 1-2 edges: the reference
+    # engine's CSR sums each bundle, and the two units come back on the
+    # lowest edge ids, as the repeated flow's paths use them
     g = Graph(3, ((0, 1), (0, 1), (0, 1), (1, 2), (1, 2)), (0, 2))
     tg = build_timed_graph(g, 2)
-    flow = timed_max_flow(tg, tg.node(0, 0), tg.node(2, 2))
-    assert flow.value == 2
-    assert arc_key_flows(g, 2, flow.arc_units()) == {
+    value, units = timed_max_flow(tg, tg.node(0, 0), tg.node(2, 2))
+    assert value == 2
+    assert arc_key_flows(g, 2, units) == {
         (0, 0, 0, 1): 1, (0, 1, 0, 1): 1, (1, 3, 1, 2): 1, (1, 4, 1, 2): 1}
     sol = max_route_flow(g, 0, 2, 2)
     assert [p.edge_ids for p in sol.paths] == [(0, 3), (1, 4)]
-
-
-def test_engine_int32_guard(monkeypatch):
-    def no_build(self):
-        raise AssertionError("network built past the int32 guard")
-
-    monkeypatch.setattr(TimedGraph, "arc_arrays", no_build)
-    g = path_graph(3)
-    tg = build_timed_graph(g, 2 ** 29)   # memory capacity 2*3*tau + 1
-    with pytest.raises(GraphError, match=r"m=3 .*tau=536870912 .*3221225473"):
-        timed_max_flow(tg, tg.node(0, 0), tg.node(3, tg.tau))
-    tg = build_timed_graph(g, 4)
-    with pytest.raises(GraphError, match="2147483648"):
-        timed_max_flow(tg, 0, tg.node_count,
-                       [(tg.node(3, 4), tg.node_count, 2 ** 31)])
 
 
 class Allocated(Exception):
@@ -233,9 +209,8 @@ class NoNumpy:
 
 
 def test_arc_ceiling_before_allocating(monkeypatch):
-    # grid 6x6 at tau = 3,750,000 (tau-mcf with n' = 10**7) has 156 arcs
-    # per layer: its capacities fit int32, and arc_arrays asked numpy for
-    # 4.36 GiB
+    # grid 6x6 at tau = 3,750,000 has 156 arcs per layer: arc_arrays asked
+    # numpy for 4.36 GiB
     monkeypatch.setattr(timed_mod, "np", NoNumpy())
     tg = build_timed_graph(grid_graph(6, 6), 3_750_000)
     with pytest.raises(GraphError,
@@ -286,7 +261,7 @@ def _check_single_pair(g, a, b, tau):
     levels against the brute-force oracle at horizon tau."""
     value, source_side = timed_flow_bruteforce(g, a, b, tau)
     tg = build_timed_graph(g, tau)
-    assert timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau)).value == value
+    assert timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau))[0] == value
     sol = max_route_flow(g, a, b, tau)
     assert sol.value == value
     _check_unit_paths(g, a, b, tau, sol)
@@ -316,32 +291,67 @@ def test_repeated_flow_matches_engine_and_oracle(case, tau, n_prime):
         assert max_route_flow(g, a, b, got - 1).value < n_prime
         tg = build_timed_graph(g, got)
         assert timed_max_flow(tg, tg.node(a, 0),
-                              tg.node(b, got)).value >= n_prime
+                              tg.node(b, got))[0] >= n_prime
         assert got == tau_route_bruteforce(g, a, b, n_prime)
 
 
 @settings(max_examples=60, deadline=None)
 @given(multigraph_pairs(), st.integers(1, 4))
 def test_decomposer_matches_arc_key_reference(case, tau):
-    # integral Dinic flows (single pair and partition) peel into the
-    # arc-key decomposer's parcels, in its order, each repeated as many
-    # times as its amount
+    # integral timed flows of the reference engine (single pair and
+    # partition) peel into the arc-key decomposer's parcels, in its order,
+    # each repeated as many times as its amount
     g, a, b = case
     tg = build_timed_graph(g, tau)
+    tails, heads, is_edge = tg.arc_arrays()
+    width = 2 * g.m + g.n
     rest = [v for v in range(g.n) if v not in (a, b)]
     side_a, side_b = [a] + rest[:1], [b] + rest[1:2]
     cases = [
-        ((a,), timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau))),
-        (side_a, _partition_flow(tg, side_a, side_b, 2, 2)),
+        ((a,), timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau))[1]),
+        (side_a, partition_flow(tg, side_a, side_b, 2, 2)[1]),
     ]
-    for sources, flow in cases:
-        got = [(path.verts, path.edge_ids)
-               for path in flow.unit_paths(sources)]
+    for sources, units in cases:
+        got = [(tuple(v % g.n for v in nodes),
+                tuple(ai % width // 2 if is_edge[ai] else None
+                      for ai in arcs))
+               for nodes, arcs in peel_unit_paths(tails, heads, units,
+                                                  sources)]
         assert got == [
             (verts, eids)
             for verts, eids, amount in decompose_paths_reference(
-                g, tau, arc_key_flows(g, tau, flow.arc_units()), sources)
+                g, tau, arc_key_flows(g, tau, units), sources)
             for _ in range(amount)]
+
+
+@st.composite
+def multigraph_vertex_sets(draw):
+    g, a, b = draw(parallel_multigraph_pairs())
+    rest = [v for v in range(g.n) if v not in (a, b)]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True)
+                 if rest else st.just([]))
+    cut = draw(st.integers(0, len(extra)))
+    return g, (a, *extra[:cut]), (b, *extra[cut:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraph_vertex_sets(), st.integers(0, 6), st.integers(1, 6))
+def test_set_flow_over_time_matches_engine(case, tau, units):
+    # the static flow between vertex sets, repeated over time, carries the
+    # reference engine's maximum flow from X x {0} to Y x {tau}, and
+    # least_horizon is the least horizon at which that flow reaches units
+    g, xs, ys = case
+    lengths, _ = _static_flow(g, xs, ys)
+    tg = build_timed_graph(g, tau)
+    big = 2 * g.m * tau + 1
+    assert sum(max(0, tau + 1 - ell) for ell in lengths) == \
+        partition_flow(tg, xs, ys, big, big)[0]
+    assert len(lengths) == base_min_cut(g, xs, ys) == \
+        base_cut_bruteforce(g, xs, ys)
+    if lengths:
+        least = least_horizon(lengths, units)
+        assert sum(max(0, least + 1 - ell) for ell in lengths) >= units
+        assert sum(max(0, least - ell) for ell in lengths) < units
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,7 +390,6 @@ def test_single_pair_calls_build_no_timed_network(monkeypatch):
 
     monkeypatch.setattr(timed_mod, "TimedGraph", no_network)
     monkeypatch.setattr(TimedGraph, "arc_arrays", no_network)
-    monkeypatch.setattr(timed_mod, "timed_max_flow", no_network)
     g = intro_split_graph()
     assert tau_route(path_graph(3), 0, 3, 300) == 302
     assert tau_route(g, 0, 1, 16) == 6
