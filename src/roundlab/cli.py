@@ -175,7 +175,7 @@ def cmd_tau_route(args):
 
 def cmd_tau_mcf(args):
     g = load_graph(args.graph)
-    value = tau_mcf(g, g.terminals, args.nprime)
+    value = tau_mcf(g, g.terminals, [args.nprime])[args.nprime]
     return {"command": "tau-mcf", "terminals": list(g.terminals),
             "nprime": args.nprime, "tau_mcf": value, "seed": args.seed}
 
@@ -325,7 +325,7 @@ def cmd_bench(args):
     if args.function == "disj":
         kind = "min_delta(n/ST+delta)"
     else:
-        bound = Fraction(tau_mcf(g, terms, 1))
+        bound = Fraction(tau_mcf(g, terms, [1])[1])
         kind = "tau_mcf(G,K,1)"
     tr = run_protocol(g, proto, inputs, seed=args.seed)
     if not replay_matches(g, proto, inputs, args.seed, tr):

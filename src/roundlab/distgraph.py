@@ -114,16 +114,19 @@ class DistributedGraphInput:
 
 
 def instance_from_json(obj):
-    mode = obj["mode"]
-    assignment = (tuple(obj["assignment"]) if mode == "edge"
-                  else {int(v): o for v, o in obj["assignment"].items()})
-    return DistributedGraphInput(
-        num_vertices=int(obj["H"]["n"]),
-        edges=tuple(tuple(e) for e in obj["H"]["edges"]),
-        mode=mode,
-        terminals=tuple(obj["terminals"]),
-        assignment=assignment,
-    )
+    try:
+        mode = obj["mode"]
+        assignment = (tuple(obj["assignment"]) if mode == "edge"
+                      else {int(v): o for v, o in obj["assignment"].items()})
+        return DistributedGraphInput(
+            num_vertices=int(obj["H"]["n"]),
+            edges=tuple(tuple(e) for e in obj["H"]["edges"]),
+            mode=mode,
+            terminals=tuple(obj["terminals"]),
+            assignment=assignment,
+        )
+    except (KeyError, TypeError) as exc:
+        raise GraphError(f"malformed instance JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Delay-constrained multicommodity flow on timed graphs.
 
-The central quantity is the least horizon tau at which the uniform
-all-pairs demand (n'/k per ordered terminal pair) admits a fractional
-congestion-1 routing in the tau-layer expansion.  Feasibility is decided
-by an exact arc-based LP (HiGHS), read off the solver's status alone; no
-routing is read back.  `tau_mcf` builds the demand once per search, as
-the by-source dict {s: {t: n'/k}} that `mcf_feasible` hands to the LP.
-The search for that horizon solves only the LPs that certified bounds
-and earlier answers leave open: it starts at a flow-over-time cut bound,
-read in closed form off static min-cost flows between terminal subsets,
-and a per-(graph, terminals) ledger of decided answers brackets it from
-both sides, because feasibility is monotone up in tau and down in n'.
+The central quantity is tau_MCF(G, K, n'), the least horizon tau at which
+the uniform all-pairs demand (n'/k per ordered terminal pair) admits a
+fractional congestion-1 routing in the tau-layer expansion.  Feasibility
+is decided by an exact arc-based LP (HiGHS), read off the solver's status
+alone; no routing is read back.  `tau_mcf` is a pure function of the
+graph, the terminals and a set of n': one call decides the whole set,
+largest n' first, so a caller with several n' (the circuit compiler's
+routed levels) asks once.  Each search solves only the LPs that its
+flow-over-time cut bound, read in closed form off static min-cost flows
+between terminal subsets, and the answer at the next larger n' leave
+open, because feasibility is monotone up in tau and down in n'.
 
 Also here: a small integral unit-demand router used by the bit-level
 protocol builders.
@@ -19,7 +19,6 @@ protocol builders.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations
 
@@ -114,63 +113,37 @@ def mcf_feasible(g, by_source, tau):
 
 
 # ---------------------------------------------------------------------------
-# tau_MCF: cut bounds, answer ledger, monotone search
+# tau_MCF: cut bounds and monotone search
 
-# the ledger keeps the answers of at most this many (graph, terminals)
-# keys, least recently used first out, and at most this many n' per key
-LEDGER_SIZE = 256
-_LEDGER = OrderedDict()     # (graph, sorted terminals) -> {n': tau}
+def tau_mcf(g, terminals, n_primes):
+    """{n': tau} for every n' in `n_primes`, tau the least horizon at which
+    the uniform n'/k all-pairs demand is routable.
 
-
-def reset_tau_mcf_ledger():
-    """Forget every answer `tau_mcf` has recorded in this process."""
-    _LEDGER.clear()
-
-
-def tau_mcf(g, terminals, n_prime):
-    """Least tau at which the uniform n'/k all-pairs demand is routable.
-
-    Routability is monotone up in tau (commodities can dwell) and down in
-    n' (a routing scales down), so an answer tau* at n0 decides (tau* - 1,
-    n') infeasible for every n' >= n0 and (tau*, n') feasible for every
-    n' <= n0.  Every answer goes into a ledger per (graph, sorted
-    terminals), bounded by LEDGER_SIZE.  A call brackets its answer
-    between the ledger's answers at smaller and at larger n'; when that
-    leaves more than one horizon, `least_feasible_horizon` searches by
-    exact LP feasibility from the larger of the bracket's low end and
-    `tau_mcf_flow_bound`, reading every horizon at or past the high end as
-    feasible without an LP.  An answer read from the ledger's high end is
-    recorded as that tau.  Only a finished search is recorded, so a probe
-    HiGHS could not decide (LPSolveError) leaves nothing behind.
+    The distinct n' are decided largest first, each by
+    `least_feasible_horizon` from `tau_mcf_flow_bound`, and every horizon
+    at or past the answer of the next larger n' reads as feasible without
+    an LP.  Proof: a routing of the n'-demand at horizon tau, scaled by
+    n''/n' <= 1, routes the n''-demand at tau, so routability is monotone
+    down in n' (and up in tau, since commodities can dwell); the answer at
+    a larger n' is thus a feasible horizon for every smaller one.  The
+    result depends on the arguments alone: nothing is kept between calls.
     """
-    if n_prime <= 0:
-        raise GraphError("n_prime must be positive")
     terminals = tuple(sorted(terminals))
     if len(terminals) < 2:
         raise GraphError("need at least two terminals")
-    n_prime = Fraction(n_prime)
-    key = (g, terminals)
-    answers = _LEDGER.get(key, {})
-    lo = max((t for n, t in answers.items() if n <= n_prime), default=1)
-    hi = min((t for n, t in answers.items() if n >= n_prime),
-             default=math.inf)
-    if lo != hi:
-        lo = max(lo, tau_mcf_flow_bound(g, terminals, n_prime))
+    n_primes = sorted({Fraction(n) for n in n_primes}, reverse=True)
+    if n_primes and n_primes[-1] <= 0:
+        raise GraphError("n_prime must be positive")
+    answers, hi = {}, math.inf
+    for n_prime in n_primes:
         share = n_prime / len(terminals)
         by_source = {s: {t: share for t in terminals if t != s}
                      for s in terminals}
-        lo = least_feasible_horizon(
+        hi = answers[n_prime] = least_feasible_horizon(
             lambda tau: tau >= hi or mcf_feasible(g, by_source, tau),
-            lo, _search_cutoff(g, terminals, n_prime), "tau_mcf")
-    if n_prime not in answers:
-        answers[n_prime] = lo
-        if len(answers) > LEDGER_SIZE:
-            del answers[next(iter(answers))]
-    _LEDGER[key] = answers
-    _LEDGER.move_to_end(key)
-    if len(_LEDGER) > LEDGER_SIZE:
-        _LEDGER.popitem(last=False)
-    return lo
+            tau_mcf_flow_bound(g, terminals, n_prime),
+            _search_cutoff(g, terminals, n_prime), "tau_mcf")
+    return answers
 
 
 def _search_cutoff(g, terminals, n_prime):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import GraphError, bfs_tree
@@ -260,11 +261,14 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
     Gates are mapped to terminals at random (load-balanced by rejection);
     per level, the wire values cross the network as an integral routing of
     unit demands inside a dedicated window of rounds, starting from the
-    bounded-demand horizon 2*tau_mcf and escalating one round at a time if
-    the integral router needs slack.  Terminal i (in sorted order) holds
-    input bits i*n .. (i+1)*n - 1 (`default_input_layout`).  The final
-    gate's owner broadcasts the answer over a BFS tree; every other vertex
-    takes it from its tree parent's edge.
+    bounded-demand horizon 2*tau_mcf at the level's peak unit load and
+    escalating one round at a time if the integral router needs slack.
+    The peaks of all routed levels go to `tau_mcf` in one request.
+    Terminal i (in sorted order) holds input bits i*n .. (i+1)*n - 1
+    (`default_input_layout`).  Gate `output_pos` of the output level is
+    the answer, and GraphError is raised unless that gate exists.  Its
+    owner broadcasts the answer over a BFS tree; every other vertex takes
+    it from its tree parent's edge.
 
     meta keys: windows (rounds per level, 0 for a level with no units),
     thresholds (per-level load thresholds of the gate assignment),
@@ -276,6 +280,10 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
     n = circuit.n
     if circuit.k != len(terms):
         raise GraphError("circuit terminal arity mismatch")
+    width = len(circuit.levels[-1])
+    if not 0 <= output_pos < width:
+        raise GraphError(f"output_pos {output_pos} is not in [0, {width}), "
+                         f"the output level's width")
     input_layout = default_input_layout(terms, n)
     holder = {}
     for t, bits in input_layout.items():
@@ -301,6 +309,13 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
                         units.append((src, dst, ("wire", li, pos, ai)))
         level_units.append(units)
 
+    # each level's peak unit load: the most units one terminal sends or
+    # receives (0 for a level with no units)
+    peaks = [max([*Counter(s for s, _, _ in units).values(),
+                  *Counter(t for _, t, _ in units).values()], default=0)
+             for units in level_units]
+    taus = tau_mcf(g, terms, [peak for peak in peaks if peak])
+
     # route each level inside its own window
     windows = []
     send_plan = {}   # (round, vertex) -> list of (edge_id, token)
@@ -311,13 +326,7 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
             windows.append(0)
             continue
         pairs = [(s, t) for s, t, _ in units]
-        loads_out = {}
-        loads_in = {}
-        for s, t in pairs:
-            loads_out[s] = loads_out.get(s, 0) + 1
-            loads_in[t] = loads_in.get(t, 0) + 1
-        n_prime = max(max(loads_out.values()), max(loads_in.values()))
-        horizon = 2 * tau_mcf(g, terms, n_prime)
+        horizon = 2 * taus[peaks[li]]
         cap = horizon + 4 * g.n + 8
         routed = None
         while routed is None:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import OptimizeResult
 
 import roundlab.mcf as mcf_mod
@@ -31,12 +31,13 @@ def test_tau_mcf_clique_identity():
     for k in (2, 3, 4):
         g = clique(k)
         for n_prime in (1, 2, 5, 8):
-            assert tau_mcf(g, g.terminals, n_prime) == -(-n_prime // k)
+            assert tau_mcf(g, g.terminals, [n_prime]) == \
+                {n_prime: -(-n_prime // k)}
 
 
 def test_tau_mcf_single_edge():
     g = Graph(2, ((0, 1),), (0, 1))
-    assert tau_mcf(g, (0, 1), 2) == 1
+    assert tau_mcf(g, (0, 1), [2]) == {2: 1}
 
 
 def test_tau_mcf_path():
@@ -44,7 +45,7 @@ def test_tau_mcf_path():
     # checked against the path-form LP oracle
     assert not mcf_feasible_bruteforce(g, {(0, 2): 1.0, (2, 0): 1.0}, 1)
     assert mcf_feasible_bruteforce(g, {(0, 2): 1.0, (2, 0): 1.0}, 2)
-    assert tau_mcf(g, (0, 2), 2) == 2
+    assert tau_mcf(g, (0, 2), [2]) == {2: 2}
 
 
 def test_mcf_feasibility_matches_oracle():
@@ -62,9 +63,8 @@ def test_mcf_feasibility_matches_oracle():
 def test_tau_mcf_subadditive():
     for seed in range(10):
         g = random_connected_graph(5, 3, seed=50 + seed, k=3)
-        t1 = tau_mcf(g, g.terminals, 2)
-        t2 = tau_mcf(g, g.terminals, 7)
-        assert t2 <= -(-7 // 2) * t1
+        taus = tau_mcf(g, g.terminals, [2, 7])
+        assert taus[7] <= -(-7 // 2) * taus[2]
 
 
 def _tau_mcf_cases():
@@ -87,8 +87,8 @@ def _tau_mcf_by_scan(g, n_prime):
 
 def test_tau_mcf_matches_linear_scan():
     for g, n_prime in _tau_mcf_cases():
-        assert tau_mcf(g, g.terminals, n_prime) == \
-            _tau_mcf_by_scan(g, n_prime), (g, n_prime)
+        assert tau_mcf(g, g.terminals, [n_prime]) == \
+            {n_prime: _tau_mcf_by_scan(g, n_prime)}, (g, n_prime)
 
 
 @st.composite
@@ -103,19 +103,31 @@ def terminal_multigraphs(draw):
     return Graph(n, edges, tuple(terms))
 
 
+@st.composite
+def n_prime_multisets(draw):
+    """A few distinct n', some of them repeated, in random order."""
+    distinct = draw(st.lists(st.sampled_from(
+        [Fraction(1, 2), 1, Fraction(3, 2), 2, 3, 5, 8]), min_size=1,
+        max_size=4, unique=True))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=3))
+    return draw(st.permutations(distinct + repeats))
+
+
 @settings(max_examples=40, deadline=None)
-@given(terminal_multigraphs(), st.lists(st.integers(1, 8), min_size=1,
-                                        max_size=4))
+@given(terminal_multigraphs(), n_prime_multisets())
+@example(Graph(5, ((0, 2), (0, 3), (2, 4), (1, 3), (1, 4)), (1, 2, 3, 4)),
+         [3, 1, 2, 3])
 def test_tau_mcf_cut_bound_below_lp(g, n_primes):
-    # one ledger serves the whole sequence (and every earlier example), so
-    # answers bracketed by earlier ones are checked too; the scan calls
-    # mcf_feasible directly and never reads the ledger
+    # one call decides every n', each search reading the answer at the
+    # next larger n' as feasible; the scan never reads another answer.
+    # The example's flow bound at n' = 3 is 2, one short of its answer
+    # 3, where the answer 2 at n' = 2 must not be read as feasible
     assume(g.connected(g.terminals))
-    for n_prime in n_primes:
-        scanned = _tau_mcf_by_scan(g, n_prime)
+    scanned = {n_prime: _tau_mcf_by_scan(g, n_prime) for n_prime in n_primes}
+    for n_prime, tau in scanned.items():
         base = tau_mcf_lower_bound(g, g.terminals, n_prime)
-        assert base <= tau_mcf_flow_bound(g, g.terminals, n_prime) <= scanned
-        assert tau_mcf(g, g.terminals, n_prime) == scanned
+        assert base <= tau_mcf_flow_bound(g, g.terminals, n_prime) <= tau
+    assert tau_mcf(g, g.terminals, n_primes) == scanned
 
 
 def test_tau_mcf_lower_bound_on_bench_graphs():
@@ -134,7 +146,7 @@ def test_tau_mcf_flow_bound_on_one_edge_cuts():
     for g, bounds in ((path_graph(3), (4, 6, 6)), (clique(2), (4, 4, 4))):
         assert (tau_mcf_lower_bound(g, g.terminals, 8),
                 tau_mcf_flow_bound(g, g.terminals, 8),
-                tau_mcf(g, g.terminals, 8)) == bounds
+                tau_mcf(g, g.terminals, [8])[8]) == bounds
 
 
 def _reference_flow_bound(g, n_prime):
@@ -237,12 +249,10 @@ def test_tau_mcf_probe_order(monkeypatch):
 
     monkeypatch.setattr(mcf_mod, "mcf_feasible", recording_feasible)
     g = ring_of_cliques(4, 4)
-    assert tau_mcf(g, g.terminals, 64) == 33
-    assert probes == [33]
-    # n' = 62 has 33 above it in the ledger and costs one LP at its flow
-    # bound 32; n' = 63 then lies between 32 and 33, where its flow bound
-    # 33 meets the ledger's 33: no LP; a repeated n' needs no search
-    assert [tau_mcf(g, g.terminals, n) for n in (62, 63, 64)] == [32, 33, 33]
+    # n' = 64 comes first and costs one LP at its flow bound 33; n' = 63's
+    # flow bound 33 meets that answer: no LP; n' = 62 costs one LP at its
+    # flow bound 32, which holds
+    assert tau_mcf(g, g.terminals, [62, 63, 64]) == {62: 32, 63: 33, 64: 33}
     assert probes == [33, 32]
 
 
@@ -300,8 +310,7 @@ def test_tau_mcf_unchanged_with_reference_assembly(monkeypatch):
     cases = _tau_mcf_cases()
 
     def values():
-        mcf_mod.reset_tau_mcf_ledger()
-        return [tau_mcf(g, g.terminals, n) for g, n in cases]
+        return [tau_mcf(g, g.terminals, [n]) for g, n in cases]
 
     fast = values()
     monkeypatch.setattr(
@@ -319,13 +328,10 @@ def test_solver_failure_is_not_infeasible(monkeypatch, status):
         status=status, message="solver gave up", x=None))
     g = clique(3)
     with pytest.raises(LPSolveError) as exc:
-        tau_mcf(g, g.terminals, 2)
+        tau_mcf(g, g.terminals, [2])
     text = str(exc.value)
     assert f"status {status}" in text and "solver gave up" in text
     assert "tau=1" in text and "3 commodities" in text
-    # the undecided probe left nothing in the ledger
-    monkeypatch.undo()
-    assert tau_mcf(g, g.terminals, 2) == 1
 
 
 def test_solver_status_2_reads_infeasible(monkeypatch):

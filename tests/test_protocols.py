@@ -251,20 +251,21 @@ def test_compile_round_accounting():
     inputs = {t: (1, 0) for t in g.terminals}
     tr = run_protocol(g, proto, inputs, seed=0)
     windows = proto.meta["windows"]
-    bounds = [0 if window == 0 else 2 * tau_mcf(g, g.terminals, 3 * t)
-              for window, t in zip(windows, proto.meta["thresholds"])]
+    levels = list(zip(windows, proto.meta["thresholds"]))
+    taus = tau_mcf(g, g.terminals, [3 * t for window, t in levels if window])
+    bounds = [0 if window == 0 else 2 * taus[3 * t] for window, t in levels]
     assert sum(windows) <= sum(bounds)
     assert tr.rounds <= sum(bounds) + proto.meta["broadcast_rounds"] + 2
 
 
 def test_compile_routes_levels_at_their_unit_loads(monkeypatch):
-    # the build path asks tau_mcf only for each routed level's peak unit
-    # load, never for the reporting-only 3*threshold horizons
+    # the build path asks tau_mcf once, for the routed levels' peak unit
+    # loads, never for the reporting-only 3*threshold horizons
     asked = []
 
-    def recording_tau_mcf(g, terminals, n_prime):
-        asked.append(n_prime)
-        return tau_mcf(g, terminals, n_prime)
+    def recording_tau_mcf(g, terminals, n_primes):
+        asked.append(list(n_primes))
+        return tau_mcf(g, terminals, n_primes)
 
     monkeypatch.setattr(protocols_mod, "tau_mcf", recording_tau_mcf)
     circuit, pos = random_circuit(3, 2, depth=3, seed=11)
@@ -290,7 +291,7 @@ def test_compile_routes_levels_at_their_unit_loads(monkeypatch):
             if pairs:
                 peaks.append(max(*Counter(s for s, _ in pairs).values(),
                                  *Counter(t for _, t in pairs).values()))
-        assert peaks and asked == peaks
+        assert peaks and len(asked) == 1 and set(asked[0]) == set(peaks)
 
 
 def test_compile_ed_circuit_small():

@@ -41,8 +41,6 @@ ALLOWED = {
     "paths": "ambiguous: FlowSolution.paths, the unit paths of "
              "max_route_flow, read by the tests and the benchmark's cut "
              "certificate; also PathCollection's field",
-    "reset_tau_mcf_ledger": "clears the process-wide tau_mcf ledger "
-                            "between tests",
     "sorting_network_sorts": "checker: the 0-1 principle test of the "
                              "sorting networks behind ED circuits",
     "tau_mcf_lower_bound": "public API: the base-cut bound on tau_mcf, "
