@@ -18,7 +18,11 @@ from functools import cached_property
 
 from .graphs import GraphError
 
-FAN_IN = {"CONST": 0, "NOT": 1, "DUP": 1, "AND": 2, "OR": 2}
+# each gate kind above level 0: its fan-in, and its value given its
+# argument values
+FAN_IN = {"NOT": 1, "DUP": 1, "AND": 2, "OR": 2}
+GATE_OPS = {"NOT": lambda a: a ^ 1, "DUP": lambda a: a,
+            "AND": lambda a, b: a & b, "OR": lambda a, b: a | b}
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class BooleanCircuit:
             prev = len(self.levels[li - 1])
             consumers = [0] * prev
             for gate in self.levels[li]:
-                if gate.kind not in FAN_IN or gate.kind == "CONST":
+                if gate.kind not in FAN_IN:
                     raise GraphError(f"bad gate kind {gate.kind!r} above level 0")
                 if len(gate.args) != FAN_IN[gate.kind]:
                     raise GraphError(f"{gate.kind} needs {FAN_IN[gate.kind]} args")
@@ -75,18 +79,8 @@ class BooleanCircuit:
             raise GraphError(f"expected {self.n * self.k} input bits")
         values = list(bits)
         for lv in self.levels[1:]:
-            nxt = []
-            for gate in lv:
-                a = gate.args
-                if gate.kind == "AND":
-                    nxt.append(values[a[0]] & values[a[1]])
-                elif gate.kind == "OR":
-                    nxt.append(values[a[0]] | values[a[1]])
-                elif gate.kind == "NOT":
-                    nxt.append(values[a[0]] ^ 1)
-                else:  # DUP
-                    nxt.append(values[a[0]])
-            values = nxt
+            values = [GATE_OPS[g.kind](*(values[a] for a in g.args))
+                      for g in lv]
         return tuple(values)
 
 

@@ -4,9 +4,10 @@ Every command echoes its seed and emits deterministic JSON (or CSV), so
 re-running a configuration byte-reproduces the output.  Exact rationals are
 written as JSON integers when integral and as ``"p/q"`` strings otherwise.
 Exit codes: 0 ok, 2 infeasible instance, 3 input error (argparse usage
-errors included), 4 internal contract violation (an LP that HiGHS could
-not decide, Steiner matching rounds that do not converge and a two-party
-extraction that reads an unknown bit included).
+errors and files that cannot be read or written included), 4 internal
+contract violation (an LP that HiGHS could not decide, Steiner matching
+rounds that do not converge and a two-party extraction that reads an
+unknown bit included).
 ``--help`` exits 0.  ``--format csv`` writes ``key,value`` rows (the
 ``bench`` summary as one header row and one value row) through the csv
 module, with list and dict values as compact JSON cells.  Every command's
@@ -67,8 +68,8 @@ EXIT_CONTRACT = 4
 
 INFEASIBLE_ERRORS = (UnreachableError, HypothesisError, NoGoodTreeError,
                      RoutableError, SearchLimitError, MaxRoundsExceeded)
-INPUT_ERRORS = (GraphError, FileNotFoundError, json.JSONDecodeError,
-                KeyError, ValueError)
+INPUT_ERRORS = (GraphError, OSError, json.JSONDecodeError, KeyError,
+                ValueError)
 CONTRACT_ERRORS = (ContractViolation, CompileError, AssertionError,
                    LPSolveError, ConvergenceError, ExtractionError)
 
@@ -434,7 +435,7 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
     try:
-        payload = args.func(args)
+        _emit(args.func(args), args)
     except INFEASIBLE_ERRORS as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -444,7 +445,6 @@ def main(argv=None):
     except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(payload, args)
     return EXIT_OK
 
 

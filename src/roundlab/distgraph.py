@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .graphs import GraphError, bfs, bfs_tree
@@ -302,10 +303,13 @@ def edge_to_node_rebalance(terminals, inp, seed):
     Each vertex of H goes to a terminal drawn from a generator seeded with
     `seed`.  Only the placement is computed: the routing that would ship
     the adjacency entries there (an n'-bounded demand, 2 tau_MCF rounds in
-    the paper's reduction) is not."""
+    the paper's reduction) is not.  Raises GraphError unless `inp` is
+    edge-distributed over exactly `terminals`."""
     if inp.mode != "edge":
         raise GraphError("input must be edge-distributed")
     terms = tuple(sorted(terminals))
+    if inp.terminals != terms:
+        raise GraphError("input terminals do not match")
     rng = random.Random(f"rebalance:{seed}")
     placement = {v: terms[rng.randrange(len(terms))]
                  for v in range(inp.num_vertices)}
@@ -320,27 +324,43 @@ def edge_to_node_rebalance(terminals, inp, seed):
 VARIANTS = ("connectivity", "components", "acyclicity", "bipartiteness")
 
 
-def _encode(value, width):
-    return [(value >> i) & 1 for i in range(width)]
+# a checkpoint's aggregate, in its up-record field order
+UpRecord = namedtuple("UpRecord", "pending count dup par has_untok untok")
 
 
-def _decode(bits):
-    return sum(b << i for i, b in enumerate(bits))
+def _pack(values, widths):
+    """The values as one bit list, each low bit first in its width."""
+    return [(v >> i) & 1 for v, w in zip(values, widths) for i in range(w)]
+
+
+def _unpack(bits, widths):
+    """The inverse of `_pack`: one value per width, read in order."""
+    values, at = [], 0
+    for w in widths:
+        values.append(sum(b << i for i, b in enumerate(bits[at:at + w])))
+        at += w
+    return values
 
 
 def bfs_protocol(g, terminals, inp, variant):
     """Flooding BFS over a node-distributed H, as a bit-level protocol.
 
-    Token notifications are framed packets (start bit + target vertex +
-    source vertex + parity) relayed along fixed shortest paths between
-    terminals.  Rounds alternate fixed-length transport chunks with
-    aggregation checkpoints up a spanning tree of the communication graph,
-    scheduled at geometrically increasing chunk indices per flood (1, 2,
-    4, ...).  A checkpoint aggregates (pending traffic, token count,
-    duplicate-receipt flag, parity-conflict flag, minimum untokened
-    vertex) and broadcasts continue / restart-at-vertex / final-answer.
-    Components, acyclicity and bipartiteness restart the flood per
-    component; connectivity needs a single flood.
+    Token notifications are framed packets relayed along fixed shortest
+    paths between terminals.  Rounds alternate fixed-length transport
+    chunks with aggregation checkpoints up a spanning tree of the
+    communication graph, scheduled at geometrically increasing chunk
+    indices per flood (1, 2, 4, ...).  A checkpoint aggregates an up
+    record and broadcasts a down decision: continue, restart at a vertex,
+    or the final answer.  Components, acyclicity and bipartiteness
+    restart the flood per component; connectivity needs a single flood.
+
+    Each of the three messages is one width table, packed by `_pack`,
+    with b_v bits naming a vertex of H and b_c bits a token count:
+    - frame, after its start bit: target, source, parity (b_v, b_v, 1);
+    - up record, `UpRecord`: pending traffic, token count,
+      duplicate-receipt flag, parity-conflict flag, has-untokened flag,
+      minimum untokened vertex (1, b_c, 1, 1, 1, b_v);
+    - down decision: code, restart vertex, answer (2, b_v, b_c).
 
     The first flood starts at vertex 0, whose owner is public knowledge
     (the vertex-to-terminal map is shared); restarts are elected through
@@ -360,7 +380,10 @@ def bfs_protocol(g, terminals, inp, variant):
     placement = dict(inp.assignment)
     b_v = max(1, math.ceil(math.log2(max(n_h, 2))))
     b_c = max(1, math.ceil(math.log2(n_h + 1)))
-    packet_bits = 2 * b_v + 1
+    frame_widths = (b_v, b_v, 1)
+    up_widths = (1, b_c, 1, 1, 1, b_v)
+    down_widths = (2, b_v, b_c)
+    packet_bits = sum(frame_widths)
 
     # fixed shortest-path next hops toward each terminal
     next_hop = {}
@@ -375,8 +398,8 @@ def bfs_protocol(g, terminals, inp, variant):
     s_parent, s_depth, s_children = bfs_tree(g, root)
     depth_max = max(s_depth.values())
 
-    w_up = 1 + b_c + 1 + 1 + 1 + b_v          # pending,count,dup,par,has,min
-    w_down = 2 + b_v + b_c                    # code, restart vertex, answer
+    w_up = sum(up_widths)
+    w_down = sum(down_widths)
     chunk_len = 2 * (packet_bits + 3)
     up_len = (depth_max + 1) * w_up
     down_start = up_len + 1
@@ -396,9 +419,8 @@ def bfs_protocol(g, terminals, inp, variant):
             "dup": 0, "par": 0,
             "queues": {eid: [] for eid, _ in g.incidence[v]},
             "tx": {}, "rx": {},
-            "upbuf": {}, "downbits": None,
+            "upbuf": {}, "upbits": None, "downbits": None,
             "rep": initial_rep(),
-            "agg": None,
         }
         return state
 
@@ -430,14 +452,11 @@ def bfs_protocol(g, terminals, inp, variant):
                 process_token(state, target, source, parity, injections)
             else:
                 eid, _ = next_hop[(v_self, owner)]
-                payload = (_encode(target, b_v) + _encode(source, b_v)
-                           + [parity])
-                state["queues"][eid].append(payload)
+                state["queues"][eid].append(
+                    _pack((target, source, parity), frame_widths))
 
     def handle_packet(state, v_self, payload):
-        deliver_local(state, v_self, [(_decode(payload[:b_v]),
-                                       _decode(payload[b_v:2 * b_v]),
-                                       payload[2 * b_v])])
+        deliver_local(state, v_self, [_unpack(payload, frame_widths)])
 
     def transport_round(state, v_self, r, inbox, sends):
         # receive side: continue or start frames
@@ -468,56 +487,28 @@ def bfs_protocol(g, terminals, inp, variant):
                       or bool(state["tx"]) or bool(state["rx"]))
         count = len(state["tokens"])
         untok = owned_untokened(state)
-        return {
-            "pending": pending, "count": count,
-            "dup": state["dup"], "par": state["par"],
-            "has_untok": int(untok is not None),
-            "untok": untok if untok is not None else 0,
-        }
+        return UpRecord(pending, count, state["dup"], state["par"],
+                        int(untok is not None),
+                        untok if untok is not None else 0)
 
-    def combine(rec_a, rec_b):
-        out = {
-            "pending": rec_a["pending"] | rec_b["pending"],
-            "count": rec_a["count"] + rec_b["count"],
-            "dup": rec_a["dup"] | rec_b["dup"],
-            "par": rec_a["par"] | rec_b["par"],
-        }
-        if rec_a["has_untok"] and rec_b["has_untok"]:
-            out["has_untok"] = 1
-            out["untok"] = min(rec_a["untok"], rec_b["untok"])
-        else:
-            pick = rec_a if rec_a["has_untok"] else rec_b
-            out["has_untok"] = pick["has_untok"]
-            out["untok"] = pick["untok"]
-        return out
-
-    def encode_up(rec):
-        return ([rec["pending"]] + _encode(rec["count"], b_c)
-                + [rec["dup"], rec["par"], rec["has_untok"]]
-                + _encode(rec["untok"], b_v))
-
-    def decode_up(bits):
-        return {
-            "pending": bits[0],
-            "count": _decode(bits[1:1 + b_c]),
-            "dup": bits[1 + b_c],
-            "par": bits[2 + b_c],
-            "has_untok": bits[3 + b_c],
-            "untok": _decode(bits[4 + b_c:4 + b_c + b_v]),
-        }
+    def combine(a, b):
+        untoks = [rec.untok for rec in (a, b) if rec.has_untok]
+        return UpRecord(a.pending | b.pending, a.count + b.count,
+                        a.dup | b.dup, a.par | b.par, int(bool(untoks)),
+                        min(untoks, default=0))
 
     def decide(rep, rec):
         """Root's checkpoint decision: (code, restart_vertex, answer)."""
-        if rec["pending"]:
+        if rec.pending:
             return 0, 0, 0
-        if variant == "acyclicity" and rec["dup"]:
+        if variant == "acyclicity" and rec.dup:
             return 2, 0, 0
-        if variant == "bipartiteness" and rec["par"]:
+        if variant == "bipartiteness" and rec.par:
             return 2, 0, 0
         if variant == "connectivity":
-            return 2, 0, int(rec["count"] == n_h)
-        if rec["has_untok"]:
-            return 1, rec["untok"], 0
+            return 2, 0, int(rec.count == n_h)
+        if rec.has_untok:
+            return 1, rec.untok, 0
         if variant == "components":
             return 2, 0, rep["flood"]
         return 2, 0, 1  # acyclic / bipartite verdicts
@@ -536,18 +527,19 @@ def bfs_protocol(g, terminals, inp, variant):
         if r == my_win:
             rec = local_up_record(state)
             for child_bits in state["upbuf"].values():
-                rec = combine(rec, decode_up(child_bits))
-            state["agg"] = rec
+                rec = combine(rec, UpRecord(*_unpack(child_bits, up_widths)))
             state["upbuf"] = {}
+            # the root decides at once; every other vertex packs its
+            # record once for its up window
+            if v_self == root:
+                state["downbits"] = _pack(decide(rep, rec), down_widths)
+            else:
+                state["upbits"] = _pack(rec, up_widths)
         if my_win <= r < my_win + w_up and s_parent[v_self] is not None:
             eid, _ = s_parent[v_self]
-            sends[eid] = encode_up(state["agg"])[r - my_win]
+            sends[eid] = state["upbits"][r - my_win]
         # down phase
         my_down = down_start + delta * w_down
-        if v_self == root and r == down_start:
-            code, restart, answer = decide(rep, state["agg"])
-            state["downbits"] = (_encode(code, 2) + _encode(restart, b_v)
-                                 + _encode(answer, b_c))
         if s_parent[v_self] is not None:
             eid, _ = s_parent[v_self]
             j = r - 1 - (my_down - w_down)
@@ -572,12 +564,8 @@ def bfs_protocol(g, terminals, inp, variant):
             rep["start"] = rnd + 1
             return None
         if rep["phase"] == "sync" and r == sync_len - 1:
-            bits = state["downbits"]
-            code = _decode(bits[0:2])
-            restart = _decode(bits[2:2 + b_v])
-            answer = _decode(bits[2 + b_v:2 + b_v + b_c])
+            code, restart, answer = _unpack(state["downbits"], down_widths)
             state["downbits"] = None
-            state["agg"] = None
             if code == 0:
                 rep["next_cp"] *= 2
                 rep["phase"] = "transport"

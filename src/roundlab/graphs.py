@@ -281,9 +281,13 @@ def parse_graph_text(text):
     try:
         _, n, m, k = rows[0].split()
         n, m, k = int(n), int(m), int(k)
-        edges = tuple(tuple(map(int, rows[1 + i].split())) for i in range(m))
-        terminals = tuple(map(int, rows[1 + m].split()))
-    except (ValueError, IndexError) as exc:
+        if len(rows) != m + 2:
+            raise ValueError(f"{m} edges need {m + 2} rows, got {len(rows)}")
+        edges = tuple(tuple(map(int, row.split())) for row in rows[1:-1])
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("an edge row needs exactly two vertices")
+        terminals = tuple(map(int, rows[-1].split()))
+    except ValueError as exc:
         raise GraphError(f"malformed graph text: {exc}") from exc
     if len(terminals) != k:
         raise GraphError(f"expected {k} terminals, got {len(terminals)}")

@@ -5,7 +5,7 @@ symmetric inner functions: coordinate blocks are pipelined up each packed
 tree as bit-serial partial one-counts (low bit first, one-round latency
 per hop), the common root finishes the computation, and the answer floods
 back down.  The compiler maps circuit gates to random terminals (load
-balanced by rejection resampling) and ships each level's wire values with
+balanced by rejection resampling) and ships each level's gate values with
 the integral timed-graph router, one window of rounds per level.
 """
 
@@ -15,7 +15,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
+from .circuits import GATE_OPS
 from .graphs import GraphError, bfs_tree
 from .mcf import route_unit_demands, tau_mcf
 from .sim import ContractViolation, ProtocolSpec
@@ -259,7 +261,7 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
     """Compile a leveled circuit into a synchronous protocol.
 
     Gates are mapped to terminals at random (load-balanced by rejection);
-    per level, the wire values cross the network as an integral routing of
+    per level, the gate values cross the network as an integral routing of
     unit demands inside a dedicated window of rounds, starting from the
     bounded-demand horizon 2*tau_mcf at the level's peak unit load and
     escalating one round at a time if the integral router needs slack.
@@ -273,8 +275,7 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
     meta keys: windows (rounds per level, 0 for a level with no units),
     thresholds (per-level load thresholds of the gate assignment),
     data_rounds, broadcast_rounds and assignment (per level, the terminal
-    owning each gate).  The reporting-only
-    per-level horizons 2*tau_mcf(3*threshold) are not computed.
+    owning each gate).
     """
     terms = tuple(sorted(terminals))
     n = circuit.n
@@ -285,29 +286,17 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
         raise GraphError(f"output_pos {output_pos} is not in [0, {width}), "
                          f"the output level's width")
     input_layout = default_input_layout(terms, n)
-    holder = {}
-    for t, bits in input_layout.items():
-        for j in bits:
-            holder[j] = t
+    holder = {j: t for t, bits in input_layout.items() for j in bits}
     assignment, thresholds = _assign_gates(circuit, terms, seed)
 
-    # per-level unit demands
-    level_units = []
-    for li, level in enumerate(circuit.levels):
-        units = []
-        if li == 0:
-            for pos in range(len(level)):
-                src, dst = holder[pos], assignment[0][pos]
-                if src != dst:
-                    units.append((src, dst, ("wire", 0, pos, -1)))
-        else:
-            for pos, gate in enumerate(level):
-                for ai, a in enumerate(gate.args):
-                    src = assignment[li - 1][a]
-                    dst = assignment[li][pos]
-                    if src != dst:
-                        units.append((src, dst, ("wire", li, pos, ai)))
-        level_units.append(units)
+    # per-level unit demands, each keyed by the value it carries:
+    # (level, pos), level 0 being the input bits
+    level_units = [[(holder[pos], assignment[0][pos], (0, pos))
+                    for pos in range(len(circuit.levels[0]))]]
+    level_units += [[(assignment[li - 1][a], assignment[li][pos], (li - 1, a))
+                     for pos, gate in enumerate(level) for a in gate.args]
+                    for li, level in enumerate(circuit.levels[1:], 1)]
+    level_units = [[u for u in units if u[0] != u[1]] for units in level_units]
 
     # each level's peak unit load: the most units one terminal sends or
     # receives (0 for a level with no units)
@@ -318,8 +307,8 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
 
     # route each level inside its own window
     windows = []
-    send_plan = {}   # (round, vertex) -> list of (edge_id, token)
-    recv_plan = {}   # (round, vertex, edge_id) -> token
+    send_plan = {}   # (round, vertex) -> list of (edge_id, key)
+    recv_plan = {}   # (round, vertex, edge_id) -> key
     offset = 0
     for li, units in enumerate(level_units):
         if not units:
@@ -337,22 +326,22 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
                     raise CompileError(
                         f"level {li} routing found no horizon <= {cap}")
         windows.append(horizon)
-        for (src, dst, token), path in zip(units, routed):
-            first = True
+        for (_, _, key), path in zip(units, routed):
             for layer, eid, uu, vv in path.steps():
-                if eid is None:
-                    continue
-                rnd = offset + layer + 1
-                send_plan.setdefault((rnd, uu), []).append((eid, token, first))
-                recv_plan[(rnd + 1, vv, eid)] = token
-                first = False
+                if eid is not None:
+                    rnd = offset + layer + 1
+                    send_plan.setdefault((rnd, uu), []).append((eid, key))
+                    recv_plan[(rnd + 1, vv, eid)] = key
         offset += horizon
-    eval_round = []
-    t_cursor = 0
-    for li in range(len(circuit.levels)):
-        t_cursor += windows[li]
-        eval_round.append(t_cursor + 1)
+    # level li is evaluated once its window has closed; built in level
+    # order, since levels with empty windows share an evaluation round
+    eval_round = [t + 1 for t in accumulate(windows)]
     answer_round = eval_round[-1]
+    evaluations = {}   # (round, vertex) -> list of (level, pos)
+    for li, level in enumerate(circuit.levels[1:], 1):
+        for pos in range(len(level)):
+            evaluations.setdefault((eval_round[li], assignment[li][pos]),
+                                   []).append((li, pos))
 
     owner = assignment[-1][output_pos]
     parent_b, depth_b, children_b = bfs_tree(g, owner)
@@ -361,79 +350,36 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
             raise GraphError("terminals are disconnected")
     bcast_depth = max(depth_b[t] for t in terms)
     max_rounds = answer_round + bcast_depth + 2
-
-    owned_level = {}
-    for li, level in enumerate(circuit.levels):
-        for pos in range(len(level)):
-            owned_level.setdefault((assignment[li][pos], li), []).append(pos)
-    evals_at = {}
-    for li in range(1, len(circuit.levels)):
-        evals_at.setdefault(eval_round[li], []).append(li)
-
     term_set = set(terms)
 
     def init(v, _g, block):
-        values = {}
         if v in input_layout and block is not None:
-            for idx, j in enumerate(input_layout[v]):
-                values[("bit", j)] = block[idx]
-        return {"vals": values}
-
-    def value_of(state, li, pos):
-        if li == 0:
-            key = ("wire", 0, pos, -1)
-            if key in state["vals"]:
-                return state["vals"][key]
-            return state["vals"][("bit", pos)]
-        return state["vals"][("gate", li, pos)]
+            return {"vals": {(0, j): block[idx]
+                             for idx, j in enumerate(input_layout[v])}}
+        return {"vals": {}}
 
     def step(v, rnd, state, inbox, pub):
         sends = {}
         out = None
+        vals = state["vals"]
         for eid, bit in inbox.items():
-            token = recv_plan.get((rnd, v, eid))
-            if token is not None:
-                state["vals"][token] = bit
-        # evaluate levels whose routing window has closed
-        for li in evals_at.get(rnd, ()):
-            level = circuit.levels[li]
-            for pos in owned_level.get((v, li), ()):
-                gate = level[pos]
-                args = []
-                for ai, a in enumerate(gate.args):
-                    key = ("wire", li, pos, ai)
-                    if key in state["vals"]:
-                        args.append(state["vals"][key])
-                    else:
-                        args.append(value_of(state, li - 1, a))
-                if gate.kind == "AND":
-                    val = args[0] & args[1]
-                elif gate.kind == "OR":
-                    val = args[0] | args[1]
-                elif gate.kind == "NOT":
-                    val = args[0] ^ 1
-                else:
-                    val = args[0]
-                state["vals"][("gate", li, pos)] = val
-        for eid, token, origin in send_plan.get((rnd, v), ()):
-            if origin:
-                _, tli, tpos, tai = token
-                if tli == 0:
-                    bit = value_of(state, 0, tpos)
-                else:
-                    src_gate = circuit.levels[tli][tpos].args[tai]
-                    bit = value_of(state, tli - 1, src_gate)
-            else:
-                bit = state["vals"].get(token)
-            if bit is None:
+            key = recv_plan.get((rnd, v, eid))
+            if key is not None:
+                vals[key] = bit
+        for li, pos in evaluations.get((rnd, v), ()):
+            gate = circuit.levels[li][pos]
+            vals[(li, pos)] = GATE_OPS[gate.kind](
+                *(vals[(li - 1, a)] for a in gate.args))
+        for eid, key in send_plan.get((rnd, v), ()):
+            if key not in vals:
                 raise ContractViolation(
-                    f"vertex {v} must forward {token} before holding it")
-            sends[eid] = bit
+                    f"vertex {v} must forward {key} before holding it")
+            sends[eid] = vals[key]
         # the owner computes the answer; every other vertex takes it from
         # its tree parent (an omitted bit reads as 0) and passes it on
         if v in depth_b and rnd == answer_round + depth_b[v]:
             if v == owner:
-                ans = value_of(state, circuit.depth, output_pos)
+                ans = vals[(circuit.depth, output_pos)]
             else:
                 ans = inbox.get(parent_b[v][0], 0)
             if v in term_set:

@@ -618,3 +618,44 @@ def test_malformed_instance_exit_code(tmp_path, capsys, patch):
     err = capsys.readouterr().err
     assert code == 3 and "Traceback" not in err
     assert "malformed instance JSON" in err
+
+
+def test_solve_edge_instance_for_other_terminals_exit_code(tmp_path, capsys):
+    # an edge-mode instance for terminals 0, 1, 2 on a graph whose
+    # terminals are 0, 4, 8, 12 once solved with its owners dropped
+    inst_path = str(tmp_path / "inst.json")
+    assert main(["--out", inst_path, "gen", "--reduction", "and-disj",
+                 "--k", "3", "--n", "2"]) == 0
+    gpath = _write_graph(tmp_path, ring_of_cliques(4, 4))
+    code = main(["solve", "--variant", "connectivity", "--graph", gpath,
+                 "--instance", inst_path])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert "input terminals do not match" in err
+
+
+def test_graph_rows_disagreeing_with_header_exit_code(tmp_path, capsys):
+    # the second edge row was read as the terminal row, so tau-route
+    # reported the real terminals disconnected (exit 2)
+    path = tmp_path / "g.txt"
+    path.write_text("graph 3 1 2\n0 1\n1 2\n0 2\n")
+    code = main(["tau-route", "--graph", str(path), "--nprime", "1"])
+    err = capsys.readouterr().err
+    assert code == 3 and "1 edges need 3 rows, got 4" in err
+
+
+@pytest.mark.parametrize("where", ["graph-is-a-directory",
+                                   "out-in-missing-directory"])
+def test_file_errors_exit_code(tmp_path, capsys, where):
+    # each escaped as a raw OSError with exit 1
+    gpath = _write_graph(tmp_path, clique(2))
+    if where == "graph-is-a-directory":
+        argv = ["tau-route", "--graph", str(tmp_path), "--nprime", "1"]
+    else:
+        argv = ["--out", str(tmp_path / "missing" / "x.json"), "tau-route",
+                "--graph", gpath, "--nprime", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "Traceback" not in captured.err

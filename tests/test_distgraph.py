@@ -2,9 +2,12 @@ import itertools
 import math
 import random
 
-from roundlab import Graph, clique, random_connected_graph
+import pytest
+from hypothesis import given, strategies as st
+
+from roundlab import Graph, GraphError, clique, random_connected_graph
 from roundlab.distgraph import (
-    DistributedGraphInput, and_disj_instance, bfs_protocol,
+    DistributedGraphInput, _pack, _unpack, and_disj_instance, bfs_protocol,
     edge_to_node_rebalance, graph_oracles, instance_from_json,
     or_disj_instance, random_pair_strings,
 )
@@ -205,6 +208,13 @@ def test_rebalance_empty_graph():
     assert set(node_inp.assignment) == {0, 1, 2}
 
 
+def test_rebalance_rejects_other_terminals():
+    terms = (0, 1, 2)
+    inst = and_disj_instance(random_pair_strings(terms, 2, seed=0), terms, 2)
+    with pytest.raises(GraphError, match="input terminals do not match"):
+        edge_to_node_rebalance((0, 4, 8, 12), inst, seed=0)
+
+
 def test_rebalance_balance_concentrates():
     g = clique(4)
     rng = random.Random(9)
@@ -308,3 +318,17 @@ def test_bfs_random_instances_all_variants():
             ans, _ = _run_variant(g, inp, variant, seed=case)
             want = graph_oracles(inp.num_vertices, inp.edges, query)
             assert ans == want, (case, variant)
+
+
+# ---------------------------------------------------------------------------
+# message codec
+
+@given(st.lists(st.integers(0, 12).flatmap(
+    lambda w: st.tuples(st.integers(0, (1 << w) - 1), st.just(w))),
+    max_size=8))
+def test_pack_unpack_round_trip(fields):
+    values = [v for v, _ in fields]
+    widths = [w for _, w in fields]
+    bits = _pack(values, widths)
+    assert len(bits) == sum(widths) and set(bits) <= {0, 1}
+    assert _unpack(bits, widths) == values

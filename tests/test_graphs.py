@@ -53,6 +53,17 @@ def test_parse_errors():
         parse_graph_text("graph 2 1 1\n0 1\n0 1\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("graph 3 1 2\n0 1\n1 2\n0 2\n", "1 edges need 3 rows, got 4"),
+    ("graph 3 2 2\n0 1\n0 2\n", "2 edges need 4 rows, got 3"),
+    ("graph 3 2 2\n0 1 2\n1 2\n0 2\n", "exactly two vertices"),
+    ("graph 3 2 2\n0\n1 2\n0 2\n", "exactly two vertices"),
+], ids=["extra-edge-row", "missing-edge-row", "three-ints", "one-int"])
+def test_parse_checks_rows_against_header(text, message):
+    with pytest.raises(GraphError, match=message):
+        parse_graph_text(text)
+
+
 def test_path_and_grid_shapes():
     p = path_graph(4)
     assert p.n == 5 and p.terminals == (0, 4)

@@ -21,7 +21,8 @@ from roundlab.protocols import (
     disjointness_function, ed_hash_reduce, ed_oracle,
     steiner_aggregate_protocol,
 )
-from roundlab.sim import ProtocolSpec, run_protocol
+from roundlab.sim import ContractViolation, ProtocolSpec, run_protocol
+from roundlab.timed import TimedPath
 from roundlab.steiner import disjointness_bound, pack_steiner_trees
 
 from oracles import aggregate_protocol_reference
@@ -208,6 +209,42 @@ def test_compile_and_gate():
     for bits in itertools.product((0, 1), repeat=2):
         tr = run_protocol(g, proto, {0: (bits[0],), 1: (bits[1],)}, seed=0)
         assert set(tr.outputs.values()) == {bits[0] & bits[1]}
+
+
+def test_compile_and_gate_reading_one_input_twice():
+    # the AND of input 0 with itself sits at terminal 1 while input 0
+    # stays at terminal 0, so two units carry one value to terminal 1
+    g = Graph(2, ((0, 1),), (0, 1))
+    b = CircuitBuilder(1, 2)
+    c, pos = b.finalize([b.and_(0, 0)])
+    proto = compile_circuit(g, (0, 1), c, seed=7, output_pos=pos[0])
+    assert proto.meta["assignment"] == ((0, 1), (1,))
+    assert proto.meta["windows"] == (0, 2)
+    for bits in itertools.product((0, 1), repeat=2):
+        tr = run_protocol(g, proto, {0: (bits[0],), 1: (bits[1],)}, seed=0)
+        assert set(tr.outputs.values()) == {bits[0]}
+        assert tr.per_edge_bits()[(0, 1, 0)] == 2
+
+
+@pytest.mark.parametrize("broken,error,message", [
+    # each unit's path runs backwards, from a terminal without the value
+    (lambda path: TimedPath(path.verts[::-1], path.edge_ids[::-1]),
+     ContractViolation, r"must forward \(0, 0\) before holding it"),
+    # each unit stays home, so a gate misses its argument
+    (lambda path: TimedPath(path.verts[:1], ()), KeyError, r"\(0, 0\)"),
+], ids=["forward-before-holding", "missing-gate-argument"])
+def test_compile_broken_routes_fail_loudly(monkeypatch, broken, error,
+                                           message):
+    route = protocols_mod.route_unit_demands
+    monkeypatch.setattr(protocols_mod, "route_unit_demands",
+                        lambda g, pairs, horizon: [
+                            broken(p) for p in route(g, pairs, horizon)])
+    g = Graph(2, ((0, 1),), (0, 1))
+    b = CircuitBuilder(1, 2)
+    c, pos = b.finalize([b.and_(0, 0)])
+    proto = compile_circuit(g, (0, 1), c, seed=7, output_pos=pos[0])
+    with pytest.raises(error, match=message):
+        run_protocol(g, proto, {0: (1,), 1: (0,)}, seed=0)
 
 
 def random_circuit(k, n, depth, seed):
