@@ -2,11 +2,14 @@
 
 Aggregation handles any outer function composed with per-coordinate
 symmetric inner functions: coordinate blocks are pipelined up each packed
-tree as bit-serial partial one-counts (low bit first, one-round latency
-per hop), the common root finishes the computation, and the answer floods
-back down.  The compiler maps circuit gates to random terminals (load
-balanced by rejection resampling) and ships each level's gate values with
-the integral timed-graph router, one window of rounds per level.
+tree (one-round latency per hop), the common root finishes the
+computation, and the answer floods back down.  Where every inner table is
+"all k ones" (DISJ), each coordinate travels as one bit, the AND of the
+subtree's input bits; otherwise as a bit-serial partial one-count of
+ceil(log2 k) bits, low bit first.  The compiler maps circuit gates to
+random terminals (load balanced by rejection resampling) and ships each
+level's gate values with the integral timed-graph router, one window of
+rounds per level.
 """
 
 from __future__ import annotations
@@ -81,13 +84,22 @@ def ed_oracle(xs):
 def steiner_aggregate_protocol(g, terminals, packing, func):
     """Protocol computing a ComposedFunction over an integral tree packing.
 
-    Coordinates split evenly over the trees (ceil(n/T) per tree); each
-    tree pipelines per-coordinate one-counts of its non-root terminals to
-    the shared root (bit-serial, ceil(log2 k) bits per coordinate), the
-    root applies the inner tables and the outer function, and the answer
-    is broadcast down the first tree.  Data rounds stay within
-    m * ceil(log2 k) + diameter; broadcast rounds are reported separately
-    in meta.
+    Coordinates split evenly over the trees (m = ceil(n/T) per tree), and
+    each tree pipelines one value per coordinate up to the shared root,
+    which applies the outer function and broadcasts the answer down the
+    first tree.  The encoding is read off `func.tables`:
+
+    - every table is the all-ones table [0]*k + [1] (DISJ): each vertex
+      sends, per coordinate, one bit, the AND of its own bit (1 at a
+      non-terminal) and its children's bits, and the root's AND is the
+      inner value.  AND is associative, so no carry is needed;
+    - otherwise: bit-serial partial one-counts of the subtree's terminals,
+      ceil(log2 k) bits per coordinate, low bit first with a carry, and
+      the root reads the inner value from the table at the full count.
+
+    Data rounds stay within meta["round_bound"] = m * bits_per +
+    diameter, bits_per being 1 or ceil(log2 k) by that choice (both are 1
+    at k = 2); broadcast rounds are reported separately in meta.
     """
     terms = tuple(sorted(terminals))
     k = len(terms)
@@ -101,7 +113,9 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
     root = terms[0]
     n = func.n
     m = math.ceil(n / len(trees)) if n else 0
-    bits_per = max(1, math.ceil(math.log2(k)))
+    all_ones = (0,) * k + (1,)
+    conjunctive = all(tuple(t) == all_ones for t in func.tables)
+    bits_per = 1 if conjunctive else max(1, math.ceil(math.log2(k)))
 
     shapes = [bfs_tree(g, root, tree.edge_ids) for tree in trees]
     blocks = [range(j * m, min((j + 1) * m, n)) for j in range(len(trees))]
@@ -162,7 +176,14 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
         # emit own aggregated stream positions
         for j, start, width, coords, eid, keys in emit[v]:
             q = rnd - start
-            if 0 <= q < width:
+            if 0 <= q < width and conjunctive:
+                bit = 1
+                if v in term_set and state["in"] is not None:
+                    bit = state["in"][coords[q]]
+                for key in keys:
+                    bit &= buf[key][q]
+                sends[eid] = bit
+            elif 0 <= q < width:
                 bitpos = q % bits_per
                 total = state["carry"].get(j, 0)
                 if bitpos == 0:
@@ -179,6 +200,12 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
             inner = []
             for j, (_, _, children) in enumerate(shapes):
                 for ci, coord in enumerate(blocks[j]):
+                    if conjunctive:
+                        bit = 1 if state["in"] is None else state["in"][coord]
+                        for _, child in children[root]:
+                            bit &= buf[(j, child)][ci]
+                        inner.append((coord, bit))
+                        continue
                     count = state["in"][coord] if state["in"] is not None else 0
                     for _, child in children[root]:
                         stream = buf[(j, child)]

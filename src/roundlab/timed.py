@@ -252,36 +252,47 @@ def _arc_ends(g, arc):
     return (u, v) if arc % 2 == 0 else (v, u)
 
 
-def _residual_distances(g, sources, used, shortcut=None):
+def _incident_arcs(g):
+    """Per vertex x, the static arcs at x in arc-id order, as (arc, y,
+    cost): cost +1 for the arc x -> y, residual while unused, and -1 for
+    its twin y -> x, residual (reversed) while used."""
+    arcs = []
+    for x, entries in enumerate(g.incidence):
+        at_x = []
+        for eid, y in entries:
+            out = 2 * eid + (x > y)
+            pair = [(out, y, 1), (out ^ 1, y, -1)]
+            at_x += pair if x < y else pair[::-1]
+        arcs.append(at_x)
+    return arcs
+
+
+def _residual_distances(arcs, sources, used, shortcut=None):
     """(dist, pred): shortest distances from the vertex set `sources`, all
     at distance 0, in the residual network of the static flow `used` (a
-    set of arc ids), with an unused arc at cost +1, a used arc reversed at
-    cost -1, and the optional arc `shortcut` = (tail, head, cost).
-    dist[v] is None where v is unreachable, and pred[v] is the arc whose
-    residual last lowered it.
+    set of arc ids) over the `_incident_arcs` lists `arcs`, with an unused
+    arc at cost +1, a used arc reversed at cost -1, and the optional arc
+    `shortcut` = (tail, head, cost), cost > 0.  dist[v] is None where v is
+    unreachable, and pred[v] is the arc whose residual last lowered it.
 
     Bellman-Ford with a FIFO queue, since reversed arcs cost -1.  The
     residual network of a min-cost flow has no negative cycle, so it
     ends, and pred leads from every reached vertex back to a source.
     """
-    out = [[] for _ in range(g.n)]
-    for eid, (u, v) in enumerate(g.edges):
-        for arc, tail, head in ((2 * eid, u, v), (2 * eid + 1, v, u)):
-            if arc in used:
-                out[head].append((tail, -1, arc))
-            else:
-                out[tail].append((head, 1, arc))
     if shortcut is not None:
         tail, head, cost = shortcut
-        out[tail].append((head, cost, None))
-    dist, pred = [None] * g.n, [None] * g.n
+        arcs = list(arcs)
+        arcs[tail] = [*arcs[tail], (None, head, cost)]
+    dist, pred = [None] * len(arcs), [None] * len(arcs)
     for x in sources:
         dist[x] = 0
     queue, queued = deque(sources), set(sources)
     while queue:
         x = queue.popleft()
         queued.discard(x)
-        for y, cost, arc in out[x]:
+        for arc, y, cost in arcs[x]:
+            if (arc in used) != (cost < 0):
+                continue
             d = dist[x] + cost
             if dist[y] is None or d < dist[y]:
                 dist[y], pred[y] = d, arc
@@ -302,9 +313,10 @@ def _static_flow(g, sources, sinks, horizon=None):
     sum(lengths).  With `horizon` given, no path longer than it is
     augmented.  Without it the flow is maximum: there are min(number of
     arcs out of `sources`, into `sinks`) augmentations at most."""
+    arcs = _incident_arcs(g)
     lengths, used = [], set()
     while True:
-        dist, pred = _residual_distances(g, sources, used)
+        dist, pred = _residual_distances(arcs, sources, used)
         reached = [y for y in sinks if dist[y] is not None]
         if not reached:
             return lengths, used
@@ -425,7 +437,7 @@ def extract_level_vector(g, a, b, n_bits, horizon):
     if value >= n_bits:
         raise RoutableError(
             f"routable: {value} >= {n_bits} units fit in horizon {horizon}")
-    dist, _ = _residual_distances(g, (a,), used,
+    dist, _ = _residual_distances(_incident_arcs(g), (a,), used,
                                   (a, b, horizon + 1) if used else None)
     levels = [horizon + 1 if d is None else min(horizon + 1, d)
               for d in dist]

@@ -632,7 +632,9 @@ def aggregate_protocol_reference(g, terminals, packing, func):
     """The Steiner aggregation protocol with a `step` that scans every
     tree's plan for every vertex in every round: the plain form of
     `roundlab.protocols.steiner_aggregate_protocol`, whose transcripts
-    (bits, outputs, rounds) it must reproduce exactly."""
+    (bits, outputs, rounds) it must reproduce exactly.  When every inner
+    table is [0]*k + [1], a coordinate travels as one bit, the AND of the
+    subtree's inputs; otherwise as a ceil(log2 k)-bit one-count."""
     import math
 
     from roundlab.graphs import bfs_tree
@@ -644,7 +646,8 @@ def aggregate_protocol_reference(g, terminals, packing, func):
     root = terms[0]
     n = func.n
     m = math.ceil(n / len(trees)) if n else 0
-    bits_per = max(1, math.ceil(math.log2(k)))
+    conjunctive = all(list(t) == [0] * k + [1] for t in func.tables)
+    bits_per = 1 if conjunctive else max(1, math.ceil(math.log2(k)))
 
     shapes = [bfs_tree(g, root, tree.edge_ids) for tree in trees]
     plans = []
@@ -688,7 +691,13 @@ def aggregate_protocol_reference(g, terminals, packing, func):
                 continue
             width = len(plan["coords"]) * bits_per
             q = rnd - plan["start"][v]
-            if 0 <= q < width:
+            if 0 <= q < width and conjunctive:
+                bits = [state["buf"].get((j, child), {}).get(q, 0)
+                        for _, child in plan["children"][v]]
+                if v in terms and state["in"] is not None:
+                    bits.append(state["in"][plan["coords"][q]])
+                sends[plan["parent"][v][0]] = int(all(bits))
+            elif 0 <= q < width:
                 coord = plan["coords"][q // bits_per]
                 total = state["carry"].get(j, 0)
                 if q % bits_per == 0:
@@ -704,6 +713,13 @@ def aggregate_protocol_reference(g, terminals, packing, func):
             inner = []
             for j, plan in enumerate(plans):
                 for ci, coord in enumerate(plan["coords"]):
+                    if conjunctive:
+                        bits = [state["buf"].get((j, child), {}).get(ci, 0)
+                                for _, child in plan["children"][root]]
+                        if state["in"] is not None:
+                            bits.append(state["in"][coord])
+                        inner.append((coord, int(all(bits))))
+                        continue
                     count = state["in"][coord] if state["in"] is not None else 0
                     for _, child in plan["children"][root]:
                         buf = state["buf"].get((j, child), {})

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import roundlab.protocols as protocols_mod
 from roundlab import (
     Graph, clique, grid_graph, intro_split_graph, parallel_edges,
-    path_graph, ring_of_cliques, star_graph,
+    path_graph, random_connected_graph, ring_of_cliques, star_graph,
 )
 from roundlab.circuits import BooleanCircuit, CircuitBuilder, Gate, build_ed_circuit
 from roundlab.distgraph import (
@@ -181,6 +181,60 @@ def test_aggregate_matches_reference_with_empty_trees():
     assert packing.value == 2
     _assert_matches_reference(g, packing, parity_of_majorities(5, 5),
                               {t: (1, 1, 0, 1, 1) for t in g.terminals})
+
+
+@st.composite
+def disj_cases(draw):
+    """An `aggregate_cases` graph and packing with DISJ over k = 2-5
+    terminals and n = 1-40 bits; half the draws plant a coordinate that
+    every terminal holds."""
+    g, packing, _, inputs = draw(aggregate_cases())
+    n = len(inputs[g.terminals[0]])
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        inputs = {t: x[:i] + (1,) + x[i + 1:] for t, x in inputs.items()}
+    return g, packing, disjointness_function(g.k, n), inputs
+
+
+@settings(max_examples=80, deadline=None)
+@given(disj_cases())
+def test_aggregate_disj_matches_oracle(case):
+    g, packing, func, inputs = case
+    proto, tr = _run_aggregate(g, func, packing, inputs)
+    want = disj_ref([inputs[t] for t in sorted(inputs)])
+    assert set(tr.outputs.values()) == {want}
+    assert set(tr.outputs) == set(g.terminals)
+
+
+@pytest.mark.parametrize("make,bits_per", [
+    (disjointness_function, 1),     # the AND: one bit per coordinate
+    (parity_of_majorities, 3),      # a count table: ceil(log2 5) bits
+    (all_unique_marks, 3),
+])
+def test_aggregate_round_bound_follows_width(make, bits_per):
+    g = Graph(7, tuple((c, t) for c in (0, 6) for t in range(1, 6)),
+              (1, 2, 3, 4, 5))
+    packing = pack_steiner_trees(g, g.terminals, delta=2)
+    assert packing.value == 2
+    proto = steiner_aggregate_protocol(g, g.terminals, packing, make(5, 7))
+    m = proto.meta["block_size"]
+    assert m == 4
+    diameter = max(tree.diameter for tree, _ in packing.trees)
+    assert proto.meta["round_bound"] == m * bits_per + diameter
+    assert proto.meta["data_rounds"] <= proto.meta["round_bound"]
+
+
+@pytest.mark.parametrize("graph", [
+    intro_split_graph(), grid_graph(6, 6), ring_of_cliques(4, 4),
+    random_connected_graph(12, 10, seed=1, k=4),
+], ids=["intro", "grid6", "ring44", "rand12"])
+def test_aggregate_disj_meets_its_bound(graph):
+    n = 4096
+    best = disjointness_bound(graph, graph.terminals, n)
+    func = disjointness_function(graph.k, n)
+    proto = steiner_aggregate_protocol(graph, graph.terminals, best.packing,
+                                       func)
+    assert proto.max_rounds <= 1.01 * best.value
 
 
 # ---------------------------------------------------------------------------

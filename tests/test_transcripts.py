@@ -1,6 +1,8 @@
 """Transcript pins: a sha256 over every round's bits and the outputs of
 CLI runs whose golden files record only per-edge counts (`run`,
-`compile`) or only the round count (`solve`).
+`compile`) or only the round count (`solve`).  `run-disj-intro` pins the
+k = 2 DISJ aggregation, the protocol that the `route` benchmark's cut
+certificate runs.
 
 Each case runs the CLI as the golden set or the `mcf` benchmark
 workload does, with `run_protocol` wrapped to keep the transcript; the
@@ -16,7 +18,8 @@ import random
 import pytest
 
 import roundlab.cli as cli_mod
-from roundlab import clique, format_graph_text, grid_graph, ring_of_cliques
+from roundlab import (
+    clique, format_graph_text, grid_graph, intro_split_graph, ring_of_cliques)
 from roundlab.circuits import build_ed_circuit, circuit_to_json
 from roundlab.distgraph import and_disj_instance
 from roundlab.sim import run_protocol
@@ -27,6 +30,8 @@ AND_DISJ_RNG = "perfbench:mcf:0"
 
 # name -> (rounds, total bits, sha256 of the transcript)
 PINS = {
+    "run-disj-intro": (18, 218,
+        "0e58a14d713659527031584704d47e636b5cfa1c408973073906e4d2a85b4ab8"),
     "compile-k2": (32, 32,
         "fb75c0788eb610cfcb3a5171bd07f6324b2f2ab0cf522acd5046606c4420f966"),
     "run-ed-k2": (148, 214,
@@ -57,7 +62,7 @@ def _files(tmp_path):
         (tmp_path / name).write_text(text)
 
     grids = {"k2": clique(2), "k3": clique(3), "grid6": grid_graph(6, 6),
-             "ring44": ring_of_cliques(4, 4)}
+             "ring44": ring_of_cliques(4, 4), "intro": intro_split_graph()}
     for key, g in grids.items():
         put(key, format_graph_text(g))
     put("k2_in", json.dumps({"0": [1], "1": [0]}))
@@ -73,6 +78,7 @@ def _files(tmp_path):
 
 
 CASES = {
+    "run-disj-intro": "run --graph {intro} --protocol disj-aggregate --n 64",
     "run-ed-k2": "run --graph {k2} --protocol ed-compiled --n 3",
     "run-ed-k3": "run --graph {k3} --protocol ed-compiled --n 3",
     "compile-k2": "compile --graph {k2} --circuit {ed21} --inputs {k2_in}",
