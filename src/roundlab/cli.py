@@ -5,9 +5,10 @@ re-running a configuration byte-reproduces the output.  Exact rationals are
 written as JSON integers when integral and as ``"p/q"`` strings otherwise.
 Exit codes: 0 ok, 2 infeasible instance, 3 input error (argparse usage
 errors and files that cannot be read or written included), 4 internal
-contract violation (an LP that HiGHS could not decide, Steiner matching
-rounds that do not converge and a two-party extraction that reads an
-unknown bit included).
+contract violation (a full tau_MCF LP that HiGHS could not decide,
+Steiner matching rounds that do not converge and a two-party extraction
+that reads an unknown bit included; a restricted first-stage LP that
+HiGHS could not decide only hands its probe to the full LP).
 ``--help`` exits 0.  ``--format csv`` writes ``key,value`` rows (the
 ``bench`` summary as one header row and one value row) through the csv
 module, with list and dict values as compact JSON cells.  Every command's
@@ -21,7 +22,10 @@ at most ``timed.MAX_TIMED_ARCS`` (2**25, about 33.5 million) arcs, tau *
 (2m + n); past it a command exits 3 naming m, tau and the size before
 allocating.  Every other flow is read off static min-cost flows and
 builds no timed network, so ``tau-route`` and the cut bounds of
-``tau-mcf`` have no such ceiling.
+``tau-mcf`` have no such ceiling.  The cut bounds visit about k * 2**(k-1)
+terminal-subset pairs instead (``mcf.tau_mcf_flow_bound``): terminal
+sets up to k = 14 are supported, at a few seconds, and each further
+terminal about doubles the time; nothing checks k.
 
 ``solve`` places an edge-distributed instance on a random node
 distribution and computes no routing for that move: its ``rounds`` count

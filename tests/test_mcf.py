@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, linprog
 
 import roundlab.mcf as mcf_mod
 from roundlab import (
@@ -320,6 +320,144 @@ def test_tau_mcf_unchanged_with_reference_assembly(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# two stages: the restricted (forward-arc) LP certifies, the full LP decides
+
+def _full_lp_feasible(g, demand, tau):
+    """The verdict of the full LP alone."""
+    cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(
+        build_timed_graph(g, tau), demand)
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+def _timed_path_count(g, tau):
+    """How many timed paths the path-form oracle enumerates: walks of tau
+    steps, each along an edge or dwelling, summed over ordered terminal
+    pairs."""
+    walks = {t: {t: 1} for t in g.terminals}
+    for _ in range(tau):
+        for src, at in walks.items():
+            nxt = dict(at)
+            for v, count in at.items():
+                for _, w in g.incidence[v]:
+                    nxt[w] = nxt.get(w, 0) + count
+            walks[src] = nxt
+    return sum(at.get(t, 0) for s, at in walks.items()
+               for t in g.terminals if t != s)
+
+
+# the triangle with terminals 0 and 1: each way, 9/4 units in two rounds
+# need the detour over vertex 2, whose second hop does not move away from
+# the source, so only the full LP routes it
+TRIANGLE_DETOUR = (Graph(3, ((0, 1), (1, 2), (0, 2)), (0, 1)), 2,
+                   Fraction(9, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallel_multigraphs(4), st.integers(1, 6),
+       st.fractions(Fraction(1, 4), 8, max_denominator=4))
+@example(*TRIANGLE_DETOUR)
+def test_two_stage_verdict_matches_full_lp_and_paths(g, tau, n_prime):
+    # terminals may be disconnected and vertices unreachable; the path-form
+    # oracle runs where it enumerates few enough paths
+    demand = _uniform(g.terminals, n_prime)
+    verdict = mcf_feasible(g, demand, tau)
+    assert verdict == _full_lp_feasible(g, demand, tau)
+    if _timed_path_count(g, tau) <= 3000:
+        pairs = {(s, t): float(amt) for s, row in demand.items()
+                 for t, amt in row.items()}
+        assert verdict == mcf_feasible_bruteforce(g, pairs, tau)
+
+
+def _scripted_linprog(monkeypatch, restricted=None, full=None):
+    """Wrap mcf.linprog: the restricted stage answers status `restricted`
+    and the full stage status `full`, each solving for real when None.
+    Returns the list of (stage, status) it fills, R for the restricted LP
+    and F for the full one."""
+    stages, solve = [], mcf_mod.linprog
+
+    def scripted(*args, **kwargs):
+        stage = "F" if isinstance(kwargs["bounds"], tuple) else "R"
+        status = restricted if stage == "R" else full
+        res = (solve(*args, **kwargs) if status is None else OptimizeResult(
+            status=status, message="solver gave up", x=None))
+        stages.append((stage, res.status))
+        return res
+
+    monkeypatch.setattr(mcf_mod, "linprog", scripted)
+    return stages
+
+
+@pytest.mark.parametrize("g,tau,n_prime", [
+    TRIANGLE_DETOUR, (random_connected_graph(8, 6, seed=3, k=2), 7, 19)],
+    ids=["triangle", "rand8"])
+def test_restricted_lp_infeasible_full_lp_feasible(monkeypatch, g, tau,
+                                                   n_prime):
+    # tau is tau_MCF on both, but no routing at tau crosses edges only
+    # away from each source, so the full LP decides
+    assert tau_mcf(g, g.terminals, [n_prime]) == {n_prime: tau}
+    stages = _scripted_linprog(monkeypatch)
+    assert mcf_feasible(g, _uniform(g.terminals, n_prime), tau)
+    assert stages == [("R", 2), ("F", 0)]
+
+
+def test_unreachable_vertices_get_no_edge_arcs():
+    # vertices 3, 4 and 5 lie outside the terminals' component, where the
+    # BFS distance is None: their edge arcs are fixed at 0 in every layer,
+    # their memory arcs stay free
+    g = Graph(6, ((0, 1), (1, 2), (0, 2), (1, 2), (3, 4), (4, 5)), (0, 1, 2))
+    tau = 3
+    per_layer = 2 * g.m + g.n
+    upper = mcf_mod._forward_bounds(g, g.terminals, tau)[:, 1].reshape(
+        len(g.terminals), tau, per_layer)
+    assert (upper[:, :, 8:12] == 0).all()     # edges 4 and 5, both ways
+    assert (upper[:, :, 2 * g.m:] == float("inf")).all()
+    # commodity 0 keeps 0 -> 1 and 0 -> 2 (arcs 0 and 4) and nothing else
+    assert (upper[0, :, :2 * g.m] == float("inf")).sum(axis=1).tolist() \
+        == [2] * tau
+    assert upper[0, 0, 0] == upper[0, 0, 4] == float("inf")
+    for n_prime in (1, 3, 5):
+        demand = _uniform(g.terminals, n_prime)
+        for t in range(1, 4):
+            assert mcf_feasible(g, demand, t) == _full_lp_feasible(
+                g, demand, t)
+        assert tau_mcf(g, g.terminals, [n_prime]) == \
+            {n_prime: _tau_mcf_by_scan(g, n_prime)}
+
+
+def test_stage_sequence_on_bench_instances(monkeypatch):
+    # the restricted LP certifies every feasible probe on the benchmark's
+    # three tau-mcf instances; only grid 6x6's two infeasible probes, below
+    # its answer 18, reach the full LP
+    stages = _scripted_linprog(monkeypatch)
+    probes, feasible = [], mcf_mod.mcf_feasible
+
+    def recording_feasible(g, demand, tau):
+        probes.append((tau, len(stages)))
+        return feasible(g, demand, tau)
+
+    monkeypatch.setattr(mcf_mod, "mcf_feasible", recording_feasible)
+    cases = [(grid_graph(6, 6), 32, 18), (ring_of_cliques(4, 4), 64, 33),
+             (random_connected_graph(12, 10, seed=1, k=4), 32, 24)]
+    sequences = []
+    for g, n_prime, answer in cases:
+        del probes[:], stages[:]
+        assert tau_mcf(g, g.terminals, [n_prime]) == {n_prime: answer}
+        ends = [start for _, start in probes[1:]] + [len(stages)]
+        sequences.append([
+            (tau, " ".join(stage + ("+" if status == 0 else "-")
+                           for stage, status in stages[start:end]))
+            for (tau, start), end in zip(probes, ends)])
+    assert sequences == [
+        [(16, "R- F-"), (17, "R- F-"), (19, "R+"), (18, "R+")],
+        [(33, "R+")],
+        [(24, "R+")],
+    ]
+
+
+# ---------------------------------------------------------------------------
 # HiGHS statuses: only status 2 means infeasible
 
 @pytest.mark.parametrize("status", [1, 4])
@@ -334,8 +472,34 @@ def test_solver_failure_is_not_infeasible(monkeypatch, status):
     assert "tau=1" in text and "3 commodities" in text
 
 
+@pytest.mark.parametrize("status", [1, 2, 4])
+def test_failed_restricted_lp_falls_through(monkeypatch, status):
+    # clique(3) at n' = 8 routes first at tau = 3: the full LP's verdict
+    # stands whatever the restricted stage ended with
+    g = clique(3)
+    demand = _uniform(g.terminals, 8)
+    want = [_full_lp_feasible(g, demand, tau) for tau in (1, 2, 3, 4)]
+    assert want == [False, False, True, True]
+    stages = _scripted_linprog(monkeypatch, restricted=status)
+    assert [mcf_feasible(g, demand, tau) for tau in (1, 2, 3, 4)] == want
+    assert [stage for stage, _ in stages] == ["R", "F"] * 4
+
+
+@pytest.mark.parametrize("restricted", [1, 2, 4])
+def test_full_lp_failure_raises(monkeypatch, restricted):
+    # whatever the restricted stage ended with
+    stages = _scripted_linprog(monkeypatch, restricted, 4)
+    g = clique(3)
+    with pytest.raises(LPSolveError) as exc:
+        mcf_feasible(g, _uniform(g.terminals, 8), 3)
+    text = str(exc.value)
+    assert "status 4" in text and "solver gave up" in text
+    assert "tau=3" in text and "3 commodities" in text
+    assert stages == [("R", restricted), ("F", 4)]
+
+
 def test_solver_status_2_reads_infeasible(monkeypatch):
-    monkeypatch.setattr(mcf_mod, "linprog", lambda *a, **kw: OptimizeResult(
-        status=2, message="infeasible", x=None))
+    stages = _scripted_linprog(monkeypatch, 2, 2)
     g = clique(3)
     assert not mcf_feasible(g, _uniform(g.terminals, 2), 1)
+    assert stages == [("R", 2), ("F", 2)]

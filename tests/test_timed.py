@@ -10,7 +10,9 @@ from roundlab import (
     path_graph, clique, grid_graph, intro_split_graph,
     random_connected_graph, parallel_edges,
 )
+import roundlab.mcf as mcf_mod
 import roundlab.timed as timed_mod
+from roundlab.mcf import mcf_feasible
 from roundlab.timed import (
     SearchLimitError, TimedGraph, _horizon_flow, _static_flow, base_min_cut,
     least_feasible_horizon, least_horizon, peel_unit_paths,
@@ -220,6 +222,14 @@ def test_arc_ceiling_before_allocating(monkeypatch):
     # ceiling and goes on to allocate
     with pytest.raises(Allocated):
         build_timed_graph(path_graph(1200), 4810).arc_arrays()
+    # a tau_MCF probe meets the ceiling before it allocates the LP or the
+    # restricted stage's column bounds, tau (2m + n) k of them
+    monkeypatch.setattr(mcf_mod, "np", NoNumpy())
+    g = grid_graph(6, 6)
+    demand = {s: {t: 1 for t in g.terminals if t != s} for s in g.terminals}
+    with pytest.raises(GraphError,
+                       match=r"m=60 .*tau=3750000 .*585000000 arcs"):
+        mcf_feasible(g, demand, 3_750_000)
 
 
 def test_flow_paths_are_lazy(monkeypatch):
