@@ -9,13 +9,39 @@ stages.  The restricted LP lets each commodity cross an edge only away
 from its source (by static BFS distance); it is the full LP with columns
 fixed at 0, so a feasible point of it is one of the full LP, and it
 certifies most feasible probes at a fraction of the cost.  Only when it
-is not feasible does the full LP decide.  `tau_mcf` is a pure function of
-the graph, the terminals and a set of n': one call decides the whole set,
-largest n' first, so a caller with several n' (the circuit compiler's
-routed levels) asks once.  Each search solves only the LPs that its
-flow-over-time cut bound, read in closed form off static min-cost flows
-between terminal subsets, and the answer at the next larger n' leave
-open, because feasibility is monotone up in tau and down in n'.
+is not feasible does the full LP decide.
+
+Each stage solves the quotient of its LP by colour refinement (Grohe,
+Kersting, Mladenov and Selman, "Dimension reduction via colour
+refinement", ESA 2014; for symmetry groups, Boedi, Herr and Joswig,
+Mathematical Programming 2013).  `_colour_classes` splits the columns
+(commodity, arc) and the rows of the LP at horizon 1 into the coarsest
+equitable partition that refines the colours b, the cost and the
+restricted bounds are read from; lifted layer by layer to (class, layer),
+it is equitable at every horizon: the rows of a row class have equal sums
+over each column class, and the columns of a column class equal sums over
+each row class.  The quotient LP has one column per column class, costing
+the sum over its members, and one row per row class, that of a member,
+with the member counts of each column class as coefficients.  Proof that
+it decides as the full LP: let X_P average a vector over each column
+class and X_Q over each row class.  Equitability is A X_P = X_Q A, and b,
+c and the bounds are constant on classes.  So if x is feasible, A X_P x =
+X_Q A x meets each row as A x does (an average of equal values, or of
+values at most 1), X_P x keeps the bounds, and c X_P x = c x: averaging
+gives a feasible class-constant x of the same cost.  A class-constant x
+is a quotient solution y lifted, the rows of a class agree on it, and so
+x is feasible exactly when y is.  Each stage's LP and its quotient are
+thus feasible together, with the same optimum.  Classes are numbered by
+first appearance in the full LP's order, so all-singleton classes, as on
+a graph without symmetry, give the full LP entry for entry.
+
+`tau_mcf` is a pure function of the graph, the terminals and a set of
+n': one call decides the whole set, largest n' first, so a caller with
+several n' (the circuit compiler's routed levels) asks once and refines
+once.  Each search solves only the LPs that its flow-over-time cut bound,
+read in closed form off static min-cost flows between terminal subsets,
+and the answer at the next larger n' leave open, because feasibility is
+monotone up in tau and down in n'.
 
 Also here: a small integral unit-demand router used by the bit-level
 protocol builders.
@@ -24,6 +50,7 @@ protocol builders.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -48,99 +75,288 @@ class LPSolveError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# arc-based LP
+# arc-based LP, solved on its quotient by colour refinement
 
-def _assemble_mcf_lp(tg, demands_by_source):
-    """The arc-based LP on `tg` for demands {source: {dest: amount}} as
+def _relabel(signatures):
+    """(labels, count): each signature numbered by first appearance."""
+    ids = {}
+    return [ids.setdefault(sig, len(ids)) for sig in signatures], len(ids)
+
+
+def _colour_classes(g, by_source, tails, heads, forward):
+    """The coarsest equitable partition of the static arc LP of
+    `by_source` on `g`: lists of class labels (columns, conservation rows,
+    capacity rows), each numbered by first appearance.
+
+    The static LP is the LP at horizon 1.  Static column si * (2m + n) + a
+    is commodity si's flow on arc a, from vertex tails[a] to heads[a], of
+    `build_timed_graph(g, 1).arc_arrays()` (sources sorted), first
+    coloured by (memory arc, forward[column]).  Static conservation row
+    si * n + v is the pair (source, v), first coloured by (supply if v is
+    the source, demand source -> v).  Capacity row a is edge arc a; they
+    start alike.  Colour refinement with exact signatures then splits
+    classes until none splits: a column takes the colours of its tail
+    row, head row and capacity row; a conservation row the sorted colours
+    of its out- and of its in-columns; a capacity row the sorted colours
+    of its columns.  Every signature starts with the old colour, so a
+    pass only splits, and a pass that splits no class ends the
+    refinement."""
+    sources = sorted(by_source)
+    n, n_edge, n_arcs = g.n, 2 * g.m, len(tails)
+    commodities = range(len(sources))
+    out_arcs, in_arcs = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a, (u, v) in enumerate(zip(tails, heads)):
+        out_arcs[u].append(a)
+        in_arcs[v].append(a)
+    row, _ = _relabel(
+        (sum(by_source[s].values()) if v == s else 0, by_source[s].get(v, 0))
+        for s in sources for v in range(n))
+    col, _ = _relabel((a >= n_edge, forward[si * n_arcs + a])
+                      for si in commodities for a in range(n_arcs))
+    cap, counts = [0] * n_edge, None
+    while True:
+        col, n_col = _relabel(
+            (col[si * n_arcs + a], row[si * n + tails[a]],
+             row[si * n + heads[a]], cap[a] if a < n_edge else -1)
+            for si in commodities for a in range(n_arcs))
+        cap, n_cap = _relabel(
+            (cap[a], tuple(sorted(col[si * n_arcs + a] for si in commodities)))
+            for a in range(n_edge))
+        row, n_row = _relabel(
+            (row[si * n + v],
+             tuple(sorted(col[si * n_arcs + a] for a in out_arcs[v])),
+             tuple(sorted(col[si * n_arcs + a] for a in in_arcs[v])))
+            for si in commodities for v in range(n))
+        if (n_col, n_cap, n_row) == counts:
+            return col, row, cap
+        counts = n_col, n_cap, n_row
+
+
+def _rank(values):
+    """Each entry's position in sorted order."""
+    return np.argsort(np.argsort(values))
+
+
+@dataclass(frozen=True, eq=False)
+class ArcLP:
+    """The arc-based LP of the demands {source: {dest: amount}} on `g`,
+    with what its quotients at every horizon share: the classes of
+    `_colour_classes` and, per class, what `_assemble_mcf_lp` reads.
+    Demands that differ by one common factor have the same classes, so a
+    search refines once (`of`) and swaps such demands in with
+    `dataclasses.replace(lp, by_source=...)`.
+
+    Per column class, in class order: `col_cost` and `col_upper` (the
+    restricted stage's bound) of each member; `col_tail` and `col_head`,
+    the row classes of its members' tails and heads, and `col_out` and
+    `col_in`, how many members leave and enter one row of each;
+    `col_start` and `col_stride`, the first class and the number of
+    classes whose first member has the commodity of this class's first
+    member.  Per edge column class, in (capacity class, class) order:
+    `cap_cols` the class, `cap_of` its capacity class, `cap_count` how
+    many members one capacity row of it meets.  Per conservation row
+    class: `row_src` and `row_v`, the commodity index and vertex of a
+    member; `row_rank`, the rank of that member's node in layers 0 and 1
+    among the nodes of both, and in the later layers among its layer's."""
+
+    by_source: dict
+    col_cost: np.ndarray
+    col_upper: np.ndarray
+    col_tail: np.ndarray
+    col_out: np.ndarray
+    col_head: np.ndarray
+    col_in: np.ndarray
+    col_start: np.ndarray
+    col_stride: np.ndarray
+    cap_cols: np.ndarray
+    cap_of: np.ndarray
+    cap_count: np.ndarray
+    row_src: np.ndarray
+    row_v: np.ndarray
+    row_rank: np.ndarray
+
+    @classmethod
+    def of(cls, g, by_source):
+        """Computes the BFS distances behind the forward flags and refines,
+        once."""
+        sources, n = sorted(by_source), g.n
+        tails, head_nodes, is_edge = build_timed_graph(g, 1).arc_arrays()
+        heads = head_nodes - n
+        # -2 for an unreachable vertex: an arc with such a tail has such a
+        # head, and -2 != -2 + 1
+        dist = np.array([[-2 if d is None else d for d in g.distances_from(s)]
+                         for s in sources], dtype=np.int64)
+        forward = ((dist[:, heads] == dist[:, tails] + 1) | ~is_edge).ravel()
+        col, row, cap = (np.array(labels, dtype=np.int64) for labels in
+                         _colour_classes(g, by_source, tails.tolist(),
+                                         heads.tolist(), forward.tolist()))
+        src, arc = np.divmod(np.arange(col.size), tails.size)
+        first, first_row, first_cap = (
+            np.unique(labels, return_index=True)[1]
+            for labels in (col, row, cap))
+        per_src = np.bincount(src[first], minlength=len(sources))
+        tail_row, head_row = src * n + tails[arc], src * n + heads[arc]
+        edge = np.flatnonzero(is_edge[arc])
+        edge_first = first[is_edge[arc[first]]]
+        by_cap = edge_first[np.lexsort((col[edge_first],
+                                        cap[arc[edge_first]]))]
+
+        def at_first(rows, row_class, firsts):
+            # whether each column's row is the first of its row class; the
+            # partition being equitable, every row of that class meets as
+            # many members of the column's class
+            return rows == firsts[row_class[rows]]
+
+        # layers 0 and 1 ranked by first appearance along layer 0's arcs,
+        # tail before head, as the full LP numbers its rows; every later
+        # layer comes in layer 1's order
+        appearance = np.column_stack([tails, head_nodes]).ravel()
+        rank01 = _rank(np.unique(appearance, return_index=True)[1])
+        later = _rank(rank01[n:])
+        row_src, row_v = np.divmod(np.arange(row.size), n)
+
+        def first_member(rank):
+            # per row class, the vertex of its member least by (commodity,
+            # rank within the layer)
+            least = np.full(first_row.size, row.size)
+            np.minimum.at(least, row, row_src * n + rank[row_v])
+            return np.argsort(rank)[least % n]
+
+        v0, v1 = first_member(_rank(rank01[:n])), first_member(later)
+        return cls(
+            by_source,
+            col_cost=np.where(is_edge[arc[first]], np.bincount(col), 0.0),
+            col_upper=np.where(forward[first], np.inf, 0.0),
+            col_tail=row[tail_row[first]],
+            col_out=np.bincount(
+                col, weights=at_first(tail_row, row, first_row)),
+            col_head=row[head_row[first]],
+            col_in=np.bincount(
+                col, weights=at_first(head_row, row, first_row)),
+            col_start=(np.cumsum(per_src) - per_src)[src[first]],
+            col_stride=per_src[src[first]],
+            cap_cols=col[by_cap], cap_of=cap[arc[by_cap]],
+            cap_count=np.bincount(col[edge], minlength=first.size,
+                                  weights=at_first(arc[edge], cap,
+                                                   first_cap))[
+                col[by_cap]],
+            row_src=row_src[first_row],
+            row_v=v1,
+            row_rank=np.column_stack([rank01[v0], rank01[n + v1], later[v1]]))
+
+
+def _quotient_columns(lp, tau):
+    """The quotient column of each (column class, layer 0..tau-1), numbered
+    by first appearance in the full LP's column order (commodity, layer,
+    arc): by (commodity of the class's first member, layer, class)."""
+    return ((tau - 1) * lp.col_start + np.arange(lp.col_start.size))[
+        :, None] + lp.col_stride[:, None] * np.arange(tau)
+
+
+def _quotient_rows(tg, lp):
+    """The quotient row of each (row class, layer 0..tau), numbered by
+    first appearance in the full LP's row order: commodity index times
+    the node count, plus the node's rank.  A node of a later layer l
+    ranks as the node id of (its rank in layer l, l)."""
+    later = tg.node(lp.row_rank[:, 2:], np.arange(2, tg.tau + 1))
+    key = tg.node_count * lp.row_src[:, None] + np.column_stack(
+        [lp.row_rank[:, :2], later])
+    index = np.empty(key.size, dtype=np.int64)
+    index[np.argsort(key, axis=None)] = np.arange(key.size)
+    return index.reshape(key.shape)
+
+
+def _assemble_mcf_lp(tg, lp):
+    """The quotient at horizon tg.tau of the arc-based LP of `lp`, an
+    ArcLP, by its classes lifted layer by layer to (class, layer), as
     (cost, A_ub, b_ub, A_eq, b_eq).
 
-    Variable si * n_arcs + ai is commodity si's flow on arc ai (indexed
-    like `TimedGraph.arc_arrays()`, sources sorted).  Each edge arc
-    carries at most one unit over all commodities; memory arcs are free in
-    the objective, so idle commodities dwell in place.  Each commodity
-    numbers its conservation rows by first appearance along the arcs, tail
-    before head.  HiGHS's pivots depend on the input order, so the
-    numbering is kept exactly.
+    The full LP's variable si * n_arcs + ai is commodity si's flow on arc
+    ai (indexed like `TimedGraph.arc_arrays()`, sources sorted).  Each
+    edge arc carries at most one unit over all commodities; memory arcs
+    are free in the objective, so idle commodities dwell in place.  Each
+    commodity numbers its conservation rows by first appearance along the
+    arcs, tail before head.  The quotient has one column per lifted
+    column class, costing the sum over its members, and one row per
+    lifted row class, that of the class's first member, whose
+    coefficients are its member counts per column class.  Classes are
+    numbered by first appearance in the full LP's order, so all-singleton
+    classes give the full LP entry for entry; HiGHS's pivots depend on
+    the input order, so the numbering is kept exactly.
     """
-    sources = sorted(demands_by_source)
-    tails, heads, is_edge = tg.arc_arrays()
-    n_src, n_arcs = len(sources), tails.size
-    n_nodes = tg.node_count
-    appearance = np.column_stack([tails, heads]).ravel()
-    # every node is the tail or head of a memory arc, so all appear
-    _, first = np.unique(appearance, return_index=True)
-    rank = np.argsort(np.argsort(first))
-    row_base = n_nodes * np.arange(n_src)
+    tau = tg.tau
+    columns, rows = _quotient_columns(lp, tau), _quotient_rows(tg, lp)
+    n_cols = columns.size
+    cls, layer = np.divmod(np.argsort(columns, axis=None), tau)
+    a_eq = sparse.coo_matrix(
+        (np.column_stack([lp.col_out[cls], -lp.col_in[cls]]).ravel(),
+         (np.column_stack([rows[lp.col_tail[cls], layer],
+                           rows[lp.col_head[cls], layer + 1]]).ravel(),
+          np.repeat(np.arange(n_cols), 2))),
+        shape=(rows.size, n_cols))
+    b_eq = np.zeros(rows.size)
+    sources = sorted(lp.by_source)
+    for row, si, v in zip(rows, lp.row_src.tolist(), lp.row_v.tolist()):
+        demand = lp.by_source[sources[si]]
+        if v == sources[si]:
+            b_eq[row[0]] += float(sum(demand.values()))
+        b_eq[row[tau]] -= float(demand.get(v, 0))
 
-    rows = (row_base[:, None] + rank[appearance]).ravel()
-    cols = np.repeat(np.arange(n_src * n_arcs), 2)
-    vals = np.tile([1.0, -1.0], n_src * n_arcs)
-    a_eq = sparse.coo_matrix((vals, (rows, cols)),
-                             shape=(n_src * n_nodes, n_src * n_arcs))
-    b_eq = np.zeros(n_src * n_nodes)
-    for si, src in enumerate(sources):
-        demand = demands_by_source[src]
-        supply = sum(demand.values())
-        b_eq[row_base[si] + rank[tg.node(src, 0)]] += float(supply)
-        for dst, amt in demand.items():
-            b_eq[row_base[si] + rank[tg.node(dst, tg.tau)]] -= float(amt)
-
-    nonmem = np.flatnonzero(is_edge)
-    ub_cols = (nonmem[:, None] + n_arcs * np.arange(n_src)).ravel()
+    n_cap = lp.cap_of.max() + 1 if lp.cap_of.size else 0
     a_ub = sparse.coo_matrix(
-        (np.ones(ub_cols.size), (np.repeat(np.arange(nonmem.size), n_src),
-                                 ub_cols)),
-        shape=(nonmem.size, n_src * n_arcs))
-    cost = np.zeros((n_src, n_arcs))
-    cost[:, nonmem] = 1.0
-    return cost.ravel(), a_ub, np.ones(nonmem.size), a_eq, b_eq
+        (np.tile(lp.cap_count, tau),
+         ((n_cap * np.arange(tau)[:, None] + lp.cap_of).ravel(),
+          columns[lp.cap_cols].T.ravel())),
+        shape=(tau * n_cap, n_cols))
+    return lp.col_cost[cls], a_ub, np.ones(tau * n_cap), a_eq, b_eq
 
 
-def _forward_bounds(g, sources, tau):
-    """The column bounds of the restricted LP, an (n_src * n_arcs, 2)
-    array over the `_assemble_mcf_lp` columns: commodity s keeps (0, inf)
-    on every memory arc and on each edge arc u -> v with d(s, v) = d(s,
-    u) + 1 (static BFS distances), and every other edge arc, those of
-    vertices s cannot reach included, is fixed at 0."""
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    tails, heads = ends.ravel(), ends[:, ::-1].ravel()
-    # -2 for an unreachable vertex: an arc with such a tail has such a
-    # head, and -2 != -2 + 1
-    dist = np.array([[-2 if d is None else d for d in g.distances_from(s)]
-                     for s in sources], dtype=np.int64)
-    keep = np.column_stack([dist[:, heads] == dist[:, tails] + 1,
-                            np.ones((len(sources), g.n), dtype=bool)])
-    upper = np.where(np.tile(keep, (1, tau)).ravel(), np.inf, 0.0)
+def _forward_bounds(lp, tau):
+    """The column bounds of the restricted stage's quotient LP at horizon
+    tau, an (n_cols, 2) array: (0, inf) for a class of memory arcs or of
+    edge arcs u -> v with d(s, v) = d(s, u) + 1 (static BFS distances
+    from the commodity s), (0, 0) for the other edge arcs, those of
+    vertices s cannot reach included."""
+    columns = _quotient_columns(lp, tau)
+    upper = np.empty(columns.size)
+    upper[columns] = lp.col_upper[:, None]
     return np.column_stack([np.zeros(upper.size), upper])
 
 
 def mcf_feasible(g, by_source, tau):
     """Whether the positive demands {source: {dest: amount}} route
-    fractionally at horizon tau.
+    fractionally at horizon tau.  `by_source` may also be an ArcLP of
+    such demands on `g`, whose classes are then not refined again.
 
-    Decides in two stages on the one `_assemble_mcf_lp` LP.  Stage 1
-    solves the restricted LP, in which each commodity may cross an edge
-    only away from its source (`_forward_bounds`); status 0 there is
-    feasible.  Otherwise stage 2 solves the full LP and its status
+    Decides in two stages, each on the quotient LP of `_assemble_mcf_lp`.
+    Stage 1 solves the restricted LP, in which each commodity may cross
+    an edge only away from its source (`_forward_bounds`); status 0 there
+    is feasible.  Otherwise stage 2 solves the full LP and its status
     decides: 0 is feasible, 2 is infeasible, and any other raises
     LPSolveError.  Proof: the restricted LP is the full LP with some
     columns fixed at 0, so each of its feasible points is one of the full
-    LP; an infeasible or failed restricted LP decides nothing.  No demand
-    moves in zero rounds, so tau = 0 is infeasible without an LP."""
+    LP; an infeasible or failed restricted LP decides nothing.  Each
+    quotient is feasible exactly when its LP is (module docstring).  No
+    demand moves in zero rounds, so tau = 0 is infeasible without an LP.
+    The arc ceiling (`TimedGraph.check_arc_ceiling`) is checked before
+    anything is allocated."""
     tg = build_timed_graph(g, tau)
     if tau == 0:
         return False
-    cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(tg, by_source)
-    lp = dict(A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
-    restricted = linprog(
-        cost, bounds=_forward_bounds(g, sorted(by_source), tau), **lp)
+    tg.check_arc_ceiling()
+    lp = by_source if isinstance(by_source, ArcLP) else ArcLP.of(g, by_source)
+    cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(tg, lp)
+    kwargs = dict(A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+    restricted = linprog(cost, bounds=_forward_bounds(lp, tau), **kwargs)
     if restricted.status == 0:
         return True
-    res = linprog(cost, bounds=(0, None), **lp)
+    res = linprog(cost, bounds=(0, None), **kwargs)
     if res.status not in (0, 2):
         raise LPSolveError(
-            f"HiGHS status {res.status} at tau={tau} with "
-            f"{len(by_source)} commodities: {res.message}")
+            f"HiGHS status {res.status} in the full stage at tau={tau} on "
+            f"|V|={g.n} with {len(lp.by_source)} commodities, quotient LP "
+            f"{a_eq.shape[0] + a_ub.shape[0]} rows x {cost.size} columns: "
+            f"{res.message}")
     return res.status == 0
 
 
@@ -158,7 +374,9 @@ def tau_mcf(g, terminals, n_primes):
     n''/n' <= 1, routes the n''-demand at tau, so routability is monotone
     down in n' (and up in tau, since commodities can dwell); the answer at
     a larger n' is thus a feasible horizon for every smaller one.  The
-    result depends on the arguments alone: nothing is kept between calls.
+    n'-demands differ by one common factor, so one ArcLP, refined once,
+    serves every probe of the call.  The result depends on the arguments
+    alone: nothing is kept between calls.
     """
     terminals = tuple(sorted(terminals))
     if len(terminals) < 2:
@@ -166,13 +384,15 @@ def tau_mcf(g, terminals, n_primes):
     n_primes = sorted({Fraction(n) for n in n_primes}, reverse=True)
     if n_primes and n_primes[-1] <= 0:
         raise GraphError("n_prime must be positive")
-    answers, hi = {}, math.inf
+    answers, hi, lp = {}, math.inf, None
     for n_prime in n_primes:
         share = n_prime / len(terminals)
         by_source = {s: {t: share for t in terminals if t != s}
                      for s in terminals}
+        lp = (ArcLP.of(g, by_source) if lp is None
+              else replace(lp, by_source=by_source))
         hi = answers[n_prime] = least_feasible_horizon(
-            lambda tau: tau >= hi or mcf_feasible(g, by_source, tau),
+            lambda tau: tau >= hi or mcf_feasible(g, lp, tau),
             tau_mcf_flow_bound(g, terminals, n_prime),
             _search_cutoff(g, terminals, n_prime), "tau_mcf")
     return answers

@@ -68,6 +68,17 @@ class TimedGraph:
     def node_count(self):
         return (self.tau + 1) * self.base.n
 
+    def check_arc_ceiling(self):
+        """Raise GraphError if the network has more than MAX_TIMED_ARCS
+        arcs, (2m + n) tau of them, so that callers stop before they
+        allocate."""
+        n, m = self.base.n, self.base.m
+        count = (2 * m + n) * self.tau
+        if count > MAX_TIMED_ARCS:
+            raise GraphError(
+                f"timed network with m={m} edges at tau={self.tau} "
+                f"has {count} arcs, past the limit {MAX_TIMED_ARCS}")
+
     def arc_arrays(self):
         """The arcs as numpy columns (tail, head, is_edge); tail and head
         are node ids (layer * n + vertex).  Arc index i lies in layer
@@ -76,12 +87,8 @@ class TimedGraph:
         and 2m + v is vertex v's memory arc.  Each LP column of `mcf` is
         one arc of this index for one commodity.  Raises GraphError,
         before allocating, past MAX_TIMED_ARCS."""
-        n, m = self.base.n, self.base.m
-        count = (2 * m + n) * self.tau
-        if count > MAX_TIMED_ARCS:
-            raise GraphError(
-                f"timed network with m={m} edges at tau={self.tau} "
-                f"has {count} arcs, past the limit {MAX_TIMED_ARCS}")
+        self.check_arc_ceiling()
+        n = self.base.n
         ends = np.array(self.base.edges, dtype=np.int64).reshape(-1, 2)
         verts = np.arange(n)
         layer_tails = np.concatenate([ends.ravel(), verts])

@@ -533,6 +533,23 @@ def mcf_lp_reference(g, tau, demands_by_source):
     return cost, a_ub, np.ones(len(nonmem)), a_eq, np.array(b_eq)
 
 
+def forward_bounds_reference(g, tau, sources):
+    """The column bounds of `mcf_lp_reference`'s restricted LP, one Python
+    call per column: commodity s keeps (0, inf) on every memory arc and on
+    each edge arc u -> v with d(s, v) = d(s, u) + 1 (BFS distances), and
+    every other edge arc is fixed at (0, 0)."""
+    import numpy as np
+
+    bounds = []
+    for s in sorted(sources):
+        dist = g.distances_from(s)
+        for _, eid, u, v in timed_arcs(g, tau):
+            keep = eid is None or (dist[u] is not None
+                                   and dist[v] == dist[u] + 1)
+            bounds.append((0.0, math.inf if keep else 0.0))
+    return np.array(bounds)
+
+
 def has_triangle_bruteforce(n, edges):
     adj = [set() for _ in range(n)]
     for u, v in edges:

@@ -1,22 +1,25 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy import sparse
 from scipy.optimize import OptimizeResult, linprog
 
 import roundlab.mcf as mcf_mod
 from roundlab import (
-    Graph, clique, grid_graph, parallel_edges, path_graph,
+    Graph, clique, cycle_graph, grid_graph, parallel_edges, path_graph,
     random_connected_graph, ring_of_cliques,
 )
 from roundlab.mcf import (
-    LPSolveError, _assemble_mcf_lp, mcf_feasible, route_unit_demands,
-    tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound,
+    ArcLP, LPSolveError, _assemble_mcf_lp, _forward_bounds, mcf_feasible,
+    route_unit_demands, tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound,
 )
 from roundlab.timed import build_timed_graph, tau_route
 
 from oracles import (
-    flow_bound_reference, mcf_feasible_bruteforce, mcf_lp_reference,
+    flow_bound_reference, forward_bounds_reference, mcf_feasible_bruteforce,
+    mcf_lp_reference, timed_arcs,
 )
 
 
@@ -277,7 +280,7 @@ def test_route_unit_demands_contention():
 
 
 # ---------------------------------------------------------------------------
-# vectorised LP assembly against the entry-by-entry reference
+# the quotient LP against the entry-by-entry reference of the full LP
 
 def _lp_cases():
     for g in (grid_graph(6, 6), ring_of_cliques(4, 4),
@@ -290,12 +293,27 @@ def _lp_cases():
             yield g, tau, all_pairs
 
 
-def test_lp_assembly_matches_reference():
+def _singleton_classes(monkeypatch):
+    """Make every class of `mcf._colour_classes` a singleton, so that
+    each quotient LP is the full LP."""
+    monkeypatch.setattr(
+        mcf_mod, "_colour_classes", lambda g, by_source, tails, heads,
+        forward: (
+            list(range(len(forward))), list(range(len(by_source) * g.n)),
+            list(range(2 * g.m))))
+
+
+def test_lp_assembly_matches_reference(monkeypatch):
+    # the quotient by singleton classes is the full LP, entry for entry
+    _singleton_classes(monkeypatch)
     for g, tau, demands in _lp_cases():
-        got = _assemble_mcf_lp(build_timed_graph(g, tau), demands)
-        want = mcf_lp_reference(g, tau, demands)
-        for name, a, b in zip(("cost", "A_ub", "b_ub", "A_eq", "b_eq"),
-                              got, want):
+        lp = ArcLP.of(g, demands)
+        got = _assemble_mcf_lp(build_timed_graph(g, tau), lp) + (
+            _forward_bounds(lp, tau),)
+        want = mcf_lp_reference(g, tau, demands) + (
+            forward_bounds_reference(g, tau, demands),)
+        for name, a, b in zip(
+                ("cost", "A_ub", "b_ub", "A_eq", "b_eq", "bounds"), got, want):
             assert a.shape == b.shape, (name, g, tau)
             parts = (("row", "col", "data") if name.startswith("A_")
                      else (None,))
@@ -307,29 +325,126 @@ def test_lp_assembly_matches_reference():
 
 
 def test_tau_mcf_unchanged_with_reference_assembly(monkeypatch):
+    # every probe on the full reference LP in place of the quotient
     cases = _tau_mcf_cases()
 
     def values():
         return [tau_mcf(g, g.terminals, [n]) for g, n in cases]
 
-    fast = values()
+    quotient = values()
+    _singleton_classes(monkeypatch)
     monkeypatch.setattr(
         mcf_mod, "_assemble_mcf_lp",
-        lambda tg, demands: mcf_lp_reference(tg.base, tg.tau, demands))
-    assert values() == fast
+        lambda tg, lp: mcf_lp_reference(tg.base, tg.tau, lp.by_source))
+    assert values() == quotient
+
+
+def _lifted_labels(g, tau, demands, a_eq):
+    """The classes of `_colour_classes` lifted to (class, layer) on the
+    reference LP's columns, A_eq rows and A_ub rows."""
+    sources = sorted(demands)
+    forward = forward_bounds_reference(g, 1, sources)[:, 1] > 0
+    arcs = [(u, v) for _, _, u, v in timed_arcs(g, 1)]
+    col, row, cap = mcf_mod._colour_classes(
+        g, demands, [u for u, _ in arcs], [v for _, v in arcs],
+        forward.tolist())
+    per_layer, n_edge = len(arcs), 2 * g.m
+    cols = []
+    for si in range(len(sources)):
+        for layer in range(tau):
+            cols += [(col[si * per_layer + a], layer)
+                     for a in range(per_layer)]
+    rows = [None] * a_eq.shape[0]
+    for r, j, x in zip(a_eq.row, a_eq.col, a_eq.data):
+        si, rest = divmod(int(j), tau * per_layer)
+        layer, a = divmod(rest, per_layer)
+        v = arcs[a][0] if x > 0 else arcs[a][1]
+        rows[r] = (row[si * g.n + v], layer + (x < 0))
+    caps = [(cap[a], layer) for layer in range(tau) for a in range(n_edge)]
+    return cols, rows, caps
+
+
+def _class_matrix(labels):
+    """The 0/1 matrix of members (rows) by classes (columns)."""
+    ids = {}
+    index = [ids.setdefault(label, len(ids)) for label in labels]
+    return sparse.csr_matrix((np.ones(len(index)), (range(len(index)),
+                                                    index)),
+                             shape=(len(index), len(ids))), index
+
+
+def _constant_on_classes(values, index):
+    by_class = {}
+    for value, label in zip(np.asarray(values).tolist(), index):
+        by_class.setdefault(label, value)
+        if by_class[label] != value:
+            return False
+    return True
+
+
+def _uniform_rows(matrix, index):
+    """Whether the rows of `matrix` in each class are equal."""
+    dense = matrix.toarray()
+    first = {}
+    for r, label in enumerate(index):
+        first.setdefault(label, r)
+    return all((dense[r] == dense[first[label]]).all()
+               for r, label in enumerate(index))
+
+
+def test_classes_are_equitable():
+    # with P and Q the class matrices of columns and rows: every row of a
+    # class has the same sums over each column class (A P), every column
+    # of a class the same sums over each row class (Q^T A), and b, the
+    # cost and the restricted stage's bounds are constant on classes
+    cases = list(_lp_cases()) + [
+        (cycle_graph(6, (0, 2, 4)), 3,
+         {s: {t: 1 + (t - s) % 6 for t in (0, 2, 4) if t != s}
+          for s in (0, 2, 4)})]
+    for g, tau, demands in cases:
+        cost, a_ub, b_ub, a_eq, b_eq = mcf_lp_reference(g, tau, demands)
+        cols, rows, caps = _lifted_labels(g, tau, demands, a_eq)
+        a = sparse.vstack([a_eq, a_ub]).tocsr()
+        p, col_index = _class_matrix(cols)
+        q, row_index = _class_matrix(
+            [("eq",) + r for r in rows] + [("ub",) + c for c in caps])
+        assert _uniform_rows(a @ p, row_index), (g, tau)
+        assert _uniform_rows((q.T @ a).T.tocsr(), col_index), (g, tau)
+        assert _constant_on_classes(np.concatenate([b_eq, b_ub]), row_index)
+        assert _constant_on_classes(cost, col_index)
+        bounds = forward_bounds_reference(g, tau, demands)
+        assert _constant_on_classes(bounds[:, 1], col_index)
+
+
+def test_column_class_counts_on_bench_instances():
+    # counted, not timed: a weaker refinement shows here as a number
+    cases = [(grid_graph(6, 6), 32), (ring_of_cliques(4, 4), 64),
+             (random_connected_graph(12, 10, seed=1, k=4), 32), (clique(2), 1)]
+    counts = []
+    for g, n_prime in cases:
+        lp = ArcLP.of(g, _uniform(g.terminals, n_prime))
+        counts.append((lp.col_cost.size, g.k * (2 * g.m + g.n)))
+    assert counts == [(81, 624), (48, 288), (208, 216), (4, 8)]
 
 
 # ---------------------------------------------------------------------------
 # two stages: the restricted (forward-arc) LP certifies, the full LP decides
 
+def _solve_stages(cost, a_ub, b_ub, a_eq, b_eq, bounds):
+    """The optimum of one LP in each stage (restricted, full), None where
+    it is infeasible."""
+    kwargs = dict(A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+    results = [linprog(cost, bounds=stage, **kwargs)
+               for stage in (bounds, (0, None))]
+    assert {res.status for res in results} <= {0, 2}
+    return [res.fun if res.status == 0 else None for res in results]
+
+
 def _full_lp_feasible(g, demand, tau):
-    """The verdict of the full LP alone."""
-    cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(
-        build_timed_graph(g, tau), demand)
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    assert res.status in (0, 2)
-    return res.status == 0
+    """The verdict of the full reference LP alone."""
+    return _solve_stages(*mcf_lp_reference(g, tau, demand),
+                         forward_bounds_reference(g, tau, demand))[1] \
+        is not None
 
 
 def _timed_path_count(g, tau):
@@ -355,20 +470,91 @@ TRIANGLE_DETOUR = (Graph(3, ((0, 1), (1, 2), (0, 2)), (0, 1)), 2,
                    Fraction(9, 2))
 
 
-@settings(max_examples=60, deadline=None)
-@given(parallel_multigraphs(4), st.integers(1, 6),
-       st.fractions(Fraction(1, 4), 8, max_denominator=4))
-@example(*TRIANGLE_DETOUR)
-def test_two_stage_verdict_matches_full_lp_and_paths(g, tau, n_prime):
-    # terminals may be disconnected and vertices unreachable; the path-form
-    # oracle runs where it enumerates few enough paths
-    demand = _uniform(g.terminals, n_prime)
-    verdict = mcf_feasible(g, demand, tau)
-    assert verdict == _full_lp_feasible(g, demand, tau)
+AMOUNTS = st.fractions(Fraction(1, 4), 8, max_denominator=4)
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Cycles with evenly spaced terminals, grids with corner terminals,
+    cliques, rings of cliques and parallel edges."""
+    family = draw(st.sampled_from(
+        ["cycle", "grid", "clique", "ring", "parallel"]))
+    if family == "cycle":
+        n = draw(st.integers(3, 8))
+        step = draw(st.sampled_from([d for d in range(1, n // 2 + 1)
+                                     if n % d == 0]))
+        return cycle_graph(n, tuple(range(0, n, step)))
+    if family == "grid":
+        return grid_graph(draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    if family == "clique":
+        return clique(draw(st.integers(2, 4)))
+    if family == "ring":
+        return ring_of_cliques(draw(st.integers(3, 4)), 2)
+    return parallel_edges(draw(st.integers(1, 3)))
+
+
+@st.composite
+def lp_instances(draw):
+    """(graph, demand): random multigraphs or symmetric ones, sometimes
+    with a component the terminals cannot reach, and a uniform demand, one
+    that depends on the source-destination distance (symmetric, yet not
+    uniform) or random amounts on some of the ordered terminal pairs."""
+    g = draw(st.one_of(parallel_multigraphs(4), symmetric_graphs()))
+    if draw(st.booleans()):
+        g = Graph(g.n + 2, g.edges + ((g.n, g.n + 1),), g.terminals)
+    terms = g.terminals
+    kind = draw(st.sampled_from(["uniform", "distance", "random"]))
+    if kind == "uniform":
+        amount = draw(AMOUNTS)
+        return g, {s: {t: amount for t in terms if t != s} for s in terms}
+    if kind == "distance":
+        by_distance = {}
+
+        def amount(s, t):
+            d = g.distances_from(s)[t]
+            if d not in by_distance:
+                by_distance[d] = draw(AMOUNTS)
+            return by_distance[d]
+
+        return g, {s: {t: amount(s, t) for t in terms if t != s}
+                   for s in terms}
+    pairs = draw(st.lists(st.sampled_from(
+        [(s, t) for s in terms for t in terms if s != t]), min_size=1,
+        unique=True))
+    demand = {}
+    for s, t in pairs:
+        demand.setdefault(s, {})[t] = draw(AMOUNTS)
+    return g, demand
+
+
+@settings(max_examples=80, deadline=None)
+@given(lp_instances(), st.integers(1, 5))
+@example((TRIANGLE_DETOUR[0], _uniform(TRIANGLE_DETOUR[0].terminals,
+                                       TRIANGLE_DETOUR[2])),
+         TRIANGLE_DETOUR[1])
+@example((cycle_graph(6, (0, 2, 4)), {0: {2: 1, 4: 2}}), 3)
+def test_two_stage_verdict_matches_full_lp_and_paths(instance, tau):
+    # each stage's quotient LP decides as the full reference LP does, at
+    # the same optimum, and the full stage as the path-form oracle, where
+    # it enumerates few enough paths; terminals may be disconnected,
+    # vertices unreachable.  In the second example 2 and 4 are mirror
+    # images from 0 but ask for different amounts: classes that ignored
+    # the amounts would merge their rows
+    g, demand = instance
+    lp = ArcLP.of(g, demand)
+    got = _solve_stages(*_assemble_mcf_lp(build_timed_graph(g, tau), lp),
+                        _forward_bounds(lp, tau))
+    want = _solve_stages(*mcf_lp_reference(g, tau, demand),
+                         forward_bounds_reference(g, tau, demand))
+    assert [x is None for x in got] == [y is None for y in want]
+    assert [x for x in got if x is not None] == pytest.approx(
+        [y for y in want if y is not None], rel=1e-6, abs=1e-6)
+    feasible = got[1] is not None
+    assert mcf_feasible(g, demand, tau) == feasible
     if _timed_path_count(g, tau) <= 3000:
         pairs = {(s, t): float(amt) for s, row in demand.items()
                  for t, amt in row.items()}
-        assert verdict == mcf_feasible_bruteforce(g, pairs, tau)
+        assert feasible == mcf_feasible_bruteforce(g, pairs, tau)
 
 
 def _scripted_linprog(monkeypatch, restricted=None, full=None):
@@ -403,14 +589,18 @@ def test_restricted_lp_infeasible_full_lp_feasible(monkeypatch, g, tau,
     assert stages == [("R", 2), ("F", 0)]
 
 
-def test_unreachable_vertices_get_no_edge_arcs():
+def test_unreachable_vertices_get_no_edge_arcs(monkeypatch):
     # vertices 3, 4 and 5 lie outside the terminals' component, where the
     # BFS distance is None: their edge arcs are fixed at 0 in every layer,
-    # their memory arcs stay free
+    # their memory arcs stay free (read with singleton classes, on the
+    # full LP's columns)
     g = Graph(6, ((0, 1), (1, 2), (0, 2), (1, 2), (3, 4), (4, 5)), (0, 1, 2))
     tau = 3
     per_layer = 2 * g.m + g.n
-    upper = mcf_mod._forward_bounds(g, g.terminals, tau)[:, 1].reshape(
+    with monkeypatch.context() as patch:
+        _singleton_classes(patch)
+        lp = ArcLP.of(g, _uniform(g.terminals, 1))
+    upper = _forward_bounds(lp, tau)[:, 1].reshape(
         len(g.terminals), tau, per_layer)
     assert (upper[:, :, 8:12] == 0).all()     # edges 4 and 5, both ways
     assert (upper[:, :, 2 * g.m:] == float("inf")).all()
@@ -470,6 +660,11 @@ def test_solver_failure_is_not_infeasible(monkeypatch, status):
     text = str(exc.value)
     assert f"status {status}" in text and "solver gave up" in text
     assert "tau=1" in text and "3 commodities" in text
+    # the stage, the instance and the size of the LP that failed: clique(3)
+    # has 2 conservation row classes per layer, 1 capacity class and 5
+    # column classes
+    assert "full stage" in text and "|V|=3" in text
+    assert "quotient LP 5 rows x 5 columns" in text
 
 
 @pytest.mark.parametrize("status", [1, 2, 4])
@@ -495,6 +690,7 @@ def test_full_lp_failure_raises(monkeypatch, restricted):
     text = str(exc.value)
     assert "status 4" in text and "solver gave up" in text
     assert "tau=3" in text and "3 commodities" in text
+    assert "full stage" in text and "quotient LP 11 rows x 15 columns" in text
     assert stages == [("R", restricted), ("F", 4)]
 
 

@@ -222,8 +222,9 @@ def test_arc_ceiling_before_allocating(monkeypatch):
     # ceiling and goes on to allocate
     with pytest.raises(Allocated):
         build_timed_graph(path_graph(1200), 4810).arc_arrays()
-    # a tau_MCF probe meets the ceiling before it allocates the LP or the
-    # restricted stage's column bounds, tau (2m + n) k of them
+    # a tau_MCF probe meets the ceiling before it refines classes or
+    # allocates the quotient LP, which has as many columns as the full LP,
+    # tau (2m + n) k, on a graph without symmetry
     monkeypatch.setattr(mcf_mod, "np", NoNumpy())
     g = grid_graph(6, 6)
     demand = {s: {t: 1 for t in g.terminals if t != s} for s in g.terminals}
