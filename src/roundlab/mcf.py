@@ -50,7 +50,7 @@ protocol builders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -137,14 +137,16 @@ def _rank(values):
     return np.argsort(np.argsort(values))
 
 
-@dataclass(frozen=True, eq=False)
-class ArcLP:
-    """The arc-based LP of the demands {source: {dest: amount}} on `g`,
-    with what its quotients at every horizon share: the classes of
-    `_colour_classes` and, per class, what `_assemble_mcf_lp` reads.
-    Demands that differ by one common factor have the same classes, so a
-    search refines once (`of`) and swaps such demands in with
-    `dataclasses.replace(lp, by_source=...)`.
+class ArcLP(namedtuple("ArcLP", (
+        "graph by_source col_cost col_upper col_tail col_out col_head col_in "
+        "col_start col_stride cap_cols cap_of cap_count row_src row_v "
+        "row_rank"))):
+    """The arc-based LP of the demands {source: {dest: amount}} on
+    `graph`, with what its quotients at every horizon share: the classes
+    of `_colour_classes` and, per class, what `_assemble_mcf_lp` reads.
+    `of` refines; `scaled` gives the LP of the demand times a positive
+    factor, which has the same classes, since b scaled by one factor
+    stays constant on each of them, so a search refines once.
 
     Per column class, in class order: `col_cost` and `col_upper` (the
     restricted stage's bound) of each member; `col_tail` and `col_head`,
@@ -158,22 +160,6 @@ class ArcLP:
     class: `row_src` and `row_v`, the commodity index and vertex of a
     member; `row_rank`, the rank of that member's node in layers 0 and 1
     among the nodes of both, and in the later layers among its layer's."""
-
-    by_source: dict
-    col_cost: np.ndarray
-    col_upper: np.ndarray
-    col_tail: np.ndarray
-    col_out: np.ndarray
-    col_head: np.ndarray
-    col_in: np.ndarray
-    col_start: np.ndarray
-    col_stride: np.ndarray
-    cap_cols: np.ndarray
-    cap_of: np.ndarray
-    cap_count: np.ndarray
-    row_src: np.ndarray
-    row_v: np.ndarray
-    row_rank: np.ndarray
 
     @classmethod
     def of(cls, g, by_source):
@@ -224,7 +210,7 @@ class ArcLP:
 
         v0, v1 = first_member(_rank(rank01[:n])), first_member(later)
         return cls(
-            by_source,
+            g, by_source,
             col_cost=np.where(is_edge[arc[first]], np.bincount(col), 0.0),
             col_upper=np.where(forward[first], np.inf, 0.0),
             col_tail=row[tail_row[first]],
@@ -243,6 +229,14 @@ class ArcLP:
             row_src=row_src[first_row],
             row_v=v1,
             row_rank=np.column_stack([rank01[v0], rank01[n + v1], later[v1]]))
+
+    def scaled(self, factor):
+        """The ArcLP of the demand times `factor` > 0."""
+        if not factor > 0:
+            raise ValueError(f"scale factor {factor} is not positive")
+        return self._replace(by_source={
+            s: {t: factor * amt for t, amt in row.items()}
+            for s, row in self.by_source.items()})
 
 
 def _quotient_columns(lp, tau):
@@ -326,7 +320,8 @@ def _forward_bounds(lp, tau):
 def mcf_feasible(g, by_source, tau):
     """Whether the positive demands {source: {dest: amount}} route
     fractionally at horizon tau.  `by_source` may also be an ArcLP of
-    such demands on `g`, whose classes are then not refined again.
+    `g`, whose classes are then not refined again; one of another graph
+    raises ValueError.
 
     Decides in two stages, each on the quotient LP of `_assemble_mcf_lp`.
     Stage 1 solves the restricted LP, in which each commodity may cross
@@ -344,7 +339,12 @@ def mcf_feasible(g, by_source, tau):
     if tau == 0:
         return False
     tg.check_arc_ceiling()
-    lp = by_source if isinstance(by_source, ArcLP) else ArcLP.of(g, by_source)
+    if not isinstance(by_source, ArcLP):
+        lp = ArcLP.of(g, by_source)
+    elif by_source.graph is g:
+        lp = by_source
+    else:
+        raise ValueError("an ArcLP of another graph")
     cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(tg, lp)
     kwargs = dict(A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
     restricted = linprog(cost, bounds=_forward_bounds(lp, tau), **kwargs)
@@ -374,9 +374,9 @@ def tau_mcf(g, terminals, n_primes):
     n''/n' <= 1, routes the n''-demand at tau, so routability is monotone
     down in n' (and up in tau, since commodities can dwell); the answer at
     a larger n' is thus a feasible horizon for every smaller one.  The
-    n'-demands differ by one common factor, so one ArcLP, refined once,
-    serves every probe of the call.  The result depends on the arguments
-    alone: nothing is kept between calls.
+    n'-demands are the unit demand scaled by n'/k, so one ArcLP, refined
+    once, serves every probe of the call.  The result depends on the
+    arguments alone: nothing is kept between calls.
     """
     terminals = tuple(sorted(terminals))
     if len(terminals) < 2:
@@ -384,13 +384,12 @@ def tau_mcf(g, terminals, n_primes):
     n_primes = sorted({Fraction(n) for n in n_primes}, reverse=True)
     if n_primes and n_primes[-1] <= 0:
         raise GraphError("n_prime must be positive")
-    answers, hi, lp = {}, math.inf, None
+    answers, hi, unit = {}, math.inf, None
     for n_prime in n_primes:
-        share = n_prime / len(terminals)
-        by_source = {s: {t: share for t in terminals if t != s}
-                     for s in terminals}
-        lp = (ArcLP.of(g, by_source) if lp is None
-              else replace(lp, by_source=by_source))
+        if unit is None:
+            unit = ArcLP.of(g, {s: {t: 1 for t in terminals if t != s}
+                                for s in terminals})
+        lp = unit.scaled(n_prime / len(terminals))
         hi = answers[n_prime] = least_feasible_horizon(
             lambda tau: tau >= hi or mcf_feasible(g, lp, tau),
             tau_mcf_flow_bound(g, terminals, n_prime),

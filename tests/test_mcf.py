@@ -427,6 +427,41 @@ def test_column_class_counts_on_bench_instances():
     assert counts == [(81, 624), (48, 288), (208, 216), (4, 8)]
 
 
+def test_scaled_demand_keeps_its_classes():
+    # a positive multiple of a demand refines to the same classes, so
+    # `scaled` reuses them; an ArcLP answers only for its own graph
+    g = cycle_graph(6, (0, 2, 4))
+    demand = {s: {t: 1 + (t - s) % 6 for t in (0, 2, 4) if t != s}
+              for s in (0, 2, 4)}
+    lp = ArcLP.of(g, demand).scaled(Fraction(3, 2))
+    assert lp.by_source == {s: {t: Fraction(3, 2) * amt
+                                for t, amt in row.items()}
+                            for s, row in demand.items()}
+    again = ArcLP.of(g, lp.by_source)
+    for got, want in zip(lp[2:], again[2:]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for factor in (0, -1):
+        with pytest.raises(ValueError, match="not positive"):
+            lp.scaled(factor)
+    with pytest.raises(ValueError, match="another graph"):
+        mcf_feasible(cycle_graph(6, (0, 2, 4)), lp, 2)
+
+
+def test_tau_mcf_refines_once_per_call(monkeypatch):
+    # the n'-demands of one call are the unit demand scaled: three n', one
+    # refinement
+    demands, refine = [], mcf_mod._colour_classes
+
+    def recording_refine(g, by_source, *rest):
+        demands.append(by_source)
+        return refine(g, by_source, *rest)
+
+    monkeypatch.setattr(mcf_mod, "_colour_classes", recording_refine)
+    g = ring_of_cliques(4, 4)
+    assert tau_mcf(g, g.terminals, [62, 63, 64]) == {62: 32, 63: 33, 64: 33}
+    assert demands == [_uniform(g.terminals, len(g.terminals))]
+
+
 # ---------------------------------------------------------------------------
 # two stages: the restricted (forward-arc) LP certifies, the full LP decides
 
@@ -527,13 +562,28 @@ def lp_instances(draw):
     return g, demand
 
 
+@settings(max_examples=60, deadline=None)
+@given(parallel_multigraphs(4), st.integers(1, 6), AMOUNTS)
+@example(*TRIANGLE_DETOUR)
+def test_two_stage_verdict_matches_full_lp_and_paths(g, tau, n_prime):
+    # terminals may be disconnected and vertices unreachable; the path-form
+    # oracle runs where it enumerates few enough paths
+    demand = _uniform(g.terminals, n_prime)
+    verdict = mcf_feasible(g, demand, tau)
+    assert verdict == _full_lp_feasible(g, demand, tau)
+    if _timed_path_count(g, tau) <= 3000:
+        pairs = {(s, t): float(amt) for s, row in demand.items()
+                 for t, amt in row.items()}
+        assert verdict == mcf_feasible_bruteforce(g, pairs, tau)
+
+
 @settings(max_examples=80, deadline=None)
-@given(lp_instances(), st.integers(1, 5))
+@given(lp_instances(), st.integers(1, 6))
 @example((TRIANGLE_DETOUR[0], _uniform(TRIANGLE_DETOUR[0].terminals,
                                        TRIANGLE_DETOUR[2])),
          TRIANGLE_DETOUR[1])
 @example((cycle_graph(6, (0, 2, 4)), {0: {2: 1, 4: 2}}), 3)
-def test_two_stage_verdict_matches_full_lp_and_paths(instance, tau):
+def test_quotient_stages_match_full_lp_and_paths(instance, tau):
     # each stage's quotient LP decides as the full reference LP does, at
     # the same optimum, and the full stage as the path-form oracle, where
     # it enumerates few enough paths; terminals may be disconnected,
