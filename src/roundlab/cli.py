@@ -5,10 +5,10 @@ re-running a configuration byte-reproduces the output.  Exact rationals are
 written as JSON integers when integral and as ``"p/q"`` strings otherwise.
 Exit codes: 0 ok, 2 infeasible instance, 3 input error (argparse usage
 errors and files that cannot be read or written included), 4 internal
-contract violation (a full tau_MCF LP that HiGHS could not decide,
-Steiner matching rounds that do not converge and a two-party extraction
-that reads an unknown bit included; a restricted first-stage LP that
-HiGHS could not decide only hands its probe to the full LP).
+contract violation (a full tau_MCF LP that HiGHS could not decide and
+a two-party extraction that reads an unknown bit included; a restricted
+first-stage LP that HiGHS could not decide only hands its probe to the
+full LP).
 ``--help`` exits 0.  ``--format csv`` writes ``key,value`` rows (the
 ``bench`` summary as one header row and one value row) through the csv
 module, with list and dict values as compact JSON cells.  Every command's
@@ -59,10 +59,7 @@ from .sim import (
     ContractViolation, ExtractionError, MaxRoundsExceeded, replay_matches,
     run_protocol,
 )
-from .steiner import (
-    ConvergenceError, HypothesisError, NoGoodTreeError, disjointness_bound,
-    pack_steiner_trees,
-)
+from .steiner import disjointness_bound, pack_steiner_trees
 from .timed import RoutableError, SearchLimitError, tau_route
 
 EXIT_OK = 0
@@ -70,12 +67,12 @@ EXIT_INFEASIBLE = 2
 EXIT_INPUT = 3
 EXIT_CONTRACT = 4
 
-INFEASIBLE_ERRORS = (UnreachableError, HypothesisError, NoGoodTreeError,
-                     RoutableError, SearchLimitError, MaxRoundsExceeded)
+INFEASIBLE_ERRORS = (UnreachableError, RoutableError, SearchLimitError,
+                     MaxRoundsExceeded)
 INPUT_ERRORS = (GraphError, OSError, json.JSONDecodeError, KeyError,
                 ValueError)
 CONTRACT_ERRORS = (ContractViolation, CompileError, AssertionError,
-                   LPSolveError, ConvergenceError, ExtractionError)
+                   LPSolveError, ExtractionError)
 
 
 def _jsonable(obj):
@@ -187,11 +184,10 @@ def cmd_tau_mcf(args):
 
 def cmd_st_pack(args):
     g = load_graph(args.graph)
-    packing = pack_steiner_trees(g, g.terminals, args.delta,
-                                 mode=args.mode, seed=args.seed)
+    packing = pack_steiner_trees(g, g.terminals, args.delta)
     trees = [{"edges": sorted(t.edge_ids), "weight": w, "diameter": t.diameter}
              for t, w in packing.trees]
-    return {"command": "st-pack", "delta": args.delta, "mode": args.mode,
+    return {"command": "st-pack", "delta": args.delta, "mode": "greedy",
             "value": packing.value, "bound_used": packing.bound_used,
             "trees": trees, "seed": args.seed}
 
@@ -372,7 +368,6 @@ def build_parser():
     p = sub.add_parser("st-pack", help="diameter-bounded tree packing")
     p.add_argument("--graph", required=True)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--mode", choices=("greedy", "sample"), default="greedy")
     p.set_defaults(func=cmd_st_pack)
 
     p = sub.add_parser("disj-bound", help="min over delta of n/ST + delta")

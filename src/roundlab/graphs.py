@@ -76,20 +76,6 @@ class Graph:
             inc[v].append((eid, u))
         return tuple(tuple(entries) for entries in inc)
 
-    def degree(self, v):
-        return len(self.incidence[v])
-
-    def with_edges(self, edge_ids):
-        """Subgraph on the same vertex set keeping only the given edge ids.
-
-        Edge identities are renumbered; the returned mapping sends new edge
-        ids back to ids in this graph.
-        """
-        ids = sorted(edge_ids)
-        sub = Graph(self.n, tuple(self.edges[i] for i in ids), self.terminals)
-        back = {new: old for new, old in enumerate(ids)}
-        return sub, back
-
     def distances_from(self, source):
         """BFS hop distances; unreachable vertices get None."""
         depth = bfs(self, source)[1]

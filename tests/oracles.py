@@ -88,52 +88,6 @@ def tau_route_bruteforce(g, a, b, n_prime, tau_max=64):
 
 
 # ---------------------------------------------------------------------------
-# bounded-length edge-disjoint path packing by exhaustive search
-
-def simple_paths_upto(g, a, b, max_len):
-    """All simple a-b paths of length <= max_len as edge-id tuples."""
-    out = []
-
-    def dfs(v, visited, eids):
-        if len(eids) > max_len:
-            return
-        if v == b:
-            out.append(tuple(eids))
-            return
-        for eid, w in g.incidence[v]:
-            if w in visited or len(eids) == max_len:
-                continue
-            visited.add(w)
-            eids.append(eid)
-            dfs(w, visited, eids)
-            eids.pop()
-            visited.remove(w)
-
-    dfs(a, {a}, [])
-    return out
-
-
-def max_disjoint_paths_bruteforce(g, a, b, max_len):
-    """Maximum number of pairwise edge-disjoint a-b paths of length <= max_len,
-    by exhaustive branch and bound over the full path list."""
-    paths = [frozenset(p) for p in simple_paths_upto(g, a, b, max_len)]
-    paths.sort(key=lambda s: (len(s), sorted(s)))
-    best = 0
-
-    def search(idx, used, count):
-        nonlocal best
-        best = max(best, count)
-        if count + (len(paths) - idx) <= best:
-            return
-        for j in range(idx, len(paths)):
-            if not (paths[j] & used):
-                search(j + 1, used | paths[j], count + 1)
-
-    search(0, frozenset(), 0)
-    return best
-
-
-# ---------------------------------------------------------------------------
 # hop distances
 
 def distances_bruteforce(g, edge_ids=None):

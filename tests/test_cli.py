@@ -118,6 +118,9 @@ def test_st_pack_and_disj_bound(tmp_path, capsys):
     code, payload = _run(capsys, ["st-pack", "--graph", path,
                                   "--delta", "1"])
     assert code == 0 and payload["value"] == 4
+    # the greedy packing is the only one, so st-pack takes no --mode
+    assert main(["st-pack", "--graph", path, "--delta", "1",
+                 "--mode", "greedy"]) == 3
     code, payload = _run(capsys, ["disj-bound", "--graph", path,
                                   "--n", "4"])
     assert code == 0 and payload["bound"] == 2
@@ -369,19 +372,6 @@ def test_tau_mcf_mid_nprime_exit_code(tmp_path, capsys):
     assert "m=60" in err and "tau=3750004" in err and "585000624" in err
 
 
-def test_convergence_error_exit_code(tmp_path, capsys, monkeypatch):
-    def stuck(g, k_prime, path_budget, max_hops, seed):
-        return steiner_mod.MatchingResult((), ())
-
-    monkeypatch.setattr(steiner_mod, "matching_with_paths", stuck)
-    path = _write_graph(tmp_path, random_connected_graph(8, 6, seed=1, k=4))
-    code = main(["st-pack", "--graph", path, "--delta", "4",
-                 "--mode", "sample"])
-    err = capsys.readouterr().err
-    assert code == 4
-    assert "failed to converge" in err and "Traceback" not in err
-
-
 def test_extraction_error_exit_code(tmp_path, capsys, monkeypatch):
     def unknown_bit(*args, **kwargs):
         raise ExtractionError((0, 1, 0, 3))
@@ -395,16 +385,16 @@ def test_extraction_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "unknown bit (0->1, edge 0, round 3)" in err
 
 
-@pytest.mark.parametrize("delta,value,trees", [(1199, 0, 0),
-                                               (1200, "1/16", 1)])
-def test_st_pack_sample_past_recursion_ceiling(tmp_path, capsys, delta,
-                                               value, trees):
-    # the recursive path DFS raised RecursionError 1199 hops deep
+@pytest.mark.parametrize("delta,value,trees", [(1199, 0, 0), (1200, 1, 1)])
+def test_st_pack_at_desk_scale(tmp_path, capsys, delta, value, trees):
+    # the terminals of path_graph(1200) are 1200 hops apart: below that no
+    # centre fits, at it the whole path is the one tree
     path = _write_graph(tmp_path, path_graph(1200))
     code, payload = _run(capsys, ["st-pack", "--graph", path, "--delta",
-                                  str(delta), "--mode", "sample"])
+                                  str(delta)])
     assert code == 0
     assert payload["value"] == value and len(payload["trees"]) == trees
+    assert all(t["diameter"] == 1200 for t in payload["trees"])
 
 
 def test_csv_nested_values_are_json_cells(capsys):

@@ -49,10 +49,6 @@ CASES = {
     "tau-mcf-k3": "tau-mcf --graph {k3} --nprime 8",
     "st-pack-grid6-greedy": "st-pack --graph {grid6} --delta 10",
     "st-pack-ring44-greedy": "st-pack --graph {ring44} --delta 8",
-    "st-pack-ring44-sample":
-        "st-pack --graph {ring44} --delta 8 --mode sample",
-    "st-pack-rand12-sample":
-        "st-pack --graph {rand12} --delta 6 --mode sample",
     "disj-bound-grid6": "disj-bound --graph {grid6} --n 64",
     "disj-bound-ring44": "disj-bound --graph {ring44} --n 64",
     "disj-bound-intro": "disj-bound --graph {intro} --n 64",

@@ -40,14 +40,13 @@ ALLOWED = {
                   "the rebalance tests",
     "paths": "ambiguous: FlowSolution.paths, the unit paths of "
              "max_route_flow, read by the tests and the benchmark's cut "
-             "certificate; also PathCollection's field",
+             "certificate",
     "sorting_network_sorts": "checker: the 0-1 principle test of the "
                              "sorting networks behind ED circuits",
     "tau_mcf_lower_bound": "public API: the base-cut bound on tau_mcf, "
                            "tested against tau_mcf",
-    "value": "ambiguous: PathCollection.value and TreePacking.value, read "
-             "by the Steiner bounds and the CLI; also the flow results' "
-             "field",
+    "value": "ambiguous: TreePacking.value, read by disjointness_bound "
+             "and the CLI; also the flow results' field",
 }
 
 # dataclass fields no source reads, each with who reads it
