@@ -1,8 +1,10 @@
 """Transcript pins: a sha256 over every round's bits and the outputs of
 CLI runs whose golden files record only per-edge counts (`run`,
-`compile`) or only the round count (`solve`).  `run-disj-intro` pins the
+`compile`), or that no golden file covers.  `run-disj-intro` pins the
 k = 2 DISJ aggregation, the protocol that the `route` benchmark's cut
-certificate runs.
+certificate runs.  The `solve` cases pin all four flooding variants:
+`components` on the and-disj instance takes the restart path, and
+`acyclicity` on an or-disj instance stops early on a duplicate token.
 
 Each case runs the CLI as the golden set or the `mcf` benchmark
 workload does, with `run_protocol` wrapped to keep the transcript; the
@@ -21,7 +23,8 @@ import roundlab.cli as cli_mod
 from roundlab import (
     clique, format_graph_text, grid_graph, intro_split_graph, ring_of_cliques)
 from roundlab.circuits import build_ed_circuit, circuit_to_json
-from roundlab.distgraph import and_disj_instance
+from roundlab.distgraph import (
+    and_disj_instance, or_disj_instance, random_pair_strings)
 from roundlab.sim import run_protocol
 
 # the mcf workload's and-disj instances: string length and string source
@@ -42,6 +45,14 @@ PINS = {
         "856690342426e6ac29c2a34350652b8fbee0c0024981431483978e9f54141b15"),
     "solve-ring44": (1108, 2862,
         "0cbde58473adf2fc1d37379529d354cb965e83b9dd0f704d8a30d1e4a68ceeca"),
+    "solve-ring44-components": (1428, 3690,
+        "af5bde9f028cc9711796cafa3d09d52eff30a4aea7efce113d3da57c60daf71c"),
+    "solve-ring44-bipartiteness": (1428, 3690,
+        "4bcf04c1799aaeacd8123031d6bf36c728fbf6dc6f9f7a70892d4779068f4542"),
+    "solve-ring44-or-acyclicity": (1448, 3570,
+        "cec7d2d19c6f4e0c9b7866ac52d65b79baf8d0d4c72c45da64b00643638a5664"),
+    "solve-ring44-or-bipartiteness": (1448, 3570,
+        "cec7d2d19c6f4e0c9b7866ac52d65b79baf8d0d4c72c45da64b00643638a5664"),
 }
 
 
@@ -74,6 +85,10 @@ def _files(tmp_path):
                    for u in terms for w in terms if u != w}
         inst = and_disj_instance(strings, terms, AND_DISJ_N)
         put(f"{key}_and_disj", json.dumps(inst.to_json()))
+    terms = grids["ring44"].terminals
+    inst = or_disj_instance(random_pair_strings(terms, AND_DISJ_N, seed=0),
+                            terms, AND_DISJ_N)
+    put("ring44_or_disj", json.dumps(inst.to_json()))
     return files
 
 
@@ -86,6 +101,17 @@ CASES = {
                    "--instance {grid6_and_disj}",
     "solve-ring44": "--seed 0 solve --variant connectivity --graph {ring44} "
                     "--instance {ring44_and_disj}",
+    "solve-ring44-components": "--seed 0 solve --variant components "
+                               "--graph {ring44} --instance {ring44_and_disj}",
+    "solve-ring44-bipartiteness": "--seed 0 solve --variant bipartiteness "
+                                  "--graph {ring44} "
+                                  "--instance {ring44_and_disj}",
+    "solve-ring44-or-acyclicity": "--seed 0 solve --variant acyclicity "
+                                  "--graph {ring44} "
+                                  "--instance {ring44_or_disj}",
+    "solve-ring44-or-bipartiteness": "--seed 0 solve --variant bipartiteness "
+                                     "--graph {ring44} "
+                                     "--instance {ring44_or_disj}",
 }
 
 
