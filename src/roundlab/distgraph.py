@@ -41,7 +41,13 @@ class DistributedGraphInput:
 
     def __post_init__(self):
         self.terminals = tuple(sorted(self.terminals))
-        for u, v in self.edges:
+        if self.num_vertices < 0:
+            raise GraphError(
+                f"H vertex count n must be >= 0, got {self.num_vertices}")
+        for e in self.edges:
+            if len(e) != 2:
+                raise GraphError(f"H edge {list(e)} is not a vertex pair")
+            u, v = e
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise GraphError("H edge out of range")
             if u == v:
@@ -91,17 +97,17 @@ class DistributedGraphInput:
                 out[owner] += len(adj[v])
         return out
 
-    def subgraph(self, terminal):
-        if self.mode == "edge":
-            return tuple(e for e, owner in zip(self.edges, self.assignment)
-                         if owner == terminal)
-        adj = self.adjacency()
-        return {v: adj[v] for v, owner in sorted(self.assignment.items())
-                if owner == terminal}
-
     def blocks(self):
-        """Per-terminal protocol input blocks."""
-        return {t: self.subgraph(t) for t in self.terminals}
+        """Per-terminal protocol input blocks: the owned edges in edge
+        mode, the owned vertices' adjacency lists in node mode."""
+        if self.mode == "edge":
+            return {t: tuple(e for e, owner in zip(self.edges, self.assignment)
+                             if owner == t) for t in self.terminals}
+        adj = self.adjacency()
+        out = {t: {} for t in self.terminals}
+        for v, owner in sorted(self.assignment.items()):
+            out[owner][v] = adj[v]
+        return out
 
     def to_json(self):
         return {
@@ -174,23 +180,30 @@ def or_disj_player_edges(player, own_strings, terminals, n, names):
     return edges
 
 
+def _gadget_instance(strings, terminals, n, player_edges, with_hub):
+    """The union of every player's `player_edges`, each edge owned by the
+    player that contributes it."""
+    terms = tuple(sorted(terminals))
+    names, total = _pair_vertex_names(terms, n, with_hub)
+    edges = []
+    owners = []
+    for u in terms:
+        own = {w: strings[(u, w)] for w in terms if w != u}
+        for e in player_edges(u, own, terms, n, names):
+            edges.append((min(e), max(e)))
+            owners.append(u)
+    return DistributedGraphInput(total, tuple(edges), "edge", terms,
+                                 tuple(owners), names=names)
+
+
 def or_disj_instance(strings, terminals, n):
     """Pairwise-intersection gadgets: the union graph has a triangle iff
     some ordered pair's strings intersect; otherwise it is a forest.
 
     strings: {(u, w): n-bit tuple} over ordered terminal pairs.
     """
-    terms = tuple(sorted(terminals))
-    names, total = _pair_vertex_names(terms, n, with_hub=False)
-    edges = []
-    owners = []
-    for u in terms:
-        own = {w: strings[(u, w)] for w in terms if w != u}
-        for e in or_disj_player_edges(u, own, terms, n, names):
-            edges.append((min(e), max(e)))
-            owners.append(u)
-    return DistributedGraphInput(total, tuple(edges), "edge", terms,
-                                 tuple(owners), names=names)
+    return _gadget_instance(strings, terminals, n, or_disj_player_edges,
+                            with_hub=False)
 
 
 def and_disj_player_edges(player, own_strings, terminals, n, names):
@@ -216,17 +229,8 @@ def and_disj_player_edges(player, own_strings, terminals, n, names):
 def and_disj_instance(strings, terminals, n):
     """Hub-and-spoke gadgets: the union graph is connected iff every
     unordered pair's strings intersect."""
-    terms = tuple(sorted(terminals))
-    names, total = _pair_vertex_names(terms, n, with_hub=True)
-    edges = []
-    owners = []
-    for u in terms:
-        own = {w: strings[(u, w)] for w in terms if w != u}
-        for e in and_disj_player_edges(u, own, terms, n, names):
-            edges.append((min(e), max(e)))
-            owners.append(u)
-    return DistributedGraphInput(total, tuple(edges), "edge", terms,
-                                 tuple(owners), names=names)
+    return _gadget_instance(strings, terminals, n, and_disj_player_edges,
+                            with_hub=True)
 
 
 def random_pair_strings(terminals, n, seed):
@@ -362,6 +366,9 @@ def bfs_protocol(g, terminals, inp, variant):
       minimum untokened vertex (1, b_c, 1, 1, 1, b_v);
     - down decision: code, restart vertex, answer (2, b_v, b_c).
 
+    Every frame ends before its chunk does, so no frame is in flight at a
+    checkpoint: pending traffic is exactly the queued frames.
+
     The first flood starts at vertex 0, whose owner is public knowledge
     (the vertex-to-terminal map is shared); restarts are elected through
     the checkpoint aggregation itself.
@@ -377,6 +384,16 @@ def bfs_protocol(g, terminals, inp, variant):
         raise GraphError("communication graph must be connected")
 
     n_h = inp.num_vertices
+    term_set = set(terms)
+    if n_h == 0:
+        trivial = {"connectivity": True, "components": 0,
+                   "acyclicity": True, "bipartiteness": True}[variant]
+
+        def step0(v, rnd, state, inbox, pub):
+            return {}, state, (trivial if v in term_set else None)
+
+        return ProtocolSpec(2, lambda v, _g, block: None, step0)
+
     placement = dict(inp.assignment)
     b_v = max(1, math.ceil(math.log2(max(n_h, 2))))
     b_c = max(1, math.ceil(math.log2(n_h + 1)))
@@ -385,13 +402,10 @@ def bfs_protocol(g, terminals, inp, variant):
     down_widths = (2, b_v, b_c)
     packet_bits = sum(frame_widths)
 
-    # fixed shortest-path next hops toward each terminal
-    next_hop = {}
-    for t in terms:
-        parent = bfs(g, t)[0]
-        for v in range(g.n):
-            if v != t and v in parent:
-                next_hop[(v, t)] = parent[v]  # (edge_id, toward-vertex)
+    # fixed shortest-path next hops toward each terminal, as
+    # (edge_id, toward-vertex)
+    next_hop = {(v, t): link for t in terms
+                for v, link in bfs(g, t)[0].items() if link is not None}
 
     # spanning sync tree
     root = terms[0]
@@ -401,95 +415,68 @@ def bfs_protocol(g, terminals, inp, variant):
     w_up = sum(up_widths)
     w_down = sum(down_widths)
     chunk_len = 2 * (packet_bits + 3)
-    up_len = (depth_max + 1) * w_up
-    down_start = up_len + 1
+    down_start = (depth_max + 1) * w_up + 1
     sync_len = down_start + (depth_max + 1) * w_down + 1
 
-    cap_base = 4 * inp.num_edges + 2 * n_h + 16
-    max_rounds = (cap_base + 8) * (chunk_len + sync_len) + 64
-
-    def initial_rep():
-        return {"phase": "transport", "start": 1, "flood": 1, "chunk": 0,
-                "next_cp": 1, "inject": 0, "answer": None}
+    max_rounds = ((4 * inp.num_edges + 2 * n_h + 24) * (chunk_len + sync_len)
+                  + 64)
 
     def init(v, _g, block):
-        state = {
-            "adj": dict(block) if block else {},
-            "tokens": {},
-            "dup": 0, "par": 0,
-            "queues": {eid: [] for eid, _ in g.incidence[v]},
-            "tx": {}, "rx": {},
-            "upbuf": {}, "upbits": None, "downbits": None,
-            "rep": initial_rep(),
-        }
-        return state
-
-    def owned_untokened(state):
-        pending = [v for v in state["adj"] if v not in state["tokens"]]
-        return min(pending) if pending else None
-
-    def process_token(state, target, source, parity, injections):
-        """Handle an arriving token at the owner; appends the tokens it
-        sends on to `injections`."""
-        tokens = state["tokens"]
-        if target in tokens:
-            state["dup"] = 1
-            if tokens[target] != parity:
-                state["par"] = 1
-            return
-        tokens[target] = parity
-        for nb in state["adj"].get(target, ()):
-            if source is not None and nb == source:
-                continue
-            injections.append((nb, target, parity ^ 1))
+        return {"phase": "transport", "start": 1, "flood": 1, "chunk": 0,
+                "next_cp": 1, "inject": 0, "adj": block or {},
+                "tokens": {}, "dup": 0, "par": 0,
+                "queues": {eid: [] for eid, _ in g.incidence[v]},
+                "tx": {}, "rx": {},
+                "upbuf": {}, "upbits": None, "downbits": None}
 
     def deliver_local(state, v_self, injections):
-        """Process tokens owned locally; queue the rest as frames."""
+        """Take the tokens this vertex owns, passing each new one on to
+        its target's other neighbours; queue the rest as frames."""
+        tokens = state["tokens"]
         while injections:
             target, source, parity = injections.pop(0)
             owner = placement[target]
-            if owner == v_self:
-                process_token(state, target, source, parity, injections)
-            else:
+            if owner != v_self:
                 eid, _ = next_hop[(v_self, owner)]
                 state["queues"][eid].append(
                     _pack((target, source, parity), frame_widths))
-
-    def handle_packet(state, v_self, payload):
-        deliver_local(state, v_self, [_unpack(payload, frame_widths)])
+            elif target in tokens:
+                state["dup"] = 1
+                if tokens[target] != parity:
+                    state["par"] = 1
+            else:
+                tokens[target] = parity
+                injections.extend((nb, target, parity ^ 1)
+                                  for nb in state["adj"].get(target, ())
+                                  if nb != source)
 
     def transport_round(state, v_self, r, inbox, sends):
+        if r == 0 and state["inject"] is not None:
+            if placement[state["inject"]] == v_self:
+                deliver_local(state, v_self, [(state["inject"], None, 0)])
+            state["inject"] = None
         # receive side: continue or start frames
         for eid, _ in g.incidence[v_self]:
-            bit = inbox.get(eid)
+            bit = inbox.get(eid, 0)
             if eid in state["rx"]:
-                state["rx"][eid].append(bit if bit is not None else 0)
+                state["rx"][eid].append(bit)
                 if len(state["rx"][eid]) == packet_bits:
-                    handle_packet(state, v_self, state["rx"].pop(eid))
+                    deliver_local(state, v_self, [
+                        _unpack(state["rx"].pop(eid), frame_widths)])
             elif bit == 1:
                 state["rx"][eid] = []
         # send side
         for eid, _ in g.incidence[v_self]:
             if eid in state["tx"]:
-                frame, pos = state["tx"][eid]
-                sends[eid] = frame[pos]
-                if pos + 1 == len(frame):
+                sends[eid] = state["tx"][eid].pop(0)
+                if not state["tx"][eid]:
                     del state["tx"][eid]
-                else:
-                    state["tx"][eid] = (frame, pos + 1)
+            # a frame started here sends its last bit by chunk round
+            # chunk_len - 3, which arrives by chunk_len - 2: no frame is in
+            # flight at a checkpoint, so its up record checks only queues
             elif state["queues"][eid] and r + packet_bits + 2 <= chunk_len - 1:
-                payload = state["queues"][eid].pop(0)
                 sends[eid] = 1
-                state["tx"][eid] = (payload, 0)
-
-    def local_up_record(state):
-        pending = int(any(state["queues"][eid] for eid in state["queues"])
-                      or bool(state["tx"]) or bool(state["rx"]))
-        count = len(state["tokens"])
-        untok = owned_untokened(state)
-        return UpRecord(pending, count, state["dup"], state["par"],
-                        int(untok is not None),
-                        untok if untok is not None else 0)
+                state["tx"][eid] = state["queues"][eid].pop(0)
 
     def combine(a, b):
         untoks = [rec.untok for rec in (a, b) if rec.has_untok]
@@ -497,136 +484,87 @@ def bfs_protocol(g, terminals, inp, variant):
                         a.dup | b.dup, a.par | b.par, int(bool(untoks)),
                         min(untoks, default=0))
 
-    def decide(rep, rec):
+    def decide(state, rec):
         """Root's checkpoint decision: (code, restart_vertex, answer)."""
         if rec.pending:
             return 0, 0, 0
-        if variant == "acyclicity" and rec.dup:
-            return 2, 0, 0
-        if variant == "bipartiteness" and rec.par:
+        if (variant == "acyclicity" and rec.dup
+                or variant == "bipartiteness" and rec.par):
             return 2, 0, 0
         if variant == "connectivity":
             return 2, 0, int(rec.count == n_h)
         if rec.has_untok:
             return 1, rec.untok, 0
         if variant == "components":
-            return 2, 0, rep["flood"]
+            return 2, 0, state["flood"]
         return 2, 0, 1  # acyclic / bipartite verdicts
 
     def sync_round(state, v_self, r, inbox, sends):
-        rep = state["rep"]
         delta = s_depth[v_self]
         # collect children's up windows
         for eid, child in s_children[v_self]:
-            child_win = (depth_max - s_depth[child]) * w_up
-            j = r - 1 - child_win
+            j = r - 1 - (depth_max - s_depth[child]) * w_up
             if 0 <= j < w_up:
                 state["upbuf"].setdefault(child, []).append(
                     inbox.get(eid, 0))
         my_win = (depth_max - delta) * w_up
         if r == my_win:
-            rec = local_up_record(state)
+            untoks = [u for u in state["adj"] if u not in state["tokens"]]
+            rec = UpRecord(int(any(state["queues"].values())),
+                           len(state["tokens"]), state["dup"], state["par"],
+                           int(bool(untoks)), min(untoks, default=0))
             for child_bits in state["upbuf"].values():
                 rec = combine(rec, UpRecord(*_unpack(child_bits, up_widths)))
             state["upbuf"] = {}
             # the root decides at once; every other vertex packs its
-            # record once for its up window
+            # record once for its up window and waits for the decision
             if v_self == root:
-                state["downbits"] = _pack(decide(rep, rec), down_widths)
+                state["downbits"] = _pack(decide(state, rec), down_widths)
             else:
                 state["upbits"] = _pack(rec, up_widths)
-        if my_win <= r < my_win + w_up and s_parent[v_self] is not None:
-            eid, _ = s_parent[v_self]
-            sends[eid] = state["upbits"][r - my_win]
-        # down phase
+                state["downbits"] = []
         my_down = down_start + delta * w_down
         if s_parent[v_self] is not None:
             eid, _ = s_parent[v_self]
+            if my_win <= r < my_win + w_up:
+                sends[eid] = state["upbits"][r - my_win]
+            # down phase: the parent's window, arriving a round late, ends
+            # as this one starts
             j = r - 1 - (my_down - w_down)
             if 0 <= j < w_down:
-                if state["downbits"] is None:
-                    state["downbits"] = []
                 state["downbits"].append(inbox.get(eid, 0))
-        if state["downbits"] is not None and my_down <= r < my_down + w_down:
+        if my_down <= r < my_down + w_down:
             for eid, child in s_children[v_self]:
                 sends[eid] = state["downbits"][r - my_down]
 
-    def apply_transition(state, rnd):
-        """At the last round of a phase, set up the next phase (all nodes
-        run this identically)."""
-        rep = state["rep"]
-        r = rnd - rep["start"]
-        if rep["phase"] == "transport" and r == chunk_len - 1:
-            rep["chunk"] += 1
-            rep["inject"] = None
-            if rep["chunk"] == rep["next_cp"]:
-                rep["phase"] = "sync"
-            rep["start"] = rnd + 1
-            return None
-        if rep["phase"] == "sync" and r == sync_len - 1:
-            code, restart, answer = _unpack(state["downbits"], down_widths)
-            state["downbits"] = None
-            if code == 0:
-                rep["next_cp"] *= 2
-                rep["phase"] = "transport"
-                rep["start"] = rnd + 1
-                return None
-            if code == 1:
-                rep["flood"] += 1
-                rep["chunk"] = 0
-                rep["next_cp"] = 1
-                rep["inject"] = restart
-                rep["phase"] = "transport"
-                rep["start"] = rnd + 1
-                return None
-            rep["phase"] = "done"
-            rep["answer"] = answer
-            return answer
-        return None
-
-    term_set = set(terms)
-
     def step(v, rnd, state, inbox, pub):
-        sends = {}
-        out = None
-        rep = state["rep"]
-        if rep["phase"] == "done":
-            return sends, state, None
-        r = rnd - rep["start"]
-        if rep["phase"] == "transport":
-            if r == 0 and rep["inject"] is not None \
-                    and placement[rep["inject"]] == v:
-                deliver_local(state, v, [(rep["inject"], None, 0)])
+        """One round of vertex v; every vertex changes phase in the same
+        round, at the last round of a chunk or a checkpoint."""
+        sends, out = {}, None
+        r = rnd - state["start"]
+        if state["phase"] == "transport":
             transport_round(state, v, r, inbox, sends)
-        elif rep["phase"] == "sync":
-            if r == 0:
-                # frame tails from the last chunk round may still arrive
-                for eid, _ in g.incidence[v]:
-                    if eid in state["rx"] and eid in inbox:
-                        state["rx"][eid].append(inbox[eid])
-                        if len(state["rx"][eid]) == packet_bits:
-                            handle_packet(state, v, state["rx"].pop(eid))
+            if r == chunk_len - 1:
+                state["chunk"] += 1
+                if state["chunk"] == state["next_cp"]:
+                    state["phase"] = "sync"
+                state["start"] = rnd + 1
+        elif state["phase"] == "sync":
             sync_round(state, v, r, inbox, sends)
-        answer = apply_transition(state, rnd)
-        if answer is not None and v in term_set:
-            if variant == "components":
-                out = answer
-            else:
-                out = bool(answer)
+            if r == sync_len - 1:
+                code, restart, answer = _unpack(state["downbits"], down_widths)
+                state["start"] = rnd + 1
+                if code == 0:
+                    state.update(phase="transport",
+                                 next_cp=state["next_cp"] * 2)
+                elif code == 1:
+                    state.update(phase="transport", flood=state["flood"] + 1,
+                                 chunk=0, next_cp=1, inject=restart)
+                else:
+                    state["phase"] = "done"
+                    if v in term_set:
+                        out = (answer if variant == "components"
+                               else bool(answer))
         return sends, state, out
 
-    if n_h == 0:
-        trivial = {"connectivity": True, "components": 0,
-                   "acyclicity": True, "bipartiteness": True}[variant]
-
-        def step0(v, rnd, state, inbox, pub):
-            return {}, state, (trivial if v in term_set else None)
-
-        return ProtocolSpec(2, init, step0)
-
-    return ProtocolSpec(
-        max_rounds=max_rounds,
-        init=init,
-        step=step,
-    )
-
+    return ProtocolSpec(max_rounds=max_rounds, init=init, step=step)

@@ -5,9 +5,10 @@ independent capacity (one bit per direction per round); self-loops are not.
 Every graph designates a set of terminals holding inputs in the
 communication problems built on top of it.
 
-`bfs` is the package's one breadth-first search over a `Graph`: hop
-distances, BFS trees, Steiner tree pruning, pairing and packing all call
-it, optionally restricted to an edge subset.
+`bfs` is the package's one breadth-first search over a `Graph`,
+optionally restricted to an edge subset.  Its callers: hop distances,
+terminal diameters, the protocols' BFS trees, the greedy packing's
+centre trees and the flooding's next hops.
 """
 
 from __future__ import annotations

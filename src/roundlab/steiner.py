@@ -2,12 +2,14 @@
 
 `pack_steiner_trees` packs greedily and integrally, carving trees out of
 the residual edges until no centre's BFS tree fits the diameter bound.
+Below the terminals' diameter in g no tree fits, so no search runs there.
 `disjointness_bound` takes min over delta of n / (packing value) + delta,
 the comparandum of the Steiner aggregation protocol.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,7 +76,20 @@ def pack_steiner_trees(g, terminals, delta):
         raise GraphError("need at least two terminals")
     if delta < 1:
         raise GraphError("delta must be >= 1")
-    return _pack_greedy(g, terms, delta)
+    [(_, packing)] = _greedy_packings(g, terms, (delta,))
+    return packing
+
+
+def _greedy_packings(g, terms, deltas):
+    """(delta, greedy packing) for each of `deltas`.  A Steiner tree's
+    terminal diameter is at least the terminals' diameter in g, so a delta
+    below that, or any delta when g does not connect the terminals, gets
+    the empty packing without a search."""
+    spread = (tree_terminal_diameter(g, None, terms) if g.connected(terms)
+              else math.inf)
+    for delta in deltas:
+        yield delta, (_pack_greedy(g, terms, delta) if delta >= spread
+                      else TreePacking([], bound_used=delta))
 
 
 def _spt_tree(g, center, terminals, residual):
@@ -118,12 +133,8 @@ class DisjointnessBound:
 
 def disjointness_bound(g, terminals, n_bits):
     """min over delta in [|V|] of (n / greedy packing value + delta); the
-    aggregate-protocol comparandum.
-
-    A Steiner tree's terminal diameter is at least the terminals' diameter
-    in g, so every delta below that packs nothing and is recorded as 0
-    without packing.
-    """
+    aggregate-protocol comparandum.  Every delta below the terminals'
+    diameter in g is recorded as 0 without packing."""
     if n_bits < 1:
         raise GraphError("n_bits must be >= 1")
     terms = tuple(sorted(set(terminals)))
@@ -131,14 +142,9 @@ def disjointness_bound(g, terminals, n_bits):
         raise GraphError("need at least two terminals")
     if not g.connected(terms):
         raise UnreachableError("terminals are disconnected")
-    spread = tree_terminal_diameter(g, None, terms)
     best = None     # (value, delta, packing)
     table = {}
-    for delta in range(1, g.n + 1):
-        if delta < spread:
-            table[delta] = 0
-            continue
-        packing = _pack_greedy(g, terms, delta)
+    for delta, packing in _greedy_packings(g, terms, range(1, g.n + 1)):
         table[delta] = packing.value
         if packing.value == 0:
             continue

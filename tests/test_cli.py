@@ -610,6 +610,27 @@ def test_malformed_instance_exit_code(tmp_path, capsys, patch):
     assert "malformed instance JSON" in err
 
 
+@pytest.mark.parametrize("h,mode,assignment,message", [
+    ({"n": -1, "edges": []}, "node", {}, "H vertex count n must be >= 0"),
+    ({"n": 3, "edges": [[0, 1, 2]]}, "edge", [0],
+     "H edge [0, 1, 2] is not a vertex pair"),
+], ids=["negative-n", "edge-triple"])
+def test_invalid_instance_field_exit_code(tmp_path, capsys, h, mode,
+                                          assignment, message):
+    # each exited 3 naming neither field nor edge: "math domain error"
+    # from the flooding's log2, "too many values to unpack (expected 2)"
+    gpath = _write_graph(tmp_path, clique(2))
+    ipath = tmp_path / "inst.json"
+    ipath.write_text(json.dumps({"H": h, "mode": mode,
+                                 "assignment": assignment,
+                                 "terminals": [0, 1]}))
+    code = main(["solve", "--variant", "connectivity", "--graph", gpath,
+                 "--instance", str(ipath)])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert message in err
+
+
 def test_solve_edge_instance_for_other_terminals_exit_code(tmp_path, capsys):
     # an edge-mode instance for terminals 0, 1, 2 on a graph whose
     # terminals are 0, 4, 8, 12 once solved with its owners dropped

@@ -320,6 +320,33 @@ def test_bfs_random_instances_all_variants():
             assert ans == want, (case, variant)
 
 
+@pytest.mark.parametrize("variant,want", [
+    ("connectivity", True), ("components", 0), ("acyclicity", True),
+    ("bipartiteness", True)])
+def test_bfs_empty_graph_answers_at_once(variant, want):
+    g = clique(3)
+    inp = DistributedGraphInput(0, (), "node", g.terminals, {})
+    ans, tr = _run_variant(g, inp, variant)
+    assert ans == want and type(ans) is type(want)
+    assert tr.rounds == 1 and tr.total_bits == 0
+
+
+def test_bfs_rejects_bad_calls():
+    g = clique(3)
+    inp = DistributedGraphInput(2, ((0, 1),), "node", g.terminals,
+                                {0: 0, 1: 1})
+    with pytest.raises(GraphError, match="unknown variant 'planarity'"):
+        bfs_protocol(g, g.terminals, inp, "planarity")
+    by_edge = DistributedGraphInput(2, ((0, 1),), "edge", g.terminals, (0,))
+    with pytest.raises(GraphError, match="node-distributed"):
+        bfs_protocol(g, g.terminals, by_edge, "connectivity")
+    with pytest.raises(GraphError, match="terminals do not match"):
+        bfs_protocol(g, (0, 1), inp, "connectivity")
+    split = Graph(4, ((0, 1), (2, 3)), (0, 1, 2))
+    with pytest.raises(GraphError, match="must be connected"):
+        bfs_protocol(split, split.terminals, inp, "connectivity")
+
+
 # ---------------------------------------------------------------------------
 # message codec
 

@@ -7,6 +7,7 @@ from roundlab import (
     Graph, GraphError, clique, cycle_graph, grid_graph, parallel_edges, path_graph,
     random_connected_graph,
 )
+import roundlab.graphs as graphs_mod
 import roundlab.steiner as steiner_mod
 from roundlab.steiner import (
     disjointness_bound, pack_steiner_trees, tree_terminal_diameter,
@@ -98,6 +99,31 @@ def test_pack_matches_oracles(case):
             g, tree.edge_ids, g.terminals) <= delta
     assert packing.value <= max_integral_packing_bruteforce(
         g, g.terminals, delta)
+
+
+def test_pack_below_terminal_diameter_skips_the_search(monkeypatch):
+    # path_graph(1200)'s terminals are 1200 hops apart, so at delta 1199
+    # the terminal-diameter check alone decides: no BFS from every centre
+    searched = []
+    real = graphs_mod.bfs
+
+    def counting(g, roots, edge_ids=None):
+        searched.append(roots)
+        return real(g, roots, edge_ids)
+
+    monkeypatch.setattr(graphs_mod, "bfs", counting)
+    monkeypatch.setattr(steiner_mod, "bfs", counting)
+    g = path_graph(1200)
+    packing = pack_steiner_trees(g, g.terminals, 1199)
+    assert packing.trees == [] and packing.bound_used == 1199
+    assert len(searched) <= g.k
+
+
+def test_pack_disconnected_terminals_is_empty():
+    g = Graph(4, ((0, 1), (2, 3)), (0, 3))
+    for delta in (1, 3, 10):
+        packing = pack_steiner_trees(g, g.terminals, delta)
+        assert packing.trees == [] and packing.bound_used == delta
 
 
 # ---------------------------------------------------------------------------
