@@ -28,6 +28,7 @@ from roundlab.steiner import disjointness_bound, pack_steiner_trees
 from oracles import aggregate_protocol_reference
 from oracles import disj_oracle as disj_ref
 from oracles import ed_oracle as ed_ref
+from test_transcripts import transcript_digest
 
 
 def parity_of_majorities(k, n):
@@ -222,6 +223,32 @@ def test_aggregate_round_bound_follows_width(make, bits_per):
     diameter = max(tree.diameter for tree, _ in packing.trees)
     assert proto.meta["round_bound"] == m * bits_per + diameter
     assert proto.meta["data_rounds"] <= proto.meta["round_bound"]
+
+
+# name -> (rounds, total bits, sha256 of the transcript) of a count-encoded
+# aggregation: parity_of_majorities at k = 4 sends 2-bit partial counts,
+# which no CLI path builds
+COUNT_PINS = {
+    "ring44": (72, 390,
+        "a03d604de31adc58e729cbdd5cb58e50b9e61009e3f50ff929e7f5f827bfa612"),
+    "grid6": (53, 1202,
+        "0360b64487bab81da4fa78127ee16ece965d3d305f0f4f025fc76e6f58184580"),
+}
+
+
+@pytest.mark.parametrize("name,graph", [
+    ("ring44", ring_of_cliques(4, 4)), ("grid6", grid_graph(6, 6)),
+])
+def test_aggregate_count_transcript_is_pinned(name, graph):
+    n = 32
+    rng = random.Random("count-pin")
+    inputs = {t: tuple(rng.randint(0, 1) for _ in range(n))
+              for t in graph.terminals}
+    packing = disjointness_bound(graph, graph.terminals, n).packing
+    func = parity_of_majorities(graph.k, n)
+    _, tr = _run_aggregate(graph, func, packing, inputs)
+    assert set(tr.outputs.values()) == {func.evaluate(inputs)}
+    assert (tr.rounds, tr.total_bits, transcript_digest(tr)) == COUNT_PINS[name]
 
 
 @pytest.mark.parametrize("graph", [
