@@ -87,19 +87,28 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
     Coordinates split evenly over the trees (m = ceil(n/T) per tree), and
     each tree pipelines one value per coordinate up to the shared root,
     which applies the outer function and broadcasts the answer down the
-    first tree.  The encoding is read off `func.tables`:
+    first tree.  Every vertex keeps one running value per coordinate per
+    tree, seeded with its own bit, folds each child's bit in as it
+    arrives (an omitted bit reads 0) and sends stream position q straight
+    from that value.  The encoding is read off `func.tables`:
 
-    - every table is the all-ones table [0]*k + [1] (DISJ): each vertex
-      sends, per coordinate, one bit, the AND of its own bit (1 at a
-      non-terminal) and its children's bits, and the root's AND is the
-      inner value.  AND is associative, so no carry is needed;
-    - otherwise: bit-serial partial one-counts of the subtree's terminals,
-      ceil(log2 k) bits per coordinate, low bit first with a carry, and
-      the root reads the inner value from the table at the full count.
+    - every table is the all-ones table [0]*k + [1] (DISJ): one bit per
+      coordinate, the AND of the subtree's input bits (seed 1 at a
+      non-terminal), and the root's value is the inner value;
+    - otherwise: the subtree's one-count in bits_per = ceil(log2 k) bits,
+      low bit first (seed 0 at a non-terminal; bit q adds 2^(q mod
+      bits_per)), and the root reads the inner value from the table at
+      the full count.
+
+    A vertex sends position q at round height + 1 + q, after every child
+    bit at a position <= q has arrived; bits at higher positions only add
+    multiples of higher powers of two, so the bit sent is the full
+    partial count's.  A partial count below the root is at most k - 1 <
+    2^bits_per; a larger one is a ContractViolation.
 
     Data rounds stay within meta["round_bound"] = m * bits_per +
-    diameter, bits_per being 1 or ceil(log2 k) by that choice (both are 1
-    at k = 2); broadcast rounds are reported separately in meta.
+    diameter, bits_per being 1 for DISJ (both are 1 at k = 2); broadcast
+    rounds are reported separately in meta.
     """
     terms = tuple(sorted(terminals))
     k = len(terms)
@@ -118,48 +127,48 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
     bits_per = 1 if conjunctive else max(1, math.ceil(math.log2(k)))
 
     shapes = [bfs_tree(g, root, tree.edge_ids) for tree in trees]
-    blocks = [range(j * m, min((j + 1) * m, n)) for j in range(len(trees))]
-    # per vertex, built once: absorb entries (buffer key, child edge, first
-    # round, width), emit entries (tree, own start, width, coords, parent
-    # edge, child buffer keys) and the rounds [lo, hi] it has work in
-    absorb = [[] for _ in range(g.n)]
-    emit = [[] for _ in range(g.n)]
-    spans = [[] for _ in range(g.n)]
+    # per vertex, one plan per tree carrying coordinates: (coords, width,
+    # child edges with their first arrival round, own start, parent edge
+    # or None at the root)
+    plans = [[] for _ in range(g.n)]
     data_rounds = 0
     for j, (parent, depth, children) in enumerate(shapes):
-        coords = blocks[j]
+        coords = range(j * m, min((j + 1) * m, n))
         width = len(coords) * bits_per
-        height = {}
-        for v in sorted(depth, key=lambda x: -depth[x]):
-            kids = [w for _, w in children[v]]
-            height[v] = 1 + max((height[w] for w in kids), default=-1)
         if width == 0:
             continue
+        height = {}
+        for v in sorted(depth, key=lambda x: -depth[x]):
+            height[v] = 1 + max((height[w] for _, w in children[v]),
+                                default=-1)
         for v, kids in children.items():
-            for eid, child in kids:
-                first = height[child] + 2
-                absorb[v].append(((j, child), eid, first, width))
-                spans[v].append((first, first + width - 1))
-            if v == root:
-                continue
-            start = height[v] + 1
-            emit[v].append((j, start, width, coords, parent[v][0],
-                            [(j, child) for _, child in kids]))
-            spans[v].append((start, start + width - 1))
-        for _, child in children[root]:
-            data_rounds = max(data_rounds, height[child] + width)
+            arrivals = [(eid, height[w] + 2) for eid, w in kids]
+            up = parent[v][0] if v != root else None
+            plans[v].append((coords, width, arrivals, height[v] + 1, up))
+        data_rounds = max([data_rounds] + [height[w] + width
+                                           for _, w in children[root]])
     parent0, depth0, children0 = shapes[0]
     bcast_rounds = max((depth0[t] for t in terms), default=0)
-    spans[root].append((data_rounds + 1, data_rounds + 1))
-    for v, d in depth0.items():
-        spans[v].append((data_rounds + d + 1, data_rounds + d + 1))
-    busy = [(min(lo for lo, _ in s), max(hi for _, hi in s)) if s else (1, 0)
-            for s in spans]
+    relay = {v: data_rounds + d + 1 for v, d in depth0.items()}
+    # the rounds [lo, hi] each vertex has work in
+    busy = []
+    for v, vplans in enumerate(plans):
+        spans = [(first, first + width - 1)
+                 for _, width, arrivals, _, _ in vplans
+                 for _, first in arrivals]
+        spans += [(start, start + width - 1)
+                  for _, width, _, start, up in vplans if up is not None]
+        if v in relay:
+            spans.append((relay[v], relay[v]))
+        busy.append((min(lo for lo, _ in spans), max(hi for _, hi in spans))
+                    if spans else (1, 0))
     term_set = set(terms)
 
     def init(v, _g, block):
-        buf = {key: [0] * width for key, _, _, width in absorb[v]}
-        return {"in": block, "buf": buf, "carry": {}, "bcast": None}
+        # one running value per coordinate of each plan, seeded with the
+        # vertex's own bit (the AND's or the count's identity off a terminal)
+        return [[int(conjunctive) if block is None else block[c]
+                 for c in coords] for coords, *_ in plans[v]]
 
     def step(v, rnd, state, inbox, pub):
         lo, hi = busy[v]
@@ -167,67 +176,37 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
             return {}, state, None
         sends = {}
         out = None
-        buf = state["buf"]
-        # absorb stream bits from children, per tree
-        for key, eid, first, width in absorb[v]:
-            q = rnd - first
-            if 0 <= q < width and eid in inbox:
-                buf[key][q] = inbox[eid]
-        # emit own aggregated stream positions
-        for j, start, width, coords, eid, keys in emit[v]:
+        for (_, width, arrivals, start, up), acc in zip(plans[v], state):
+            for eid, first in arrivals:
+                q = rnd - first
+                if 0 <= q < width and conjunctive:
+                    acc[q] &= inbox.get(eid, 0)
+                elif 0 <= q < width:
+                    acc[q // bits_per] += inbox.get(eid, 0) << q % bits_per
             q = rnd - start
-            if 0 <= q < width and conjunctive:
-                bit = 1
-                if v in term_set and state["in"] is not None:
-                    bit = state["in"][coords[q]]
-                for key in keys:
-                    bit &= buf[key][q]
-                sends[eid] = bit
-            elif 0 <= q < width:
-                bitpos = q % bits_per
-                total = state["carry"].get(j, 0)
-                if bitpos == 0:
-                    if total:
-                        raise ContractViolation("carry persisted across coords")
-                    if v in term_set and state["in"] is not None:
-                        total += state["in"][coords[q // bits_per]]
-                for key in keys:
-                    total += buf[key][q]
-                sends[eid] = total & 1
-                state["carry"][j] = total >> 1
-        # the root finishes the data phase, computes, and starts broadcast
-        if rnd == data_rounds + 1 and v == root:
-            inner = []
-            for j, (_, _, children) in enumerate(shapes):
-                for ci, coord in enumerate(blocks[j]):
-                    if conjunctive:
-                        bit = 1 if state["in"] is None else state["in"][coord]
-                        for _, child in children[root]:
-                            bit &= buf[(j, child)][ci]
-                        inner.append((coord, bit))
-                        continue
-                    count = state["in"][coord] if state["in"] is not None else 0
-                    for _, child in children[root]:
-                        stream = buf[(j, child)]
-                        for bp in range(bits_per):
-                            count += stream[ci * bits_per + bp] << bp
-                    inner.append((coord, func.tables[coord][count]))
-            inner.sort()
-            answer = int(func.outer(tuple(bit for _, bit in inner)))
-            state["bcast"] = answer
-            out = answer
-        # broadcast relay down the first tree
-        if v in depth0 and rnd == data_rounds + depth0[v] + 1:
-            if state["bcast"] is None:
-                eid, _ = parent0[v]
-                if eid not in inbox:
+            if up is not None and 0 <= q < width:
+                value = acc[q // bits_per]
+                if value >> bits_per:
                     raise ContractViolation(
-                        f"broadcast bit missing at vertex {v} round {rnd}")
-                state["bcast"] = inbox[eid]
-                if v in term_set:
-                    out = state["bcast"]
+                        f"partial count {value} at vertex {v} overflows "
+                        f"{bits_per} bits")
+                sends[up] = value >> q % bits_per & 1
+        # the answer floods down the first tree, the root computing it
+        if rnd == relay.get(v):
+            if v == root:
+                inner = [value if conjunctive else func.tables[c][value]
+                         for (coords, *_), acc in zip(plans[v], state)
+                         for c, value in zip(coords, acc)]
+                answer = int(func.outer(tuple(inner)))
+            elif parent0[v][0] in inbox:
+                answer = inbox[parent0[v][0]]
+            else:
+                raise ContractViolation(
+                    f"broadcast bit missing at vertex {v} round {rnd}")
             for eid, _ in children0[v]:
-                sends[eid] = state["bcast"]
+                sends[eid] = answer
+            if v in term_set:
+                out = answer
         return sends, state, out
 
     return ProtocolSpec(

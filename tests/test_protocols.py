@@ -124,6 +124,34 @@ def test_aggregate_round_accounting_vs_transcript():
         proto.meta["broadcast_rounds"] + 2
 
 
+def test_aggregate_partial_count_past_its_width_raises():
+    # k = 4 counts in 2 bits; a non-bit input of 2 at terminal 2 takes the
+    # centre's partial count to 4, whose high bit no position can carry
+    g = star_graph(4)
+    packing = pack_steiner_trees(g, g.terminals, delta=2)
+    inputs = {1: (0,), 2: (2,), 3: (1,), 4: (1,)}
+    with pytest.raises(ContractViolation,
+                       match="partial count 4 at vertex 0 overflows 2 bits"):
+        _run_aggregate(g, parity_of_majorities(4, 1), packing, inputs)
+
+
+def test_aggregate_missing_broadcast_bit_raises():
+    g = star_graph(3)
+    packing = pack_steiner_trees(g, g.terminals, delta=2)
+    proto = steiner_aggregate_protocol(g, g.terminals, packing,
+                                       disjointness_function(3, 2))
+    last = proto.meta["data_rounds"]
+
+    def deaf(v, rnd, state, inbox, pub):
+        return proto.step(v, rnd, state, inbox if rnd <= last else {}, pub)
+
+    with pytest.raises(ContractViolation,
+                       match=f"broadcast bit missing at vertex 0 round "
+                             f"{last + 2}"):
+        run_protocol(g, ProtocolSpec(proto.max_rounds, proto.init, deaf),
+                     {1: (1, 0), 2: (1, 1), 3: (0, 1)})
+
+
 @st.composite
 def aggregate_cases(draw):
     """A connected multigraph (a random spanning tree, up to three copies
