@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import GraphError
+from .graphs import GraphError, is_integer
 
 # each gate kind above level 0: its fan-in, and its value given its
 # argument values
@@ -38,6 +38,10 @@ class BooleanCircuit:
     levels: tuple
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("k", self.k)):
+            if not is_integer(value):
+                raise GraphError(
+                    f"circuit {name} must be an integer, got {value!r}")
         if not self.levels:
             raise GraphError("circuit needs at least the input level")
         for pos, gate in enumerate(self.levels[0]):
@@ -94,7 +98,7 @@ def circuit_from_json(obj):
     try:
         levels = tuple(tuple(Gate(g["kind"], tuple(g["inputs"])) for g in lv)
                        for lv in obj["levels"])
-        return BooleanCircuit(int(obj["n"]), int(obj["k"]), levels)
+        return BooleanCircuit(obj["n"], obj["k"], levels)
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed circuit JSON: {exc}") from exc
 

@@ -23,7 +23,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .graphs import GraphError, bfs, bfs_tree
+from .graphs import GraphError, bfs, bfs_tree, is_integer
 from .sim import ProtocolSpec
 
 
@@ -41,6 +41,9 @@ class DistributedGraphInput:
 
     def __post_init__(self):
         self.terminals = tuple(sorted(self.terminals))
+        if not is_integer(self.num_vertices):
+            raise GraphError(f"H vertex count n must be an integer, "
+                             f"got {self.num_vertices!r}")
         if self.num_vertices < 0:
             raise GraphError(
                 f"H vertex count n must be >= 0, got {self.num_vertices}")
@@ -48,6 +51,8 @@ class DistributedGraphInput:
             if len(e) != 2:
                 raise GraphError(f"H edge {list(e)} is not a vertex pair")
             u, v = e
+            if not (is_integer(u) and is_integer(v)):
+                raise GraphError(f"H edge {list(e)} has a non-integer vertex")
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise GraphError("H edge out of range")
             if u == v:
@@ -126,7 +131,7 @@ def instance_from_json(obj):
         assignment = (tuple(obj["assignment"]) if mode == "edge"
                       else {int(v): o for v, o in obj["assignment"].items()})
         return DistributedGraphInput(
-            num_vertices=int(obj["H"]["n"]),
+            num_vertices=obj["H"]["n"],
             edges=tuple(tuple(e) for e in obj["H"]["edges"]),
             mode=mode,
             terminals=tuple(obj["terminals"]),

@@ -14,6 +14,7 @@ centre trees and the flooding's next hops.
 from __future__ import annotations
 
 import json
+import numbers
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,13 @@ class GraphError(ValueError):
 
 class UnreachableError(RuntimeError):
     """Raised when a routing query involves disconnected endpoints."""
+
+
+def is_integer(value):
+    """Whether `value` is an integer: vertices, counts and sizes read from
+    JSON may not be floats (which would be truncated or used as indices)
+    or booleans."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -40,17 +48,25 @@ class Graph:
     terminals: tuple
 
     def __post_init__(self):
+        if not is_integer(self.n):
+            raise GraphError(
+                f"vertex count n must be an integer, got {self.n!r}")
         if self.n <= 0:
             raise GraphError("graph needs at least one vertex")
         norm = []
         for e in self.edges:
             u, v = e
+            if not (is_integer(u) and is_integer(v)):
+                raise GraphError(f"edge {list(e)} has a non-integer vertex")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"edge {e} out of range for n={self.n}")
             norm.append((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", tuple(norm))
+        for t in self.terminals:
+            if not is_integer(t):
+                raise GraphError(f"terminal {t!r} is not an integer")
         terms = tuple(sorted(self.terminals))
         if not terms:
             raise GraphError("terminal set must be nonempty")
@@ -286,7 +302,7 @@ def graph_to_json(g):
 
 def graph_from_json(obj):
     try:
-        return Graph(int(obj["n"]),
+        return Graph(obj["n"],
                      tuple(tuple(e) for e in obj["edges"]),
                      tuple(obj["terminals"]))
     except (KeyError, TypeError) as exc:

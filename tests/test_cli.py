@@ -614,11 +614,17 @@ def test_malformed_instance_exit_code(tmp_path, capsys, patch):
     ({"n": -1, "edges": []}, "node", {}, "H vertex count n must be >= 0"),
     ({"n": 3, "edges": [[0, 1, 2]]}, "edge", [0],
      "H edge [0, 1, 2] is not a vertex pair"),
-], ids=["negative-n", "edge-triple"])
+    ({"n": 3, "edges": [[0, 1.5]]}, "edge", [0],
+     "H edge [0, 1.5] has a non-integer vertex"),
+    ({"n": 2.7, "edges": [[0, 1]]}, "edge", [0],
+     "H vertex count n must be an integer, got 2.7"),
+], ids=["negative-n", "edge-triple", "float-vertex", "float-n"])
 def test_invalid_instance_field_exit_code(tmp_path, capsys, h, mode,
                                           assignment, message):
-    # each exited 3 naming neither field nor edge: "math domain error"
-    # from the flooding's log2, "too many values to unpack (expected 2)"
+    # each exited 3 naming neither field nor edge ("math domain error"
+    # from the flooding's log2, "too many values to unpack (expected 2)",
+    # a bare "1.5" from a KeyError), or, for n = 2.7, solved a 2-vertex H
+    # and exited 0
     gpath = _write_graph(tmp_path, clique(2))
     ipath = tmp_path / "inst.json"
     ipath.write_text(json.dumps({"H": h, "mode": mode,
@@ -629,6 +635,41 @@ def test_invalid_instance_field_exit_code(tmp_path, capsys, h, mode,
     err = capsys.readouterr().err
     assert code == 3 and "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("graph,message", [
+    ({"n": 3, "edges": [[0, 1], [0, 1.5]], "terminals": [0, 1]},
+     "edge [0, 1.5] has a non-integer vertex"),
+    ({"n": 3, "edges": [[0, 1], [1, 2]], "terminals": [0, 1.5]},
+     "terminal 1.5 is not an integer"),
+    ({"n": 2.7, "edges": [[0, 1]], "terminals": [0, 1]},
+     "vertex count n must be an integer, got 2.7"),
+], ids=["float-vertex", "float-terminal", "float-n"])
+@pytest.mark.parametrize("argv", [["tau-route", "--nprime", "1"],
+                                  ["disj-bound", "--n", "4"]],
+                         ids=["tau-route", "disj-bound"])
+def test_non_integer_graph_exit_code(tmp_path, capsys, graph, message, argv):
+    # a float vertex escaped as a raw TypeError (list indices must be
+    # integers), and n = 2.7 was truncated to 2 and exited 0
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(graph))
+    code = main(argv[:1] + ["--graph", str(gpath)] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize("field,value", [("n", 1.9), ("k", 2.2)])
+def test_non_integer_circuit_size_exit_code(tmp_path, capsys, field, value):
+    # both were truncated by int(), and the circuit compiled with exit 0
+    gpath = _write_graph(tmp_path, clique(2))
+    obj = circuit_to_json(build_ed_circuit(2, 1)[0])
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({**obj, field: value}))
+    code = main(["compile", "--graph", gpath, "--circuit", str(cpath)])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert f"circuit {field} must be an integer, got {value}" in err
 
 
 def test_solve_edge_instance_for_other_terminals_exit_code(tmp_path, capsys):
