@@ -19,7 +19,6 @@ from .graphs import GraphError, UnreachableError, bfs, tree_terminal_diameter
 @dataclass(frozen=True)
 class SteinerTree:
     edge_ids: frozenset
-    terminals: tuple
     diameter: int
 
 
@@ -112,7 +111,7 @@ def _pack_greedy(g, terms, delta):
             if diam <= delta:
                 # the terminals' paths up a BFS tree form a tree that
                 # spans the terminals, and diam is its diameter
-                found = SteinerTree(frozenset(keep), terms, diam)
+                found = SteinerTree(frozenset(keep), diam)
                 break
         if found is None:
             break
