@@ -40,6 +40,9 @@ class DistributedGraphInput:
     names: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for t in self.terminals:
+            if not is_integer(t):
+                raise GraphError(f"instance terminal {t!r} is not an integer")
         self.terminals = tuple(sorted(self.terminals))
         if not is_integer(self.num_vertices):
             raise GraphError(f"H vertex count n must be an integer, "
@@ -68,6 +71,9 @@ class DistributedGraphInput:
         terms = set(self.terminals)
         vals = (self.assignment.values() if self.mode == "node"
                 else self.assignment)
+        for t in vals:
+            if not is_integer(t):
+                raise GraphError(f"owner {t!r} is not an integer")
         if any(t not in terms for t in vals):
             raise GraphError("owner outside the terminal set")
 

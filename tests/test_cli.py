@@ -610,26 +610,32 @@ def test_malformed_instance_exit_code(tmp_path, capsys, patch):
     assert "malformed instance JSON" in err
 
 
-@pytest.mark.parametrize("h,mode,assignment,message", [
-    ({"n": -1, "edges": []}, "node", {}, "H vertex count n must be >= 0"),
-    ({"n": 3, "edges": [[0, 1, 2]]}, "edge", [0],
+@pytest.mark.parametrize("h,mode,assignment,terminals,message", [
+    ({"n": -1, "edges": []}, "node", {}, [0, 1],
+     "H vertex count n must be >= 0"),
+    ({"n": 3, "edges": [[0, 1, 2]]}, "edge", [0], [0, 1],
      "H edge [0, 1, 2] is not a vertex pair"),
-    ({"n": 3, "edges": [[0, 1.5]]}, "edge", [0],
+    ({"n": 3, "edges": [[0, 1.5]]}, "edge", [0], [0, 1],
      "H edge [0, 1.5] has a non-integer vertex"),
-    ({"n": 2.7, "edges": [[0, 1]]}, "edge", [0],
+    ({"n": 2.7, "edges": [[0, 1]]}, "edge", [0], [0, 1],
      "H vertex count n must be an integer, got 2.7"),
-], ids=["negative-n", "edge-triple", "float-vertex", "float-n"])
+    ({"n": 2, "edges": [[0, 1]]}, "node", {"0": 0, "1": True}, [0, 1],
+     "owner True is not an integer"),
+    ({"n": 2, "edges": [[0, 1]]}, "edge", [0], [0, 1.0],
+     "instance terminal 1.0 is not an integer"),
+], ids=["negative-n", "edge-triple", "float-vertex", "float-n", "bool-owner",
+        "float-terminal"])
 def test_invalid_instance_field_exit_code(tmp_path, capsys, h, mode,
-                                          assignment, message):
+                                          assignment, terminals, message):
     # each exited 3 naming neither field nor edge ("math domain error"
     # from the flooding's log2, "too many values to unpack (expected 2)",
-    # a bare "1.5" from a KeyError), or, for n = 2.7, solved a 2-vertex H
-    # and exited 0
+    # a bare "1.5" from a KeyError), or was solved with exit 0: n = 2.7 as
+    # a 2-vertex H, and True or 1.0 as terminal 1
     gpath = _write_graph(tmp_path, clique(2))
     ipath = tmp_path / "inst.json"
     ipath.write_text(json.dumps({"H": h, "mode": mode,
                                  "assignment": assignment,
-                                 "terminals": [0, 1]}))
+                                 "terminals": terminals}))
     code = main(["solve", "--variant", "connectivity", "--graph", gpath,
                  "--instance", str(ipath)])
     err = capsys.readouterr().err
