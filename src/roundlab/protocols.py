@@ -3,13 +3,15 @@
 Aggregation handles any outer function composed with per-coordinate
 symmetric inner functions: coordinate blocks are pipelined up each packed
 tree (one-round latency per hop), the common root finishes the
-computation, and the answer floods back down.  Where every inner table is
-"all k ones" (DISJ), each coordinate travels as one bit, the AND of the
-subtree's input bits; otherwise as a bit-serial partial one-count of
-ceil(log2 k) bits, low bit first.  The compiler maps circuit gates to
-random terminals (load balanced by rejection resampling) and ships each
-level's gate values with the integral timed-graph router, one window of
-rounds per level.
+computation, and the answer floods back down.  Each vertex folds its
+children's streams into one running value per coordinate per tree.
+Where every inner table is "all k ones" (DISJ), that value is the AND of
+the subtree's input bits and travels as one bit; otherwise it is the
+subtree's one-count and travels as ceil(log2 k) bits, low bit first.
+
+The compiler maps circuit gates to random terminals (load balanced by
+rejection resampling) and ships each level's gate values with the
+integral timed-graph router, one window of rounds per level.
 """
 
 from __future__ import annotations

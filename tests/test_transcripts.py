@@ -5,6 +5,8 @@ k = 2 DISJ aggregation, the protocol that the `route` benchmark's cut
 certificate runs.  The `solve` cases pin all four flooding variants:
 `components` on the and-disj instance takes the restart path, and
 `acyclicity` on an or-disj instance stops early on a duplicate token.
+No CLI path builds a count-encoded aggregation, so `test_protocols.py`
+pins that one with the same digest.
 
 Each case runs the CLI as the golden set or the `mcf` benchmark
 workload does, with `run_protocol` wrapped to keep the transcript; the
