@@ -169,8 +169,9 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
     def init(v, _g, block):
         # one running value per coordinate of each plan, seeded with the
         # vertex's own bit (the AND's or the count's identity off a terminal)
-        return [[int(conjunctive) if block is None else block[c]
-                 for c in coords] for coords, *_ in plans[v]]
+        return [[int(conjunctive)] * len(coords) if block is None
+                else list(block[coords.start:coords.stop])
+                for coords, *_ in plans[v]]
 
     def step(v, rnd, state, inbox, pub):
         lo, hi = busy[v]
@@ -186,7 +187,9 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
                 elif 0 <= q < width:
                     acc[q // bits_per] += inbox.get(eid, 0) << q % bits_per
             q = rnd - start
-            if up is not None and 0 <= q < width:
+            if up is not None and 0 <= q < width and conjunctive:
+                sends[up] = acc[q]
+            elif up is not None and 0 <= q < width:
                 value = acc[q // bits_per]
                 if value >> bits_per:
                     raise ContractViolation(
