@@ -54,12 +54,16 @@ class BooleanCircuit:
         for li in range(1, len(self.levels)):
             prev = len(self.levels[li - 1])
             consumers = [0] * prev
-            for gate in self.levels[li]:
+            for pos, gate in enumerate(self.levels[li]):
                 if gate.kind not in FAN_IN:
                     raise GraphError(f"bad gate kind {gate.kind!r} above level 0")
                 if len(gate.args) != FAN_IN[gate.kind]:
                     raise GraphError(f"{gate.kind} needs {FAN_IN[gate.kind]} args")
                 for a in gate.args:
+                    if not is_integer(a):
+                        raise GraphError(
+                            f"level {li} gate {pos} has a non-integer input "
+                            f"{a!r}")
                     if not 0 <= a < prev:
                         raise GraphError("wire does not connect adjacent levels")
                     consumers[a] += 1

@@ -131,11 +131,22 @@ class DistributedGraphInput:
         }
 
 
+def _vertex_key(key):
+    """A node-mode assignment key as an H vertex; JSON writes it as a
+    decimal string."""
+    try:
+        return key if is_integer(key) else int(str(key))
+    except ValueError:
+        raise GraphError(
+            f"assignment key {key!r} is not an integer vertex") from None
+
+
 def instance_from_json(obj):
     try:
         mode = obj["mode"]
         assignment = (tuple(obj["assignment"]) if mode == "edge"
-                      else {int(v): o for v, o in obj["assignment"].items()})
+                      else {_vertex_key(v): o
+                            for v, o in obj["assignment"].items()})
         return DistributedGraphInput(
             num_vertices=obj["H"]["n"],
             edges=tuple(tuple(e) for e in obj["H"]["edges"]),
@@ -548,6 +559,34 @@ def bfs_protocol(g, terminals, inp, variant):
             for eid, child in s_children[v_self]:
                 sends[eid] = state["downbits"][r - my_down]
 
+    # each vertex's checkpoint windows, as offsets into the checkpoint:
+    # its children's up window through its own up send, its down
+    # receive/send window, and the last round (the tree's leaves and root
+    # are stepped a few rounds early or late, which is harmless)
+    sync_windows = {}
+    for v, delta in s_depth.items():
+        my_win = (depth_max - delta) * w_up
+        my_down = down_start + delta * w_down
+        sync_windows[v] = ((my_win - w_up + 1, my_win + w_up - 1),
+                           (my_down - w_down + 1, my_down + w_down - 1),
+                           (sync_len - 1, sync_len - 1))
+
+    def wake(v, rnd, state):
+        """In transport, the next round while a frame is to inject, send,
+        receive or start, else the chunk's last round; in a checkpoint,
+        the next of v's sync windows; once done, never."""
+        start = state["start"]
+        if state["phase"] == "transport":
+            if (state["inject"] is not None or state["tx"] or state["rx"]
+                    or any(state["queues"].values())):
+                return rnd + 1, rnd + 1
+            return start + chunk_len - 1, start + chunk_len - 1
+        if state["phase"] == "sync":
+            for lo, hi in sync_windows[v]:
+                if start + hi > rnd:
+                    return start + lo, start + hi
+        return None
+
     def step(v, rnd, state, inbox, pub):
         """One round of vertex v; every vertex changes phase in the same
         round, at the last round of a chunk or a checkpoint."""
@@ -578,4 +617,5 @@ def bfs_protocol(g, terminals, inp, variant):
                                else bool(answer))
         return sends, state, out
 
-    return ProtocolSpec(max_rounds=max_rounds, init=init, step=step)
+    return ProtocolSpec(max_rounds=max_rounds, init=init, step=step,
+                        wake=wake)

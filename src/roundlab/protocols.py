@@ -20,12 +20,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .circuits import GATE_OPS
 from .graphs import GraphError, bfs_tree
 from .mcf import route_unit_demands, tau_mcf
-from .sim import ContractViolation, ProtocolSpec
+from .sim import ContractViolation, ProtocolSpec, fixed_windows
 
 # random gate assignments drawn before compilation gives up
 ASSIGN_RESAMPLES = 64
@@ -152,18 +152,15 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
     parent0, depth0, children0 = shapes[0]
     bcast_rounds = max((depth0[t] for t in terms), default=0)
     relay = {v: data_rounds + d + 1 for v, d in depth0.items()}
-    # the rounds [lo, hi] each vertex has work in
-    busy = []
-    for v, vplans in enumerate(plans):
-        spans = [(first, first + width - 1)
-                 for _, width, arrivals, _, _ in vplans
-                 for _, first in arrivals]
-        spans += [(start, start + width - 1)
-                  for _, width, _, start, up in vplans if up is not None]
-        if v in relay:
-            spans.append((relay[v], relay[v]))
-        busy.append((min(lo for lo, _ in spans), max(hi for _, hi in spans))
-                    if spans else (1, 0))
+    # the rounds each vertex has work in: its children's streams, its own
+    # stream and its broadcast relay
+    spans = [[(first, first + width - 1)
+              for _, width, arrivals, _, _ in vplans for _, first in arrivals]
+             + [(start, start + width - 1)
+                for _, width, _, start, up in vplans if up is not None]
+             for vplans in plans]
+    for v, rnd in relay.items():
+        spans[v].append((rnd, rnd))
     term_set = set(terms)
 
     def init(v, _g, block):
@@ -174,9 +171,6 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
                 for coords, *_ in plans[v]]
 
     def step(v, rnd, state, inbox, pub):
-        lo, hi = busy[v]
-        if rnd < lo or rnd > hi:
-            return {}, state, None
         sends = {}
         out = None
         for (_, width, arrivals, start, up), acc in zip(plans[v], state):
@@ -221,6 +215,7 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
         meta={"data_rounds": data_rounds, "broadcast_rounds": bcast_rounds,
               "block_size": m,
               "round_bound": m * bits_per + max(t.diameter for t in trees)},
+        wake=fixed_windows(spans),
     )
 
 
@@ -362,6 +357,14 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
     bcast_depth = max(depth_b[t] for t in terms)
     max_rounds = answer_round + bcast_depth + 2
     term_set = set(terms)
+    # the rounds each vertex receives, sends, evaluates or relays the
+    # answer in; a receipt would get its step from the mail anyway, but
+    # inside a window it costs no re-arming
+    spans = [[] for _ in range(g.n)]
+    for rnd, v, *_ in chain(send_plan, recv_plan, evaluations):
+        spans[v].append((rnd, rnd))
+    for v, d in depth_b.items():
+        spans[v].append((answer_round + d, answer_round + d))
 
     def init(v, _g, block):
         if v in input_layout and block is not None:
@@ -408,6 +411,7 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
               "data_rounds": data_rounds,
               "broadcast_rounds": bcast_depth,
               "assignment": tuple(tuple(row) for row in assignment)},
+        wake=fixed_windows(spans),
     )
 
 

@@ -819,3 +819,35 @@ def two_party_reference(g, protocol, lv, inputs, seed=0):
         raise ExtractionError((a, b, -1, tau))
     return TwoPartyTranscript(tuple(messages),
                               party_a.outputs[a], party_b.outputs[b])
+
+
+def extraction_failure_reference(g, lv):
+    """The origin of the ExtractionError that `extract_two_party` raises
+    first, or None, by scanning every directed edge in every round.
+
+    Party a' owns v != b in round t iff t <= tau and lvl_v <= 2*tau+1-t,
+    party b' owns v != a iff t <= tau and lvl_v >= t.  In round t, an arc
+    that does not cross fails when a party owns its head in round t+1
+    but not its tail in round t (edge order); then a crossing arc fails
+    when its party does not own its tail (sorted, a'->b' first)."""
+    tau = lv.horizon // 2
+    last = 2 * tau + 1
+    levels = lv.levels
+    owns = (lambda v, t: t <= tau and v != lv.b and levels[v] <= last - t,
+            lambda v, t: t <= tau and v != lv.a and levels[v] >= t)
+    for t in range(1, tau + 1):
+        rules = ([], [])
+        for eid, (x, y) in enumerate(g.edges):
+            for u, v in ((x, y), (y, x)):
+                if levels[u] < t < levels[v]:
+                    rules[0].append((u, v, eid))
+                elif levels[v] < last - t < levels[u]:
+                    rules[1].append((u, v, eid))
+                elif any(owns[p](v, t + 1) and not owns[p](u, t)
+                         for p in (0, 1)):
+                    return (u, v, eid, t)
+        for p in (0, 1):
+            for u, v, eid in sorted(rules[p]):
+                if not owns[p](u, t):
+                    return (u, v, eid, t)
+    return None

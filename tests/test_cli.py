@@ -623,8 +623,10 @@ def test_malformed_instance_exit_code(tmp_path, capsys, patch):
      "owner True is not an integer"),
     ({"n": 2, "edges": [[0, 1]]}, "edge", [0], [0, 1.0],
      "instance terminal 1.0 is not an integer"),
+    ({"n": 2, "edges": [[0, 1]]}, "node", {"0": 0, "1.5": 1}, [0, 1],
+     "assignment key '1.5' is not an integer vertex"),
 ], ids=["negative-n", "edge-triple", "float-vertex", "float-n", "bool-owner",
-        "float-terminal"])
+        "float-terminal", "float-assignment-key"])
 def test_invalid_instance_field_exit_code(tmp_path, capsys, h, mode,
                                           assignment, terminals, message):
     # each exited 3 naming neither field nor edge ("math domain error"
@@ -676,6 +678,21 @@ def test_non_integer_circuit_size_exit_code(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert code == 3 and "Traceback" not in err
     assert f"circuit {field} must be an integer, got {value}" in err
+
+
+def test_non_integer_gate_input_exit_code(tmp_path, capsys):
+    # escaped as "malformed circuit JSON: list indices must be integers or
+    # slices, not float", naming neither the gate nor its level
+    gpath = _write_graph(tmp_path, clique(2))
+    obj = circuit_to_json(build_ed_circuit(2, 1)[0])
+    gate = obj["levels"][1][0]
+    gate["inputs"] = [0.5] + gate["inputs"][1:]
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(obj))
+    code = main(["compile", "--graph", gpath, "--circuit", str(cpath)])
+    err = capsys.readouterr().err
+    assert code == 3 and "Traceback" not in err
+    assert "level 1 gate 0 has a non-integer input 0.5" in err
 
 
 def test_solve_edge_instance_for_other_terminals_exit_code(tmp_path, capsys):

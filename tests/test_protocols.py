@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -149,6 +150,13 @@ def test_aggregate_missing_broadcast_bit_raises():
                        match=f"broadcast bit missing at vertex 0 round "
                              f"{last + 2}"):
         run_protocol(g, ProtocolSpec(proto.max_rounds, proto.init, deaf),
+                     {1: (1, 0), 2: (1, 1), 3: (0, 1)})
+    # the relay round is one of the protocol's own wake windows, so the
+    # deaf vertex is stepped there without mail too
+    with pytest.raises(ContractViolation,
+                       match=f"broadcast bit missing at vertex 0 round "
+                             f"{last + 2}"):
+        run_protocol(g, dataclasses.replace(proto, step=deaf),
                      {1: (1, 0), 2: (1, 1), 3: (0, 1)})
 
 

@@ -1,25 +1,31 @@
+import dataclasses
 import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from roundlab import (
     Graph, path_graph, extract_level_vector, max_route_flow,
     random_connected_graph,
 )
 from roundlab.circuits import build_ed_circuit
+from roundlab.distgraph import VARIANTS, DistributedGraphInput, bfs_protocol
 from roundlab.protocols import (
-    compile_circuit, disjointness_function, steiner_aggregate_protocol,
+    ComposedFunction, compile_circuit, disjointness_function,
+    steiner_aggregate_protocol,
 )
 from roundlab.sim import (
     ContractViolation, ExtractionError, MaxRoundsExceeded, ProtocolSpec,
-    PublicRandomness, extract_two_party, replay_matches, run_protocol,
+    PublicRandomness, extract_two_party, fixed_windows, replay_matches,
+    run_protocol,
 )
-from roundlab.steiner import disjointness_bound
+from roundlab.steiner import disjointness_bound, pack_steiner_trees
 from roundlab.timed import LevelVector
 
-from oracles import disj_oracle, ed_oracle, two_party_reference
+from oracles import (
+    disj_oracle, ed_oracle, extraction_failure_reference, two_party_reference,
+)
 
 
 def _prf_bit(*args):
@@ -332,3 +338,198 @@ def test_extract_compiled_ed_matches_run():
     assert ed_oracle(list(inputs.values())) == 1
     assert tr.outputs == {0: 1, 2: 1}
     assert (two.output_a, two.output_b) == (1, 1)
+
+
+@st.composite
+def level_vector_cases(draw):
+    """A random connected multigraph with two terminals, a random
+    full-send or subset-send protocol (1-4 rounds) and random levels in
+    [0, 2*tau+1], half the time with the endpoints' levels fixed at 0
+    and 2*tau+1: most such vectors are no min cut, so the extraction
+    often fails."""
+    size = draw(st.integers(2, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, size)]
+    pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    edges += draw(st.lists(pair.filter(lambda e: e[0] != e[1]),
+                           max_size=4))
+    a, b = sorted(draw(st.lists(st.integers(0, size - 1), min_size=2,
+                                max_size=2, unique=True)))
+    g = Graph(size, tuple(edges), (a, b))
+    rounds = draw(st.integers(1, 4))
+    protocol = make_random_protocol(g, rounds, draw(st.integers(0, 999)),
+                                    subset=draw(st.booleans()))
+    levels = draw(st.lists(st.integers(0, 2 * rounds + 1), min_size=size,
+                           max_size=size))
+    if draw(st.booleans()):
+        levels[a], levels[b] = 0, 2 * rounds + 1
+    lv = LevelVector(a, b, 2 * rounds, tuple(levels), 0)
+    inputs = {a: (draw(st.integers(0, 1)),), b: (draw(st.integers(0, 1)),)}
+    return g, protocol, lv, inputs
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_vector_cases())
+def test_extraction_fails_where_the_scan_does(case):
+    # the per-arc failure rules against a scan of every arc in every
+    # round; without a failure, every message is the bit the simulator
+    # sends (an omitted one as 0)
+    g, protocol, lv, inputs = case
+    a, b = g.terminals
+    want = extraction_failure_reference(g, lv)
+    try:
+        two = extract_two_party(g, protocol, lv, inputs, seed=1)
+    except ExtractionError as exc:
+        assert exc.origin == (want or (a, b, -1, protocol.max_rounds))
+        return
+    assert want is None
+    tr = run_protocol(g, protocol, inputs, seed=1)
+    for _, bit, (u, v, eid, t) in two.messages:
+        assert bit == tr.bits[t - 1].get((u, v, eid), 0)
+    assert (two.output_a, two.output_b) == (tr.outputs[a], tr.outputs[b])
+
+
+# ---------------------------------------------------------------------------
+# wake windows: a run steps only the vertices with an open window or mail
+
+def test_fixed_windows_merge_and_skip_past_rounds():
+    wake = fixed_windows([[(5, 6), (1, 2), (3, 3), (9, 9)], []])
+    assert [wake(0, rnd, None) for rnd in (0, 2, 3, 6, 8, 9)] == [
+        (1, 3), (1, 3), (5, 6), (9, 9), (9, 9), None]
+    assert wake(1, 0, None) is None
+
+
+def test_mail_steps_a_vertex_without_windows():
+    # vertex 1 declares no window: only vertex 0's bit gets it stepped
+    g = Graph(2, ((0, 1),), (0, 1))
+    calls = []
+
+    def step(v, rnd, state, inbox, pub):
+        calls.append((v, rnd))
+        if v == 0 and rnd == 3:
+            return {0: 1}, state, 1
+        return {}, state, inbox.get(0)
+
+    wake = fixed_windows([[(3, 3)], []])
+    tr = run_protocol(g, ProtocolSpec(9, lambda v, _g, b: None, step,
+                                      wake=wake), {0: None, 1: None})
+    assert calls == [(0, 3), (1, 4)]
+    assert tr.rounds == 4 and tr.outputs == {0: 1, 1: 1}
+
+
+def _count_function(k, n, tables, flip):
+    """A composed function whose count tables are never DISJ's, so the
+    aggregate sends partial counts."""
+    tables = tuple((1,) + tuple(t[1:]) for t in tables)
+    return ComposedFunction(n, k, lambda bits: (sum(bits) + flip) % 2,
+                            tables)
+
+
+@st.composite
+def wake_cases(draw, two_terminals=False):
+    """A random connected multigraph (a spanning tree, up to two copies of
+    it and extra edges) with k = 2-4 terminals, and a protocol family that
+    declares wake windows: the aggregate with DISJ or with a count
+    encoding (n = 1-6 bits), the compiled ED circuit, or a BFS variant
+    over a random node-distributed H of 1-6 vertices."""
+    size = draw(st.integers(2, 6))
+    spanning = [(draw(st.integers(0, v - 1)), v) for v in range(1, size)]
+    pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    edges = spanning * draw(st.integers(1, 2))
+    edges += draw(st.lists(pair.filter(lambda e: e[0] != e[1]),
+                           max_size=4))
+    k = 2 if two_terminals else draw(st.integers(2, min(4, size)))
+    terms = tuple(sorted(draw(st.lists(st.integers(0, size - 1), min_size=k,
+                                       max_size=k, unique=True))))
+    g = Graph(size, tuple(edges), terms)
+    kinds = ("disj", "count") + (() if two_terminals else ("ed",) + VARIANTS)
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("disj", "count"):
+        n = draw(st.integers(1, 6))
+        packing = pack_steiner_trees(g, terms, draw(st.integers(1, size)))
+        assume(packing.value > 0)
+        if kind == "disj":
+            func = disjointness_function(k, n)
+        else:
+            table = st.lists(st.integers(0, 1), min_size=k + 1,
+                             max_size=k + 1)
+            func = _count_function(k, n, draw(st.lists(table, min_size=n,
+                                                       max_size=n)),
+                                   draw(st.integers(0, 1)))
+        protocol = steiner_aggregate_protocol(g, terms, packing, func)
+        bits = st.tuples(*[st.integers(0, 1)] * n)
+        inputs = {t: draw(bits) for t in terms}
+    elif kind == "ed":
+        m = draw(st.integers(1, 2))
+        circuit, pos = build_ed_circuit(k, m)
+        protocol = compile_circuit(g, terms, circuit,
+                                   seed=draw(st.integers(0, 9)),
+                                   output_pos=pos)
+        bits = st.tuples(*[st.integers(0, 1)] * m)
+        inputs = {t: draw(bits) for t in terms}
+    else:
+        n_h = draw(st.integers(1, 6))
+        h_pair = st.tuples(st.integers(0, n_h - 1), st.integers(0, n_h - 1))
+        h_edges = draw(st.lists(h_pair.filter(lambda e: e[0] < e[1]),
+                                max_size=8, unique=True))
+        owners = draw(st.lists(st.sampled_from(terms), min_size=n_h,
+                               max_size=n_h))
+        inst = DistributedGraphInput(n_h, tuple(h_edges), "node", terms,
+                                     dict(enumerate(owners)))
+        protocol = bfs_protocol(g, terms, inst, kind)
+        inputs = inst.blocks()
+    return g, protocol, inputs, draw(st.integers(0, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(wake_cases())
+def test_wake_windows_match_stepping_every_vertex(case):
+    g, protocol, inputs, seed = case
+    assert protocol.wake is not None
+    tr = run_protocol(g, protocol, inputs, seed=seed)
+    every = run_protocol(g, dataclasses.replace(protocol, wake=None), inputs,
+                         seed=seed)
+    assert tr.rounds == every.rounds
+    assert tr.bits == every.bits
+    assert tr.outputs == every.outputs
+
+
+def _extraction(g, protocol, lv, inputs, seed, extract):
+    try:
+        return extract(g, protocol, lv, inputs, seed=seed)
+    except ExtractionError as exc:
+        return exc.origin
+
+
+@settings(max_examples=60, deadline=None)
+@given(wake_cases(two_terminals=True))
+def test_wake_windows_keep_the_extraction(case):
+    g, protocol, inputs, seed = case
+    lv = _level_vector(g, *g.terminals, protocol)
+    want = _extraction(g, protocol, lv, inputs, seed, two_party_reference)
+    for proto in (protocol, dataclasses.replace(protocol, wake=None)):
+        assert _extraction(g, proto, lv, inputs, seed,
+                           extract_two_party) == want
+
+
+def test_desk_scale_path_certificate_counts_steps():
+    # 2,404 rounds on 1,201 vertices: stepping every vertex in every round
+    # took 2,887,204 step calls; the windows and the mail need 6,004
+    g = path_graph(1200)
+    protocol = _aggregate(g, 4)
+    calls = []
+
+    def step(*args):
+        calls.append(args[0])
+        return protocol.step(*args)
+
+    counted = dataclasses.replace(protocol, step=step)
+    inputs = {0: (1, 0, 1, 1), 1200: (0, 1, 1, 1)}
+    want = disj_oracle([inputs[0], inputs[1200]])
+    tr = run_protocol(g, counted, inputs, seed=0)
+    assert tr.rounds == 2404 and tr.total_bits == 6000
+    assert len(calls) <= 10_000
+    assert tr.outputs == {0: want, 1200: want}
+    lv = _level_vector(g, 0, 1200, protocol)
+    two = extract_two_party(g, protocol, lv, inputs, seed=0)
+    assert two.output_a == two.output_b == want == 1
+    assert two.total_bits <= 2 * lv.cost
