@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -5,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from roundlab import Graph, GraphError, clique, random_connected_graph
+from roundlab import (
+    Graph, GraphError, clique, grid_graph, path_graph, random_connected_graph)
 from roundlab.distgraph import (
     DistributedGraphInput, _pack, _unpack, and_disj_instance, bfs_protocol,
     edge_to_node_rebalance, graph_oracles, instance_from_json,
@@ -240,11 +242,11 @@ def test_rebalance_balance_concentrates():
 # ---------------------------------------------------------------------------
 # flooding protocols
 
-def _random_node_instance(rng, n_h, terms):
+def _random_node_instance(rng, n_h, terms, densities=(0.1, 0.25, 0.5)):
     edges = []
     for u in range(n_h):
         for v in range(u + 1, n_h):
-            if rng.random() < rng.choice((0.1, 0.25, 0.5)):
+            if rng.random() < rng.choice(densities):
                 edges.append((u, v))
     placement = {v: terms[rng.randrange(len(terms))] for v in range(n_h)}
     return DistributedGraphInput(n_h, tuple(edges), "node", terms, placement)
@@ -303,6 +305,10 @@ def test_bfs_and_disj_connectivity_matches_oracle():
         assert ans == bool(and_disj_oracle(strings))
 
 
+VARIANT_QUERIES = (("connectivity", "connected"), ("components", "components"),
+                   ("acyclicity", "acyclic"), ("bipartiteness", "bipartite"))
+
+
 def test_bfs_random_instances_all_variants():
     rng = random.Random(42)
     for case in range(25):
@@ -311,13 +317,75 @@ def test_bfs_random_instances_all_variants():
                                    seed=1000 + case,
                                    k=rng.randint(2, min(3, n_g)))
         inp = _random_node_instance(rng, rng.randint(2, 12), g.terminals)
-        for variant, query in (("connectivity", "connected"),
-                               ("components", "components"),
-                               ("acyclicity", "acyclic"),
-                               ("bipartiteness", "bipartite")):
+        for variant, query in VARIANT_QUERIES:
             ans, _ = _run_variant(g, inp, variant, seed=case)
             want = graph_oracles(inp.num_vertices, inp.edges, query)
             assert ans == want, (case, variant)
+
+
+# communication graphs with deeper sync trees than the random ones above:
+# on a path the non-terminals relay every up record and decision, and a
+# one-vertex graph has a sync tree of depth 0
+DEEP = {"path8": path_graph(8), "path10": path_graph(10),
+        "path12": path_graph(12), "grid4x4": grid_graph(4, 4),
+        "single": Graph(1, (), (0,))}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_bfs_deep_sync_trees_all_variants(name):
+    g = DEEP[name]
+    rng = random.Random(name)
+    for case in range(3):
+        inp = _random_node_instance(rng, rng.randint(2, 12), g.terminals)
+        for variant, query in VARIANT_QUERIES:
+            ans, _ = _run_variant(g, inp, variant, seed=case)
+            want = graph_oracles(inp.num_vertices, inp.edges, query)
+            assert ans == want, (case, variant)
+
+
+def _component_minima(inp):
+    """The least vertex of each component of H, in increasing order."""
+    adj = inp.adjacency()
+    seen, minima = set(), []
+    for s in range(inp.num_vertices):
+        if s not in seen:
+            minima.append(s)
+            stack = [s]
+            seen.add(s)
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+    return minima
+
+
+@pytest.mark.parametrize("name", ["path10", "grid4x4"])
+def test_bfs_restarts_elect_the_min_untokened_vertex(name):
+    # each restart floods from the least vertex that no earlier flood
+    # reached, which is the least vertex of the next component: so the
+    # floods of `components` start at the components' minima in order
+    g = DEEP[name]
+    rng = random.Random(name)
+    restarts = 0
+    for case in range(4):
+        inp = _random_node_instance(rng, rng.randint(8, 14), g.terminals,
+                                    densities=(0.1,))
+        proto = bfs_protocol(g, g.terminals, inp, "components")
+        starts = {}
+
+        def step(v, rnd, state, inbox, pub):
+            if state["inject"] is not None:
+                starts[state["flood"]] = state["inject"]
+            return proto.step(v, rnd, state, inbox, pub)
+
+        tr = run_protocol(g, dataclasses.replace(proto, step=step),
+                          inp.blocks(), seed=case)
+        minima = _component_minima(inp)
+        assert set(tr.outputs.values()) == {len(minima)}
+        assert starts == dict(enumerate(minima, start=1))
+        restarts += len(minima) - 1
+    assert restarts >= 10
 
 
 @pytest.mark.parametrize("variant,want", [

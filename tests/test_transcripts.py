@@ -13,6 +13,12 @@ workload does, with `run_protocol` wrapped to keep the transcript; the
 digest covers each round's sorted (tail, head, edge_id) -> bit items,
 then the sorted outputs.  A refactor of a protocol must leave them
 unchanged.
+
+`FLOODS` splits each `solve` case's rounds into its transport chunks and
+its checkpoints.  A checkpoint reads only transport state, which does not
+move while it runs, so a change to the checkpoint's schedule may change
+its length, `meta["sync_len"]`, and nothing else: not the answer, the
+bits, the transport rounds or the checkpoint count.
 """
 
 import hashlib
@@ -22,6 +28,7 @@ import random
 import pytest
 
 import roundlab.cli as cli_mod
+import roundlab.distgraph as distgraph
 from roundlab import (
     clique, format_graph_text, grid_graph, intro_split_graph, ring_of_cliques)
 from roundlab.circuits import build_ed_circuit, circuit_to_json
@@ -117,8 +124,19 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_transcript_is_pinned(name, tmp_path, capsys, monkeypatch):
+# name -> (answer, total bits, transport rounds, checkpoints)
+FLOODS = {
+    "solve-grid6": (False, 8520, 896, 6),
+    "solve-ring44": (False, 2862, 448, 5),
+    "solve-ring44-components": (2, 3690, 504, 7),
+    "solve-ring44-bipartiteness": (True, 3690, 504, 7),
+    "solve-ring44-or-acyclicity": (False, 3570, 384, 7),
+    "solve-ring44-or-bipartiteness": (False, 3570, 384, 7),
+}
+
+
+def _run_case(name, tmp_path, capsys, monkeypatch):
+    """The case's one transcript and its printed JSON output."""
     seen = []
 
     def keep(*args, **kwargs):
@@ -128,6 +146,29 @@ def test_transcript_is_pinned(name, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "run_protocol", keep)
     argv = CASES[name].format_map(_files(tmp_path)).split()
     assert cli_mod.main(argv) == 0
-    capsys.readouterr()
     [tr] = seen
+    return tr, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_transcript_is_pinned(name, tmp_path, capsys, monkeypatch):
+    tr, _ = _run_case(name, tmp_path, capsys, monkeypatch)
     assert (tr.rounds, tr.total_bits, transcript_digest(tr)) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FLOODS))
+def test_solve_rounds_are_transport_plus_checkpoints(
+        name, tmp_path, capsys, monkeypatch):
+    specs = []
+
+    def build(*args, **kwargs):
+        specs.append(distgraph.bfs_protocol(*args, **kwargs))
+        return specs[-1]
+
+    monkeypatch.setattr(cli_mod, "bfs_protocol", build)
+    tr, out = _run_case(name, tmp_path, capsys, monkeypatch)
+    answer, bits, transport, checkpoints = FLOODS[name]
+    [meta] = [spec.meta for spec in specs]
+    assert out["answer"] == answer and tr.total_bits == bits
+    assert transport % meta["chunk_len"] == 0
+    assert tr.rounds == transport + checkpoints * meta["sync_len"]
