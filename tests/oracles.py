@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -558,6 +559,27 @@ def is_bipartite_bruteforce(n, edges):
                 elif color[y] == color[x]:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# flooding checkpoint records
+
+# a checkpoint's up record, field by field: pending traffic, token count,
+# duplicate-receipt flag, parity-conflict flag, has-untokened flag and the
+# least untokened vertex
+UpRecord = namedtuple("UpRecord", "pending count dup par has_untok untok")
+
+UP_IDENTITY = UpRecord(0, 0, 0, 0, 0, 0)
+
+
+def combine_up_records(a, b):
+    """The whole-record fold of two up records: the flags OR, the counts
+    add, and the least untokened vertex is the min over the records that
+    have one (0 when none has)."""
+    untoks = [rec.untok for rec in (a, b) if rec.has_untok]
+    return UpRecord(a.pending | b.pending, a.count + b.count,
+                    a.dup | b.dup, a.par | b.par, int(bool(untoks)),
+                    min(untoks, default=0))
 
 
 # ---------------------------------------------------------------------------

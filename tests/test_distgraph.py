@@ -9,15 +9,16 @@ from hypothesis import given, strategies as st
 from roundlab import (
     Graph, GraphError, clique, grid_graph, path_graph, random_connected_graph)
 from roundlab.distgraph import (
-    DistributedGraphInput, _pack, _unpack, and_disj_instance, bfs_protocol,
-    edge_to_node_rebalance, graph_oracles, instance_from_json,
-    or_disj_instance, random_pair_strings,
+    DistributedGraphInput, _fold_up, _pack, _unpack, _up_slots,
+    and_disj_instance, bfs_protocol, edge_to_node_rebalance, graph_oracles,
+    instance_from_json, or_disj_instance, random_pair_strings,
 )
 from roundlab.sim import run_protocol
 
 from oracles import (
-    and_disj_oracle, components_unionfind, has_triangle_bruteforce,
-    is_acyclic_bruteforce, is_bipartite_bruteforce, or_disj_oracle,
+    UP_IDENTITY, UpRecord, and_disj_oracle, combine_up_records,
+    components_unionfind, has_triangle_bruteforce, is_acyclic_bruteforce,
+    is_bipartite_bruteforce, or_disj_oracle,
 )
 
 
@@ -427,3 +428,42 @@ def test_pack_unpack_round_trip(fields):
     bits = _pack(values, widths)
     assert len(bits) == sum(widths) and set(bits) <= {0, 1}
     assert _unpack(bits, widths) == values
+
+
+@st.composite
+def up_records(draw):
+    """(b_c, b_v, records): a vertex's own up record and 0-6 children's,
+    each field within its width and the counts summing to at most
+    2^b_c - 1.  The untokened vertices mostly share their high bits, and
+    a record without one may still carry untok bits, which must not
+    count."""
+    b_c, b_v = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    size = 1 + draw(st.integers(0, 6))
+    total = draw(st.integers(0, (1 << b_c) - 1))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=size - 1,
+                                max_size=size - 1)))
+    counts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+    shared = draw(st.integers(0, (1 << b_v) - 1))
+    flag = st.integers(0, 1)
+    records = [UpRecord(draw(flag), count, draw(flag), draw(flag), draw(flag),
+                        draw(st.one_of(st.integers(0, 3).map(
+                            lambda low: (shared ^ low) % (1 << b_v)),
+                            st.integers(0, (1 << b_v) - 1))))
+               for count in counts]
+    return b_c, b_v, records
+
+
+@given(up_records())
+def test_bit_serial_fold_matches_whole_record_fold(case):
+    b_c, b_v, records = case
+    want = UP_IDENTITY
+    for rec in records:
+        want = combine_up_records(want, rec)
+    slots = _up_slots(b_c, b_v)
+    assert len(slots) == 1 + b_c + 3 + b_v
+    acc = [0] * 7
+    sent = [_fold_up(acc, (field, bit), [rec[field] >> bit & 1
+                                         for rec in records])
+            for field, bit in slots]
+    assert UpRecord(*acc[:6]) == want
+    assert sent == [want[field] >> bit & 1 for field, bit in slots]

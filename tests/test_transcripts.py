@@ -50,18 +50,18 @@ PINS = {
         "b150afc61ee54bfacc9efbb3c1a3c90566785570bc1a9377ef4caeb8313ba005"),
     "run-ed-k3": (730, 2303,
         "f8336a31df045b141ec12f2a50ec322485063622e942a87c4a6c2ad89fcfe129"),
-    "solve-grid6": (2624, 8520,
-        "856690342426e6ac29c2a34350652b8fbee0c0024981431483978e9f54141b15"),
-    "solve-ring44": (1108, 2862,
-        "0cbde58473adf2fc1d37379529d354cb965e83b9dd0f704d8a30d1e4a68ceeca"),
-    "solve-ring44-components": (1428, 3690,
-        "af5bde9f028cc9711796cafa3d09d52eff30a4aea7efce113d3da57c60daf71c"),
-    "solve-ring44-bipartiteness": (1428, 3690,
-        "4bcf04c1799aaeacd8123031d6bf36c728fbf6dc6f9f7a70892d4779068f4542"),
-    "solve-ring44-or-acyclicity": (1448, 3570,
-        "cec7d2d19c6f4e0c9b7866ac52d65b79baf8d0d4c72c45da64b00643638a5664"),
-    "solve-ring44-or-bipartiteness": (1448, 3570,
-        "cec7d2d19c6f4e0c9b7866ac52d65b79baf8d0d4c72c45da64b00643638a5664"),
+    "solve-grid6": (1166, 8520,
+        "5452434d9152f05c30ee90c4bcaee5b9d9abc51b4cc6b150b0ed13027b86b998"),
+    "solve-ring44": (613, 2862,
+        "79e2ab732c3e9029e582d7c6d95e83c8abd5afcb59043b9d60a89372bf4df5e2"),
+    "solve-ring44-components": (735, 3690,
+        "d4f10e6c69610372f86e956d1dfea0126aa85edd5121ccf202d51124786a4e5a"),
+    "solve-ring44-bipartiteness": (735, 3690,
+        "5f322b3e2ca9b667012182fe8ea8af1a47d53732b88e9b9e44da8a66f269ea9c"),
+    "solve-ring44-or-acyclicity": (643, 3570,
+        "3fcd5be2816039378e88136395053207827556f63662947a8198666c9870f595"),
+    "solve-ring44-or-bipartiteness": (643, 3570,
+        "3fcd5be2816039378e88136395053207827556f63662947a8198666c9870f595"),
 }
 
 
