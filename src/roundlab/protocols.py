@@ -129,10 +129,12 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
     bits_per = 1 if conjunctive else max(1, math.ceil(math.log2(k)))
 
     shapes = [bfs_tree(g, root, tree.edge_ids) for tree in trees]
-    # per vertex, one plan per tree carrying coordinates: (coords, width,
-    # child edges with their first arrival round, own start, parent edge
-    # or None at the root)
+    # per vertex, one plan per tree carrying coordinates: the plan's
+    # coordinates, and its children's streams and its own stream (none at
+    # the root) as flat lists of (plan index, edge, first round, last round)
     plans = [[] for _ in range(g.n)]
+    recvs = [[] for _ in range(g.n)]
+    ups = [[] for _ in range(g.n)]
     data_rounds = 0
     for j, (parent, depth, children) in enumerate(shapes):
         coords = range(j * m, min((j + 1) * m, n))
@@ -144,21 +146,22 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
             height[v] = 1 + max((height[w] for _, w in children[v]),
                                 default=-1)
         for v, kids in children.items():
-            arrivals = [(eid, height[w] + 2) for eid, w in kids]
-            up = parent[v][0] if v != root else None
-            plans[v].append((coords, width, arrivals, height[v] + 1, up))
+            i = len(plans[v])
+            plans[v].append(coords)
+            recvs[v] += [(i, eid, height[w] + 2, height[w] + 1 + width)
+                         for eid, w in kids]
+            if v != root:
+                ups[v].append((i, parent[v][0], height[v] + 1,
+                               height[v] + width))
         data_rounds = max([data_rounds] + [height[w] + width
                                            for _, w in children[root]])
     parent0, depth0, children0 = shapes[0]
     bcast_rounds = max((depth0[t] for t in terms), default=0)
     relay = {v: data_rounds + d + 1 for v, d in depth0.items()}
-    # the rounds each vertex has work in: its children's streams, its own
-    # stream and its broadcast relay
-    spans = [[(first, first + width - 1)
-              for _, width, arrivals, _, _ in vplans for _, first in arrivals]
-             + [(start, start + width - 1)
-                for _, width, _, start, up in vplans if up is not None]
-             for vplans in plans]
+    # the rounds each vertex has work in: those streams and its broadcast
+    # relay
+    spans = [[(first, last) for _, _, first, last in recvs[v] + ups[v]]
+             for v in range(g.n)]
     for v, rnd in relay.items():
         spans[v].append((rnd, rnd))
     term_set = set(terms)
@@ -168,33 +171,38 @@ def steiner_aggregate_protocol(g, terminals, packing, func):
         # vertex's own bit (the AND's or the count's identity off a terminal)
         return [[int(conjunctive)] * len(coords) if block is None
                 else list(block[coords.start:coords.stop])
-                for coords, *_ in plans[v]]
+                for coords in plans[v]]
 
     def step(v, rnd, state, inbox, pub):
         sends = {}
         out = None
-        for (_, width, arrivals, start, up), acc in zip(plans[v], state):
-            for eid, first in arrivals:
+        # a plan's own stream reads only its own running values, so every
+        # fold can come before every send
+        for j, eid, first, last in recvs[v]:
+            if first <= rnd <= last:
                 q = rnd - first
-                if 0 <= q < width and conjunctive:
-                    acc[q] &= inbox.get(eid, 0)
-                elif 0 <= q < width:
-                    acc[q // bits_per] += inbox.get(eid, 0) << q % bits_per
-            q = rnd - start
-            if up is not None and 0 <= q < width and conjunctive:
-                sends[up] = acc[q]
-            elif up is not None and 0 <= q < width:
-                value = acc[q // bits_per]
-                if value >> bits_per:
-                    raise ContractViolation(
-                        f"partial count {value} at vertex {v} overflows "
-                        f"{bits_per} bits")
-                sends[up] = value >> q % bits_per & 1
+                if conjunctive:
+                    state[j][q] &= inbox.get(eid, 0)
+                else:
+                    state[j][q // bits_per] += (inbox.get(eid, 0)
+                                                << q % bits_per)
+        for j, up, start, last in ups[v]:
+            if start <= rnd <= last:
+                q = rnd - start
+                if conjunctive:
+                    sends[up] = state[j][q]
+                else:
+                    value = state[j][q // bits_per]
+                    if value >> bits_per:
+                        raise ContractViolation(
+                            f"partial count {value} at vertex {v} "
+                            f"overflows {bits_per} bits")
+                    sends[up] = value >> q % bits_per & 1
         # the answer floods down the first tree, the root computing it
         if rnd == relay.get(v):
             if v == root:
                 inner = [value if conjunctive else func.tables[c][value]
-                         for (coords, *_), acc in zip(plans[v], state)
+                         for coords, acc in zip(plans[v], state)
                          for c, value in zip(coords, acc)]
                 answer = int(func.outer(tuple(inner)))
             elif parent0[v][0] in inbox:

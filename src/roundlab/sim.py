@@ -172,7 +172,10 @@ class _Network:
         self.states = states
         self.until = until
         self.pub = pub
-        self.ends = [dict(g.incidence[v]) for v in range(g.n)]
+        # per vertex, edge id -> (head, the arc's transcript key): one key
+        # object per directed edge, shared by every round that uses it
+        self.ends = [{eid: (w, (v, w, eid)) for eid, w in g.incidence[v]}
+                     for v in range(g.n)]
         self.terminals = set(g.terminals)
         self.outputs = outputs
         self.inbox = [_EMPTY] * g.n      # the next round's inboxes
@@ -231,15 +234,16 @@ class _Network:
                 to = ends[v]
                 for eid, bit in (sorted(sends.items()) if len(sends) > 1
                                  else sends.items()):
-                    w = to.get(eid)
-                    if w is None:
+                    arc = to.get(eid)
+                    if arc is None:
                         raise ContractViolation(
                             f"vertex {v} sent on non-incident edge {eid}")
                     if bit not in (0, 1):
                         raise ContractViolation(
                             f"vertex {v} emitted non-bit {bit!r} on edge "
                             f"{eid}")
-                    round_bits[(v, w, eid)] = bit
+                    w, key = arc
+                    round_bits[key] = bit
                     box = nxt[w]
                     if box is _EMPTY:
                         box = nxt[w] = {}

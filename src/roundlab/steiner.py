@@ -4,7 +4,10 @@
 the residual edges until no centre's BFS tree fits the diameter bound.
 Below the terminals' diameter in g no tree fits, so no search runs there.
 `disjointness_bound` takes min over delta of n / (packing value) + delta,
-the comparandum of the Steiner aggregation protocol.
+the comparandum of the Steiner aggregation protocol.  Its deltas share
+one memo of centre scans, keyed by the edges already packed, so each
+residual edge set is searched once per call, however many deltas reach
+it; the memo lives only as long as the call.
 """
 
 from __future__ import annotations
@@ -83,40 +86,55 @@ def _greedy_packings(g, terms, deltas):
     """(delta, greedy packing) for each of `deltas`.  A Steiner tree's
     terminal diameter is at least the terminals' diameter in g, so a delta
     below that, or any delta when g does not connect the terminals, gets
-    the empty packing without a search."""
+    the empty packing without a search.  The deltas share one memo of
+    centre scans (`_pack_greedy`)."""
     spread = (tree_terminal_diameter(g, None, terms) if g.connected(terms)
               else math.inf)
+    scans = {}
     for delta in deltas:
-        yield delta, (_pack_greedy(g, terms, delta) if delta >= spread
+        yield delta, (_pack_greedy(g, terms, delta, scans) if delta >= spread
                       else TreePacking([], bound_used=delta))
 
 
-def _spt_tree(g, center, terminals, residual):
-    parent = bfs(g, center, residual)[0]
-    if any(t not in parent for t in terminals):
-        return None
-    return _paths_to_root(parent, terminals)
+def _centre_scan(g, terms, residual):
+    """The Steiner tree of each centre, in vertex order, whose BFS tree
+    over the `residual` edges reaches every terminal: the union of its
+    terminal-to-centre paths, with that union's terminal diameter."""
+    for center in range(g.n):
+        parent = bfs(g, center, residual)[0]
+        if all(t in parent for t in terms):
+            keep = _paths_to_root(parent, terms)
+            # the terminals' paths up a BFS tree form a tree that spans
+            # the terminals
+            yield SteinerTree(frozenset(keep),
+                              tree_terminal_diameter(g, keep, terms))
 
 
-def _pack_greedy(g, terms, delta):
-    residual = set(range(g.m))
+def _pack_greedy(g, terms, delta, scans):
+    """The greedy packing at `delta`.  `scans` maps the edges used so far
+    to that residual's centre scan as (trees scanned, the scan's rest), so
+    later calls walk the scanned trees before scanning further; a scan
+    depends on the residual alone, so sharing it leaves every packing as
+    an unshared search would find it."""
+    used = frozenset()
     trees = []
     while True:
-        found = None
-        for center in range(g.n):
-            keep = _spt_tree(g, center, terms, residual)
-            if keep is None:
-                continue
-            diam = tree_terminal_diameter(g, keep, terms)
-            if diam <= delta:
-                # the terminals' paths up a BFS tree form a tree that
-                # spans the terminals, and diam is its diameter
-                found = SteinerTree(frozenset(keep), diam)
-                break
+        scan = scans.get(used)
+        if scan is None:
+            residual = set(range(g.m)) - used
+            scan = scans[used] = ([], _centre_scan(g, terms, residual))
+        scanned, rest = scan
+        found = next((t for t in scanned if t.diameter <= delta), None)
+        if found is None:
+            for tree in rest:
+                scanned.append(tree)
+                if tree.diameter <= delta:
+                    found = tree
+                    break
         if found is None:
             break
         trees.append((found, 1))
-        residual -= found.edge_ids
+        used |= found.edge_ids
     packing = TreePacking(trees, bound_used=delta)
     packing.validate()
     return packing

@@ -197,6 +197,45 @@ def max_integral_packing_bruteforce(g, terminals, delta):
     return best
 
 
+def greedy_packing_reference(g, terminals, delta):
+    """The greedy integral packing, every search run afresh: while some
+    centre, in vertex order, has a BFS tree over the unused edges that
+    reaches every terminal and whose terminal-to-centre paths form a tree
+    of terminal diameter <= delta, the first such tree is packed.  The BFS
+    scans each vertex's edges in edge-id order.  Returns the packed trees
+    as (edge set, terminal diameter) pairs, in packing order."""
+    terms = sorted(set(terminals))
+    adj = [[] for _ in range(g.n)]
+    for eid, (u, v) in enumerate(g.edges):
+        adj[u].append((eid, v))
+        adj[v].append((eid, u))
+    unused = set(range(g.m))
+    trees = []
+    while True:
+        for center in range(g.n):
+            parent = {center: None}
+            queue = [center]
+            for x in queue:
+                for eid, y in adj[x]:
+                    if eid in unused and y not in parent:
+                        parent[y] = (eid, x)
+                        queue.append(y)
+            if any(t not in parent for t in terms):
+                continue
+            tree = set()
+            for t in terms:
+                while parent[t] is not None:
+                    eid, t = parent[t]
+                    tree.add(eid)
+            diam = _tree_terminal_diameter(g, tree, terms)
+            if diam <= delta:
+                break
+        else:
+            return trees
+        trees.append((frozenset(tree), diam))
+        unused -= tree
+
+
 def lp_packing_value_bruteforce(g, terminals, delta):
     """Exact optimum of the fractional diameter-bounded packing LP, by
     enumerating all trees and solving the LP with scipy."""

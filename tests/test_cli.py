@@ -93,9 +93,9 @@ def test_disj_aggregate_packs_once(tmp_path, capsys, monkeypatch):
     deltas = []
     real = steiner_mod._pack_greedy
 
-    def counting(g, terms, delta):
+    def counting(g, terms, delta, scans):
         deltas.append(delta)
-        return real(g, terms, delta)
+        return real(g, terms, delta, scans)
 
     monkeypatch.setattr(steiner_mod, "_pack_greedy", counting)
     path = _write_graph(tmp_path, ring_of_cliques(4, 4))

@@ -122,6 +122,19 @@ def test_determinism_and_replay():
     assert replay_matches(g, p, inputs, 3, t1)
 
 
+def test_transcript_keys_are_shared_across_rounds():
+    # one (tail, head, edge_id) key object per directed edge, not one
+    # fresh tuple per bit
+    g = random_connected_graph(6, 5, seed=4)
+    p = make_random_protocol(g, rounds=5, proto_seed=2)
+    tr = run_protocol(g, p, {t: (1,) for t in g.terminals}, seed=0)
+    first = {}
+    for round_bits in tr.bits:
+        for key in round_bits:
+            assert first.setdefault(key, key) is key
+    assert len(first) == 2 * g.m and tr.total_bits == tr.rounds * 2 * g.m
+
+
 def test_contract_violations():
     g = Graph(2, ((0, 1),), (0, 1))
 

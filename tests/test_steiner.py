@@ -14,7 +14,7 @@ from roundlab.steiner import (
 )
 
 from oracles import (
-    _tree_terminal_diameter, distances_bruteforce,
+    _tree_terminal_diameter, distances_bruteforce, greedy_packing_reference,
     lp_packing_value_bruteforce, max_integral_packing_bruteforce,
 )
 
@@ -165,22 +165,58 @@ def test_disjointness_bound_skips_deltas_below_terminal_diameter(
     cases = [path_graph(30), grid_graph(5, 5), cycle_graph(9)]
     cases += [random_connected_graph(9, 6, seed=s, k=3) for s in range(6)]
     for g in cases:
-        full = {d: steiner_mod._pack_greedy(g, g.terminals, d).value
+        full = {d: len(greedy_packing_reference(g, g.terminals, d))
                 for d in range(1, g.n + 1)}
         spread = max(g.distances_from(t)[u]
                      for t in g.terminals for u in g.terminals)
         packed = []
         real = steiner_mod._pack_greedy
 
-        def recording(g2, terms, delta):
+        def recording(g2, terms, delta, scans):
             packed.append(delta)
-            return real(g2, terms, delta)
+            return real(g2, terms, delta, scans)
 
         with monkeypatch.context() as patch:
             patch.setattr(steiner_mod, "_pack_greedy", recording)
             res = disjointness_bound(g, g.terminals, 16)
         assert res.packing_values == full
         assert packed == list(range(spread, g.n + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 14), st.integers(0, 12), st.integers(0, 10 ** 6),
+       st.integers(2, 5), st.integers(1, 64))
+def test_disjointness_bound_matches_unshared_greedy(n, extra, seed, k,
+                                                    n_bits):
+    # the shared centre scans leave every delta's packing as a fresh
+    # greedy search finds it: values, best delta and the trees in order
+    g = random_connected_graph(n, extra, seed=seed, k=min(k, n))
+    ref = {d: greedy_packing_reference(g, g.terminals, d)
+           for d in range(1, g.n + 1)}
+    res = disjointness_bound(g, g.terminals, n_bits)
+    assert res.packing_values == {d: len(trees) for d, trees in ref.items()}
+    value, delta = min((Fraction(n_bits, len(trees)) + d, d)
+                       for d, trees in ref.items() if trees)
+    assert (res.value, res.delta) == (value, delta)
+    assert [(tree.edge_ids, tree.diameter)
+            for tree, _ in res.packing.trees] == ref[delta]
+
+
+def test_disjointness_bound_desk_scale_bfs_calls(monkeypatch):
+    # grid 12x12 made 21,661 BFS calls with a fresh centre scan per
+    # residual per delta; the deltas now share each residual's scan
+    searched = []
+    real = graphs_mod.bfs
+
+    def counting(g, roots, edge_ids=None):
+        searched.append(roots)
+        return real(g, roots, edge_ids)
+
+    monkeypatch.setattr(graphs_mod, "bfs", counting)
+    monkeypatch.setattr(steiner_mod, "bfs", counting)
+    g = grid_graph(12, 12)
+    disjointness_bound(g, g.terminals, 4096)
+    assert len(searched) <= 3000
 
 
 def test_disjointness_bound_needs_two_terminals():
