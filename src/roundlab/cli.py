@@ -21,11 +21,12 @@ Size ceiling: the LP of ``tau-mcf`` is indexed by a timed network of
 at most ``timed.MAX_TIMED_ARCS`` (2**25, about 33.5 million) arcs, tau *
 (2m + n); past it a command exits 3 naming m, tau and the size before
 allocating.  Every other flow is read off static min-cost flows and
-builds no timed network, so ``tau-route`` and the cut bounds of
-``tau-mcf`` have no such ceiling.  The cut bounds visit about k * 2**(k-1)
-terminal-subset pairs instead (``mcf.tau_mcf_flow_bound``): terminal
-sets up to k = 14 are supported, at a few seconds, and each further
-terminal about doubles the time; nothing checks k.
+builds no timed network, so ``tau-route``, the cut bounds of ``tau-mcf``
+and ``tau-mcf`` on two terminals, whose cut bound is its answer, have no
+such ceiling.  The cut bounds visit about k * 2**(k-1) terminal-subset
+pairs instead (``mcf.tau_mcf_flow_bound``): terminal sets up to k = 14
+are supported, at a few seconds, and each further terminal about doubles
+the time; nothing checks k.
 
 Steiner desk scale: ``disj-bound`` and ``run --protocol disj-aggregate``
 pack greedily at every delta from the terminals' diameter up to |V|, and
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -355,7 +357,10 @@ def cmd_bench(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: `main` only
+    parses with it, and each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="roundlab",
         description="Round-complexity laboratory for small synchronous networks")

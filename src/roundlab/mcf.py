@@ -41,7 +41,8 @@ several n' (the circuit compiler's routed levels) asks once and refines
 once.  Each search solves only the LPs that its flow-over-time cut bound,
 read in closed form off static min-cost flows between terminal subsets,
 and the answer at the next larger n' leave open, because feasibility is
-monotone up in tau and down in n'.
+monotone up in tau and down in n'.  With two terminals that cut bound is
+exact, so `tau_mcf` answers from it and solves no LP.
 
 Also here: a small integral unit-demand router used by the bit-level
 protocol builders.
@@ -377,6 +378,27 @@ def tau_mcf(g, terminals, n_primes):
     n'-demands are the unit demand scaled by n'/k, so one ArcLP, refined
     once, serves every probe of the call.  The result depends on the
     arguments alone: nothing is kept between calls.
+
+    Two terminals a, b need no LP: each answer is `tau_mcf_flow_bound`,
+    max(base bound, tau_route(a, b, ceil(n'/2))).  Proof, with c =
+    ceil(n'/2).  Lower bound: any routing at horizon tau carries n'/2
+    units from (a, 0) to (b, tau) over edge arcs of capacity 1, so the
+    maximum flow over time F_ab(tau) >= n'/2, and F_ab is integral, so
+    F_ab(tau) >= c.  Upper bound: at tau = tau_route(a, b, c), the
+    temporally repeated flow of `timed.max_route_flow` carries F_ab(tau)
+    >= c units a -> b; keep c of them.  Its static flow, from
+    `timed._static_flow`, is a min-cost flow, so it never uses both
+    directions of one edge: cancelling such a pair keeps its value and
+    lowers its cost by 2.  Each of its paths is repeated from distinct
+    starts, and the paths share no directed arc, so the flow over time
+    uses each directed edge arc at most once per layer.  Its copy
+    reversed in time and in arc direction, a unit on u -> v in layer l
+    moved to v -> u in layer tau - 1 - l, routes c units b -> a on the
+    opposite arcs of the same edges, so the two commodities share no edge
+    arc; memory arcs are free.  So n'/2 <= c units each way route at
+    tau_route(a, b, c), and the base bound, a lower bound, is at most
+    that.  Like tau = 0 in `mcf_feasible`, this is a proven case of the
+    same function; k >= 3 searches with the LP.
     """
     terminals = tuple(sorted(terminals))
     if len(terminals) < 2:
@@ -384,6 +406,9 @@ def tau_mcf(g, terminals, n_primes):
     n_primes = sorted({Fraction(n) for n in n_primes}, reverse=True)
     if n_primes and n_primes[-1] <= 0:
         raise GraphError("n_prime must be positive")
+    if len(terminals) == 2:
+        return {n_prime: tau_mcf_flow_bound(g, terminals, n_prime)
+                for n_prime in n_primes}
     answers, hi, unit = {}, math.inf, None
     for n_prime in n_primes:
         if unit is None:

@@ -194,6 +194,30 @@ def test_help_exits_zero(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+def test_one_parser_serves_every_command(tmp_path, capsys):
+    # main parses with one parser per process: after a successful command
+    # a usage error still exits 3 and --help 0, the options of one command
+    # do not carry into the next, and a command run again writes the same
+    # bytes
+    path = _write_graph(tmp_path, clique(3))
+    out = tmp_path / "out.csv"
+    argv = ["--seed", "5", "--format", "csv", "--out", str(out),
+            "disj-bound", "--graph", path, "--n", "6"]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    assert main(["tau-mcf", "--graph", path, "--nprime", "one"]) == 3
+    assert "usage:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+    code, payload = _run(capsys, ["tau-mcf", "--graph", path,
+                                  "--nprime", "3"])
+    assert code == 0 and payload["seed"] == 0 and payload["tau_mcf"] == 1
+    out.unlink()
+    assert main(argv) == 0
+    assert out.read_bytes() == first
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+
+
 def test_integral_fractions_are_json_integers(tmp_path, capsys):
     path = _write_graph(tmp_path, parallel_edges(4))
     code, payload = _run(capsys, ["disj-bound", "--graph", path, "--n", "4"])
@@ -238,8 +262,9 @@ def test_bench_ed_small_clique(tmp_path, capsys):
     assert payload["bound_kind"] == "tau_mcf(G,K,1)"
 
 
-def _count_bench_ed_lps(tmp_path, capsys, monkeypatch):
-    """HiGHS solves of one `bench --function ed` run on K2 with n = 3."""
+def _count_bench_ed_lps(tmp_path, capsys, monkeypatch, g, rounds):
+    """HiGHS solves of one `bench --function ed` run on `g` with n = 3,
+    which takes `rounds` rounds."""
     solves = []
 
     def counting_linprog(*args, **kwargs):
@@ -247,29 +272,30 @@ def _count_bench_ed_lps(tmp_path, capsys, monkeypatch):
         return linprog(*args, **kwargs)
 
     monkeypatch.setattr(mcf_mod, "linprog", counting_linprog)
-    gpath = _write_graph(tmp_path, clique(2))
+    gpath = _write_graph(tmp_path, g)
     code, payload = _run(capsys, ["bench", "--function", "ed",
                                   "--graph", gpath, "--n", "3"])
-    assert code == 0 and payload["rounds"] == 148
+    assert code == 0 and payload["rounds"] == rounds
     return len(solves)
 
 
 def test_bench_ed_lp_solve_count(tmp_path, capsys, monkeypatch):
-    # the compiler solves LPs only for the horizons it routes at, all in
-    # one tau_mcf request whose searches start at their cut bounds and
-    # read the answer at the next larger n' as feasible: 7 HiGHS solves
-    # here (46 with blind doubling, and the reporting-only window bounds
-    # would add 186)
-    assert _count_bench_ed_lps(tmp_path, capsys, monkeypatch) <= 7
+    # on K2 every tau_mcf answer, the compiler's routed levels and the
+    # reported bound alike, is the two-terminal flow bound, which is exact:
+    # no HiGHS solve (7 when the LP searched from that bound, 46 with
+    # blind doubling)
+    assert _count_bench_ed_lps(tmp_path, capsys, monkeypatch,
+                               clique(2), 148) == 0
 
 
 def test_bench_ed_lp_count_is_independent_of_history(tmp_path, capsys,
                                                       monkeypatch):
     # tau_mcf keeps nothing between calls, so a second run in the same
     # process solves the same LPs (a process-wide answer ledger once made
-    # it 9, then 0)
-    first = _count_bench_ed_lps(tmp_path, capsys, monkeypatch)
-    assert _count_bench_ed_lps(tmp_path, capsys, monkeypatch) == first > 0
+    # it 9, then 0); K3, where the LP decides, solves 11
+    first = _count_bench_ed_lps(tmp_path, capsys, monkeypatch, clique(3), 730)
+    assert _count_bench_ed_lps(tmp_path, capsys, monkeypatch,
+                               clique(3), 730) == first > 0
 
 
 def test_solve_edge_mode_solves_no_lp(tmp_path, capsys, monkeypatch):
@@ -357,6 +383,21 @@ def test_tau_mcf_huge_nprime_exit_code(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert "m=60" in err and "tau=375000004" in err
     assert "58500000624 arcs" in err
+
+
+def test_two_terminal_tau_mcf_has_no_arc_ceiling(tmp_path, capsys,
+                                                  monkeypatch):
+    # on K2 the answer is the flow bound, read off one static flow, so no
+    # timed network is built; the LP's network would have 2 * 10**9 arcs,
+    # past the ceiling (exit 3)
+    def no_network(*args):
+        raise AssertionError("built a timed network")
+
+    monkeypatch.setattr(mcf_mod, "build_timed_graph", no_network)
+    path = _write_graph(tmp_path, clique(2))
+    code, payload = _run(capsys, ["tau-mcf", "--graph", path,
+                                  "--nprime", "1000000000"])
+    assert code == 0 and payload["tau_mcf"] == 500_000_000
 
 
 def test_tau_mcf_mid_nprime_exit_code(tmp_path, capsys):

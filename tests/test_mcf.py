@@ -206,6 +206,42 @@ def test_two_terminal_flow_bound_on_k2_and_paths(g):
 
 
 @settings(max_examples=60, deadline=None)
+@given(parallel_multigraphs(2), TWO_TERMINAL_NPRIMES)
+def test_two_terminal_tau_mcf_is_least_lp_feasible_horizon(g, n_prime):
+    # tau_mcf answers k = 2 from the flow bound alone; the LP routes the
+    # demand there and not one round earlier, and so does the path-form
+    # oracle where it enumerates few enough paths
+    assume(g.connected(g.terminals))
+    tau = tau_mcf(g, g.terminals, [n_prime])[n_prime]
+    demand = _uniform(g.terminals, n_prime)
+    pairs = {(s, t): float(amt) for s, row in demand.items()
+             for t, amt in row.items()}
+    for horizon, want in ((tau, True), (tau - 1, False)):
+        if horizon < 1:
+            continue
+        assert mcf_feasible(g, demand, horizon) == want, horizon
+        if _timed_path_count(g, horizon) <= 3000:
+            assert mcf_feasible_bruteforce(g, pairs, horizon) == want, \
+                horizon
+
+
+def test_two_terminal_tau_mcf_solves_no_lp(monkeypatch):
+    # the answers match the LP's upward scan, taken before linprog is
+    # made to raise
+    n_primes = [Fraction(1, 3), 1, Fraction(3, 2), 2, 7, 19]
+    cases = [clique(2), parallel_edges(3), path_graph(3),
+             random_connected_graph(8, 6, seed=3, k=2)]
+    scanned = [{Fraction(n): _tau_mcf_by_scan(g, n) for n in n_primes}
+               for g in cases]
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("tau_mcf solved an LP")
+
+    monkeypatch.setattr(mcf_mod, "linprog", no_lp)
+    assert [tau_mcf(g, g.terminals, n_primes) for g in cases] == scanned
+
+
+@settings(max_examples=60, deadline=None)
 @given(parallel_multigraphs(5), TWO_TERMINAL_NPRIMES)
 def test_flow_bound_matches_timed_side_search(g, n_prime):
     # the closed form over terminal subsets against the reference engine's
