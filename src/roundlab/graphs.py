@@ -35,6 +35,21 @@ def is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_terminals(terminals, n):
+    """`terminals` sorted, or GraphError naming the first that is not an
+    integer, is not a vertex 0..n-1 or repeats an earlier one."""
+    seen = set()
+    for t in terminals:
+        if not is_integer(t):
+            raise GraphError(f"terminal {t!r} is not an integer")
+        if not 0 <= t < n:
+            raise GraphError(f"terminal {t} out of range for n={n}")
+        if t in seen:
+            raise GraphError(f"terminal {t} is repeated")
+        seen.add(t)
+    return tuple(sorted(terminals))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected multigraph with terminals.
@@ -64,16 +79,9 @@ class Graph:
                 raise GraphError(f"edge {e} out of range for n={self.n}")
             norm.append((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", tuple(norm))
-        for t in self.terminals:
-            if not is_integer(t):
-                raise GraphError(f"terminal {t!r} is not an integer")
-        terms = tuple(sorted(self.terminals))
+        terms = check_terminals(self.terminals, self.n)
         if not terms:
             raise GraphError("terminal set must be nonempty")
-        if len(set(terms)) != len(terms):
-            raise GraphError("duplicate terminals")
-        if not (0 <= terms[0] and terms[-1] < self.n):
-            raise GraphError("terminal out of range")
         object.__setattr__(self, "terminals", terms)
 
     @property

@@ -31,9 +31,10 @@ values at most 1), X_P x keeps the bounds, and c X_P x = c x: averaging
 gives a feasible class-constant x of the same cost.  A class-constant x
 is a quotient solution y lifted, the rows of a class agree on it, and so
 x is feasible exactly when y is.  Each stage's LP and its quotient are
-thus feasible together, with the same optimum.  Classes are numbered by
-first appearance in the full LP's order, so all-singleton classes, as on
-a graph without symmetry, give the full LP entry for entry.
+thus feasible together, with the same optimum.  The quotient is laid out
+layer-major, each layer's classes in class order (`ArcLP`); all-singleton
+classes, as on a graph without symmetry, give the full LP with its
+columns and rows in that order.
 
 `tau_mcf` is a pure function of the graph, the terminals and a set of
 n': one call decides the whole set, largest n' first, so a caller with
@@ -51,7 +52,7 @@ protocol builders.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -59,7 +60,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .graphs import GraphError, UnreachableError, tree_terminal_diameter
+from .graphs import (
+    GraphError, UnreachableError, check_terminals, tree_terminal_diameter,
+)
 from .timed import (
     TimedPath, _static_flow, base_min_cut, build_timed_graph,
     least_feasible_horizon, least_horizon,
@@ -133,15 +136,9 @@ def _colour_classes(g, by_source, tails, heads, forward):
         counts = n_col, n_cap, n_row
 
 
-def _rank(values):
-    """Each entry's position in sorted order."""
-    return np.argsort(np.argsort(values))
-
-
 class ArcLP(namedtuple("ArcLP", (
         "graph by_source col_cost col_upper col_tail col_out col_head col_in "
-        "col_start col_stride cap_cols cap_of cap_count row_src row_v "
-        "row_rank"))):
+        "cap_cols cap_of cap_count row_src row_v"))):
     """The arc-based LP of the demands {source: {dest: amount}} on
     `graph`, with what its quotients at every horizon share: the classes
     of `_colour_classes` and, per class, what `_assemble_mcf_lp` reads.
@@ -152,15 +149,12 @@ class ArcLP(namedtuple("ArcLP", (
     Per column class, in class order: `col_cost` and `col_upper` (the
     restricted stage's bound) of each member; `col_tail` and `col_head`,
     the row classes of its members' tails and heads, and `col_out` and
-    `col_in`, how many members leave and enter one row of each;
-    `col_start` and `col_stride`, the first class and the number of
-    classes whose first member has the commodity of this class's first
-    member.  Per edge column class, in (capacity class, class) order:
-    `cap_cols` the class, `cap_of` its capacity class, `cap_count` how
-    many members one capacity row of it meets.  Per conservation row
-    class: `row_src` and `row_v`, the commodity index and vertex of a
-    member; `row_rank`, the rank of that member's node in layers 0 and 1
-    among the nodes of both, and in the later layers among its layer's."""
+    `col_in`, how many members leave and enter one row of each.  Per edge
+    column class, in class order: `cap_cols` the class, `cap_of` its
+    capacity class, `cap_count` how many members one capacity row of it
+    meets.  Per conservation row class: `row_src` and `row_v`, the
+    commodity index and vertex of its first member.  The quotient at a
+    horizon repeats these per layer, layer-major (`_assemble_mcf_lp`)."""
 
     @classmethod
     def of(cls, g, by_source):
@@ -178,58 +172,24 @@ class ArcLP(namedtuple("ArcLP", (
                          _colour_classes(g, by_source, tails.tolist(),
                                          heads.tolist(), forward.tolist()))
         src, arc = np.divmod(np.arange(col.size), tails.size)
-        first, first_row, first_cap = (
-            np.unique(labels, return_index=True)[1]
-            for labels in (col, row, cap))
-        per_src = np.bincount(src[first], minlength=len(sources))
-        tail_row, head_row = src * n + tails[arc], src * n + heads[arc]
-        edge = np.flatnonzero(is_edge[arc])
-        edge_first = first[is_edge[arc[first]]]
-        by_cap = edge_first[np.lexsort((col[edge_first],
-                                        cap[arc[edge_first]]))]
-
-        def at_first(rows, row_class, firsts):
-            # whether each column's row is the first of its row class; the
-            # partition being equitable, every row of that class meets as
-            # many members of the column's class
-            return rows == firsts[row_class[rows]]
-
-        # layers 0 and 1 ranked by first appearance along layer 0's arcs,
-        # tail before head, as the full LP numbers its rows; every later
-        # layer comes in layer 1's order
-        appearance = np.column_stack([tails, head_nodes]).ravel()
-        rank01 = _rank(np.unique(appearance, return_index=True)[1])
-        later = _rank(rank01[n:])
-        row_src, row_v = np.divmod(np.arange(row.size), n)
-
-        def first_member(rank):
-            # per row class, the vertex of its member least by (commodity,
-            # rank within the layer)
-            least = np.full(first_row.size, row.size)
-            np.minimum.at(least, row, row_src * n + rank[row_v])
-            return np.argsort(rank)[least % n]
-
-        v0, v1 = first_member(_rank(rank01[:n])), first_member(later)
+        first, first_row = (np.unique(labels, return_index=True)[1]
+                            for labels in (col, row))
+        tail_row, head_row = (row[src[first] * n + ends[arc[first]]]
+                              for ends in (tails, heads))
+        edge_cols = np.flatnonzero(is_edge[arc[first]])
+        cap_of = cap[arc[first[edge_cols]]]
+        # the partition being equitable, the members of a column class
+        # spread evenly over the rows of each row class they meet
+        size, row_size = np.bincount(col), np.bincount(row)
         return cls(
             g, by_source,
-            col_cost=np.where(is_edge[arc[first]], np.bincount(col), 0.0),
+            col_cost=np.where(is_edge[arc[first]], size, 0.0),
             col_upper=np.where(forward[first], np.inf, 0.0),
-            col_tail=row[tail_row[first]],
-            col_out=np.bincount(
-                col, weights=at_first(tail_row, row, first_row)),
-            col_head=row[head_row[first]],
-            col_in=np.bincount(
-                col, weights=at_first(head_row, row, first_row)),
-            col_start=(np.cumsum(per_src) - per_src)[src[first]],
-            col_stride=per_src[src[first]],
-            cap_cols=col[by_cap], cap_of=cap[arc[by_cap]],
-            cap_count=np.bincount(col[edge], minlength=first.size,
-                                  weights=at_first(arc[edge], cap,
-                                                   first_cap))[
-                col[by_cap]],
-            row_src=row_src[first_row],
-            row_v=v1,
-            row_rank=np.column_stack([rank01[v0], rank01[n + v1], later[v1]]))
+            col_tail=tail_row, col_out=size / row_size[tail_row],
+            col_head=head_row, col_in=size / row_size[head_row],
+            cap_cols=edge_cols, cap_of=cap_of,
+            cap_count=size[edge_cols] / np.bincount(cap)[cap_of],
+            row_src=first_row // n, row_v=first_row % n)
 
     def scaled(self, factor):
         """The ArcLP of the demand times `factor` > 0."""
@@ -240,70 +200,46 @@ class ArcLP(namedtuple("ArcLP", (
             for s, row in self.by_source.items()})
 
 
-def _quotient_columns(lp, tau):
-    """The quotient column of each (column class, layer 0..tau-1), numbered
-    by first appearance in the full LP's column order (commodity, layer,
-    arc): by (commodity of the class's first member, layer, class)."""
-    return ((tau - 1) * lp.col_start + np.arange(lp.col_start.size))[
-        :, None] + lp.col_stride[:, None] * np.arange(tau)
-
-
-def _quotient_rows(tg, lp):
-    """The quotient row of each (row class, layer 0..tau), numbered by
-    first appearance in the full LP's row order: commodity index times
-    the node count, plus the node's rank.  A node of a later layer l
-    ranks as the node id of (its rank in layer l, l)."""
-    later = tg.node(lp.row_rank[:, 2:], np.arange(2, tg.tau + 1))
-    key = tg.node_count * lp.row_src[:, None] + np.column_stack(
-        [lp.row_rank[:, :2], later])
-    index = np.empty(key.size, dtype=np.int64)
-    index[np.argsort(key, axis=None)] = np.arange(key.size)
-    return index.reshape(key.shape)
-
-
 def _assemble_mcf_lp(tg, lp):
     """The quotient at horizon tg.tau of the arc-based LP of `lp`, an
     ArcLP, by its classes lifted layer by layer to (class, layer), as
     (cost, A_ub, b_ub, A_eq, b_eq).
 
-    The full LP's variable si * n_arcs + ai is commodity si's flow on arc
-    ai (indexed like `TimedGraph.arc_arrays()`, sources sorted).  Each
-    edge arc carries at most one unit over all commodities; memory arcs
-    are free in the objective, so idle commodities dwell in place.  Each
-    commodity numbers its conservation rows by first appearance along the
-    arcs, tail before head.  The quotient has one column per lifted
-    column class, costing the sum over its members, and one row per
-    lifted row class, that of the class's first member, whose
-    coefficients are its member counts per column class.  Classes are
-    numbered by first appearance in the full LP's order, so all-singleton
-    classes give the full LP entry for entry; HiGHS's pivots depend on
-    the input order, so the numbering is kept exactly.
+    The full LP's column is one commodity's flow on one arc of the timed
+    network (`TimedGraph.arc_arrays()`, sources sorted).  Each edge arc
+    carries at most one unit over all commodities; memory arcs are free
+    in the objective, so idle commodities dwell in place.  The quotient
+    has one column per lifted column class, costing the sum over its
+    members, and one row per lifted row class, that of the class's first
+    member, whose coefficients are its member counts per column class.
+    It is laid out layer-major: with C column, R conservation row and Q
+    capacity row classes, column (c, layer l) is l C + c, conservation
+    row (r, l) is l R + r and capacity row (q, l) is l Q + q.
     """
     tau = tg.tau
-    columns, rows = _quotient_columns(lp, tau), _quotient_rows(tg, lp)
-    n_cols = columns.size
-    cls, layer = np.divmod(np.argsort(columns, axis=None), tau)
+    n_cols, n_rows = lp.col_cost.size, lp.row_src.size
+    layer = np.arange(tau)[:, None]
     a_eq = sparse.coo_matrix(
-        (np.column_stack([lp.col_out[cls], -lp.col_in[cls]]).ravel(),
-         (np.column_stack([rows[lp.col_tail[cls], layer],
-                           rows[lp.col_head[cls], layer + 1]]).ravel(),
-          np.repeat(np.arange(n_cols), 2))),
-        shape=(rows.size, n_cols))
-    b_eq = np.zeros(rows.size)
+        (np.concatenate([np.tile(lp.col_out, tau), -np.tile(lp.col_in, tau)]),
+         (np.concatenate([(n_rows * layer + lp.col_tail).ravel(),
+                          (n_rows * (layer + 1) + lp.col_head).ravel()]),
+          np.tile(np.arange(tau * n_cols), 2))),
+        shape=((tau + 1) * n_rows, tau * n_cols))
+    b_eq = np.zeros((tau + 1) * n_rows)
     sources = sorted(lp.by_source)
-    for row, si, v in zip(rows, lp.row_src.tolist(), lp.row_v.tolist()):
+    for r, (si, v) in enumerate(zip(lp.row_src.tolist(), lp.row_v.tolist())):
         demand = lp.by_source[sources[si]]
         if v == sources[si]:
-            b_eq[row[0]] += float(sum(demand.values()))
-        b_eq[row[tau]] -= float(demand.get(v, 0))
+            b_eq[r] += float(sum(demand.values()))
+        b_eq[tau * n_rows + r] -= float(demand.get(v, 0))
 
     n_cap = lp.cap_of.max() + 1 if lp.cap_of.size else 0
     a_ub = sparse.coo_matrix(
         (np.tile(lp.cap_count, tau),
-         ((n_cap * np.arange(tau)[:, None] + lp.cap_of).ravel(),
-          columns[lp.cap_cols].T.ravel())),
-        shape=(tau * n_cap, n_cols))
-    return lp.col_cost[cls], a_ub, np.ones(tau * n_cap), a_eq, b_eq
+         ((n_cap * layer + lp.cap_of).ravel(),
+          (n_cols * layer + lp.cap_cols).ravel())),
+        shape=(tau * n_cap, tau * n_cols))
+    return np.tile(lp.col_cost, tau), a_ub, np.ones(tau * n_cap), a_eq, b_eq
 
 
 def _forward_bounds(lp, tau):
@@ -312,9 +248,7 @@ def _forward_bounds(lp, tau):
     edge arcs u -> v with d(s, v) = d(s, u) + 1 (static BFS distances
     from the commodity s), (0, 0) for the other edge arcs, those of
     vertices s cannot reach included."""
-    columns = _quotient_columns(lp, tau)
-    upper = np.empty(columns.size)
-    upper[columns] = lp.col_upper[:, None]
+    upper = np.tile(lp.col_upper, tau)
     return np.column_stack([np.zeros(upper.size), upper])
 
 
@@ -379,10 +313,11 @@ def tau_mcf(g, terminals, n_primes):
     once, serves every probe of the call.  The result depends on the
     arguments alone: nothing is kept between calls.
 
-    Two terminals a, b need no LP: each answer is `tau_mcf_flow_bound`,
-    max(base bound, tau_route(a, b, ceil(n'/2))).  Proof, with c =
-    ceil(n'/2).  Lower bound: any routing at horizon tau carries n'/2
-    units from (a, 0) to (b, tau) over edge arcs of capacity 1, so the
+    Two terminals a, b need no LP: one static a -> b flow, of path
+    lengths l_1 <= ... <= l_lambda (`timed._static_flow`), answers every
+    n' with tau_route(a, b, c) = `least_horizon`(lengths, c), c =
+    ceil(n'/2).  Proof.  Lower bound: any routing at horizon tau carries
+    n'/2 units from (a, 0) to (b, tau) over edge arcs of capacity 1, so the
     maximum flow over time F_ab(tau) >= n'/2, and F_ab is integral, so
     F_ab(tau) >= c.  Upper bound: at tau = tau_route(a, b, c), the
     temporally repeated flow of `timed.max_route_flow` carries F_ab(tau)
@@ -396,18 +331,26 @@ def tau_mcf(g, terminals, n_primes):
     moved to v -> u in layer tau - 1 - l, routes c units b -> a on the
     opposite arcs of the same edges, so the two commodities share no edge
     arc; memory arcs are free.  So n'/2 <= c units each way route at
-    tau_route(a, b, c), and the base bound, a lower bound, is at most
-    that.  Like tau = 0 in `mcf_feasible`, this is a proven case of the
-    same function; k >= 3 searches with the LP.
+    tau_route(a, b, c), which is thus tau_MCF.  It is also
+    `tau_mcf_flow_bound`, max(base bound, tau_route(a, b, c)), as the base
+    bound never exceeds it: at tau = tau_route(a, b, c), c <= F_ab(tau) <=
+    lambda (tau + 1 - l_1) with l_1 >= 1 gives tau >= ceil(c / lambda) >=
+    ceil(n' / (2 lambda)), the cut term, and F_ab(tau) > 0 needs tau >=
+    l_1 = d(a, b), the terminal diameter.  Like tau = 0 in `mcf_feasible`, this is a proven case of the same
+    function; k >= 3 searches with the LP.  Raises GraphError, naming a
+    bad terminal, and UnreachableError for disconnected terminals.
     """
-    terminals = tuple(sorted(terminals))
+    terminals = check_terminals(terminals, g.n)
     if len(terminals) < 2:
         raise GraphError("need at least two terminals")
     n_primes = sorted({Fraction(n) for n in n_primes}, reverse=True)
     if n_primes and n_primes[-1] <= 0:
         raise GraphError("n_prime must be positive")
-    if len(terminals) == 2:
-        return {n_prime: tau_mcf_flow_bound(g, terminals, n_prime)
+    if len(terminals) == 2 and n_primes:
+        lengths, _ = _static_flow(g, terminals[:1], terminals[1:])
+        if not lengths:
+            raise UnreachableError("terminals are disconnected")
+        return {n_prime: least_horizon(lengths, math.ceil(n_prime / 2))
                 for n_prime in n_primes}
     answers, hi, unit = {}, math.inf, None
     for n_prime in n_primes:
@@ -437,7 +380,8 @@ def tau_mcf_lower_bound(g, terminals, n_prime):
     only the singletons T = {t} above that.  Raises UnreachableError for
     disconnected terminals.
     """
-    return _base_bound(g, tuple(sorted(terminals)), Fraction(n_prime))[0]
+    return _base_bound(g, check_terminals(terminals, g.n),
+                       Fraction(n_prime))[0]
 
 
 def _base_bound(g, terminals, n_prime):
@@ -515,7 +459,7 @@ def tau_mcf_flow_bound(g, terminals, n_prime):
     the singletons alone, even where the pruning skips their flows; each
     further terminal about doubles the time.  Nothing checks k.
     """
-    terminals = tuple(sorted(terminals))
+    terminals = check_terminals(terminals, g.n)
     n_prime = Fraction(n_prime)
     lo, sides = _base_bound(g, terminals, n_prime)
     share = n_prime / len(terminals)
@@ -600,8 +544,6 @@ def _route_greedy(g, units, horizon, order):
 def _bfs_timed(g, src, dst, horizon, used):
     """Residual timed path minimizing edge crossings (0-1 BFS: memory
     steps are free), so units dwell instead of burning spare arcs."""
-    from collections import deque
-
     if horizon == 0:
         return TimedPath((src,), ()) if src == dst else None
     start = (src, 0)

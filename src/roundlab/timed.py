@@ -25,10 +25,10 @@ sets, the static flow's value is the base-graph min cut `base_min_cut`,
 and its lengths give `mcf.tau_mcf_flow_bound`.
 
 The timed network itself is only the index of the LP in `mcf`:
-`TimedGraph.arc_arrays` lays its arcs out as numpy columns, and an LP
-column is one arc of one commodity.  A network of more than
-MAX_TIMED_ARCS arcs is refused with a GraphError before anything is
-allocated.  tau_MCF comes from the monotone search
+`TimedGraph.arc_arrays` lays its arcs out as numpy columns, and a column
+of the full LP, whose quotient `mcf` solves, is one arc of one commodity.
+A network of more than MAX_TIMED_ARCS arcs is refused with a GraphError
+before anything is allocated.  tau_MCF comes from the monotone search
 `least_feasible_horizon`, started at the certified lower bound.
 """
 
@@ -61,13 +61,6 @@ class TimedGraph:
     base: object
     tau: int
 
-    def node(self, v, layer):
-        return layer * self.base.n + v
-
-    @property
-    def node_count(self):
-        return (self.tau + 1) * self.base.n
-
     def check_arc_ceiling(self):
         """Raise GraphError if the network has more than MAX_TIMED_ARCS
         arcs, (2m + n) tau of them, so that callers stop before they
@@ -84,9 +77,10 @@ class TimedGraph:
         are node ids (layer * n + vertex).  Arc index i lies in layer
         i // (2m + n); within a layer, index 2 * eid is edge eid's arc
         u -> v and 2 * eid + 1 its arc v -> u, for edges[eid] = (u, v),
-        and 2m + v is vertex v's memory arc.  Each LP column of `mcf` is
-        one arc of this index for one commodity.  Raises GraphError,
-        before allocating, past MAX_TIMED_ARCS."""
+        and 2m + v is vertex v's memory arc.  A column of `mcf`'s full
+        LP, whose quotient it solves, is one arc of this index for one
+        commodity.  Raises GraphError, before allocating, past
+        MAX_TIMED_ARCS."""
         self.check_arc_ceiling()
         n = self.base.n
         ends = np.array(self.base.edges, dtype=np.int64).reshape(-1, 2)

@@ -402,9 +402,9 @@ def timed_max_flow(tg, src, dst, extra_arcs=()):
     the roundlab TimedGraph `tg`, with `units` its units per arc, a vector
     indexed like `tg.arc_arrays()`.
 
-    Node ids are `tg.node(v, layer)`; `extra_arcs` adds (tail, head,
-    capacity) arcs whose ends may be new nodes numbered from
-    `tg.node_count` on (super sources and sinks).  Edge arcs have capacity
+    Node ids are layer * n + v; `extra_arcs` adds (tail, head, capacity)
+    arcs whose ends may be new nodes numbered from (tau + 1) n on (super
+    sources and sinks).  Edge arcs have capacity
     1 and memory arcs 2 m tau + 1, more than all edge arcs together.  The
     CSR capacity matrix sums parallel arcs; each summed flow is handed back
     one unit per edge arc in edge-id order (memory arcs have no
@@ -416,7 +416,7 @@ def timed_max_flow(tg, src, dst, extra_arcs=()):
 
     arc_tails, arc_heads, is_edge = tg.arc_arrays()
     caps = np.where(is_edge, 1, 2 * tg.base.m * tg.tau + 1)
-    tails, heads, size = arc_tails, arc_heads, tg.node_count
+    tails, heads, size = arc_tails, arc_heads, (tg.tau + 1) * tg.base.n
     if extra_arcs:
         extra = np.array(extra_arcs, dtype=np.int64)
         tails = np.concatenate([tails, extra[:, 0]])
@@ -440,9 +440,10 @@ def partition_flow(tg, side_a, side_b, cap_a, cap_b):
     """`timed_max_flow` from side_a x {0} to side_b x {tau} in `tg`,
     through a super source with an arc of capacity cap_a into each (a, 0)
     and a super sink fed by an arc of capacity cap_b from each (b, tau)."""
-    s, t = tg.node_count, tg.node_count + 1
-    arcs = ([(s, tg.node(u, 0), cap_a) for u in side_a]
-            + [(tg.node(v, tg.tau), t, cap_b) for v in side_b])
+    n = tg.base.n
+    s, t = (tg.tau + 1) * n, (tg.tau + 1) * n + 1
+    arcs = ([(s, u, cap_a) for u in side_a]
+            + [(tg.tau * n + v, t, cap_b) for v in side_b])
     return timed_max_flow(tg, s, t, arcs)
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,8 @@ from scipy.optimize import OptimizeResult, linprog
 
 import roundlab.mcf as mcf_mod
 from roundlab import (
-    Graph, clique, cycle_graph, grid_graph, parallel_edges, path_graph,
-    random_connected_graph, ring_of_cliques,
+    Graph, GraphError, UnreachableError, clique, cycle_graph, grid_graph,
+    parallel_edges, path_graph, random_connected_graph, ring_of_cliques,
 )
 from roundlab.mcf import (
     ArcLP, LPSolveError, _assemble_mcf_lp, _forward_bounds, mcf_feasible,
@@ -242,6 +243,55 @@ def test_two_terminal_tau_mcf_solves_no_lp(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
+@given(parallel_multigraphs(2),
+       st.lists(TWO_TERMINAL_NPRIMES, min_size=1, max_size=5))
+def test_two_terminal_tau_mcf_reads_every_n_prime_off_one_flow(g, n_primes):
+    # each n' of one call as the flow bound finds it alone; disconnected
+    # terminals raise
+    if not g.connected(g.terminals):
+        with pytest.raises(UnreachableError, match="terminals are disconnected"):
+            tau_mcf(g, g.terminals, n_primes)
+        return
+    assert tau_mcf(g, g.terminals, n_primes) == {
+        Fraction(n): tau_mcf_flow_bound(g, g.terminals, n) for n in n_primes}
+
+
+def test_two_terminal_tau_mcf_solves_one_static_flow(monkeypatch):
+    # the answers match the LP's upward scan, taken before the static
+    # flows are counted
+    g = random_connected_graph(8, 6, seed=3, k=2)
+    n_primes = [1, 7, 19, Fraction(3, 2)]
+    scanned = {n: _tau_mcf_by_scan(g, n) for n in n_primes}
+    calls, static_flow = [], mcf_mod._static_flow
+
+    def counting(*args):
+        calls.append(args[1:])
+        return static_flow(*args)
+
+    monkeypatch.setattr(mcf_mod, "_static_flow", counting)
+    assert tau_mcf(g, g.terminals, n_primes) == scanned
+    assert calls == [((g.terminals[0],), (g.terminals[1],))]
+
+
+@pytest.mark.parametrize("g,terminals,message", [
+    (clique(2), (0, -1), "terminal -1 out of range for n=2"),
+    (clique(2), (0, 0), "terminal 0 is repeated"),
+    (clique(2), (0, 5), "terminal 5 out of range for n=2"),
+    (clique(2), (0, 1.0), "terminal 1.0 is not an integer"),
+    (clique(2), (True, 0), "terminal True is not an integer"),
+    (clique(3), (2, 0, 2), "terminal 2 is repeated"),
+    (clique(3), [0, 3, 1], "terminal 3 out of range for n=3"),
+], ids=["negative", "repeated", "past-n", "float", "bool", "k3-repeated",
+        "k3-past-n"])
+def test_tau_mcf_names_a_bad_terminal(g, terminals, message):
+    # on K2, (0, -1) once answered {1: 1}, (0, 0) divided by zero and
+    # (0, 5) indexed past the graph; the two bounds check alike
+    for func in (tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            func(g, terminals, [1] if func is tau_mcf else 1)
+
+
+@settings(max_examples=60, deadline=None)
 @given(parallel_multigraphs(5), TWO_TERMINAL_NPRIMES)
 def test_flow_bound_matches_timed_side_search(g, n_prime):
     # the closed form over terminal subsets against the reference engine's
@@ -339,20 +389,57 @@ def _singleton_classes(monkeypatch):
             list(range(2 * g.m))))
 
 
+def _layer_major(g, tau, reference):
+    """`mcf_lp_reference`'s (cost, A_ub, b_ub, A_eq, b_eq, bounds)
+    renumbered layer-major: its column (s, l, a), commodity s's flow on
+    arc a of layer l, becomes l k (2m + n) + s (2m + n) + a, and its row
+    (s, v, l) becomes l k n + s n + v.  Its capacity rows, l 2m + a, keep
+    their numbers.  A row's (s, v, l) is read off the reference's own
+    entries: the tail of an arc's +1 entry, the head of its -1 entry."""
+    cost, a_ub, b_ub, a_eq, b_eq, bounds = reference
+    arcs = timed_arcs(g, 1)
+    per_layer, k = len(arcs), cost.size // (tau * len(arcs))
+    s, layer, a = np.unravel_index(np.arange(cost.size),
+                                   (k, tau, per_layer))
+    col = (layer * k + s) * per_layer + a
+    row = np.empty(b_eq.size, dtype=np.int64)
+    for r, j, x in zip(a_eq.row, a_eq.col, a_eq.data):
+        _, _, tail, head = arcs[a[j]]
+        v, at = (tail, layer[j]) if x > 0 else (head, layer[j] + 1)
+        row[r] = (at * k + s[j]) * g.n + v
+
+    def permuted(vector, index):
+        out = np.empty_like(vector)
+        out[index] = vector
+        return out
+
+    def renumbered(matrix, rows):
+        return sparse.coo_matrix((matrix.data, (rows, col[matrix.col])),
+                                 shape=matrix.shape)
+
+    return (permuted(cost, col), renumbered(a_ub, a_ub.row), b_ub,
+            renumbered(a_eq, row[a_eq.row]), permuted(b_eq, row),
+            permuted(bounds, col))
+
+
 def test_lp_assembly_matches_reference(monkeypatch):
-    # the quotient by singleton classes is the full LP, entry for entry
+    # the quotient by singleton classes is the full LP laid out
+    # layer-major, entry for entry: each matrix as the CSC form linprog
+    # hands HiGHS, whose pivots depend on that order
     _singleton_classes(monkeypatch)
     for g, tau, demands in _lp_cases():
         lp = ArcLP.of(g, demands)
         got = _assemble_mcf_lp(build_timed_graph(g, tau), lp) + (
             _forward_bounds(lp, tau),)
-        want = mcf_lp_reference(g, tau, demands) + (
-            forward_bounds_reference(g, tau, demands),)
+        want = _layer_major(g, tau, mcf_lp_reference(g, tau, demands) + (
+            forward_bounds_reference(g, tau, demands),))
         for name, a, b in zip(
                 ("cost", "A_ub", "b_ub", "A_eq", "b_eq", "bounds"), got, want):
             assert a.shape == b.shape, (name, g, tau)
-            parts = (("row", "col", "data") if name.startswith("A_")
+            parts = (("indptr", "indices", "data") if name.startswith("A_")
                      else (None,))
+            if parts[0]:
+                a, b = sparse.csc_array(a), sparse.csc_array(b)
             for part in parts:
                 x = a if part is None else getattr(a, part)
                 y = b if part is None else getattr(b, part)
@@ -679,7 +766,7 @@ def test_unreachable_vertices_get_no_edge_arcs(monkeypatch):
     # vertices 3, 4 and 5 lie outside the terminals' component, where the
     # BFS distance is None: their edge arcs are fixed at 0 in every layer,
     # their memory arcs stay free (read with singleton classes, on the
-    # full LP's columns)
+    # full LP's columns, layer-major)
     g = Graph(6, ((0, 1), (1, 2), (0, 2), (1, 2), (3, 4), (4, 5)), (0, 1, 2))
     tau = 3
     per_layer = 2 * g.m + g.n
@@ -687,11 +774,11 @@ def test_unreachable_vertices_get_no_edge_arcs(monkeypatch):
         _singleton_classes(patch)
         lp = ArcLP.of(g, _uniform(g.terminals, 1))
     upper = _forward_bounds(lp, tau)[:, 1].reshape(
-        len(g.terminals), tau, per_layer)
+        tau, len(g.terminals), per_layer)
     assert (upper[:, :, 8:12] == 0).all()     # edges 4 and 5, both ways
     assert (upper[:, :, 2 * g.m:] == float("inf")).all()
     # commodity 0 keeps 0 -> 1 and 0 -> 2 (arcs 0 and 4) and nothing else
-    assert (upper[0, :, :2 * g.m] == float("inf")).sum(axis=1).tolist() \
+    assert (upper[:, 0, :2 * g.m] == float("inf")).sum(axis=1).tolist() \
         == [2] * tau
     assert upper[0, 0, 0] == upper[0, 0, 4] == float("inf")
     for n_prime in (1, 3, 5):

@@ -6,8 +6,9 @@ variable.  A method named like a field, a self.<name> assignment or a
 method of a library type the sources use is ambiguous, since its
 attribute references may read the data or call the library instead.
 
-Write-only data: every dataclass field is read as an attribute by some
-source file, or is on the field allowlist below with its reason."""
+Write-only data: every dataclass and namedtuple field is read as an
+attribute by some source file, or is on the field allowlist below with
+its reason."""
 
 import ast
 import random
@@ -49,7 +50,7 @@ ALLOWED = {
              "and the CLI; also the flow results' field",
 }
 
-# dataclass fields no source reads, each with who reads it
+# dataclass and namedtuple fields no source reads, each with who reads it
 ALLOWED_FIELDS = {
     "LevelVector.cost": "the cut's cost, read by the tests and the "
                         "benchmark's cut certificate",
@@ -157,18 +158,29 @@ def _unreached(sources):
     return sorted(found)
 
 
-def _is_dataclass(decorator):
-    if isinstance(decorator, ast.Call):
-        decorator = decorator.func
-    return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
-            or isinstance(decorator, ast.Attribute)
-            and decorator.attr == "dataclass")
+def _is_named(node, name):
+    """Whether `node`, or the function it calls, is `name` or
+    <module>.`name`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _namedtuple_fields(call):
+    """(typename, field names) of a namedtuple(typename, fields) call with
+    literal arguments, fields a string or a list or tuple of strings."""
+    typename, spec = (arg.value if isinstance(arg, ast.Constant) else arg
+                      for arg in call.args[:2])
+    names = (spec.replace(",", " ").split() if isinstance(spec, str)
+             else [elt.value for elt in spec.elts])
+    return typename, names
 
 
 def _unread_fields(sources):
-    """Sorted (Class.field, file, line) of the dataclass fields in
-    `sources` ({file name: text}) whose name no attribute load in any
-    source reads."""
+    """Sorted (Class.field, file, line) of the dataclass and namedtuple
+    fields in `sources` ({file name: text}) whose name no attribute load
+    in any source reads."""
     fields, reads = [], set()
     for fname, text in sources.items():
         for node in ast.walk(ast.parse(text)):
@@ -176,11 +188,15 @@ def _unread_fields(sources):
                                                               ast.Load):
                 reads.add(node.attr)
             elif isinstance(node, ast.ClassDef) and any(
-                    map(_is_dataclass, node.decorator_list)):
+                    _is_named(d, "dataclass") for d in node.decorator_list):
                 fields += [(f"{node.name}.{stmt.target.id}", fname,
                             stmt.lineno) for stmt in node.body
                            if isinstance(stmt, ast.AnnAssign)
                            and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Call) and _is_named(node, "namedtuple"):
+                typename, names = _namedtuple_fields(node)
+                fields += [(f"{typename}.{name}", fname, node.lineno)
+                           for name in names]
     return sorted(f for f in fields if f[0].split(".")[1] not in reads)
 
 
@@ -258,9 +274,13 @@ def test_every_definition_is_reachable():
 def test_scan_finds_a_planted_write_only_field():
     # a field read through an instance or through self counts as read; a
     # field only ever written is reported, as is one of a dataclass
-    # decorated with arguments; a plain class's attributes are not fields
+    # decorated with arguments; a plain class's attributes are not fields.
+    # namedtuple fields count too, named by a string (as a base class) or
+    # by a list; one passed only by keyword to _replace is not read
     sources = {
-        "m.py": ("import dataclasses\n"
+        "m.py": ("import collections\n"
+                 "import dataclasses\n"
+                 "from collections import namedtuple\n"
                  "from dataclasses import dataclass\n"
                  "\n"
                  "@dataclass(frozen=True)\n"
@@ -279,12 +299,21 @@ def test_scan_finds_a_planted_write_only_field():
                  "class Plain:\n"
                  "    tag: str\n"
                  "\n"
+                 "class Span(namedtuple('Span', 'start stop '\n"
+                 "                      'stride')):\n"
+                 "    def width(self):\n"
+                 "        return self._replace(stride=1).stop - self.start\n"
+                 "\n"
+                 "Pair = collections.namedtuple('Pair', ['left', 'right'])\n"
+                 "\n"
                  "def main():\n"
                  "    Box(1, note='x').note = 'y'\n"
-                 "    return Run(3, 'r').rounds\n"),
+                 "    return Run(3, 'r').rounds + Pair(1, 2).left\n"),
     }
-    assert _unread_fields(sources) == [("Box.note", "m.py", 12),
-                                       ("Run.label", "m.py", 7)]
+    assert _unread_fields(sources) == [("Box.note", "m.py", 14),
+                                       ("Pair.right", "m.py", 27),
+                                       ("Run.label", "m.py", 9),
+                                       ("Span.stride", "m.py", 22)]
 
 
 def test_every_dataclass_field_is_read():

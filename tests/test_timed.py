@@ -191,7 +191,7 @@ def test_engine_splits_parallel_arcs_in_edge_id_order():
     # lowest edge ids, as the repeated flow's paths use them
     g = Graph(3, ((0, 1), (0, 1), (0, 1), (1, 2), (1, 2)), (0, 2))
     tg = build_timed_graph(g, 2)
-    value, units = timed_max_flow(tg, tg.node(0, 0), tg.node(2, 2))
+    value, units = timed_max_flow(tg, 0, 2 * g.n + 2)
     assert value == 2
     assert arc_key_flows(g, 2, units) == {
         (0, 0, 0, 1): 1, (0, 1, 0, 1): 1, (1, 3, 1, 2): 1, (1, 4, 1, 2): 1}
@@ -272,7 +272,7 @@ def _check_single_pair(g, a, b, tau):
     levels against the brute-force oracle at horizon tau."""
     value, source_side = timed_flow_bruteforce(g, a, b, tau)
     tg = build_timed_graph(g, tau)
-    assert timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau))[0] == value
+    assert timed_max_flow(tg, a, tau * g.n + b)[0] == value
     sol = max_route_flow(g, a, b, tau)
     assert sol.value == value
     _check_unit_paths(g, a, b, tau, sol)
@@ -301,8 +301,7 @@ def test_repeated_flow_matches_engine_and_oracle(case, tau, n_prime):
         got = tau_route(g, a, b, n_prime)
         assert max_route_flow(g, a, b, got - 1).value < n_prime
         tg = build_timed_graph(g, got)
-        assert timed_max_flow(tg, tg.node(a, 0),
-                              tg.node(b, got))[0] >= n_prime
+        assert timed_max_flow(tg, a, got * g.n + b)[0] >= n_prime
         assert got == tau_route_bruteforce(g, a, b, n_prime)
 
 
@@ -319,7 +318,7 @@ def test_decomposer_matches_arc_key_reference(case, tau):
     rest = [v for v in range(g.n) if v not in (a, b)]
     side_a, side_b = [a] + rest[:1], [b] + rest[1:2]
     cases = [
-        ((a,), timed_max_flow(tg, tg.node(a, 0), tg.node(b, tau))[1]),
+        ((a,), timed_max_flow(tg, a, tau * g.n + b)[1]),
         (side_a, partition_flow(tg, side_a, side_b, 2, 2)[1]),
     ]
     for sources, units in cases:
