@@ -176,67 +176,42 @@ class CircuitBuilder:
             else:
                 args[consumer][pos] = new_id
 
+        # a node's level is one past its deepest argument: the serve loop
+        # reaches each original node after its arguments, earlier nodes or
+        # DUPs made when an earlier node was served
+        level = [0] * len(kinds)
+
+        def dup(nid):
+            kinds.append("DUP")
+            args.append([nid])
+            level.append(level[nid] + 1)
+            return len(kinds) - 1
+
         def serve(nid, consumer_slots):
             if len(consumer_slots) <= 2:
                 for slot in consumer_slots:
                     rewire(slot, nid)
                 return
-            kinds.append("DUP")
-            args.append([nid])
-            left = len(kinds) - 1
-            kinds.append("DUP")
-            args.append([nid])
-            right = len(kinds) - 1
+            left, right = dup(nid), dup(nid)
             half = (len(consumer_slots) + 1) // 2
             serve(left, consumer_slots[:half])
             serve(right, consumer_slots[half:])
 
         for nid in range(len(self.kinds)):
+            if nid >= n_inputs:
+                level[nid] = 1 + max(level[a] for a in args[nid])
             if len(slots[nid]) > 2:
                 serve(nid, slots[nid])
-
-        # levelize over the rewired DAG
-        level = {}
-
-        def level_of(nid):
-            if nid in level:
-                return level[nid]
-            stack = [nid]
-            while stack:
-                x = stack[-1]
-                if x in level:
-                    stack.pop()
-                    continue
-                if kinds[x] == "CONST":
-                    level[x] = 0
-                    stack.pop()
-                    continue
-                pending = [a for a in args[x] if a not in level]
-                if pending:
-                    stack.extend(pending)
-                else:
-                    level[x] = 1 + max(level[a] for a in args[x])
-                    stack.pop()
-            return level[nid]
-
-        for nid in range(len(kinds)):
-            level_of(nid)
         out_level = max((level[o] for o in outputs), default=0)
         out_level = max(out_level, 1)
 
         # pad wires that skip levels (fresh DUP chains keep fan-out legal)
         def lift(nid, target):
             while level[nid] < target:
-                kinds.append("DUP")
-                args.append([nid])
-                new_id = len(kinds) - 1
-                level[new_id] = level[nid] + 1
-                nid = new_id
+                nid = dup(nid)
             return nid
 
         for nid in range(n_inputs, len(kinds)):
-            if kinds[nid] == "CONST":
-                continue
             for pos in range(len(args[nid])):
                 args[nid][pos] = lift(args[nid][pos], level[nid] - 1)
         for pos in range(len(outputs)):

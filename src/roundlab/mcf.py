@@ -336,8 +336,10 @@ def tau_mcf(g, terminals, n_primes):
     bound never exceeds it: at tau = tau_route(a, b, c), c <= F_ab(tau) <=
     lambda (tau + 1 - l_1) with l_1 >= 1 gives tau >= ceil(c / lambda) >=
     ceil(n' / (2 lambda)), the cut term, and F_ab(tau) > 0 needs tau >=
-    l_1 = d(a, b), the terminal diameter.  Like tau = 0 in `mcf_feasible`, this is a proven case of the same
-    function; k >= 3 searches with the LP.  Raises GraphError, naming a
+    l_1 = d(a, b), the terminal diameter.  Like tau = 0 in
+    `mcf_feasible`, this is a proven case of the same function; k >= 3
+    searches with the LP, computing the n'-free part of the cut bound
+    (`_terminal_cuts`) once per call.  Raises GraphError, naming a
     bad terminal, and UnreachableError for disconnected terminals.
     """
     terminals = check_terminals(terminals, g.n)
@@ -355,12 +357,13 @@ def tau_mcf(g, terminals, n_primes):
     answers, hi, unit = {}, math.inf, None
     for n_prime in n_primes:
         if unit is None:
+            terminal_cuts = _terminal_cuts(g, terminals)
             unit = ArcLP.of(g, {s: {t: 1 for t in terminals if t != s}
                                 for s in terminals})
         lp = unit.scaled(n_prime / len(terminals))
         hi = answers[n_prime] = least_feasible_horizon(
             lambda tau: tau >= hi or mcf_feasible(g, lp, tau),
-            tau_mcf_flow_bound(g, terminals, n_prime),
+            _flow_bound(g, terminals, terminal_cuts, n_prime),
             _search_cutoff(g, terminals, n_prime), "tau_mcf")
     return answers
 
@@ -380,14 +383,16 @@ def tau_mcf_lower_bound(g, terminals, n_prime):
     only the singletons T = {t} above that.  Raises UnreachableError for
     disconnected terminals.
     """
-    return _base_bound(g, check_terminals(terminals, g.n),
+    terminals = check_terminals(terminals, g.n)
+    return _base_bound(terminals, _terminal_cuts(g, terminals),
                        Fraction(n_prime))[0]
 
 
-def _base_bound(g, terminals, n_prime):
-    """(tau_mcf_lower_bound, the bipartitions (T, K - T) that
-    `tau_mcf_flow_bound` checks: the singletons and every one whose cut
-    term attains the largest)."""
+def _terminal_cuts(g, terminals):
+    """The part of the base bound free of n', computed once per request:
+    (terminal diameter, [(T, K - T, lambda(T, K - T))] over the
+    bipartitions that `tau_mcf_lower_bound` cuts).  Raises
+    UnreachableError for disconnected terminals."""
     if not g.connected(terminals):
         raise UnreachableError("terminals are disconnected")
     k = len(terminals)
@@ -401,13 +406,22 @@ def _base_bound(g, terminals, n_prime):
     cuts = []
     for side in sides:
         rest = tuple(t for t in terminals if t not in side)
-        crossing = len(side) * len(rest) * n_prime / k
-        cuts.append((math.ceil(crossing / base_min_cut(g, side, rest)),
-                     side, rest))
-    top = max(term for term, _, _ in cuts)
-    lo = max(top, tree_terminal_diameter(g, None, terminals))
-    return lo, [(side, rest) for term, side, rest in cuts
-                if term == top or min(len(side), len(rest)) == 1]
+        cuts.append((side, rest, base_min_cut(g, side, rest)))
+    return tree_terminal_diameter(g, None, terminals), cuts
+
+
+def _base_bound(terminals, terminal_cuts, n_prime):
+    """(tau_mcf_lower_bound, the bipartitions (T, K - T) that
+    `tau_mcf_flow_bound` checks: the singletons and every one whose cut
+    term attains the largest), from `_terminal_cuts`."""
+    diameter, cuts = terminal_cuts
+    terms = [math.ceil(len(side) * len(rest) * n_prime / len(terminals)
+                       / cut)
+             for side, rest, cut in cuts]
+    top = max(terms)
+    return max(top, diameter), [
+        (side, rest) for term, (side, rest, _) in zip(terms, cuts)
+        if term == top or min(len(side), len(rest)) == 1]
 
 
 def tau_mcf_flow_bound(g, terminals, n_prime):
@@ -460,8 +474,13 @@ def tau_mcf_flow_bound(g, terminals, n_prime):
     further terminal about doubles the time.  Nothing checks k.
     """
     terminals = check_terminals(terminals, g.n)
-    n_prime = Fraction(n_prime)
-    lo, sides = _base_bound(g, terminals, n_prime)
+    return _flow_bound(g, terminals, _terminal_cuts(g, terminals),
+                       Fraction(n_prime))
+
+
+def _flow_bound(g, terminals, terminal_cuts, n_prime):
+    """`tau_mcf_flow_bound`, from `_terminal_cuts`."""
+    lo, sides = _base_bound(terminals, terminal_cuts, n_prime)
     share = n_prime / len(terminals)
     for side, rest in sides:
         cap_a = math.ceil(len(rest) * share)
@@ -502,15 +521,11 @@ def route_unit_demands(g, units, horizon):
     are free.  Exact enough at desk scale; callers escalate the horizon on
     failure.
     """
-    if not units:
-        return []
     dists = {}
-    for idx, (src, dst) in enumerate(units):
+    for src, dst in units:
         if src not in dists:
             dists[src] = g.distances_from(src)
-        if dists[src][dst] is None:
-            return None
-        if dists[src][dst] > horizon:
+        if dists[src][dst] is None or dists[src][dst] > horizon:
             return None
     orderings = [
         sorted(range(len(units)),
@@ -530,58 +545,52 @@ def _route_greedy(g, units, horizon, order):
     used = set()
     routed = [None] * len(units)
     for idx in order:
-        src, dst = units[idx]
-        path = _bfs_timed(g, src, dst, horizon, used)
-        if path is None:
+        routed[idx] = _bfs_timed(g, *units[idx], horizon, used)
+        if routed[idx] is None:
             return None
-        for key in path.steps():
-            if key[1] is not None:
-                used.add(key)
-        routed[idx] = path
     return routed
 
 
 def _bfs_timed(g, src, dst, horizon, used):
     """Residual timed path minimizing edge crossings (0-1 BFS: memory
-    steps are free), so units dwell instead of burning spare arcs."""
-    if horizon == 0:
-        return TimedPath((src,), ()) if src == dst else None
-    start = (src, 0)
-    target = (dst, horizon)
-    parent = {start: None}
-    dist = {start: 0}
-    queue = deque([start])
+    steps are free), so units dwell instead of burning spare arcs.
+
+    Nodes and arcs are numbered as in `TimedGraph.arc_arrays`: node (v,
+    layer) is layer n + v, and the arc of edge eid from v to w in a layer
+    is layer (2m + n) + 2 eid + (v > w).  `used` is the set of arcs that
+    earlier paths took; a path found adds its own."""
+    n, width = g.n, 2 * g.m + g.n
+    target = horizon * n + dst
+    dist = [math.inf] * ((horizon + 1) * n)
+    parent = [None] * len(dist)     # node -> (previous node, arc or None)
+    dist[src] = 0
+    queue = deque([src])
     while queue:
-        state = queue.popleft()
-        if state == target:
+        node = queue.popleft()
+        if node == target:
             break
-        v, layer = state
+        layer, v = divmod(node, n)
         if layer == horizon:
             continue
-        mem_state = (v, layer + 1)
-        if mem_state not in dist or dist[mem_state] > dist[state]:
-            dist[mem_state] = dist[state]
-            parent[mem_state] = (v, layer, None)
-            queue.appendleft(mem_state)
+        d = dist[node]
+        if dist[node + n] > d:
+            dist[node + n], parent[node + n] = d, (node, None)
+            queue.appendleft(node + n)
         for eid, w in g.incidence[v]:
-            key = (layer, eid, v, w)
-            if key in used:
-                continue
-            nxt = (w, layer + 1)
-            if nxt not in dist or dist[nxt] > dist[state] + 1:
-                dist[nxt] = dist[state] + 1
-                parent[nxt] = (v, layer, eid)
+            arc = layer * width + 2 * eid + (v > w)
+            nxt = node + n - v + w
+            if arc not in used and dist[nxt] > d + 1:
+                dist[nxt], parent[nxt] = d + 1, (node, arc)
                 queue.append(nxt)
-    if target not in parent:
+    if dist[target] == math.inf:
         return None
-    verts = [dst]
-    eids = []
-    state = target
-    while parent[state] is not None:
-        v, layer, eid = parent[state]
-        verts.append(v)
-        eids.append(eid)
-        state = (v, layer)
-    verts.reverse()
-    eids.reverse()
-    return TimedPath(tuple(verts), tuple(eids))
+    verts, eids, node = [dst], [], target
+    while parent[node] is not None:
+        node, arc = parent[node]
+        verts.append(node % n)
+        if arc is None:
+            eids.append(None)
+        else:
+            eids.append(arc % width // 2)
+            used.add(arc)
+    return TimedPath(tuple(verts[::-1]), tuple(eids[::-1]))

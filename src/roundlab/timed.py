@@ -17,19 +17,21 @@ successive shortest paths (`_static_flow`) from X to Y augment along
 paths of lengths l_1 <= ... <= l_lambda.  The maximum flow is F(tau) =
 sum_i max(0, tau + 1 - l_i), and `least_horizon` reads the least tau
 with F(tau) >= n' straight from the l_i.  For single pairs, `tau_route`
-is that horizon, `max_route_flow` repeats each path of the static flow
-from every start that fits the horizon, with `peel_unit_paths` as the one
-path decomposer, and `extract_level_vector` reads the minimal min cut
-off shortest distances in the static residual network.  Between terminal
-sets, the static flow's value is the base-graph min cut `base_min_cut`,
-and its lengths give `mcf.tau_mcf_flow_bound`.
+is that horizon, `max_route_flow` walks the static flow into paths and
+repeats each from every start that fits the horizon, and
+`extract_level_vector` reads the minimal min cut off shortest distances
+in the static residual network.  Between terminal sets, the static
+flow's value is the base-graph min cut `base_min_cut`, and its lengths
+give `mcf.tau_mcf_flow_bound`.
 
-The timed network itself is only the index of the LP in `mcf`:
-`TimedGraph.arc_arrays` lays its arcs out as numpy columns, and a column
-of the full LP, whose quotient `mcf` solves, is one arc of one commodity.
-A network of more than MAX_TIMED_ARCS arcs is refused with a GraphError
-before anything is allocated.  tau_MCF comes from the monotone search
-`least_feasible_horizon`, started at the certified lower bound.
+The timed network itself is only an index, of the LP and of the unit
+router in `mcf`: `TimedGraph.arc_arrays` lays its arcs out as numpy
+columns, a column of the full LP, whose quotient `mcf` solves, is one arc
+of one commodity, and the router names the arcs its paths take by the
+same numbers.  A network of more than MAX_TIMED_ARCS arcs is refused
+with a GraphError before anything is allocated.  tau_MCF comes from the
+monotone search `least_feasible_horizon`, started at the certified lower
+bound.
 """
 
 from __future__ import annotations
@@ -170,40 +172,6 @@ class FlowSolution:
                     (verts[0],) * s + verts + (verts[-1],) * rest,
                     (None,) * s + eids + (None,) * rest))
         return tuple(out)
-
-
-def peel_unit_paths(tails, heads, units, sources):
-    """Split an integral flow on an acyclic network into unit paths, as
-    (nodes, arcs) lists: the nodes visited and the arcs taken.
-
-    Arc i runs from tails[i] to heads[i] and carries units[i] units.  For
-    each source in turn, while a unit leaves it: walk from it, at every
-    node taking the lowest-indexed arc with a unit left, until no unit
-    leaves the node, and take one unit off every arc walked.  An arc a
-    walk passed over had no unit left and never regains one, so the next
-    walk repeats the last until one of its arcs runs out: peeling follows
-    each walk exactly as often as its bottleneck.  On a conserved flow
-    every walk ends at a sink.
-    """
-    used = np.flatnonzero(units).tolist()
-    left = dict(zip(used, units[used].tolist()))
-    head = dict(zip(used, heads[used].tolist()))
-    out = {}    # node -> its arcs with a unit left, lowest index last
-    for ai, tail in zip(reversed(used), reversed(tails[used].tolist())):
-        out.setdefault(tail, []).append(ai)
-    walks = []
-    for source in sources:
-        while out.get(source):
-            nodes, arcs = [source], []
-            while out.get(nodes[-1]):
-                ai = out[nodes[-1]][-1]
-                left[ai] -= 1
-                if not left[ai]:
-                    out[nodes[-1]].pop()
-                nodes.append(head[ai])
-                arcs.append(ai)
-            walks.append((nodes, arcs))
-    return walks
 
 
 def least_feasible_horizon(feasible, lo, cutoff, name):
@@ -380,10 +348,11 @@ def max_route_flow(g, a, b, tau):
     F(tau) = sum_i max(0, tau + 1 - l_i) over the successive shortest
     path lengths l_i, and `FlowSolution.paths` repeats each path P_j of
     the static flow of the paths with l_i <= tau from every start s =
-    0..tau - |P_j| (Ford-Fulkerson 1958).  `peel_unit_paths` peels the
-    P_j off the static flow, whose support has no cycle at min cost
-    (every arc costs 1, so a cycle could be cancelled): no unit leaves b,
-    and every walk from a ends there.
+    0..tau - |P_j| (Ford-Fulkerson 1958).  The P_j are walks of the
+    static flow from a: out of each vertex, the lowest flow arc id not yet
+    walked, until no flow arc leaves.  Its support has no cycle at min
+    cost (every arc costs 1, so a cycle could be cancelled): no flow arc
+    leaves b, and every walk from a ends there.
 
     Proof that every P_j fits the horizon: the static flow x_k of the k
     augmented paths has the least cost of any flow of value k, and x_k -
@@ -397,13 +366,18 @@ def max_route_flow(g, a, b, tau):
     exactly F(tau).
     """
     value, used = _horizon_flow(g, a, b, tau)
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    units = np.zeros(2 * g.m, dtype=np.int64)
-    units[list(used)] = 1
-    walks = peel_unit_paths(ends.ravel(), ends[:, ::-1].ravel(), units, (a,))
-    return FlowSolution(value, tau, tuple(
-        (tuple(nodes), tuple(arc // 2 for arc in arcs))
-        for nodes, arcs in walks))
+    out = {}    # vertex -> its flow arcs not yet walked, lowest id last
+    for arc in sorted(used, reverse=True):
+        out.setdefault(_arc_ends(g, arc)[0], []).append(arc)
+    paths = []
+    while out.get(a):
+        verts, eids = [a], []
+        while out.get(verts[-1]):
+            arc = out[verts[-1]].pop()
+            verts.append(_arc_ends(g, arc)[1])
+            eids.append(arc // 2)
+        paths.append((tuple(verts), tuple(eids)))
+    return FlowSolution(value, tau, tuple(paths))
 
 
 def tau_route(g, a, b, n_prime):

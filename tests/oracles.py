@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
+
+from roundlab.timed import TimedPath
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +311,7 @@ def mcf_feasible_bruteforce(g, demands, tau, tol=1e-7):
 
 
 # ---------------------------------------------------------------------------
-# the timed arcs, enumerated one by one, and the arc-key path decomposer
+# the timed arcs, enumerated one by one, and the static path walk
 
 def timed_arcs(g, tau):
     """Every arc of the tau-horizon timed graph as (layer, eid, tail, head),
@@ -355,41 +357,102 @@ def static_paths_reference(g, a, b, used):
     return tuple(paths)
 
 
-def decompose_paths_reference(g, tau, flows, sources, eps=1e-9):
-    """Split an arc-key flow map {(layer, eid, tail, head): amount} into
-    (verts, edge_ids, amount) parcels from layer 0 to layer tau.
+# ---------------------------------------------------------------------------
+# the unit-demand router on (layer, eid, tail, head) arc keys and a
+# dict-based 0-1 BFS: `roundlab.mcf`'s router on the timed arc index must
+# give the same paths
 
-    For each source in turn, walk from (source, 0), at every node taking
-    the first arc in `timed_arcs` order whose residual exceeds eps, and cut
-    the walk's bottleneck; repeat until no flow leaves (source, 0)."""
-    residual = dict(flows)
-    by_tail = {}
-    for key in timed_arcs(g, tau):
-        if key in residual:
-            by_tail.setdefault((key[2], key[0]), []).append(key)
+def route_unit_demands_reference(g, units, horizon):
+    """Route unit (src, dst) demands as edge-disjoint timed paths within
+    `horizon` layers, or return None.
 
-    def next_arc(node, layer):
-        for key in by_tail.get((node, layer), ()):
-            if residual[key] > eps:
-                return key
+    Greedy sequential BFS with a few deterministic orderings; memory steps
+    are free.  Exact enough at desk scale; callers escalate the horizon on
+    failure.
+    """
+    if not units:
+        return []
+    dists = {}
+    for idx, (src, dst) in enumerate(units):
+        if src not in dists:
+            dists[src] = g.distances_from(src)
+        if dists[src][dst] is None:
+            return None
+        if dists[src][dst] > horizon:
+            return None
+    orderings = [
+        sorted(range(len(units)),
+               key=lambda i: (-dists[units[i][0]][units[i][1]], i)),
+        sorted(range(len(units)),
+               key=lambda i: (dists[units[i][0]][units[i][1]], i)),
+        list(range(len(units))),
+    ]
+    for order in orderings:
+        result = _route_greedy(g, units, horizon, order)
+        if result is not None:
+            return result
+    return None
+
+
+def _route_greedy(g, units, horizon, order):
+    used = set()
+    routed = [None] * len(units)
+    for idx in order:
+        src, dst = units[idx]
+        path = _bfs_timed(g, src, dst, horizon, used)
+        if path is None:
+            return None
+        for key in path.steps():
+            if key[1] is not None:
+                used.add(key)
+        routed[idx] = path
+    return routed
+
+
+def _bfs_timed(g, src, dst, horizon, used):
+    """Residual timed path minimizing edge crossings (0-1 BFS: memory
+    steps are free), so units dwell instead of burning spare arcs."""
+    if horizon == 0:
+        return TimedPath((src,), ()) if src == dst else None
+    start = (src, 0)
+    target = (dst, horizon)
+    parent = {start: None}
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        if state == target:
+            break
+        v, layer = state
+        if layer == horizon:
+            continue
+        mem_state = (v, layer + 1)
+        if mem_state not in dist or dist[mem_state] > dist[state]:
+            dist[mem_state] = dist[state]
+            parent[mem_state] = (v, layer, None)
+            queue.appendleft(mem_state)
+        for eid, w in g.incidence[v]:
+            key = (layer, eid, v, w)
+            if key in used:
+                continue
+            nxt = (w, layer + 1)
+            if nxt not in dist or dist[nxt] > dist[state] + 1:
+                dist[nxt] = dist[state] + 1
+                parent[nxt] = (v, layer, eid)
+                queue.append(nxt)
+    if target not in parent:
         return None
-
-    parcels = []
-    for source in sources:
-        while next_arc(source, 0) is not None:
-            verts, eids, used = [source], [], []
-            for layer in range(tau):
-                key = next_arc(verts[-1], layer)
-                if key is None:
-                    raise AssertionError("flow decomposition stalled")
-                used.append(key)
-                verts.append(key[3])
-                eids.append(key[1])
-            amount = min(residual[key] for key in used)
-            for key in used:
-                residual[key] -= amount
-            parcels.append((tuple(verts), tuple(eids), amount))
-    return parcels
+    verts = [dst]
+    eids = []
+    state = target
+    while parent[state] is not None:
+        v, layer, eid = parent[state]
+        verts.append(v)
+        eids.append(eid)
+        state = (v, layer)
+    verts.reverse()
+    eids.reverse()
+    return TimedPath(tuple(verts), tuple(eids))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from roundlab.circuits import (
-    BooleanCircuit, CircuitBuilder, Gate, batcher_comparators,
+    GATE_OPS, BooleanCircuit, CircuitBuilder, Gate, batcher_comparators,
     build_ed_circuit, circuit_from_json, circuit_to_json,
     sorting_network_sorts,
 )
@@ -51,6 +53,41 @@ def test_levelization_pads_skipping_wires():
         vals = c.evaluate(bits)
         assert vals[pos[0]] == (bits[0] & bits[1] & bits[2])
         assert vals[pos[1]] == bits[0]
+
+
+@st.composite
+def builder_dags(draw):
+    """(builder, outputs): a random DAG of AND, OR and NOT nodes, each
+    argument drawn from every node before it."""
+    b = CircuitBuilder(draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(1, 20))):
+        kind = draw(st.sampled_from((b.and_, b.or_, b.not_)))
+        node = st.integers(0, len(b.kinds) - 1)
+        kind(*(draw(node) for _ in range(1 if kind == b.not_ else 2)))
+    return b, draw(st.lists(st.integers(0, len(b.kinds) - 1), min_size=1,
+                            max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(builder_dags())
+def test_finalize_evaluates_like_the_dag(case):
+    # legalized and levelized, a DAG with fan-out above two and wires that
+    # skip levels computes what it computes node by node
+    b, outputs = case
+    depth = []
+    for args in b.args:
+        depth.append(1 + max((depth[a] for a in args), default=-1))
+    fan_out = Counter(a for args in b.args for a in args) + Counter(outputs)
+    assume(max(fan_out.values()) > 2)
+    assume(any(depth[a] < depth[nid] - 1
+               for nid, args in enumerate(b.args) for a in args))
+    c, pos = b.finalize(outputs)
+    for bits in itertools.product((0, 1), repeat=b.n * b.k):
+        values = list(bits)
+        for kind, args in zip(b.kinds[len(bits):], b.args[len(bits):]):
+            values.append(GATE_OPS[kind](*(values[a] for a in args)))
+        got = c.evaluate(bits)
+        assert [got[p] for p in pos] == [values[o] for o in outputs]
 
 
 def test_circuit_validation_rejects_bad_wiring():

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+import roundlab.mcf as mcf_mod
+import roundlab.protocols as protocols_mod
 from roundlab import graphs
 from roundlab.circuits import build_ed_circuit, circuit_to_json
 from roundlab.cli import main
@@ -127,6 +129,42 @@ def fixtures(tmp_path_factory):
 def test_cli_output_is_golden(name, fixtures):
     files, workdir = fixtures
     assert run_case(name, files, workdir) == golden_path(name).read_text()
+
+
+@pytest.mark.parametrize("name", ["bench-ed-k2", "compile-k2", "run-ed-k2",
+                                  "run-ed-k3"])
+def test_ed_levels_route_at_twice_tau_mcf(name, fixtures, monkeypatch):
+    # every routed level of the golden ED compiles closes at 2 tau_MCF of
+    # its peak load, the horizon the compiler tries first, on the router's
+    # first ordering: a router that needs an escalation or a later ordering
+    # on this traffic fails here by name, not through a golden diff
+    files, workdir = fixtures
+    taus, horizons, orderings = set(), [], []
+    tau_mcf, route = protocols_mod.tau_mcf, protocols_mod.route_unit_demands
+    greedy = mcf_mod._route_greedy
+
+    def recording_tau_mcf(*args):
+        answers = tau_mcf(*args)
+        taus.update(answers.values())
+        return answers
+
+    def recording_route(g, pairs, horizon):
+        routed = route(g, pairs, horizon)
+        horizons.append((horizon, routed is not None))
+        return routed
+
+    def recording_greedy(*args):
+        orderings.append(args[-1])
+        return greedy(*args)
+
+    monkeypatch.setattr(protocols_mod, "tau_mcf", recording_tau_mcf)
+    monkeypatch.setattr(protocols_mod, "route_unit_demands", recording_route)
+    monkeypatch.setattr(mcf_mod, "_route_greedy", recording_greedy)
+    run_case(name, files, workdir)
+    assert horizons
+    assert all(ok and horizon // 2 in taus and horizon % 2 == 0
+               for horizon, ok in horizons)
+    assert len(orderings) == len(horizons)
 
 
 if __name__ == "__main__":

@@ -16,11 +16,11 @@ from roundlab.mcf import (
     ArcLP, LPSolveError, _assemble_mcf_lp, _forward_bounds, mcf_feasible,
     route_unit_demands, tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound,
 )
-from roundlab.timed import build_timed_graph, tau_route
+from roundlab.timed import base_min_cut, build_timed_graph, tau_route
 
 from oracles import (
     flow_bound_reference, forward_bounds_reference, mcf_feasible_bruteforce,
-    mcf_lp_reference, timed_arcs,
+    mcf_lp_reference, route_unit_demands_reference, timed_arcs,
 )
 
 
@@ -157,8 +157,9 @@ def _reference_flow_bound(g, n_prime):
     """The flow bound as the timed-network search finds it: the least
     horizon from the base bound at which the reference engine's partition
     flow passes on every side that tau_mcf_flow_bound checks."""
-    base, sides = mcf_mod._base_bound(g, tuple(sorted(g.terminals)),
-                                      Fraction(n_prime))
+    terminals = tuple(sorted(g.terminals))
+    base, sides = mcf_mod._base_bound(
+        terminals, mcf_mod._terminal_cuts(g, terminals), Fraction(n_prime))
     return flow_bound_reference(g, sides, n_prime, base)
 
 
@@ -327,6 +328,26 @@ def test_tau_mcf_lower_bound_cut_count(monkeypatch, k, cuts):
     assert len(set(sides)) == len(sides) == cuts
 
 
+@pytest.mark.parametrize("g,n_primes,cuts", [
+    # rand12: the 7 bipartitions of its k = 4 terminals
+    (random_connected_graph(12, 10, seed=1, k=4), [8, 16, 32], 7),
+    # the 21 peaks that the K3 compile of build_ed_circuit(3, 6) requests
+    (clique(3), range(1, 22), 3),
+])
+def test_tau_mcf_cuts_once_per_call(monkeypatch, g, n_primes, cuts):
+    # the min cuts of the base bound do not depend on n': one tau_mcf call
+    # cuts each bipartition once, however many n' it decides
+    sides = []
+
+    def recording_cut(g, side_a, side_b):
+        sides.append(tuple(side_a))
+        return base_min_cut(g, side_a, side_b)
+
+    monkeypatch.setattr(mcf_mod, "base_min_cut", recording_cut)
+    tau_mcf(g, g.terminals, n_primes)
+    assert len(set(sides)) == len(sides) == cuts
+
+
 def test_tau_mcf_probe_order(monkeypatch):
     # the base-cut bound 32 is one short of ring44's answer; the flow bound
     # certifies 33, so one LP confirms it
@@ -347,6 +368,7 @@ def test_tau_mcf_probe_order(monkeypatch):
 
 def test_route_unit_demands_basic():
     g = clique(4)
+    assert route_unit_demands(g, [], 0) == []
     units = [(0, 1), (1, 2), (2, 3), (3, 0)]
     paths = route_unit_demands(g, units, 1)
     assert paths is not None
@@ -363,6 +385,18 @@ def test_route_unit_demands_contention():
     assert route_unit_demands(g, [(0, 1), (0, 1)], 1) is None
     paths = route_unit_demands(g, [(0, 1), (0, 1)], 2)
     assert paths is not None and len(paths) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(parallel_multigraphs(2), st.data(), st.integers(0, 8))
+def test_route_unit_demands_matches_reference(g, data, horizon):
+    # the router on the timed arc index takes the arc-key reference's
+    # paths, in its orderings, and fails where it fails
+    vertex = st.integers(0, g.n - 1)
+    units = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1,
+                               max_size=15))
+    assert route_unit_demands(g, units, horizon) == \
+        route_unit_demands_reference(g, units, horizon)
 
 
 # ---------------------------------------------------------------------------

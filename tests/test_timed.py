@@ -15,12 +15,11 @@ import roundlab.timed as timed_mod
 from roundlab.mcf import mcf_feasible
 from roundlab.timed import (
     SearchLimitError, TimedGraph, _horizon_flow, _static_flow, base_min_cut,
-    least_feasible_horizon, least_horizon, peel_unit_paths,
+    least_feasible_horizon, least_horizon,
 )
 from oracles import (
-    arc_key_flows, base_cut_bruteforce, decompose_paths_reference,
-    partition_flow, static_paths_reference, timed_flow_bruteforce,
-    timed_max_flow, tau_route_bruteforce,
+    arc_key_flows, base_cut_bruteforce, partition_flow, static_paths_reference,
+    timed_flow_bruteforce, timed_max_flow, tau_route_bruteforce,
 )
 
 
@@ -305,35 +304,6 @@ def test_repeated_flow_matches_engine_and_oracle(case, tau, n_prime):
         assert got == tau_route_bruteforce(g, a, b, n_prime)
 
 
-@settings(max_examples=60, deadline=None)
-@given(multigraph_pairs(), st.integers(1, 4))
-def test_decomposer_matches_arc_key_reference(case, tau):
-    # integral timed flows of the reference engine (single pair and
-    # partition) peel into the arc-key decomposer's parcels, in its order,
-    # each repeated as many times as its amount
-    g, a, b = case
-    tg = build_timed_graph(g, tau)
-    tails, heads, is_edge = tg.arc_arrays()
-    width = 2 * g.m + g.n
-    rest = [v for v in range(g.n) if v not in (a, b)]
-    side_a, side_b = [a] + rest[:1], [b] + rest[1:2]
-    cases = [
-        ((a,), timed_max_flow(tg, a, tau * g.n + b)[1]),
-        (side_a, partition_flow(tg, side_a, side_b, 2, 2)[1]),
-    ]
-    for sources, units in cases:
-        got = [(tuple(v % g.n for v in nodes),
-                tuple(ai % width // 2 if is_edge[ai] else None
-                      for ai in arcs))
-               for nodes, arcs in peel_unit_paths(tails, heads, units,
-                                                  sources)]
-        assert got == [
-            (verts, eids)
-            for verts, eids, amount in decompose_paths_reference(
-                g, tau, arc_key_flows(g, tau, units), sources)
-            for _ in range(amount)]
-
-
 @st.composite
 def multigraph_vertex_sets(draw):
     g, a, b = draw(parallel_multigraph_pairs())
@@ -367,8 +337,8 @@ def test_set_flow_over_time_matches_engine(case, tau, units):
 @settings(max_examples=60, deadline=None)
 @given(parallel_multigraph_pairs(), st.integers(0, 6))
 def test_static_paths_match_reference(case, tau):
-    # the shared walk gives the static flow's paths of the old per-vertex
-    # walk, in its order, on multigraphs with parallel edges
+    # max_route_flow walks its static flow into the reference's paths, in
+    # its order, on multigraphs with parallel edges
     g, a, b = case
     _, used = _horizon_flow(g, a, b, tau)
     assert max_route_flow(g, a, b, tau).static_paths == \
