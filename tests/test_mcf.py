@@ -64,6 +64,21 @@ def test_mcf_feasibility_matches_oracle():
                 mcf_feasible_bruteforce(g, pairs, tau), (seed, tau)
 
 
+def test_mcf_feasible_checks_the_horizon_sign(monkeypatch):
+    # a negative horizon is refused, and no demand moves in zero rounds:
+    # neither refines classes nor solves an LP
+    def no_lp(*args, **kwargs):
+        raise AssertionError("refined or solved an LP")
+
+    monkeypatch.setattr(mcf_mod.ArcLP, "of", no_lp)
+    monkeypatch.setattr(mcf_mod, "linprog", no_lp)
+    g = clique(3)
+    demand = _uniform(g.terminals, 2)
+    with pytest.raises(GraphError, match="^horizon must be nonnegative$"):
+        mcf_feasible(g, demand, -1)
+    assert mcf_feasible(g, demand, 0) is False
+
+
 def test_tau_mcf_subadditive():
     for seed in range(10):
         g = random_connected_graph(5, 3, seed=50 + seed, k=3)
