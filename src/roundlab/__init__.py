@@ -15,10 +15,8 @@ from .graphs import (
     load_graph,
 )
 from .timed import (
-    TimedGraph, TimedPath, FlowSolution, LevelVector,
-    RoutableError, SearchLimitError,
-    build_timed_graph, max_route_flow, tau_route, extract_level_vector,
-    validate_timed_path,
+    TimedPath, FlowSolution, LevelVector, RoutableError, SearchLimitError,
+    max_route_flow, tau_route, extract_level_vector, validate_timed_path,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

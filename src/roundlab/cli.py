@@ -18,7 +18,7 @@ command's summary keys added, so the file loads with ``circuit_from_json``
 or ``instance_from_json``.
 
 Size ceiling: the LP of ``tau-mcf`` is indexed by a timed network of
-at most ``timed.MAX_TIMED_ARCS`` (2**25, about 33.5 million) arcs, tau *
+at most ``mcf.MAX_TIMED_ARCS`` (2**25, about 33.5 million) arcs, tau *
 (2m + n); past it a command exits 3 naming m, tau and the size before
 allocating.  Every other flow is read off static min-cost flows and
 builds no timed network, so ``tau-route``, the cut bounds of ``tau-mcf``

@@ -64,9 +64,13 @@ from .graphs import (
     GraphError, UnreachableError, check_terminals, tree_terminal_diameter,
 )
 from .timed import (
-    TimedPath, _static_flow, base_min_cut, build_timed_graph,
-    least_feasible_horizon, least_horizon,
+    TimedPath, _static_flow, base_min_cut, least_feasible_horizon,
+    least_horizon,
 )
+
+# the most arcs a timed network of `mcf` may have: about twice the 17.3
+# million of path_graph(1200) at horizon 4,810
+MAX_TIMED_ARCS = 2 ** 25
 
 # terminal sets up to this size bound tau_MCF with the min cut of every
 # terminal bipartition (2**(k-1) - 1 cuts); larger ones use the k singletons
@@ -94,17 +98,16 @@ def _colour_classes(g, by_source, tails, heads, forward):
 
     The static LP is the LP at horizon 1.  Static column si * (2m + n) + a
     is commodity si's flow on arc a, from vertex tails[a] to heads[a], of
-    `build_timed_graph(g, 1).arc_arrays()` (sources sorted), first
-    coloured by (memory arc, forward[column]).  Static conservation row
-    si * n + v is the pair (source, v), first coloured by (supply if v is
-    the source, demand source -> v).  Capacity row a is edge arc a; they
-    start alike.  Colour refinement with exact signatures then splits
-    classes until none splits: a column takes the colours of its tail
-    row, head row and capacity row; a conservation row the sorted colours
-    of its out- and of its in-columns; a capacity row the sorted colours
-    of its columns.  Every signature starts with the old colour, so a
-    pass only splits, and a pass that splits no class ends the
-    refinement."""
+    the static layer of `ArcLP.of` (sources sorted), first coloured by
+    (memory arc, forward[column]).  Static conservation row si * n + v is
+    the pair (source, v), first coloured by (supply if v is the source,
+    demand source -> v).  Capacity row a is edge arc a; they start alike.
+    Colour refinement with exact signatures then splits classes until
+    none splits: a column takes the colours of its tail row, head row and
+    capacity row; a conservation row the sorted colours of its out- and
+    of its in-columns; a capacity row the sorted colours of its columns.
+    Every signature starts with the old colour, so a pass only splits,
+    and a pass that splits no class ends the refinement."""
     sources = sorted(by_source)
     n, n_edge, n_arcs = g.n, 2 * g.m, len(tails)
     commodities = range(len(sources))
@@ -159,10 +162,13 @@ class ArcLP(namedtuple("ArcLP", (
     @classmethod
     def of(cls, g, by_source):
         """Computes the BFS distances behind the forward flags and refines,
-        once."""
+        once.  Static arc 2 eid is edge eid's u -> v and 2 eid + 1 its
+        v -> u, for edges[eid] = (u, v), and 2m + v is v's memory arc."""
         sources, n = sorted(by_source), g.n
-        tails, head_nodes, is_edge = build_timed_graph(g, 1).arc_arrays()
-        heads = head_nodes - n
+        ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+        tails = np.concatenate([ends.ravel(), np.arange(n)])
+        heads = np.concatenate([ends[:, ::-1].ravel(), np.arange(n)])
+        is_edge = np.arange(tails.size) < ends.size
         # -2 for an unreachable vertex: an arc with such a tail has such a
         # head, and -2 != -2 + 1
         dist = np.array([[-2 if d is None else d for d in g.distances_from(s)]
@@ -200,23 +206,23 @@ class ArcLP(namedtuple("ArcLP", (
             for s, row in self.by_source.items()})
 
 
-def _assemble_mcf_lp(tg, lp):
-    """The quotient at horizon tg.tau of the arc-based LP of `lp`, an
+def _assemble_mcf_lp(lp, tau):
+    """The quotient at horizon tau of the arc-based LP of `lp`, an
     ArcLP, by its classes lifted layer by layer to (class, layer), as
     (cost, A_ub, b_ub, A_eq, b_eq).
 
     The full LP's column is one commodity's flow on one arc of the timed
-    network (`TimedGraph.arc_arrays()`, sources sorted).  Each edge arc
-    carries at most one unit over all commodities; memory arcs are free
-    in the objective, so idle commodities dwell in place.  The quotient
-    has one column per lifted column class, costing the sum over its
-    members, and one row per lifted row class, that of the class's first
-    member, whose coefficients are its member counts per column class.
-    It is laid out layer-major: with C column, R conservation row and Q
-    capacity row classes, column (c, layer l) is l C + c, conservation
-    row (r, l) is l R + r and capacity row (q, l) is l Q + q.
+    network, a layer's copy of a static arc of `ArcLP.of` (sources
+    sorted).  Each edge arc carries at most one unit over all
+    commodities; memory arcs are free in the objective, so idle
+    commodities dwell in place.  The quotient has one column per lifted
+    column class, costing the sum over its members, and one row per
+    lifted row class, that of the class's first member, whose
+    coefficients are its member counts per column class.  It is laid out
+    layer-major: with C column, R conservation row and Q capacity row
+    classes, column (c, layer l) is l C + c, conservation row (r, l) is
+    l R + r and capacity row (q, l) is l Q + q.
     """
-    tau = tg.tau
     n_cols, n_rows = lp.col_cost.size, lp.row_src.size
     layer = np.arange(tau)[:, None]
     a_eq = sparse.coo_matrix(
@@ -268,19 +274,24 @@ def mcf_feasible(g, by_source, tau):
     LP; an infeasible or failed restricted LP decides nothing.  Each
     quotient is feasible exactly when its LP is (module docstring).  No
     demand moves in zero rounds, so tau = 0 is infeasible without an LP.
-    The arc ceiling (`TimedGraph.check_arc_ceiling`) is checked before
-    anything is allocated."""
-    tg = build_timed_graph(g, tau)
+    A negative tau, or a timed network past MAX_TIMED_ARCS arcs, (2m + n)
+    tau, raises GraphError before anything is allocated."""
+    if tau < 0:
+        raise GraphError("horizon must be nonnegative")
     if tau == 0:
         return False
-    tg.check_arc_ceiling()
+    count = (2 * g.m + g.n) * tau
+    if count > MAX_TIMED_ARCS:
+        raise GraphError(
+            f"timed network with m={g.m} edges at tau={tau} "
+            f"has {count} arcs, past the limit {MAX_TIMED_ARCS}")
     if not isinstance(by_source, ArcLP):
         lp = ArcLP.of(g, by_source)
     elif by_source.graph is g:
         lp = by_source
     else:
         raise ValueError("an ArcLP of another graph")
-    cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(tg, lp)
+    cost, a_ub, b_ub, a_eq, b_eq = _assemble_mcf_lp(lp, tau)
     kwargs = dict(A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
     restricted = linprog(cost, bounds=_forward_bounds(lp, tau), **kwargs)
     if restricted.status == 0:
@@ -555,10 +566,10 @@ def _bfs_timed(g, src, dst, horizon, used):
     """Residual timed path minimizing edge crossings (0-1 BFS: memory
     steps are free), so units dwell instead of burning spare arcs.
 
-    Nodes and arcs are numbered as in `TimedGraph.arc_arrays`: node (v,
-    layer) is layer n + v, and the arc of edge eid from v to w in a layer
-    is layer (2m + n) + 2 eid + (v > w).  `used` is the set of arcs that
-    earlier paths took; a path found adds its own."""
+    Node (v, layer) is layer n + v, and the arc of edge eid from v to w
+    in a layer is layer (2m + n) + 2 eid + (v > w), that layer's copy of
+    the static arc of `ArcLP.of`.  `used` is the set of arcs that earlier
+    paths took; a path found adds its own."""
     n, width = g.n, 2 * g.m + g.n
     target = horizon * n + dst
     dist = [math.inf] * ((horizon + 1) * n)

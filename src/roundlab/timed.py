@@ -1,4 +1,4 @@
-"""Timed (layered) expansions of a graph, and flows over time computed
+"""Flows over time in the timed (layered) expansion of a graph, computed
 from static flows.
 
 The tau-horizon expansion has one copy of each vertex per layer 0..tau.
@@ -24,12 +24,12 @@ in the static residual network.  Between terminal sets, the static
 flow's value is the base-graph min cut `base_min_cut`, and its lengths
 give `mcf.tau_mcf_flow_bound`.
 
-The timed network itself is only an index, of the LP and of the unit
-router in `mcf`: `TimedGraph.arc_arrays` lays its arcs out as numpy
-columns, a column of the full LP, whose quotient `mcf` solves, is one arc
-of one commodity, and the router names the arcs its paths take by the
-same numbers.  A network of more than MAX_TIMED_ARCS arcs is refused
-with a GraphError before anything is allocated.  tau_MCF comes from the
+Nothing else builds one either: `mcf` reads the timed network as an
+index.  Arc l (2m + n) + a is layer l's copy of static arc a of
+`mcf.ArcLP.of`; a column of the full LP, whose quotient `mcf` solves, is
+one such arc of one commodity, and the unit router names its paths' arcs
+by the same numbers.  `mcf.mcf_feasible` refuses a network past
+`mcf.MAX_TIMED_ARCS` arcs before allocating.  tau_MCF comes from the
 monotone search `least_feasible_horizon`, started at the certified lower
 bound.
 """
@@ -41,13 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-import numpy as np
-
 from .graphs import GraphError, UnreachableError
-
-# the most arcs a timed network of `mcf` may have: about twice the 17.3
-# million of path_graph(1200) at horizon 4,810
-MAX_TIMED_ARCS = 2 ** 25
 
 
 class RoutableError(ValueError):
@@ -56,50 +50,6 @@ class RoutableError(ValueError):
 
 class SearchLimitError(RuntimeError):
     """A monotone horizon search exceeded its safety cutoff."""
-
-
-@dataclass(frozen=True)
-class TimedGraph:
-    base: object
-    tau: int
-
-    def check_arc_ceiling(self):
-        """Raise GraphError if the network has more than MAX_TIMED_ARCS
-        arcs, (2m + n) tau of them, so that callers stop before they
-        allocate."""
-        n, m = self.base.n, self.base.m
-        count = (2 * m + n) * self.tau
-        if count > MAX_TIMED_ARCS:
-            raise GraphError(
-                f"timed network with m={m} edges at tau={self.tau} "
-                f"has {count} arcs, past the limit {MAX_TIMED_ARCS}")
-
-    def arc_arrays(self):
-        """The arcs as numpy columns (tail, head, is_edge); tail and head
-        are node ids (layer * n + vertex).  Arc index i lies in layer
-        i // (2m + n); within a layer, index 2 * eid is edge eid's arc
-        u -> v and 2 * eid + 1 its arc v -> u, for edges[eid] = (u, v),
-        and 2m + v is vertex v's memory arc.  A column of `mcf`'s full
-        LP, whose quotient it solves, is one arc of this index for one
-        commodity.  Raises GraphError, before allocating, past
-        MAX_TIMED_ARCS."""
-        self.check_arc_ceiling()
-        n = self.base.n
-        ends = np.array(self.base.edges, dtype=np.int64).reshape(-1, 2)
-        verts = np.arange(n)
-        layer_tails = np.concatenate([ends.ravel(), verts])
-        layer_heads = np.concatenate([ends[:, ::-1].ravel(), verts])
-        offsets = n * np.arange(self.tau)[:, None]
-        is_edge = np.arange(layer_tails.size) < ends.size
-        return ((offsets + layer_tails).ravel(),
-                (offsets + n + layer_heads).ravel(),
-                np.tile(is_edge, self.tau))
-
-
-def build_timed_graph(g, tau):
-    if tau < 0:
-        raise GraphError("horizon must be nonnegative")
-    return TimedGraph(g, tau)
 
 
 @dataclass(frozen=True)

@@ -460,10 +460,10 @@ def _bfs_timed(g, src, dst, horizon, used):
 # reference engine for the flows over time that roundlab reads off static
 # flows
 
-def timed_max_flow(tg, src, dst, extra_arcs=()):
-    """(value, units): a maximum src -> dst flow in the timed network of
-    the roundlab TimedGraph `tg`, with `units` its units per arc, a vector
-    indexed like `tg.arc_arrays()`.
+def timed_max_flow(g, tau, src, dst, extra_arcs=()):
+    """(value, units): a maximum src -> dst flow in the tau-horizon timed
+    network of `g`, with `units` its units per arc, a vector indexed like
+    `timed_arcs(g, tau)`.
 
     Node ids are layer * n + v; `extra_arcs` adds (tail, head, capacity)
     arcs whose ends may be new nodes numbered from (tau + 1) n on (super
@@ -477,9 +477,14 @@ def timed_max_flow(tg, src, dst, extra_arcs=()):
     from scipy import sparse
     from scipy.sparse.csgraph import maximum_flow
 
-    arc_tails, arc_heads, is_edge = tg.arc_arrays()
-    caps = np.where(is_edge, 1, 2 * tg.base.m * tg.tau + 1)
-    tails, heads, size = arc_tails, arc_heads, (tg.tau + 1) * tg.base.n
+    arcs = timed_arcs(g, tau)
+    arc_tails = np.array([layer * g.n + u for layer, _, u, _ in arcs],
+                         dtype=np.int64)
+    arc_heads = np.array([(layer + 1) * g.n + v for layer, _, _, v in arcs],
+                         dtype=np.int64)
+    is_edge = np.array([eid is not None for _, eid, _, _ in arcs], dtype=bool)
+    caps = np.where(is_edge, 1, 2 * g.m * tau + 1)
+    tails, heads, size = arc_tails, arc_heads, (tau + 1) * g.n
     if extra_arcs:
         extra = np.array(extra_arcs, dtype=np.int64)
         tails = np.concatenate([tails, extra[:, 0]])
@@ -490,24 +495,24 @@ def timed_max_flow(tg, src, dst, extra_arcs=()):
         (caps.astype(np.int32), (tails, heads)), shape=(size, size))
     res = maximum_flow(capacity, src, dst, method="dinic")
     summed = np.asarray(res.flow[arc_tails, arc_heads]).ravel()
+    # each arc's rank among the parallel arcs before it in its layer
     rank, seen = [], {}
-    for u, v in tg.base.edges:
-        for pair in ((u, v), (v, u)):
-            rank.append(seen.get(pair, 0))
-            seen[pair] = rank[-1] + 1
-    rank = np.tile(rank + [0] * tg.base.n, tg.tau)
+    for layer, _, u, v in arcs:
+        rank.append(seen.get((layer, u, v), 0))
+        seen[layer, u, v] = rank[-1] + 1
     return int(res.flow_value), np.where(is_edge, summed > rank, summed)
 
 
-def partition_flow(tg, side_a, side_b, cap_a, cap_b):
-    """`timed_max_flow` from side_a x {0} to side_b x {tau} in `tg`,
-    through a super source with an arc of capacity cap_a into each (a, 0)
-    and a super sink fed by an arc of capacity cap_b from each (b, tau)."""
-    n = tg.base.n
-    s, t = (tg.tau + 1) * n, (tg.tau + 1) * n + 1
+def partition_flow(g, tau, side_a, side_b, cap_a, cap_b):
+    """`timed_max_flow` from side_a x {0} to side_b x {tau} in the
+    tau-horizon timed network of `g`, through a super source with an arc
+    of capacity cap_a into each (a, 0) and a super sink fed by an arc of
+    capacity cap_b from each (b, tau)."""
+    n = g.n
+    s, t = (tau + 1) * n, (tau + 1) * n + 1
     arcs = ([(s, u, cap_a) for u in side_a]
-            + [(tg.tau * n + v, t, cap_b) for v in side_b])
-    return timed_max_flow(tg, s, t, arcs)
+            + [(tau * n + v, t, cap_b) for v in side_b])
+    return timed_max_flow(g, tau, s, t, arcs)
 
 
 def flow_bound_reference(g, sides, n_prime, lo):
@@ -517,13 +522,11 @@ def flow_bound_reference(g, sides, n_prime, lo):
     ceil(|K - T| n'/k) and ceil(|T| n'/k) reaches ceil(|T| |K - T| n'/k).
     An upward scan of timed networks, one max flow per side and
     horizon."""
-    from roundlab.timed import build_timed_graph
-
     share = Fraction(n_prime) / (len(sides[0][0]) + len(sides[0][1]))
 
     def passes(tau, side, rest):
         value, _ = partition_flow(
-            build_timed_graph(g, tau), side, rest,
+            g, tau, side, rest,
             math.ceil(len(rest) * share), math.ceil(len(side) * share))
         return value >= math.ceil(len(side) * len(rest) * share)
 

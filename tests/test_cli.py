@@ -388,12 +388,13 @@ def test_tau_mcf_huge_nprime_exit_code(tmp_path, capsys):
 def test_two_terminal_tau_mcf_has_no_arc_ceiling(tmp_path, capsys,
                                                   monkeypatch):
     # on K2 the answer is the flow bound, read off one static flow, so no
-    # timed network is built; the LP's network would have 2 * 10**9 arcs,
-    # past the ceiling (exit 3)
+    # LP is probed or laid out; the LP's network would have 2 * 10**9
+    # arcs, past the ceiling (exit 3)
     def no_network(*args):
-        raise AssertionError("built a timed network")
+        raise AssertionError("probed or laid out an LP")
 
-    monkeypatch.setattr(mcf_mod, "build_timed_graph", no_network)
+    monkeypatch.setattr(mcf_mod, "mcf_feasible", no_network)
+    monkeypatch.setattr(mcf_mod.ArcLP, "of", no_network)
     path = _write_graph(tmp_path, clique(2))
     code, payload = _run(capsys, ["tau-mcf", "--graph", path,
                                   "--nprime", "1000000000"])
@@ -403,8 +404,8 @@ def test_two_terminal_tau_mcf_has_no_arc_ceiling(tmp_path, capsys,
 def test_tau_mcf_mid_nprime_exit_code(tmp_path, capsys):
     # at n' = 10**7 the flow bound puts tau at 3,750,004; the network's
     # 585,000,624 arcs pass the arc ceiling, which stops the first LP
-    # before allocating (arc_arrays asked numpy for 4.36 GiB and escaped
-    # as a raw traceback with exit 1)
+    # before allocating (laying its arcs out asked numpy for 4.36 GiB and
+    # escaped as a raw traceback with exit 1)
     path = _write_graph(tmp_path, grid_graph(6, 6))
     code = main(["tau-mcf", "--graph", path, "--nprime", "10000000"])
     err = capsys.readouterr().err

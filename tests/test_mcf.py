@@ -16,7 +16,7 @@ from roundlab.mcf import (
     ArcLP, LPSolveError, _assemble_mcf_lp, _forward_bounds, mcf_feasible,
     route_unit_demands, tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound,
 )
-from roundlab.timed import base_min_cut, build_timed_graph, tau_route
+from roundlab.timed import base_min_cut, tau_route
 
 from oracles import (
     flow_bound_reference, forward_bounds_reference, mcf_feasible_bruteforce,
@@ -478,7 +478,7 @@ def test_lp_assembly_matches_reference(monkeypatch):
     _singleton_classes(monkeypatch)
     for g, tau, demands in _lp_cases():
         lp = ArcLP.of(g, demands)
-        got = _assemble_mcf_lp(build_timed_graph(g, tau), lp) + (
+        got = _assemble_mcf_lp(lp, tau) + (
             _forward_bounds(lp, tau),)
         want = _layer_major(g, tau, mcf_lp_reference(g, tau, demands) + (
             forward_bounds_reference(g, tau, demands),))
@@ -507,7 +507,7 @@ def test_tau_mcf_unchanged_with_reference_assembly(monkeypatch):
     _singleton_classes(monkeypatch)
     monkeypatch.setattr(
         mcf_mod, "_assemble_mcf_lp",
-        lambda tg, lp: mcf_lp_reference(tg.base, tg.tau, lp.by_source))
+        lambda lp, tau: mcf_lp_reference(lp.graph, tau, lp.by_source))
     assert values() == quotient
 
 
@@ -764,7 +764,7 @@ def test_quotient_stages_match_full_lp_and_paths(instance, tau):
     # the amounts would merge their rows
     g, demand = instance
     lp = ArcLP.of(g, demand)
-    got = _solve_stages(*_assemble_mcf_lp(build_timed_graph(g, tau), lp),
+    got = _solve_stages(*_assemble_mcf_lp(lp, tau),
                         _forward_bounds(lp, tau))
     want = _solve_stages(*mcf_lp_reference(g, tau, demand),
                          forward_bounds_reference(g, tau, demand))

@@ -5,8 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from roundlab import (
     Graph, GraphError, UnreachableError, RoutableError,
-    build_timed_graph, max_route_flow, tau_route, extract_level_vector,
-    validate_timed_path,
+    max_route_flow, tau_route, extract_level_vector, validate_timed_path,
     path_graph, clique, grid_graph, intro_split_graph,
     random_connected_graph, parallel_edges,
 )
@@ -14,31 +13,14 @@ import roundlab.mcf as mcf_mod
 import roundlab.timed as timed_mod
 from roundlab.mcf import mcf_feasible
 from roundlab.timed import (
-    SearchLimitError, TimedGraph, _horizon_flow, _static_flow, base_min_cut,
+    SearchLimitError, _horizon_flow, _static_flow, base_min_cut,
     least_feasible_horizon, least_horizon,
 )
 from oracles import (
     arc_key_flows, base_cut_bruteforce, partition_flow, static_paths_reference,
     timed_flow_bruteforce, timed_max_flow, tau_route_bruteforce,
 )
-
-
-def test_timed_graph_edge_counts():
-    def nonmemory_arcs(g, tau):
-        return int(build_timed_graph(g, tau).arc_arrays()[2].sum())
-
-    assert nonmemory_arcs(Graph(2, ((0, 1),), (0, 1)), 2) == 4
-    assert nonmemory_arcs(clique(3), 1) == 6
-    assert nonmemory_arcs(path_graph(2, terminals=(0, 2)), 3) == 12
-
-
-def test_timed_arcs_connect_consecutive_layers():
-    tg = build_timed_graph(clique(3), 2)
-    tails, heads, _ = tg.arc_arrays()
-    for tail, head in zip(tails.tolist(), heads.tolist()):
-        layer = tail // tg.base.n
-        assert 0 <= layer < tg.tau
-        assert head // tg.base.n == layer + 1
+from test_imports import array_imports
 
 
 def test_single_edge_pipelines_one_bit_per_round():
@@ -189,8 +171,7 @@ def test_engine_splits_parallel_arcs_in_edge_id_order():
     # engine's CSR sums each bundle, and the two units come back on the
     # lowest edge ids, as the repeated flow's paths use them
     g = Graph(3, ((0, 1), (0, 1), (0, 1), (1, 2), (1, 2)), (0, 2))
-    tg = build_timed_graph(g, 2)
-    value, units = timed_max_flow(tg, 0, 2 * g.n + 2)
+    value, units = timed_max_flow(g, 2, 0, 2 * g.n + 2)
     assert value == 2
     assert arc_key_flows(g, 2, units) == {
         (0, 0, 0, 1): 1, (0, 1, 0, 1): 1, (1, 3, 1, 2): 1, (1, 4, 1, 2): 1}
@@ -210,26 +191,25 @@ class NoNumpy:
 
 
 def test_arc_ceiling_before_allocating(monkeypatch):
-    # grid 6x6 at tau = 3,750,000 has 156 arcs per layer: arc_arrays asked
-    # numpy for 4.36 GiB
-    monkeypatch.setattr(timed_mod, "np", NoNumpy())
-    tg = build_timed_graph(grid_graph(6, 6), 3_750_000)
+    # a tau_MCF probe meets the ceiling before it refines classes or
+    # allocates the quotient LP, which has as many columns as the full LP,
+    # tau (2m + n) k, on a graph without symmetry: grid 6x6 at tau =
+    # 3,750,000 has 156 arcs per layer, and laying them out asked numpy
+    # for 4.36 GiB
+    monkeypatch.setattr(mcf_mod, "np", NoNumpy())
+
+    def probe(g, tau):
+        demand = {s: {t: 1 for t in g.terminals if t != s}
+                  for s in g.terminals}
+        return mcf_feasible(g, demand, tau)
+
     with pytest.raises(GraphError,
                        match=r"m=60 .*tau=3750000 .*585000000 arcs"):
-        tg.arc_arrays()
+        probe(grid_graph(6, 6), 3_750_000)
     # path_graph(1200) at horizon 4,810 (17.3 million arcs) passes the
     # ceiling and goes on to allocate
     with pytest.raises(Allocated):
-        build_timed_graph(path_graph(1200), 4810).arc_arrays()
-    # a tau_MCF probe meets the ceiling before it refines classes or
-    # allocates the quotient LP, which has as many columns as the full LP,
-    # tau (2m + n) k, on a graph without symmetry
-    monkeypatch.setattr(mcf_mod, "np", NoNumpy())
-    g = grid_graph(6, 6)
-    demand = {s: {t: 1 for t in g.terminals if t != s} for s in g.terminals}
-    with pytest.raises(GraphError,
-                       match=r"m=60 .*tau=3750000 .*585000000 arcs"):
-        mcf_feasible(g, demand, 3_750_000)
+        probe(path_graph(1200), 4810)
 
 
 def test_flow_paths_are_lazy(monkeypatch):
@@ -270,8 +250,7 @@ def _check_single_pair(g, a, b, tau):
     """The engine's max flow, the repeated flow's value and paths, and the
     levels against the brute-force oracle at horizon tau."""
     value, source_side = timed_flow_bruteforce(g, a, b, tau)
-    tg = build_timed_graph(g, tau)
-    assert timed_max_flow(tg, a, tau * g.n + b)[0] == value
+    assert timed_max_flow(g, tau, a, tau * g.n + b)[0] == value
     sol = max_route_flow(g, a, b, tau)
     assert sol.value == value
     _check_unit_paths(g, a, b, tau, sol)
@@ -299,8 +278,7 @@ def test_repeated_flow_matches_engine_and_oracle(case, tau, n_prime):
     if g.distances_from(a)[b] is not None:
         got = tau_route(g, a, b, n_prime)
         assert max_route_flow(g, a, b, got - 1).value < n_prime
-        tg = build_timed_graph(g, got)
-        assert timed_max_flow(tg, a, got * g.n + b)[0] >= n_prime
+        assert timed_max_flow(g, got, a, got * g.n + b)[0] >= n_prime
         assert got == tau_route_bruteforce(g, a, b, n_prime)
 
 
@@ -322,10 +300,9 @@ def test_set_flow_over_time_matches_engine(case, tau, units):
     # least_horizon is the least horizon at which that flow reaches units
     g, xs, ys = case
     lengths, _ = _static_flow(g, xs, ys)
-    tg = build_timed_graph(g, tau)
     big = 2 * g.m * tau + 1
     assert sum(max(0, tau + 1 - ell) for ell in lengths) == \
-        partition_flow(tg, xs, ys, big, big)[0]
+        partition_flow(g, tau, xs, ys, big, big)[0]
     assert len(lengths) == base_min_cut(g, xs, ys) == \
         base_cut_bruteforce(g, xs, ys)
     if lengths:
@@ -364,12 +341,10 @@ def test_base_min_cut_matches_bruteforce_oracle(case):
         base_cut_bruteforce(g, [a] + rest[:1], [b] + rest[1:2])
 
 
-def test_single_pair_calls_build_no_timed_network(monkeypatch):
-    def no_network(*args, **kwargs):
-        raise AssertionError("a single-pair call built a timed network")
-
-    monkeypatch.setattr(timed_mod, "TimedGraph", no_network)
-    monkeypatch.setattr(TimedGraph, "arc_arrays", no_network)
+def test_single_pair_calls_build_no_timed_network():
+    # the single-pair calls live in timed, which imports no array library
+    # to build a timed network with
+    assert array_imports(timed_mod.__file__) == set()
     g = intro_split_graph()
     assert tau_route(path_graph(3), 0, 3, 300) == 302
     assert tau_route(g, 0, 1, 16) == 6
