@@ -478,8 +478,7 @@ def test_lp_assembly_matches_reference(monkeypatch):
     _singleton_classes(monkeypatch)
     for g, tau, demands in _lp_cases():
         lp = ArcLP.of(g, demands)
-        got = _assemble_mcf_lp(lp, tau) + (
-            _forward_bounds(lp, tau),)
+        got = _assemble_mcf_lp(lp, tau) + (_forward_bounds(lp, tau),)
         want = _layer_major(g, tau, mcf_lp_reference(g, tau, demands) + (
             forward_bounds_reference(g, tau, demands),))
         for name, a, b in zip(
@@ -764,8 +763,7 @@ def test_quotient_stages_match_full_lp_and_paths(instance, tau):
     # the amounts would merge their rows
     g, demand = instance
     lp = ArcLP.of(g, demand)
-    got = _solve_stages(*_assemble_mcf_lp(lp, tau),
-                        _forward_bounds(lp, tau))
+    got = _solve_stages(*_assemble_mcf_lp(lp, tau), _forward_bounds(lp, tau))
     want = _solve_stages(*mcf_lp_reference(g, tau, demand),
                          forward_bounds_reference(g, tau, demand))
     assert [x is None for x in got] == [y is None for y in want]

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from roundlab import (
     Graph, GraphError, UnreachableError, RoutableError,
     max_route_flow, tau_route, extract_level_vector, validate_timed_path,
-    path_graph, clique, grid_graph, intro_split_graph,
+    path_graph, grid_graph, intro_split_graph,
     random_connected_graph, parallel_edges,
 )
 import roundlab.mcf as mcf_mod
