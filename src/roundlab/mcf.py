@@ -54,27 +54,19 @@ from __future__ import annotations
 import math
 from collections import deque, namedtuple
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .graphs import (
-    GraphError, UnreachableError, check_terminals, tree_terminal_diameter,
-)
+from .graphs import GraphError, UnreachableError, check_terminals
 from .timed import (
-    TimedPath, _static_flow, base_min_cut, least_feasible_horizon,
-    least_horizon,
+    TimedPath, _static_flow, least_feasible_horizon, least_horizon,
 )
 
 # the most arcs a timed network of `mcf` may have: about twice the 17.3
 # million of path_graph(1200) at horizon 4,810
 MAX_TIMED_ARCS = 2 ** 25
-
-# terminal sets up to this size bound tau_MCF with the min cut of every
-# terminal bipartition (2**(k-1) - 1 cuts); larger ones use the k singletons
-CUT_BOUND_MAX_TERMINALS = 10
 
 
 class LPSolveError(RuntimeError):
@@ -350,15 +342,10 @@ def tau_mcf(g, terminals, n_primes):
     l_1 = d(a, b), the terminal diameter.  Like tau = 0 in
     `mcf_feasible`, this is a proven case of the same function; k >= 3
     searches with the LP, computing the n'-free part of the cut bound
-    (`_terminal_cuts`) once per call.  Raises GraphError, naming a
-    bad terminal, and UnreachableError for disconnected terminals.
+    (`_terminal_cuts`) once per call.  Raises GraphError for a bad request
+    (`_check_request`) and UnreachableError for disconnected terminals.
     """
-    terminals = check_terminals(terminals, g.n)
-    if len(terminals) < 2:
-        raise GraphError("need at least two terminals")
-    n_primes = sorted({Fraction(n) for n in n_primes}, reverse=True)
-    if n_primes and n_primes[-1] <= 0:
-        raise GraphError("n_prime must be positive")
+    terminals, n_primes = _check_request(g, terminals, n_primes)
     if len(terminals) == 2 and n_primes:
         lengths, _ = _static_flow(g, terminals[:1], terminals[1:])
         if not lengths:
@@ -375,64 +362,75 @@ def tau_mcf(g, terminals, n_primes):
         hi = answers[n_prime] = least_feasible_horizon(
             lambda tau: tau >= hi or mcf_feasible(g, lp, tau),
             _flow_bound(g, terminals, terminal_cuts, n_prime),
-            _search_cutoff(g, terminals, n_prime), "tau_mcf")
+            (int(n_prime) + 1) * g.n * len(terminals) ** 2 + g.n, "tau_mcf")
     return answers
 
 
-def _search_cutoff(g, terminals, n_prime):
-    return (int(n_prime) + 1) * g.n * len(terminals) ** 2 + g.n
+def _check_request(g, terminals, n_primes):
+    """(terminals sorted, the distinct n' as Fractions, largest first), or
+    GraphError naming a bad terminal (`graphs.check_terminals`), for fewer
+    than two terminals or for an n' that is not positive."""
+    terminals = check_terminals(terminals, g.n)
+    if len(terminals) < 2:
+        raise GraphError("need at least two terminals")
+    n_primes = sorted({Fraction(n) for n in n_primes}, reverse=True)
+    if n_primes and n_primes[-1] <= 0:
+        raise GraphError("n_prime must be positive")
+    return terminals, n_primes
 
 
 def tau_mcf_lower_bound(g, terminals, n_prime):
-    """max(terminal diameter, max over terminal bipartitions (T, K - T) of
+    """max(terminal diameter, max over the chain bipartitions (T, K - T) of
     ceil(|T| |K - T| n' / (k lambda(T, K - T)))), a lower bound on tau_mcf.
 
     Proof (the Leighton-Rao cut condition, per round): the uniform demand
     sends |T| |K - T| n'/k units from T to K - T, and the lambda base edges
-    of a min cut carry at most lambda units that way per round.  All
-    2**(k-1) - 1 bipartitions are cut while k <= CUT_BOUND_MAX_TERMINALS,
-    only the singletons T = {t} above that.  Raises UnreachableError for
-    disconnected terminals.
+    of a min cut carry at most lambda units that way per round.  So every
+    bipartition gives a lower bound.  The chain bipartitions are cut: for
+    each terminal t, the proper prefixes of the terminals sorted by (hop
+    distance from t, vertex), at most k (k - 1) cuts, the k singletons
+    among them.  Raises GraphError for a bad request (`_check_request`)
+    and UnreachableError for disconnected terminals.
     """
-    terminals = check_terminals(terminals, g.n)
-    return _base_bound(terminals, _terminal_cuts(g, terminals),
-                       Fraction(n_prime))[0]
+    terminals, (n_prime,) = _check_request(g, terminals, [n_prime])
+    return _base_bound(terminals, _terminal_cuts(g, terminals), n_prime)[0]
 
 
 def _terminal_cuts(g, terminals):
-    """The part of the base bound free of n', computed once per request:
-    (terminal diameter, [(T, K - T, lambda(T, K - T))] over the
-    bipartitions that `tau_mcf_lower_bound` cuts).  Raises
-    UnreachableError for disconnected terminals."""
-    if not g.connected(terminals):
+    """The part of the cut bounds free of n', computed once per request:
+    (terminal diameter, {t: hop distances from t} over the terminals,
+    [(T, K - T, lengths)] over the chain bipartitions of
+    `tau_mcf_lower_bound`), T holding the least terminal and lengths those
+    of the static flow from T to K - T (`timed._static_flow`), lambda(T,
+    K - T) of them.  Raises UnreachableError for disconnected terminals."""
+    dist = {t: g.distances_from(t) for t in terminals}
+    if None in (dist[terminals[0]][t] for t in terminals):
         raise UnreachableError("terminals are disconnected")
-    k = len(terminals)
-    if k <= CUT_BOUND_MAX_TERMINALS:
-        first, others = terminals[0], terminals[1:]
-        sides = [(first,) + tuple(t for i, t in enumerate(others)
-                                  if mask >> i & 1)
-                 for mask in range(2 ** (k - 1) - 1)]
-    else:
-        sides = [(t,) for t in terminals]
+    sides = {}
+    for t in terminals:
+        order = sorted(terminals, key=dist[t].__getitem__)  # ties by vertex
+        for j in range(1, len(order)):
+            side = order[:j] if terminals[0] in order[:j] else order[j:]
+            sides.setdefault(tuple(sorted(side)), None)
     cuts = []
     for side in sides:
         rest = tuple(t for t in terminals if t not in side)
-        cuts.append((side, rest, base_min_cut(g, side, rest)))
-    return tree_terminal_diameter(g, None, terminals), cuts
+        cuts.append((side, rest, _static_flow(g, side, rest)[0]))
+    return max(dist[a][b] for a in terminals for b in terminals), dist, cuts
 
 
 def _base_bound(terminals, terminal_cuts, n_prime):
-    """(tau_mcf_lower_bound, the bipartitions (T, K - T) that
+    """(tau_mcf_lower_bound, the cuts (T, K - T, lengths) that
     `tau_mcf_flow_bound` checks: the singletons and every one whose cut
     term attains the largest), from `_terminal_cuts`."""
-    diameter, cuts = terminal_cuts
+    diameter, _, cuts = terminal_cuts
     terms = [math.ceil(len(side) * len(rest) * n_prime / len(terminals)
-                       / cut)
-             for side, rest, cut in cuts]
+                       / len(lengths))
+             for side, rest, lengths in cuts]
     top = max(terms)
     return max(top, diameter), [
-        (side, rest) for term, (side, rest, _) in zip(terms, cuts)
-        if term == top or min(len(side), len(rest)) == 1]
+        cut for term, cut in zip(terms, cuts)
+        if term == top or min(len(cut[0]), len(cut[1])) == 1]
 
 
 def tau_mcf_flow_bound(g, terminals, n_prime):
@@ -443,15 +441,16 @@ def tau_mcf_flow_bound(g, terminals, n_prime):
     F_XY(tau) >= units(X, Y) = need - c_a |T - X| - c_b |(K - T) - Y|,
     over each checked bipartition (T, K - T), with c_a = ceil(|K - T|
     n'/k), c_b = ceil(|T| n'/k) and need = ceil(|T| |K - T| n'/k), and
-    every nonempty X of T and Y of K - T with units(X, Y) > 0.
-    F_XY(tau) = sum_i max(0, tau + 1 - l_i)
-    over the path lengths l_i of the static flow from X to Y
-    (`timed._static_flow`), and `timed.least_horizon` reads that tau off
-    them.  Checked are the singletons and every bipartition whose cut term
-    attains the largest one (`_base_bound`); the others count only through
-    the base bound.  F_XY grows with X and Y, so a pair whose units the
-    flow of a smaller pair (one x or one y fewer) already carries by the
-    bound so far cannot raise it, and needs no static flow of its own.
+    each X of T and Y of K - T of `_subset_chains` with units(X, Y) > 0.
+    F_XY(tau) = sum_i max(0, tau + 1 - l_i) over the path lengths l_i of
+    the static flow from X to Y (`timed._static_flow`), and
+    `timed.least_horizon` reads that tau off them.  Checked are the
+    singletons and every chain bipartition whose cut term attains the
+    largest one (`_base_bound`); the others count only through the base
+    bound.  X = T, Y = K - T reads the cut's own flow.  F_XY grows with X
+    and Y, so a pair whose units the flow of a pair one vertex smaller
+    already carries by the bound so far cannot raise it, and needs no
+    static flow of its own.
 
     Proof: at tau_mcf the uniform demand routes with congestion 1.  Its
     commodities from T to K - T together form a flow of |T| |K - T| n'/k
@@ -462,63 +461,71 @@ def tau_mcf_flow_bound(g, terminals, n_prime):
     capacity c_b from each (u, tau), the maximum flow, integral since the
     capacities are, reaches need.  A minimum cut of that network leaves
     the super arcs of some X of T and Y of K - T uncut; past them it must
-    separate X x {0} from Y x {tau}, which costs the maximum flow from
-    the one to the other, F_XY(tau).  So by max-flow min-cut, need <=
-    min over X, Y of c_a |T - X| + c_b |(K - T) - Y| + F_XY(tau), the
-    subset condition of transshipments over time (Hoppe and Tardos,
-    Mathematics of Operations Research 2000).  F_XY(tau) is the flow over
-    time temporally repeated from the static min-cost flow between a super
-    source over X and a super sink over Y (Ford and Fulkerson 1958).  An
-    empty X or Y never binds, since c_a |T| >= need and c_b |K - T| >=
-    need.  This is the cut condition on the timed network: unlike the
-    per-round base-cut bound, it counts the rounds a unit needs to reach
-    the cut.  Reversing time maps a flow from T to K - T onto one from
-    K - T to T with the two capacities swapped, so one direction per
-    bipartition suffices.  With two terminals a, b the one condition is
-    X = {a}, Y = {b} and units = ceil(n'/2): the bound is the larger of
-    the base bound and tau_route(a, b, ceil(n'/2)).  Raises
+    separate X x {0} from Y x {tau}, which costs the maximum flow from the
+    one to the other, F_XY(tau).  So by max-flow min-cut, need <= min over
+    X, Y of c_a |T - X| + c_b |(K - T) - Y| + F_XY(tau), the subset
+    condition of transshipments over time (Hoppe and Tardos, Mathematics
+    of Operations Research 2000); any of these conditions bounds tau_mcf.
+    F_XY(tau) is the flow over time temporally repeated from the static
+    min-cost flow between a super source over X and a super sink over Y
+    (Ford and Fulkerson 1958).  An empty X or Y never binds, since
+    c_a |T| >= need and c_b |K - T| >= need.  This is the cut condition on the
+    timed network: unlike the per-round base-cut bound, it counts the
+    rounds a unit needs to reach the cut.  Reversing time maps a flow from
+    T to K - T onto one from K - T to T with the two capacities swapped,
+    so one direction per bipartition suffices.  With two terminals a, b
+    the one condition is X = {a}, Y = {b} and units = ceil(n'/2): the
+    bound is the larger of the base bound and tau_route(a, b, ceil(n'/2)).
+    Raises GraphError for a bad request (`_check_request`) and
     UnreachableError for disconnected terminals.
 
-    Supported k: at most 14.  The loop visits (2**|T| - 1)(2**|K - T| -
-    1) subset pairs per checked side, so at least k (2**(k-1) - 1) over
-    the singletons alone, even where the pruning skips their flows; each
-    further terminal about doubles the time.  Nothing checks k.
+    Supported k: 32.  The cuts take at most k (k - 1) static flows, and a
+    checked side O(k^2); at n' = 32 the bound took 0.07 s at k = 14 and
+    1.6-1.8 s at k = 32 (the `cli` docstring has the measurements).
     """
-    terminals = check_terminals(terminals, g.n)
-    return _flow_bound(g, terminals, _terminal_cuts(g, terminals),
-                       Fraction(n_prime))
+    terminals, (n_prime,) = _check_request(g, terminals, [n_prime])
+    return _flow_bound(g, terminals, _terminal_cuts(g, terminals), n_prime)
 
 
 def _flow_bound(g, terminals, terminal_cuts, n_prime):
     """`tau_mcf_flow_bound`, from `_terminal_cuts`."""
-    lo, sides = _base_bound(terminals, terminal_cuts, n_prime)
-    share = n_prime / len(terminals)
-    for side, rest in sides:
+    lo, cuts = _base_bound(terminals, terminal_cuts, n_prime)
+    dist, share = terminal_cuts[1], n_prime / len(terminals)
+    for side, rest, cut_lengths in cuts:
         cap_a = math.ceil(len(rest) * share)
         cap_b = math.ceil(len(side) * share)
         need = math.ceil(len(side) * len(rest) * share)
         # (X, Y) -> the lengths of a static flow between subsets of X and
         # Y, whose flow over time is at most F_XY
-        known, subsets_of_rest = {}, _subsets(rest)
-        for xs in _subsets(side):
-            for ys in subsets_of_rest:
+        known = {(frozenset(side), frozenset(rest)): cut_lengths}
+        rest_chains = _subset_chains(rest, side, dist)
+        for xs in _subset_chains(side, rest, dist):
+            for ys in rest_chains:
                 units = (need - cap_a * (len(side) - len(xs))
                          - cap_b * (len(rest) - len(ys)))
                 if units <= 0:
                     continue
-                lengths = (known.get((xs[:-1], ys))
-                           or known.get((xs, ys[:-1])))
-                if lengths is None or least_horizon(lengths, units) > lo:
-                    lengths, _ = _static_flow(g, xs, ys)
-                    lo = max(lo, least_horizon(lengths, units))
-                known[xs, ys] = lengths
+                if (xs, ys) not in known:
+                    fits = [known[pair] for pair in
+                            [(xs - {x}, ys) for x in xs]
+                            + [(xs, ys - {y}) for y in ys]
+                            if pair in known
+                            and least_horizon(known[pair], units) <= lo]
+                    known[xs, ys] = (fits[0] if fits
+                                     else _static_flow(g, xs, ys)[0])
+                lo = max(lo, least_horizon(known[xs, ys], units))
     return lo
 
 
-def _subsets(items):
-    """The nonempty subsets of `items`, as tuples."""
-    return [sub for size in range(1, len(items) + 1)
-            for sub in combinations(items, size)]
+def _subset_chains(side, rest, dist):
+    """The subsets of `side` that `_flow_bound` checks against `rest`, as
+    frozensets, smallest first: the prefixes of `side` sorted by (hop
+    distance to `rest`, vertex), nearest first and farthest first, and
+    the singletons."""
+    near = sorted(side, key=lambda x: (min(dist[x][y] for y in rest), x))
+    subsets = ([near[:j] for j in range(1, len(near) + 1)]
+               + [near[j:] for j in range(1, len(near))] + [[x] for x in side])
+    return sorted(dict.fromkeys(map(frozenset, subsets)), key=len)
 
 
 # ---------------------------------------------------------------------------

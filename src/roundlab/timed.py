@@ -21,8 +21,8 @@ is that horizon, `max_route_flow` walks the static flow into paths and
 repeats each from every start that fits the horizon, and
 `extract_level_vector` reads the minimal min cut off shortest distances
 in the static residual network.  Between terminal sets, the static
-flow's value is the base-graph min cut `base_min_cut`, and its lengths
-give `mcf.tau_mcf_flow_bound`.
+flow's value is the base-graph min cut, and its lengths give the cut
+bounds of `mcf`.
 
 Nothing else builds one either: `mcf` reads the timed network as an
 index.  Arc l (2m + n) + a is layer l's copy of static arc a of
@@ -230,8 +230,10 @@ def _static_flow(g, sources, sinks, horizon=None):
     are the augmenting-path costs l_1 <= l_2 <= ..., and `used` the arcs
     that carry the resulting min-cost flow, of value len(lengths) and cost
     sum(lengths).  With `horizon` given, no path longer than it is
-    augmented.  Without it the flow is maximum: there are min(number of
-    arcs out of `sources`, into `sinks`) augmentations at most."""
+    augmented.  Without it the flow is maximum, with capacity 1 per edge
+    and direction, so its value is the base min cut lambda(sources,
+    sinks), the fewest edges (parallel ones counted apart) that meet every
+    path between them."""
     arcs = _incident_arcs(g)
     lengths, used = [], set()
     while True:
@@ -266,18 +268,6 @@ def least_horizon(lengths, units):
     """
     return min(-(-(units + total) // k) - 1
                for k, total in enumerate(accumulate(lengths), 1))
-
-
-def base_min_cut(g, side_a, side_b):
-    """lambda(A, B): the fewest base edges whose removal separates the
-    vertex set `side_a` from the disjoint set `side_b`.
-
-    The value of the static flow from A to B: successive shortest paths
-    augment until no path is left, so it is a maximum flow with capacity
-    1 per edge and direction (parallel edges count separately), and its
-    value is the least number of edges that meet every A-B path.
-    """
-    return len(_static_flow(g, side_a, side_b)[0])
 
 
 def _horizon_flow(g, a, b, tau):

@@ -536,6 +536,55 @@ def flow_bound_reference(g, sides, n_prime, lo):
     return tau
 
 
+def terminal_bipartitions(terminals):
+    """Every bipartition (T, K - T) of the sorted `terminals` into two
+    nonempty sides, written as the side T that holds the least terminal."""
+    first, others = terminals[0], terminals[1:]
+    return [((first,) + side, tuple(t for t in others if t not in side))
+            for size in range(len(others))
+            for side in itertools.combinations(others, size)]
+
+
+def cut_bounds_exhaustive(g, n_prime):
+    """(base-cut bound, flow bound) of tau_mcf over every bipartition
+    (T, K - T) of `terminal_bipartitions` and every nonempty X of T and Y
+    of K - T: the reference for the chains that `roundlab.mcf` checks.
+
+    The base bound is the largest of the terminal diameter and
+    ceil(|T| |K - T| n'/(k lambda(T, K - T))), lambda by
+    `base_cut_bruteforce`.  The flow bound is the largest of it and the
+    least tau with F_XY(tau) >= need - c_a |T - X| - c_b |(K - T) - Y| > 0
+    (c_a = ceil(|K - T| n'/k), c_b = ceil(|T| n'/k), need = ceil(|T|
+    |K - T| n'/k)), read off the static min-cost flow from X to Y of
+    `roundlab.timed`; `flow_bound_reference` finds it on the timed network.
+    """
+    from roundlab.timed import _static_flow, least_horizon
+
+    terminals = tuple(sorted(g.terminals))
+    share = Fraction(n_prime) / len(terminals)
+    dist = distances_bruteforce(g)
+    base = max(dist[a][b] for a in terminals for b in terminals)
+    units_by_pair = []
+    for side, rest in terminal_bipartitions(terminals):
+        cut = base_cut_bruteforce(g, side, rest)
+        base = max(base, math.ceil(len(side) * len(rest) * share / cut))
+        cap_a = math.ceil(len(rest) * share)
+        cap_b = math.ceil(len(side) * share)
+        need = math.ceil(len(side) * len(rest) * share)
+        for xs, ys in itertools.product(_nonempty_subsets(side),
+                                        _nonempty_subsets(rest)):
+            units_by_pair.append((xs, ys, need - cap_a * (len(side) - len(xs))
+                                  - cap_b * (len(rest) - len(ys))))
+    return base, max([base] + [
+        least_horizon(_static_flow(g, xs, ys)[0], units)
+        for xs, ys, units in units_by_pair if units > 0])
+
+
+def _nonempty_subsets(items):
+    return [sub for size in range(1, len(items) + 1)
+            for sub in itertools.combinations(items, size)]
+
+
 # ---------------------------------------------------------------------------
 # arc-based multicommodity LP, assembled entry by entry
 

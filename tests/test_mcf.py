@@ -16,11 +16,12 @@ from roundlab.mcf import (
     ArcLP, LPSolveError, _assemble_mcf_lp, _forward_bounds, mcf_feasible,
     route_unit_demands, tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound,
 )
-from roundlab.timed import base_min_cut, tau_route
+from roundlab.timed import tau_route
 
 from oracles import (
-    flow_bound_reference, forward_bounds_reference, mcf_feasible_bruteforce,
-    mcf_lp_reference, route_unit_demands_reference, timed_arcs,
+    cut_bounds_exhaustive, flow_bound_reference, forward_bounds_reference,
+    mcf_feasible_bruteforce, mcf_lp_reference, route_unit_demands_reference,
+    terminal_bipartitions, timed_arcs,
 )
 
 
@@ -170,12 +171,11 @@ def test_tau_mcf_flow_bound_on_one_edge_cuts():
 
 def _reference_flow_bound(g, n_prime):
     """The flow bound as the timed-network search finds it: the least
-    horizon from the base bound at which the reference engine's partition
-    flow passes on every side that tau_mcf_flow_bound checks."""
-    terminals = tuple(sorted(g.terminals))
-    base, sides = mcf_mod._base_bound(
-        terminals, mcf_mod._terminal_cuts(g, terminals), Fraction(n_prime))
-    return flow_bound_reference(g, sides, n_prime, base)
+    horizon from the exhaustive base bound at which the reference engine's
+    partition flow passes on every terminal bipartition."""
+    base, _ = cut_bounds_exhaustive(g, n_prime)
+    return flow_bound_reference(
+        g, terminal_bipartitions(tuple(sorted(g.terminals))), n_prime, base)
 
 
 @st.composite
@@ -307,14 +307,44 @@ def test_tau_mcf_names_a_bad_terminal(g, terminals, message):
             func(g, terminals, [1] if func is tau_mcf else 1)
 
 
+@pytest.mark.parametrize("g,terminals,n_prime,message", [
+    (grid_graph(3, 3), (0,), 1, "need at least two terminals"),
+    (grid_graph(6, 6), (0, 5, 30, 35), 0, "n_prime must be positive"),
+    (grid_graph(6, 6), (0, 5, 30, 35), -4, "n_prime must be positive"),
+    (clique(2), (0, 1), Fraction(-1, 2), "n_prime must be positive"),
+], ids=["one-terminal", "zero", "negative", "k2-negative"])
+def test_tau_mcf_and_bounds_check_the_request(g, terminals, n_prime,
+                                              message):
+    # both bounds once raised a bare ValueError from max() on one terminal
+    # and answered the terminal diameter, 10 on grid 6x6, for n' <= 0
+    for func in (tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound):
+        with pytest.raises(GraphError, match=message):
+            func(g, terminals, [n_prime] if func is tau_mcf else n_prime)
+
+
 @settings(max_examples=60, deadline=None)
 @given(parallel_multigraphs(5), TWO_TERMINAL_NPRIMES)
 def test_flow_bound_matches_timed_side_search(g, n_prime):
-    # the closed form over terminal subsets against the reference engine's
-    # partition flows, on multigraphs with parallel edges and k = 2..5
+    # the exhaustive closed form over every bipartition and subset pair
+    # against the reference engine's partition flows, on multigraphs with
+    # parallel edges and k = 2..5; the chains check some of those pairs
     assume(g.connected(g.terminals))
-    assert tau_mcf_flow_bound(g, g.terminals, n_prime) == \
-        _reference_flow_bound(g, n_prime)
+    bound = cut_bounds_exhaustive(g, n_prime)[1]
+    assert bound == _reference_flow_bound(g, n_prime)
+    assert tau_mcf_flow_bound(g, g.terminals, n_prime) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(parallel_multigraphs(5), TWO_TERMINAL_NPRIMES)
+def test_chain_bounds_below_exhaustive_bounds(g, n_prime):
+    # any subset of the cut conditions bounds tau_MCF from below: the
+    # chains' bounds are at most the exhaustive ones, which are at most
+    # the LP's scanned answer
+    assume(g.connected(g.terminals))
+    base, bound = cut_bounds_exhaustive(g, n_prime)
+    assert tau_mcf_lower_bound(g, g.terminals, n_prime) <= base <= bound
+    assert tau_mcf_flow_bound(g, g.terminals, n_prime) <= bound <= \
+        _tau_mcf_by_scan(g, n_prime)
 
 
 def test_flow_bound_on_bench_graphs():
@@ -327,39 +357,49 @@ def test_flow_bound_on_bench_graphs():
         assert tau_mcf_flow_bound(g, g.terminals, n_prime) == bound
 
 
-@pytest.mark.parametrize("k,cuts", [(4, 7), (10, 511), (11, 11)])
-def test_tau_mcf_lower_bound_cut_count(monkeypatch, k, cuts):
-    # every bipartition up to CUT_BOUND_MAX_TERMINALS, singletons above
-    sides = []
+def _count_static_flows(monkeypatch, k):
+    """A list that records, per static flow `mcf` runs, whether it is a
+    cut's: a flow between all k terminals."""
+    calls, static_flow = [], mcf_mod._static_flow
 
-    def recording_cut(g, side_a, side_b):
-        sides.append(tuple(side_a))
-        return len(side_a) * len(side_b)   # the clique's cut
+    def counting(g, xs, ys):
+        calls.append(tuple(xs) if len(xs) + len(ys) == k else None)
+        return static_flow(g, xs, ys)
 
-    monkeypatch.setattr(mcf_mod, "base_min_cut", recording_cut)
-    g = clique(k)
-    # n'/k rounds push n'/k units over each of |T||K - T| cut edges
-    assert tau_mcf_lower_bound(g, g.terminals, 3 * k) == 3
-    assert len(set(sides)) == len(sides) == cuts
+    monkeypatch.setattr(mcf_mod, "_static_flow", counting)
+    return calls
+
+
+@pytest.mark.parametrize("g,n_prime,bound,cuts,flows", [
+    (random_connected_graph(12, 10, seed=1, k=4), 32, 24, 6, 12),
+    (random_connected_graph(30, 30, seed=3, k=10), 20, 9, 62, 96),
+    (random_connected_graph(30, 30, seed=3, k=14), 32, 15, 141, 29),
+    (random_connected_graph(60, 60, seed=3, k=32), 32, 60, 826, 1026),
+], ids=["k4", "k10", "k14", "k32"])
+def test_flow_bound_static_flow_count(monkeypatch, g, n_prime, bound, cuts,
+                                      flows):
+    # static flows, not seconds, so the guard holds on a shared host.
+    # Every bipartition and subset pair took 7 + 12 at k = 4, 511 + 151 at
+    # k = 10 and 14 + 10,011 at k = 14, with the same bounds
+    calls = _count_static_flows(monkeypatch, len(g.terminals))
+    assert tau_mcf_flow_bound(g, g.terminals, n_prime) == bound
+    assert (len(calls) - calls.count(None), calls.count(None)) == \
+        (cuts, flows)
 
 
 @pytest.mark.parametrize("g,n_primes,cuts", [
-    # rand12: the 7 bipartitions of its k = 4 terminals
-    (random_connected_graph(12, 10, seed=1, k=4), [8, 16, 32], 7),
+    # rand12: 6 of the 7 bipartitions of its k = 4 terminals
+    (random_connected_graph(12, 10, seed=1, k=4), [8, 16, 32], 6),
     # the 21 peaks that the K3 compile of build_ed_circuit(3, 6) requests
     (clique(3), range(1, 22), 3),
 ])
 def test_tau_mcf_cuts_once_per_call(monkeypatch, g, n_primes, cuts):
     # the min cuts of the base bound do not depend on n': one tau_mcf call
-    # cuts each bipartition once, however many n' it decides
-    sides = []
-
-    def recording_cut(g, side_a, side_b):
-        sides.append(tuple(side_a))
-        return base_min_cut(g, side_a, side_b)
-
-    monkeypatch.setattr(mcf_mod, "base_min_cut", recording_cut)
+    # cuts each chain bipartition once, however many n' it decides, and
+    # the flow bound reads each cut's flow rather than running it again
+    calls = _count_static_flows(monkeypatch, len(g.terminals))
     tau_mcf(g, g.terminals, n_primes)
+    sides = [side for side in calls if side is not None]
     assert len(set(sides)) == len(sides) == cuts
 
 
