@@ -14,7 +14,7 @@ import math
 from collections import deque, namedtuple
 from fractions import Fraction
 
-from roundlab.timed import TimedPath
+from roundlab.timed import TimedPath, _static_flow, least_horizon
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +558,6 @@ def cut_bounds_exhaustive(g, n_prime):
     |K - T| n'/k)), read off the static min-cost flow from X to Y of
     `roundlab.timed`; `flow_bound_reference` finds it on the timed network.
     """
-    from roundlab.timed import _static_flow, least_horizon
-
     terminals = tuple(sorted(g.terminals))
     share = Fraction(n_prime) / len(terminals)
     dist = distances_bruteforce(g)

@@ -289,36 +289,28 @@ def test_two_terminal_tau_mcf_solves_one_static_flow(monkeypatch):
     assert calls == [((g.terminals[0],), (g.terminals[1],))]
 
 
-@pytest.mark.parametrize("g,terminals,message", [
-    (clique(2), (0, -1), "terminal -1 out of range for n=2"),
-    (clique(2), (0, 0), "terminal 0 is repeated"),
-    (clique(2), (0, 5), "terminal 5 out of range for n=2"),
-    (clique(2), (0, 1.0), "terminal 1.0 is not an integer"),
-    (clique(2), (True, 0), "terminal True is not an integer"),
-    (clique(3), (2, 0, 2), "terminal 2 is repeated"),
-    (clique(3), [0, 3, 1], "terminal 3 out of range for n=3"),
-], ids=["negative", "repeated", "past-n", "float", "bool", "k3-repeated",
-        "k3-past-n"])
-def test_tau_mcf_names_a_bad_terminal(g, terminals, message):
-    # on K2, (0, -1) once answered {1: 1}, (0, 0) divided by zero and
-    # (0, 5) indexed past the graph; the two bounds check alike
-    for func in (tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound):
-        with pytest.raises(GraphError, match=re.escape(message)):
-            func(g, terminals, [1] if func is tau_mcf else 1)
-
-
 @pytest.mark.parametrize("g,terminals,n_prime,message", [
+    (clique(2), (0, -1), 1, "terminal -1 out of range for n=2"),
+    (clique(2), (0, 0), 1, "terminal 0 is repeated"),
+    (clique(2), (0, 5), 1, "terminal 5 out of range for n=2"),
+    (clique(2), (0, 1.0), 1, "terminal 1.0 is not an integer"),
+    (clique(2), (True, 0), 1, "terminal True is not an integer"),
+    (clique(3), (2, 0, 2), 1, "terminal 2 is repeated"),
+    (clique(3), [0, 3, 1], 1, "terminal 3 out of range for n=3"),
     (grid_graph(3, 3), (0,), 1, "need at least two terminals"),
     (grid_graph(6, 6), (0, 5, 30, 35), 0, "n_prime must be positive"),
     (grid_graph(6, 6), (0, 5, 30, 35), -4, "n_prime must be positive"),
     (clique(2), (0, 1), Fraction(-1, 2), "n_prime must be positive"),
-], ids=["one-terminal", "zero", "negative", "k2-negative"])
-def test_tau_mcf_and_bounds_check_the_request(g, terminals, n_prime,
-                                              message):
-    # both bounds once raised a bare ValueError from max() on one terminal
-    # and answered the terminal diameter, 10 on grid 6x6, for n' <= 0
+], ids=["negative", "repeated", "past-n", "float", "bool", "k3-repeated",
+        "k3-past-n", "one-terminal", "zero-n-prime", "negative-n-prime",
+        "k2-negative-n-prime"])
+def test_tau_mcf_names_a_bad_terminal(g, terminals, n_prime, message):
+    # on K2, (0, -1) once answered {1: 1}, (0, 0) divided by zero and
+    # (0, 5) indexed past the graph; the two bounds check alike, where
+    # they once raised a bare ValueError from max() on one terminal and
+    # answered the terminal diameter, 10 on grid 6x6, for n' <= 0
     for func in (tau_mcf, tau_mcf_flow_bound, tau_mcf_lower_bound):
-        with pytest.raises(GraphError, match=message):
+        with pytest.raises(GraphError, match=re.escape(message)):
             func(g, terminals, [n_prime] if func is tau_mcf else n_prime)
 
 
