@@ -469,8 +469,8 @@ def tau_mcf_flow_bound(g, terminals, n_prime):
     F_XY(tau) is the flow over time temporally repeated from the static
     min-cost flow between a super source over X and a super sink over Y
     (Ford and Fulkerson 1958).  An empty X or Y never binds, since
-    c_a |T| >= need and c_b |K - T| >= need.  This is the cut condition on the
-    timed network: unlike the per-round base-cut bound, it counts the
+    c_a |T| >= need and c_b |K - T| >= need.  This is the cut condition on
+    the timed network: unlike the per-round base-cut bound, it counts the
     rounds a unit needs to reach the cut.  Reversing time maps a flow from
     T to K - T onto one from K - T to T with the two capacities swapped,
     so one direction per bipartition suffices.  With two terminals a, b

@@ -362,18 +362,21 @@ def _count_static_flows(monkeypatch, k):
     return calls
 
 
-@pytest.mark.parametrize("g,n_prime,bound,cuts,flows", [
-    (random_connected_graph(12, 10, seed=1, k=4), 32, 24, 6, 12),
-    (random_connected_graph(30, 30, seed=3, k=10), 20, 9, 62, 96),
-    (random_connected_graph(30, 30, seed=3, k=14), 32, 15, 141, 29),
-    (random_connected_graph(60, 60, seed=3, k=32), 32, 60, 826, 1026),
+@pytest.mark.parametrize("g,n_prime,base,bound,cuts,flows", [
+    (random_connected_graph(12, 10, seed=1, k=4), 32, 24, 24, 6, 12),
+    (random_connected_graph(30, 30, seed=3, k=10), 20, 9, 9, 62, 96),
+    (random_connected_graph(30, 30, seed=3, k=14), 32, 15, 15, 141, 29),
+    (random_connected_graph(60, 60, seed=3, k=32), 32, 60, 60, 826, 1026),
 ], ids=["k4", "k10", "k14", "k32"])
-def test_flow_bound_static_flow_count(monkeypatch, g, n_prime, bound, cuts,
-                                      flows):
-    # static flows, not seconds, so the guard holds on a shared host.
-    # Every bipartition and subset pair took 7 + 12 at k = 4, 511 + 151 at
-    # k = 10 and 14 + 10,011 at k = 14, with the same bounds
+def test_flow_bound_static_flow_count(monkeypatch, g, n_prime, base, bound,
+                                      cuts, flows):
+    # static flows, not seconds, so the guard holds on a shared host.  The
+    # exhaustive loops took 7 + 12 at k = 4, 511 + 151 at k = 10 and
+    # 14 + 10,011 at k = 14 (singleton cuts only), with the same bounds
     calls = _count_static_flows(monkeypatch, len(g.terminals))
+    assert tau_mcf_lower_bound(g, g.terminals, n_prime) == base
+    assert calls.count(None) == 0 and len(calls) == cuts
+    calls.clear()
     assert tau_mcf_flow_bound(g, g.terminals, n_prime) == bound
     assert (len(calls) - calls.count(None), calls.count(None)) == \
         (cuts, flows)
