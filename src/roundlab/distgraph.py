@@ -10,9 +10,11 @@ placement only and computes no routing for it.
 
 The flooding protocols simulate BFS over H on top of the communication
 graph: token notifications travel as framed packets along fixed shortest
-paths, and at geometrically spaced checkpoints a spanning tree folds the
-progress bit by bit up to its root (termination, token counts, duplicate
-and parity flags, next start vertex) and pipes the decision back down.
+paths, cut through at each relay once their target is read.  At
+geometrically spaced checkpoints a spanning tree folds the progress bit
+by bit up to its root (pending traffic, token counts, duplicate and
+parity flags, next start vertex) and pipes the decision back down; while
+traffic is pending, the root short-circuits the checkpoint with one bit.
 """
 
 from __future__ import annotations
@@ -396,29 +398,51 @@ def bfs_protocol(g, terminals, inp, variant):
     """Flooding BFS over a node-distributed H, as a bit-level protocol.
 
     Token notifications are framed packets relayed along fixed shortest
-    paths between terminals.  Rounds alternate transport chunks with
-    checkpoints on a BFS tree rooted at the least terminal, at
-    geometrically increasing chunk indices per flood (1, 2, 4, ...).  A
-    checkpoint folds an up record into the root, which broadcasts a down
-    decision: continue, restart at a vertex, or the final answer.
-    Components, acyclicity and bipartiteness restart the flood per
-    component; connectivity needs a single flood.  With b_v bits naming
-    a vertex of H and b_c bits a token count, a frame is `_pack`ed after
-    its start bit as target, source, parity (b_v, b_v, 1).  The up record
-    is w_up bits in `_up_slots` order: pending traffic (OR), token count
-    (sum, low bit first), duplicate-receipt and parity-conflict flags
-    (OR), has-untokened flag (OR), least untokened vertex (min over the
-    flagged records, high bit first).  The decision is code | restart <<
-    2 | answer << 2 + b_v, w_down bits sent low bit first.
+    paths between terminals.  Rounds alternate transport segments with
+    checkpoints on a BFS tree rooted at the least terminal, after 1, 2,
+    4, ... chunks of chunk_len rounds of each flood.  A checkpoint folds
+    an up record into the root, which broadcasts a down decision:
+    continue, restart at a vertex, or the final answer.  Components,
+    acyclicity and bipartiteness restart the flood per component;
+    connectivity needs a single flood.  With b_v bits naming a vertex of
+    H and b_c bits a token count, a frame is `_pack`ed after its start bit
+    as target, source, parity (b_v, b_v, 1), packet_bits in all.  The up
+    record is w_up bits in `_up_slots` order: pending traffic (OR), token
+    count (sum, low bit first), duplicate-receipt and parity-conflict
+    flags (OR), has-untokened flag (OR), least untokened vertex (min over
+    the flagged records, high bit first).  The decision is code | restart
+    << 2 | answer << 2 + b_v, w_down bits sent low bit first.
 
-    At depth d, a vertex folds its own and its children's up bit q
-    (`_fold_up`) as they arrive, in checkpoint round (depth_max - d) + q,
-    and sends the result on; a partial count is at most n_h < 2^b_c.
-    The root decides in round up_end = depth_max + w_up - 1 and sends
-    down bit p in round up_end + p, which depth d relays in round
-    up_end + d + p: meta["sync_len"] = 2 depth_max + w_up + w_down - 1.
-    Transport state does not move in a checkpoint, and no frame is in
-    flight at one: pending traffic is exactly the queued frames.
+    Transport.  A frame may start on an idle edge in any round of a
+    segment in which it ends before the segment does: started in segment
+    round r, it sends its last bit in r + packet_bits <= seg_len - 3.
+    Once a relay holds a frame's b_v target bits and another terminal
+    owns the target, it starts the frame on its next hop in that round,
+    passing each bit on the round after it arrives (b_v + 1 rounds per
+    hop, not packet_bits + 1), if that edge is idle with an empty queue
+    and the forwarded frame ends in the segment; else it stores the frame
+    and queues it whole.  So no frame is in flight at a checkpoint, and
+    pending traffic is exactly the queued frames.
+
+    Checkpoints.  At depth d, a vertex folds its own and its children's up
+    bit q (`_fold_up`) as they arrive, in checkpoint round (depth_max - d)
+    + q, and sends the result on; a partial count is at most n_h < 2^b_c.
+    The root folds PENDING in round depth_max.  If it is 1 the decision
+    is continue and the root short-circuits: it sends a 1 to its children,
+    depth d relays it in round depth_max + d and stops its up stream, and
+    every vertex leaves in round 2 depth_max: meta["continue_len"] = 2
+    depth_max + 1.  The parent-to-child arcs are idle in the up phase, so
+    silence there reads as no short-circuit.  Otherwise the root decides
+    in round up_end = depth_max + w_up - 1 and sends down bit p in round
+    up_end + p, which depth d relays in round up_end + d + p:
+    meta["sync_len"] = 2 depth_max + w_up + w_down - 1.  Transport state
+    does not move in a checkpoint.
+
+    max_rounds budgets chunks that each start a queued frame on every
+    edge whose queue is nonempty at the chunk's start, each chunk followed
+    by a full checkpoint.  A segment's chunks still do (a frame started in
+    a chunk's first packet_bits + 4 rounds ends in the segment), and a
+    continue checkpoint is shorter than sync_len, so the budget holds.
 
     The first flood starts at vertex 0, whose owner is public knowledge
     (the vertex-to-terminal map is shared); restarts are elected through
@@ -466,6 +490,7 @@ def bfs_protocol(g, terminals, inp, variant):
     chunk_len = 2 * (packet_bits + 3)
     up_end = depth_max + w_up - 1
     sync_len = up_end + depth_max + w_down
+    continue_len = 2 * depth_max + 1
 
     max_rounds = ((4 * inp.num_edges + 2 * n_h + 24) * (chunk_len + sync_len)
                   + 64)
@@ -475,7 +500,13 @@ def bfs_protocol(g, terminals, inp, variant):
                 "next_cp": 1, "inject": 0, "adj": block or {},
                 "tokens": {}, "dup": 0, "par": 0,
                 "queues": {eid: [] for eid, _ in g.incidence[v]},
-                "tx": {}, "rx": {}, "own": None, "acc": None, "down": 0}
+                "tx": {}, "rx": {}, "cut": {}, "own": None, "acc": None,
+                "down": 0, "short": 0}
+
+    def seg_len(state):
+        """The transport rounds from the segment's start to the next
+        checkpoint."""
+        return (state["next_cp"] - state["chunk"]) * chunk_len
 
     def deliver_local(state, v_self, injections):
         """Take the tokens this vertex owns, passing each new one on to
@@ -503,33 +534,49 @@ def bfs_protocol(g, terminals, inp, variant):
             if placement[state["inject"]] == v_self:
                 deliver_local(state, v_self, [(state["inject"], None, 0)])
             state["inject"] = None
-        # receive side: continue or start frames
+        tx, rx, cut, queues = (state["tx"], state["rx"], state["cut"],
+                               state["queues"])
+        # a frame started here sends its last bit by segment round
+        # seg_len - 3, which arrives by seg_len - 2: no frame is in flight
+        # at a checkpoint, so its up record checks only queues
+        can_start = r + packet_bits + 2 <= seg_len(state) - 1
+        # receive side: continue, cut through or start frames
         for eid, _ in g.incidence[v_self]:
             bit = inbox.get(eid, 0)
-            if eid in state["rx"]:
-                state["rx"][eid].append(bit)
-                if len(state["rx"][eid]) == packet_bits:
-                    deliver_local(state, v_self, [
-                        _unpack(state["rx"].pop(eid), frame_widths)])
-            elif bit == 1:
-                state["rx"][eid] = []
+            if eid not in rx:
+                if bit == 1:
+                    rx[eid] = []
+                continue
+            frame = rx[eid]
+            frame.append(bit)
+            if eid in cut:
+                tx[cut[eid]].append(bit)
+            if len(frame) == packet_bits:
+                del rx[eid]
+                if cut.pop(eid, None) is None:
+                    deliver_local(state, v_self,
+                                  [_unpack(frame, frame_widths)])
+            elif len(frame) == b_v:
+                # the target is known: relay at once onto an idle next hop
+                target, = _unpack(frame, (b_v,))
+                link = next_hop.get((v_self, placement[target]))
+                if (link and can_start and link[0] not in tx
+                        and not queues[link[0]]):
+                    cut[eid] = link[0]
+                    tx[link[0]] = [1, *frame]
         # send side
         for eid, _ in g.incidence[v_self]:
-            if eid in state["tx"]:
-                sends[eid] = state["tx"][eid].pop(0)
-                if not state["tx"][eid]:
-                    del state["tx"][eid]
-            # a frame started here sends its last bit by chunk round
-            # chunk_len - 3, which arrives by chunk_len - 2: no frame is in
-            # flight at a checkpoint, so its up record checks only queues
-            elif state["queues"][eid] and r + packet_bits + 2 <= chunk_len - 1:
+            if eid in tx:
+                sends[eid] = tx[eid].pop(0)
+                if not tx[eid]:
+                    del tx[eid]
+            elif queues[eid] and can_start:
                 sends[eid] = 1
-                state["tx"][eid] = state["queues"][eid].pop(0)
+                tx[eid] = queues[eid].pop(0)
 
     def decide(state, rec):
-        """Root's checkpoint decision: (code, restart_vertex, answer)."""
-        if rec[PENDING]:
-            return 0, 0, 0
+        """Root's decision at a checkpoint without pending traffic:
+        (code, restart_vertex, answer)."""
         if (variant == "acyclicity" and rec[DUP]
                 or variant == "bipartiteness" and rec[PAR]):
             return 2, 0, 0
@@ -542,24 +589,36 @@ def bfs_protocol(g, terminals, inp, variant):
         return 2, 0, 1  # acyclic / bipartite verdicts
 
     def sync_round(state, v_self, r, inbox, sends):
-        q = r - depth_max + s_depth[v_self]
+        d = s_depth[v_self]
+        q = r - depth_max + d
         if q == 0:
             untoks = [u for u in state["adj"] if u not in state["tokens"]]
             state.update(acc=[0] * 7, down=0, own=(
                 int(any(state["queues"].values())), len(state["tokens"]),
                 state["dup"], state["par"], int(bool(untoks)),
                 min(untoks, default=0)))
-        if 0 <= q < w_up:
+        # the short-circuit reaches depth d in round depth_max + d, on an
+        # arc that is idle until the down phase
+        if r == depth_max + d and v_self != root:
+            state["short"] = inbox.get(s_parent[v_self][0], 0)
+        if 0 <= q < w_up and not state["short"]:
             field, bit = up_slots[q]
             folded = _fold_up(state["acc"], up_slots[q], [
                 state["own"][field] >> bit & 1,
                 *(inbox.get(eid, 0) for eid, _ in s_children[v_self])])
             if v_self != root:
                 sends[s_parent[v_self][0]] = folded
+            elif q == 0:
+                state["short"] = folded
             elif q == w_up - 1:
                 code, restart, answer = decide(state, state["acc"])
                 state["down"] = code | restart << 2 | answer << 2 + b_v
-        p = r - up_end - s_depth[v_self]
+        if state["short"]:
+            if r == depth_max + d:
+                for eid, _ in s_children[v_self]:
+                    sends[eid] = 1
+            return
+        p = r - up_end - d
         if 0 <= p < w_down:
             if v_self != root:
                 state["down"] |= inbox.get(s_parent[v_self][0], 0) << p
@@ -568,41 +627,42 @@ def bfs_protocol(g, terminals, inp, variant):
 
     def wake(v, rnd, state):
         """In transport, the next round while a frame is to inject, send,
-        receive or start, else the chunk's last round; in a checkpoint,
-        its up stream, then its down relay to the last round; once done,
-        never."""
+        receive or start, else the segment's last round; in a checkpoint,
+        its up stream, then its down relay to the last round, or after a
+        short-circuit only the common last round; once done, never."""
         start = state["start"]
         if state["phase"] == "transport":
             if (state["inject"] is not None or state["tx"] or state["rx"]
                     or any(state["queues"].values())):
                 return rnd + 1, rnd + 1
-            return start + chunk_len - 1, start + chunk_len - 1
+            end = start + seg_len(state) - 1
+            return end, end
         if state["phase"] == "sync":
             d = s_depth[v]
-            for lo, hi in ((depth_max - d, depth_max - d + w_up - 1),
-                           (up_end + d, sync_len - 1)):
+            spans = (((continue_len - 1, continue_len - 1),) if state["short"]
+                     else ((depth_max - d, depth_max - d + w_up - 1),
+                           (up_end + d, sync_len - 1)))
+            for lo, hi in spans:
                 if start + hi > rnd:
                     return start + lo, start + hi
         return None
 
     def step(v, rnd, state, inbox, pub):
         """One round of vertex v; every vertex changes phase in the same
-        round, at the last round of a chunk or a checkpoint."""
+        round, at the last round of a segment or a checkpoint."""
         sends, out = {}, None
         r = rnd - state["start"]
         if state["phase"] == "transport":
             transport_round(state, v, r, inbox, sends)
-            if r == chunk_len - 1:
-                state["chunk"] += 1
-                if state["chunk"] == state["next_cp"]:
-                    state["phase"] = "sync"
-                state["start"] = rnd + 1
+            if r == seg_len(state) - 1:
+                state.update(phase="sync", chunk=state["next_cp"],
+                             start=rnd + 1)
         elif state["phase"] == "sync":
             sync_round(state, v, r, inbox, sends)
-            if r == sync_len - 1:
+            if r == (continue_len if state["short"] else sync_len) - 1:
                 rest, code = divmod(state["down"], 4)
                 answer, restart = divmod(rest, 1 << b_v)
-                state["start"] = rnd + 1
+                state.update(start=rnd + 1, short=0)
                 if code == 0:
                     state.update(phase="transport",
                                  next_cp=state["next_cp"] * 2)
@@ -617,5 +677,6 @@ def bfs_protocol(g, terminals, inp, variant):
         return sends, state, out
 
     return ProtocolSpec(max_rounds=max_rounds, init=init, step=step,
-                        meta={"chunk_len": chunk_len, "sync_len": sync_len},
+                        meta={"chunk_len": chunk_len, "sync_len": sync_len,
+                              "continue_len": continue_len},
                         wake=wake)

@@ -149,6 +149,17 @@ class Transcript:
 _EMPTY = MappingProxyType({})
 
 
+def _reject(v, to, sends):
+    """Raise the ContractViolation of v's lowest-edge bad send."""
+    for eid, bit in sorted(sends.items()):
+        if eid not in to:
+            raise ContractViolation(
+                f"vertex {v} sent on non-incident edge {eid}")
+        if bit not in (0, 1):
+            raise ContractViolation(
+                f"vertex {v} emitted non-bit {bit!r} on edge {eid}")
+
+
 class _Network:
     """The one round loop: a copy of the network that steps round by
     round, either the simulator's or one party's in the extraction.
@@ -207,8 +218,9 @@ class _Network:
         box[eid] = bit
 
     def run_round(self, rnd):
-        """Step round rnd: check and deliver every send, and apply the
-        output rules (only a terminal outputs, and it never changes its
+        """Step round rnd: check and deliver every send in its step's
+        order (`_reject` names a bad step's lowest-edge fault), and apply
+        the output rules (only a terminal outputs, and it never changes its
         output).  Returns the round's bits, keyed (tail, head, edge_id)."""
         awake = self.awake
         if rnd in self.opens:
@@ -232,16 +244,10 @@ class _Network:
             sends, states[v], out = step(v, rnd, states[v], inbox[v], pub)
             if sends:
                 to = ends[v]
-                for eid, bit in (sorted(sends.items()) if len(sends) > 1
-                                 else sends.items()):
+                for eid, bit in sends.items():
                     arc = to.get(eid)
-                    if arc is None:
-                        raise ContractViolation(
-                            f"vertex {v} sent on non-incident edge {eid}")
-                    if bit not in (0, 1):
-                        raise ContractViolation(
-                            f"vertex {v} emitted non-bit {bit!r} on edge "
-                            f"{eid}")
+                    if arc is None or bit not in (0, 1):
+                        _reject(v, to, sends)
                     w, key = arc
                     round_bits[key] = bit
                     box = nxt[w]

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from roundlab import (
     Graph, GraphError, clique, grid_graph, path_graph, random_connected_graph)
@@ -13,7 +13,7 @@ from roundlab.distgraph import (
     and_disj_instance, bfs_protocol, edge_to_node_rebalance, graph_oracles,
     instance_from_json, or_disj_instance, random_pair_strings,
 )
-from roundlab.sim import run_protocol
+from roundlab.sim import replay_matches, run_protocol
 
 from oracles import (
     UP_IDENTITY, UpRecord, and_disj_oracle, combine_up_records,
@@ -387,6 +387,120 @@ def test_bfs_restarts_elect_the_min_untokened_vertex(name):
         assert starts == dict(enumerate(minima, start=1))
         restarts += len(minima) - 1
     assert restarts >= 10
+
+
+@st.composite
+def far_terminal_cases(draw):
+    """A path on 6-14 vertices with up to three chords of span 2, both
+    ends and up to two inner vertices as terminals, and a node-distributed
+    H of 2-12 vertices: frames cross several relays, so they are cut
+    through and run on across chunk boundaries."""
+    n = draw(st.integers(6, 14))
+    chords = draw(st.lists(st.integers(0, n - 3), max_size=3, unique=True))
+    edges = [(v, v + 1) for v in range(n - 1)] + [(v, v + 2) for v in chords]
+    inner = draw(st.lists(st.integers(1, n - 2), max_size=2, unique=True))
+    terms = tuple(sorted({0, n - 1, *inner}))
+    n_h = draw(st.integers(2, 12))
+    # mostly a tree over vertices that mostly alternate between the two
+    # ends, so that most floods are long and cross the whole path
+    rare = st.integers(0, 3).map(lambda x: x == 3)
+    h_edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n_h)
+               if not draw(rare)}
+    pair = st.integers(0, n_h - 2).flatmap(
+        lambda u: st.tuples(st.just(u), st.integers(u + 1, n_h - 1)))
+    h_edges |= set(draw(st.lists(pair, max_size=6)))
+    owners = {v: draw(st.sampled_from(terms)) if draw(rare)
+              else (0, n - 1)[v % 2] for v in range(n_h)}
+    return (Graph(n, tuple(edges), terms),
+            DistributedGraphInput(n_h, tuple(sorted(h_edges)), "node",
+                                  terms, owners))
+
+
+@settings(max_examples=40, deadline=None)
+@given(far_terminal_cases())
+def test_bfs_far_terminals_all_variants(case):
+    g, inp = case
+    for variant, query in VARIANT_QUERIES:
+        proto = bfs_protocol(g, g.terminals, inp, variant)
+        chunk_len = proto.meta["chunk_len"]
+        ends = set()
+
+        def step(v, rnd, state, inbox, pub):
+            phase, r = state["phase"], rnd - state["start"]
+            if phase == "transport" and r and r % chunk_len == 0 and (
+                    state["tx"] or state["rx"]):
+                event("a frame runs across a chunk boundary")
+            sends, state, out = proto.step(v, rnd, state, inbox, pub)
+            if state["cut"]:
+                event("a relay cuts a frame through")
+            if phase == "sync" and state["phase"] != "sync":
+                ends.add(rnd)
+            return sends, state, out
+
+        tr = run_protocol(g, dataclasses.replace(proto, step=step),
+                          inp.blocks(), seed=0)
+        want = graph_oracles(inp.num_vertices, inp.edges, query)
+        assert set(tr.outputs.values()) == {want}, variant
+        assert replay_matches(g, proto, inp.blocks(), 0, tr)
+        # no frame or checkpoint bit is in flight as a checkpoint ends
+        assert ends and not any(tr.bits[rnd - 1] for rnd in ends)
+
+
+def test_bfs_continue_checkpoints_last_twice_the_depth_plus_one():
+    # H is a path whose vertices alternate between the two ends of the
+    # communication path, so every token crosses all ten hops and the
+    # first checkpoints find frames queued
+    g = path_graph(10)
+    inp = DistributedGraphInput(8, tuple((v, v + 1) for v in range(7)),
+                                "node", g.terminals,
+                                {v: 10 * (v % 2) for v in range(8)})
+    proto = bfs_protocol(g, g.terminals, inp, "connectivity")
+    spans = {v: [] for v in range(g.n)}
+
+    def step(v, rnd, state, inbox, pub):
+        phase, first = state["phase"], state["start"]
+        sends, state, out = proto.step(v, rnd, state, inbox, pub)
+        if phase == "sync" and state["phase"] != "sync":
+            spans[v].append((rnd - first + 1, state["phase"] == "transport"))
+        return sends, state, out
+
+    tr = run_protocol(g, dataclasses.replace(proto, step=step), inp.blocks(),
+                      seed=0)
+    assert set(tr.outputs.values()) == {True}
+    assert proto.meta["continue_len"] == 2 * 10 + 1
+    # every vertex leaves every checkpoint in the same round
+    [checkpoints] = {tuple(cps) for cps in spans.values()}
+    assert [length for length, _ in checkpoints] == [
+        proto.meta["continue_len"] if cont else proto.meta["sync_len"]
+        for _, cont in checkpoints]
+    assert sum(cont for _, cont in checkpoints) >= 2
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_cut_through_saves_packet_minus_target_bits_per_relay(hops):
+    # one frame, from H vertex 0 at terminal 0 to H vertex 1 at the far
+    # end of the path; 16 H vertices give b_v = 4 and 9-bit frames
+    b_v, packet_bits = 4, 9
+    g = path_graph(hops)
+    inp = DistributedGraphInput(16, ((0, 1),), "node", g.terminals,
+                                {v: hops * (v == 1) for v in range(16)})
+    proto = bfs_protocol(g, g.terminals, inp, "connectivity")
+    assert proto.meta["chunk_len"] == 2 * (packet_bits + 3)
+    arrived = []
+
+    def step(v, rnd, state, inbox, pub):
+        sends, state, out = proto.step(v, rnd, state, inbox, pub)
+        if v == hops and 1 in state["tokens"] and not arrived:
+            arrived.append(rnd)
+        return sends, state, out
+
+    tr = run_protocol(g, dataclasses.replace(proto, step=step), inp.blocks(),
+                      seed=0)
+    assert set(tr.outputs.values()) == {False}
+    # started in round 1, a stored frame would wait packet_bits + 1
+    # rounds per hop
+    store_and_forward = 1 + hops * (packet_bits + 1)
+    assert arrived == [store_and_forward - (hops - 1) * (packet_bits - b_v)]
 
 
 @pytest.mark.parametrize("variant,want", [

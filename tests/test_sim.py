@@ -158,6 +158,8 @@ def test_contract_violations():
     ({0: 1, 1: 0, 5: 1}, "non-incident edge 5"),
     ({1: 2}, "non-bit 2"),
     ({0: 1, 1: 2}, "non-bit 2"),
+    # the lowest edge's violation is reported, whatever the insertion order
+    ({5: 1, 1: 2}, "non-bit 2"),
 ])
 def test_contract_violations_single_and_multi_send(sends, message):
     # vertex 1 of the path 0-1-2 owns edges 0 and 1

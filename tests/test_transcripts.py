@@ -15,10 +15,12 @@ then the sorted outputs.  A refactor of a protocol must leave them
 unchanged.
 
 `FLOODS` splits each `solve` case's rounds into its transport chunks and
-its checkpoints.  A checkpoint reads only transport state, which does not
-move while it runs, so a change to the checkpoint's schedule may change
-its length, `meta["sync_len"]`, and nothing else: not the answer, the
-bits, the transport rounds or the checkpoint count.
+its checkpoints.  A checkpoint with pending traffic continues after
+`meta["continue_len"]` rounds; one that restarts or answers runs the
+full `meta["sync_len"]`.  A checkpoint reads only transport state, which
+does not move while it runs, so a change to the checkpoint's schedule
+may change those lengths and the checkpoints' bits, and nothing else:
+not the answer, the transport rounds or the checkpoint counts.
 """
 
 import hashlib
@@ -50,18 +52,18 @@ PINS = {
         "b150afc61ee54bfacc9efbb3c1a3c90566785570bc1a9377ef4caeb8313ba005"),
     "run-ed-k3": (730, 2303,
         "f8336a31df045b141ec12f2a50ec322485063622e942a87c4a6c2ad89fcfe129"),
-    "solve-grid6": (1166, 8520,
-        "5452434d9152f05c30ee90c4bcaee5b9d9abc51b4cc6b150b0ed13027b86b998"),
-    "solve-ring44": (613, 2862,
-        "79e2ab732c3e9029e582d7c6d95e83c8abd5afcb59043b9d60a89372bf4df5e2"),
-    "solve-ring44-components": (735, 3690,
-        "d4f10e6c69610372f86e956d1dfea0126aa85edd5121ccf202d51124786a4e5a"),
-    "solve-ring44-bipartiteness": (735, 3690,
-        "5f322b3e2ca9b667012182fe8ea8af1a47d53732b88e9b9e44da8a66f269ea9c"),
-    "solve-ring44-or-acyclicity": (643, 3570,
-        "3fcd5be2816039378e88136395053207827556f63662947a8198666c9870f595"),
-    "solve-ring44-or-bipartiteness": (643, 3570,
-        "3fcd5be2816039378e88136395053207827556f63662947a8198666c9870f595"),
+    "solve-grid6": (577, 5470,
+        "8792faf58fdb39e5bebb4e659be7cb8c9df3c33e1adb2e1e6327fc8bd8d4b0c3"),
+    "solve-ring44": (517, 1650,
+        "eb3e6ee61491c12de48864b89a6d949619db762f2b469bb096be7e2780cbec05"),
+    "solve-ring44-components": (615, 2175,
+        "747db8ebe0f42739fa7269eb58dcf5cbe798d90e76b5671cf1ab796bf19b5d6f"),
+    "solve-ring44-bipartiteness": (615, 2175,
+        "a0a3573d6691784af1c0d94ed7af4ca72b413ad1852c76f3a95099b38e428e44"),
+    "solve-ring44-or-acyclicity": (366, 1668,
+        "71263d54ce143260eabb65bcb9a4160774c49ba76d7edea2531773f82ee66d53"),
+    "solve-ring44-or-bipartiteness": (366, 1668,
+        "71263d54ce143260eabb65bcb9a4160774c49ba76d7edea2531773f82ee66d53"),
 }
 
 
@@ -124,14 +126,15 @@ CASES = {
 }
 
 
-# name -> (answer, total bits, transport rounds, checkpoints)
+# name -> (answer, total bits, transport rounds, continue checkpoints,
+# deciding checkpoints)
 FLOODS = {
-    "solve-grid6": (False, 8520, 896, 6),
-    "solve-ring44": (False, 2862, 448, 5),
-    "solve-ring44-components": (2, 3690, 504, 7),
-    "solve-ring44-bipartiteness": (True, 3690, 504, 7),
-    "solve-ring44-or-acyclicity": (False, 3570, 384, 7),
-    "solve-ring44-or-bipartiteness": (False, 3570, 384, 7),
+    "solve-grid6": (False, 5470, 448, 4, 1),
+    "solve-ring44": (False, 1650, 448, 4, 1),
+    "solve-ring44-components": (2, 2175, 504, 5, 2),
+    "solve-ring44-bipartiteness": (True, 2175, 504, 5, 2),
+    "solve-ring44-or-acyclicity": (False, 1668, 256, 4, 2),
+    "solve-ring44-or-bipartiteness": (False, 1668, 256, 4, 2),
 }
 
 
@@ -167,8 +170,10 @@ def test_solve_rounds_are_transport_plus_checkpoints(
 
     monkeypatch.setattr(cli_mod, "bfs_protocol", build)
     tr, out = _run_case(name, tmp_path, capsys, monkeypatch)
-    answer, bits, transport, checkpoints = FLOODS[name]
+    answer, bits, transport, continues, decides = FLOODS[name]
     [meta] = [spec.meta for spec in specs]
     assert out["answer"] == answer and tr.total_bits == bits
     assert transport % meta["chunk_len"] == 0
-    assert tr.rounds == transport + checkpoints * meta["sync_len"]
+    assert meta["continue_len"] < meta["sync_len"]
+    assert tr.rounds == (transport + continues * meta["continue_len"]
+                         + decides * meta["sync_len"])
