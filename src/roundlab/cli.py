@@ -3,10 +3,12 @@
 Every command echoes its seed and emits deterministic JSON (or CSV), so
 re-running a configuration byte-reproduces the output.  Exact rationals are
 written as JSON integers when integral and as ``"p/q"`` strings otherwise.
-Exit codes: 0 ok, 2 infeasible instance, 3 input error (argparse usage
-errors and files that cannot be read or written included), 4 internal
-contract violation (a full tau_MCF LP that HiGHS could not decide and
-a two-party extraction that reads an unknown bit included; a restricted
+Exit codes: 0 ok, 2 infeasible instance (a compiled circuit level that
+routes at no horizon up to its search's cutoff included), 3 input error
+(argparse usage errors and files that cannot be read or written
+included), 4 internal contract violation (a gate assignment that no
+resample balances, a full tau_MCF LP that HiGHS could not decide and a
+two-party extraction that reads an unknown bit included; a restricted
 first-stage LP that HiGHS could not decide only hands its probe to the
 full LP).
 ``--help`` exits 0.  ``--format csv`` writes ``key,value`` rows (the
@@ -230,10 +232,9 @@ def _build_named_protocol(name, g, inputs, seed):
         proto = steiner_aggregate_protocol(g, terms, best.packing, func)
         return proto, inputs, best.value
     if name == "ed-compiled":
-        red = ed_hash_reduce([inputs[t] for t in sorted(inputs)], seed=seed,
-                             n_bits=n)
-        hashed = red.bitstrings()
-        circuit, pos = build_ed_circuit(len(terms), red.bits_per_hash)
+        hashed = ed_hash_reduce([inputs[t] for t in sorted(inputs)],
+                                seed=seed, n_bits=n)
+        circuit, pos = build_ed_circuit(len(terms), len(hashed[0]))
         proto = compile_circuit(g, terms, circuit, seed=seed, output_pos=pos)
         hashed_inputs = dict(zip(sorted(inputs), hashed))
         return proto, hashed_inputs, None

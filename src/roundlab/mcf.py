@@ -45,8 +45,8 @@ and the answer at the next larger n' leave open, because feasibility is
 monotone up in tau and down in n'.  With two terminals that cut bound is
 exact, so `tau_mcf` answers from it and solves no LP.
 
-Also here: a small integral unit-demand router used by the bit-level
-protocol builders.
+Also here: the greedy integral unit-demand router that the circuit
+compiler ships each level with.
 """
 
 from __future__ import annotations
@@ -533,11 +533,14 @@ def _subset_chains(side, rest, dist):
 
 def route_unit_demands(g, units, horizon):
     """Route unit (src, dst) demands as edge-disjoint timed paths within
-    `horizon` layers, or return None.
+    `horizon` layers, one path per unit in the order given, or return
+    None.
 
-    Greedy sequential BFS with a few deterministic orderings; memory steps
-    are free.  Exact enough at desk scale; callers escalate the horizon on
-    failure.
+    One greedy pass: the units take residual paths (`_bfs_timed`, memory
+    steps free) one at a time, farthest first by static distance, ties
+    by index, and the pass returns None where a unit finds none.  The
+    circuit compiler, its one caller, escalates the horizon of a level
+    that fails through `timed.least_feasible_horizon`.
     """
     dists = {}
     for src, dst in units:
@@ -545,26 +548,12 @@ def route_unit_demands(g, units, horizon):
             dists[src] = g.distances_from(src)
         if dists[src][dst] is None or dists[src][dst] > horizon:
             return None
-    orderings = [
-        sorted(range(len(units)),
-               key=lambda i: (-dists[units[i][0]][units[i][1]], i)),
-        sorted(range(len(units)),
-               key=lambda i: (dists[units[i][0]][units[i][1]], i)),
-        list(range(len(units))),
-    ]
-    for order in orderings:
-        result = _route_greedy(g, units, horizon, order)
-        if result is not None:
-            return result
-    return None
-
-
-def _route_greedy(g, units, horizon, order):
     used = set()
     routed = [None] * len(units)
-    for idx in order:
-        routed[idx] = _bfs_timed(g, *units[idx], horizon, used)
-        if routed[idx] is None:
+    for i in sorted(range(len(units)),
+                    key=lambda i: (-dists[units[i][0]][units[i][1]], i)):
+        routed[i] = _bfs_timed(g, *units[i], horizon, used)
+        if routed[i] is None:
             return None
     return routed
 

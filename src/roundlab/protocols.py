@@ -10,8 +10,9 @@ the subtree's input bits and travels as one bit; otherwise it is the
 subtree's one-count and travels as ceil(log2 k) bits, low bit first.
 
 The compiler maps circuit gates to random terminals (load balanced by
-rejection resampling) and ships each level's gate values with the
-integral timed-graph router, one window of rounds per level.
+rejection resampling), ships each level's gate values with the integral
+timed-graph router, one window of rounds per level, and the answer down
+a BFS tree, all as rows of one send/receive plan.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ from .circuits import GATE_OPS
 from .graphs import GraphError, bfs_tree
 from .mcf import route_unit_demands, tau_mcf
 from .sim import ContractViolation, ProtocolSpec, fixed_windows
+from .timed import least_feasible_horizon
 
 # random gate assignments drawn before compilation gives up
 ASSIGN_RESAMPLES = 64
 
 
 class CompileError(RuntimeError):
-    """Gate placement or level routing could not be completed."""
+    """No gate assignment balanced every level within the resamples."""
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +278,19 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
 
     Gates are mapped to terminals at random (load-balanced by rejection);
     per level, the gate values cross the network as an integral routing of
-    unit demands inside a dedicated window of rounds, starting from the
-    bounded-demand horizon 2*tau_mcf at the level's peak unit load and
-    escalating one round at a time if the integral router needs slack.
-    The peaks of all routed levels go to `tau_mcf` in one request.
-    Terminal i (in sorted order) holds input bits i*n .. (i+1)*n - 1
-    (`default_input_layout`).  Gate `output_pos` of the output level is
-    the answer, and GraphError is raised unless that gate exists.  Its
-    owner broadcasts the answer over a BFS tree; every other vertex takes
-    it from its tree parent's edge.
+    unit demands inside a dedicated window of rounds.  The window is the
+    horizon `timed.least_feasible_horizon` finds for `route_unit_demands`
+    from start = 2*tau_mcf at the level's peak unit load, with cutoff
+    start + 4|V| + 8 (SearchLimitError past it), and the level ships on
+    the paths of that probe.  The peaks of all routed levels go to
+    `tau_mcf` in one request.  Terminal i (in sorted order) holds input
+    bits i*n .. (i+1)*n - 1 (`default_input_layout`).  Gate `output_pos`
+    of the output level is the answer (GraphError unless it exists), and
+    its owner broadcasts it down a BFS tree, depth d relaying it in round
+    answer_round + d.  Each routed or broadcast bit is a send and a
+    receive row of one plan, keyed by the value it carries, (level, pos):
+    a step receives by plan, evaluates, sends by plan, and a terminal
+    outputs the answer in its broadcast round.
 
     meta keys: windows (rounds per level, 0 for a level with no units),
     thresholds (per-level load thresholds of the gate assignment),
@@ -323,29 +329,28 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
     windows = []
     send_plan = {}   # (round, vertex) -> list of (edge_id, key)
     recv_plan = {}   # (round, vertex, edge_id) -> key
+
+    def plan(rnd, eid, tail, head, key):
+        send_plan.setdefault((rnd, tail), []).append((eid, key))
+        recv_plan[(rnd + 1, head, eid)] = key
+
     offset = 0
     for li, units in enumerate(level_units):
         if not units:
             windows.append(0)
             continue
         pairs = [(s, t) for s, t, _ in units]
-        horizon = 2 * taus[peaks[li]]
-        cap = horizon + 4 * g.n + 8
-        routed = None
-        while routed is None:
-            routed = route_unit_demands(g, pairs, horizon)
-            if routed is None:
-                horizon += 1
-                if horizon > cap:
-                    raise CompileError(
-                        f"level {li} routing found no horizon <= {cap}")
+        start = 2 * taus[peaks[li]]
+        routings = {}   # horizon -> the router's paths there, or None
+        horizon = least_feasible_horizon(
+            lambda tau: routings.setdefault(
+                tau, route_unit_demands(g, pairs, tau)) is not None,
+            start, start + 4 * g.n + 8, f"level {li} routing")
         windows.append(horizon)
-        for (_, _, key), path in zip(units, routed):
+        for (_, _, key), path in zip(units, routings[horizon]):
             for layer, eid, uu, vv in path.steps():
                 if eid is not None:
-                    rnd = offset + layer + 1
-                    send_plan.setdefault((rnd, uu), []).append((eid, key))
-                    recv_plan[(rnd + 1, vv, eid)] = key
+                    plan(offset + layer + 1, eid, uu, vv, key)
         offset += horizon
     # level li is evaluated once its window has closed; built in level
     # order, since levels with empty windows share an evaluation round
@@ -357,22 +362,23 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
             evaluations.setdefault((eval_round[li], assignment[li][pos]),
                                    []).append((li, pos))
 
-    owner = assignment[-1][output_pos]
-    parent_b, depth_b, children_b = bfs_tree(g, owner)
-    for t in terms:
-        if t not in depth_b:
-            raise GraphError("terminals are disconnected")
+    # the output gate's owner broadcasts it down a BFS tree: depth d
+    # relays it in round answer_round + d
+    answer_key = (circuit.depth, output_pos)
+    _, depth_b, children_b = bfs_tree(g, assignment[-1][output_pos])
+    if any(t not in depth_b for t in terms):
+        raise GraphError("terminals are disconnected")
+    for v, d in depth_b.items():
+        for eid, w in children_b[v]:
+            plan(answer_round + d, eid, v, w, answer_key)
     bcast_depth = max(depth_b[t] for t in terms)
-    max_rounds = answer_round + bcast_depth + 2
-    term_set = set(terms)
-    # the rounds each vertex receives, sends, evaluates or relays the
-    # answer in; a receipt would get its step from the mail anyway, but
-    # inside a window it costs no re-arming
+    out_round = {t: answer_round + depth_b[t] for t in terms}
+    # the rounds each vertex receives, sends or evaluates in; a receipt
+    # would get its step from the mail anyway, but inside a window it
+    # costs no re-arming
     spans = [[] for _ in range(g.n)]
     for rnd, v, *_ in chain(send_plan, recv_plan, evaluations):
         spans[v].append((rnd, rnd))
-    for v, d in depth_b.items():
-        spans[v].append((answer_round + d, answer_round + d))
 
     def init(v, _g, block):
         if v in input_layout and block is not None:
@@ -382,7 +388,6 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
 
     def step(v, rnd, state, inbox, pub):
         sends = {}
-        out = None
         vals = state["vals"]
         for eid, bit in inbox.items():
             key = recv_plan.get((rnd, v, eid))
@@ -397,27 +402,15 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
                 raise ContractViolation(
                     f"vertex {v} must forward {key} before holding it")
             sends[eid] = vals[key]
-        # the owner computes the answer; every other vertex takes it from
-        # its tree parent (an omitted bit reads as 0) and passes it on
-        if v in depth_b and rnd == answer_round + depth_b[v]:
-            if v == owner:
-                ans = vals[(circuit.depth, output_pos)]
-            else:
-                ans = inbox.get(parent_b[v][0], 0)
-            if v in term_set:
-                out = ans
-            for eid, _ in children_b[v]:
-                sends[eid] = ans
+        out = vals[answer_key] if rnd == out_round.get(v) else None
         return sends, state, out
 
-    data_rounds = sum(windows)
     return ProtocolSpec(
-        max_rounds=max_rounds,
+        max_rounds=answer_round + bcast_depth + 2,
         init=init,
         step=step,
         meta={"windows": tuple(windows), "thresholds": tuple(thresholds),
-              "data_rounds": data_rounds,
-              "broadcast_rounds": bcast_depth,
+              "data_rounds": sum(windows), "broadcast_rounds": bcast_depth,
               "assignment": tuple(tuple(row) for row in assignment)},
         wake=fixed_windows(spans),
     )
@@ -425,16 +418,6 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
 
 # ---------------------------------------------------------------------------
 # hashing reduction for duplicate detection
-
-@dataclass(frozen=True)
-class HashReduction:
-    hashes: tuple   # one hash per input
-    bits_per_hash: int
-
-    def bitstrings(self):
-        return tuple(tuple((h >> i) & 1 for i in range(self.bits_per_hash))
-                     for h in self.hashes)
-
 
 def _to_int(x):
     if isinstance(x, int):
@@ -444,7 +427,7 @@ def _to_int(x):
 
 def ed_hash_reduce(inputs, seed, n_bits):
     """Compress k inputs of n_bits bits to one short pairwise-independent
-    hash each.
+    hash each, returned as a tuple of bits, low bit first.
 
     Multiply-shift over 2w-bit words, w = max(n_bits, bits): hash(x) =
     ((a x + b) mod 2^{2w}) >> (2w - bits), bits = 2 ceil(log2 k) + 2.
@@ -464,5 +447,5 @@ def ed_hash_reduce(inputs, seed, n_bits):
     rng = random.Random(f"edhash:{seed}")
     a = rng.randrange(1, 1 << width) | 1
     b = rng.randrange(0, 1 << width)
-    return HashReduction(tuple(((a * _to_int(x) + b) & mask) >> (width - bits)
-                               for x in inputs), bits)
+    hashes = [((a * _to_int(x) + b) & mask) >> (width - bits) for x in inputs]
+    return tuple(tuple(h >> i & 1 for i in range(bits)) for h in hashes)

@@ -31,7 +31,8 @@ one such arc of one commodity, and the unit router names its paths' arcs
 by the same numbers.  `mcf.mcf_feasible` refuses a network past
 `mcf.MAX_TIMED_ARCS` arcs before allocating.  tau_MCF comes from the
 monotone search `least_feasible_horizon`, started at the certified lower
-bound.
+bound; the circuit compiler escalates a level's routing by the same
+search.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ class FlowSolution:
 
 def least_feasible_horizon(feasible, lo, cutoff, name):
     """Least horizon tau >= lo with feasible(tau), for a predicate monotone
-    in tau and a certified lower bound lo >= 1 (no tau < lo is feasible).
+    in tau and a start lo >= 1.  `mcf.tau_mcf` starts at a certified lower
+    bound (no tau < lo is feasible), and `protocols.compile_circuit` routes
+    each level from 2 tau_MCF of its peak load.
 
     Probe order: gallop upward, lo, lo+1, lo+3, lo+7, ..., lo + 2**j - 1,
     to the first feasible horizon hi, then bisect over (last infeasible
@@ -134,7 +137,10 @@ def least_feasible_horizon(feasible, lo, cutoff, name):
     is feasible and [mid + 1, hi] otherwise.  A feasible lo is thus
     certified minimal after one probe, and a bound short by d costs about
     2 log2(d) probes.  Raises SearchLimitError, naming `name`, when the
-    gallop passes 2 * cutoff or the result exceeds cutoff.
+    gallop passes 2 * cutoff or the result exceeds cutoff.  For a
+    predicate that is not monotone, the result is still a horizon >= lo
+    where it held, and every probe below that horizon failed: each
+    feasible probe lowers hi, and the result is the last hi.
     """
     hi, step = lo, 1
     while not feasible(hi):

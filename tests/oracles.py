@@ -366,9 +366,8 @@ def route_unit_demands_reference(g, units, horizon):
     """Route unit (src, dst) demands as edge-disjoint timed paths within
     `horizon` layers, or return None.
 
-    Greedy sequential BFS with a few deterministic orderings; memory steps
-    are free.  Exact enough at desk scale; callers escalate the horizon on
-    failure.
+    One greedy sequential BFS pass, farthest units first (ties by index);
+    memory steps are free.  None where a unit finds no residual path.
     """
     if not units:
         return []
@@ -380,24 +379,10 @@ def route_unit_demands_reference(g, units, horizon):
             return None
         if dists[src][dst] > horizon:
             return None
-    orderings = [
-        sorted(range(len(units)),
-               key=lambda i: (-dists[units[i][0]][units[i][1]], i)),
-        sorted(range(len(units)),
-               key=lambda i: (dists[units[i][0]][units[i][1]], i)),
-        list(range(len(units))),
-    ]
-    for order in orderings:
-        result = _route_greedy(g, units, horizon, order)
-        if result is not None:
-            return result
-    return None
-
-
-def _route_greedy(g, units, horizon, order):
     used = set()
     routed = [None] * len(units)
-    for idx in order:
+    for idx in sorted(range(len(units)),
+                      key=lambda i: (-dists[units[i][0]][units[i][1]], i)):
         src, dst = units[idx]
         path = _bfs_timed(g, src, dst, horizon, used)
         if path is None:

@@ -11,6 +11,7 @@ from scipy.optimize import OptimizeResult, linprog
 
 import roundlab.cli as cli_mod
 import roundlab.mcf as mcf_mod
+import roundlab.protocols as protocols_mod
 import roundlab.steiner as steiner_mod
 from roundlab.sim import ExtractionError
 from roundlab import (
@@ -555,6 +556,18 @@ def test_run_unknown_protocol_exit_code(tmp_path, capsys):
     code = main(["run", "--graph", gpath, "--protocol", "no-such"])
     err = capsys.readouterr().err
     assert code == 3 and "unknown protocol 'no-such'" in err
+
+
+def test_unroutable_level_exit_code(tmp_path, capsys, monkeypatch):
+    # a level that routes at no horizon up to its search's cutoff is an
+    # infeasible instance
+    monkeypatch.setattr(protocols_mod, "route_unit_demands",
+                        lambda g, pairs, horizon: None)
+    gpath = _write_graph(tmp_path, clique(2))
+    code = main(["run", "--graph", gpath, "--protocol", "ed-compiled",
+                 "--n", "3"])
+    err = capsys.readouterr().err
+    assert code == 2 and "routing exceeded cutoff" in err
 
 
 def test_bench_oracle_disagreement_exit_code(tmp_path, capsys, monkeypatch):

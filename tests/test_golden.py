@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-import roundlab.mcf as mcf_mod
+import roundlab.cli as cli_mod
 import roundlab.protocols as protocols_mod
 from roundlab import graphs
 from roundlab.circuits import build_ed_circuit, circuit_to_json
@@ -134,14 +134,14 @@ def test_cli_output_is_golden(name, fixtures):
 @pytest.mark.parametrize("name", ["bench-ed-k2", "compile-k2", "run-ed-k2",
                                   "run-ed-k3"])
 def test_ed_levels_route_at_twice_tau_mcf(name, fixtures, monkeypatch):
-    # every routed level of the golden ED compiles closes at 2 tau_MCF of
-    # its peak load, the horizon the compiler tries first, on the router's
-    # first ordering: a router that needs an escalation or a later ordering
-    # on this traffic fails here by name, not through a golden diff
+    # every routed level of the golden ED compiles routes on the one call
+    # at 2 tau_MCF of its peak load, the horizon the compiler's search
+    # probes first: a router that needs an escalation on this traffic
+    # fails here by name, not through a golden diff
     files, workdir = fixtures
-    taus, horizons, orderings = set(), [], []
+    taus, horizons, windows = set(), [], []
     tau_mcf, route = protocols_mod.tau_mcf, protocols_mod.route_unit_demands
-    greedy = mcf_mod._route_greedy
+    compile_circuit = cli_mod.compile_circuit
 
     def recording_tau_mcf(*args):
         answers = tau_mcf(*args)
@@ -153,18 +153,18 @@ def test_ed_levels_route_at_twice_tau_mcf(name, fixtures, monkeypatch):
         horizons.append((horizon, routed is not None))
         return routed
 
-    def recording_greedy(*args):
-        orderings.append(args[-1])
-        return greedy(*args)
+    def recording_compile(*args, **kwargs):
+        proto = compile_circuit(*args, **kwargs)
+        windows.extend(w for w in proto.meta["windows"] if w)
+        return proto
 
     monkeypatch.setattr(protocols_mod, "tau_mcf", recording_tau_mcf)
     monkeypatch.setattr(protocols_mod, "route_unit_demands", recording_route)
-    monkeypatch.setattr(mcf_mod, "_route_greedy", recording_greedy)
+    monkeypatch.setattr(cli_mod, "compile_circuit", recording_compile)
     run_case(name, files, workdir)
-    assert horizons
-    assert all(ok and horizon // 2 in taus and horizon % 2 == 0
-               for horizon, ok in horizons)
-    assert len(orderings) == len(horizons)
+    assert windows
+    assert horizons == [(window, True) for window in windows]
+    assert all(window // 2 in taus and window % 2 == 0 for window in windows)
 
 
 if __name__ == "__main__":

@@ -437,14 +437,29 @@ def test_route_unit_demands_contention():
     assert paths is not None and len(paths) == 2
 
 
-@settings(max_examples=150, deadline=None)
-@given(parallel_multigraphs(2), st.data(), st.integers(0, 8))
-def test_route_unit_demands_matches_reference(g, data, horizon):
-    # the router on the timed arc index takes the arc-key reference's
-    # paths, in its orderings, and fails where it fails
+@st.composite
+def unit_demands(draw):
+    """A parallel multigraph and 1..15 unit (src, dst) demands on it."""
+    g = draw(parallel_multigraphs(2))
     vertex = st.integers(0, g.n - 1)
-    units = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1,
-                               max_size=15))
+    return g, draw(st.lists(st.tuples(vertex, vertex), min_size=1,
+                            max_size=15))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_demands(), st.integers(0, 8))
+# farthest first routes; in index order (1, 2) takes the arc 1 -> 2 in
+# layer 1, which (0, 2) needs
+@example((path_graph(2), [(1, 2), (0, 2)]), 2)
+# both orders route, on different arcs
+@example((Graph(3, ((0, 1), (1, 2), (0, 1)), (0, 2)), [(1, 0), (2, 0)]), 2)
+# farthest first fails; nearest first and index order route
+@example((Graph(4, ((0, 1), (0, 3), (2, 1), (3, 2), (2, 1), (0, 3)), (0, 1)),
+          [(0, 1), (2, 0), (0, 1), (2, 0), (3, 1)]), 2)
+def test_route_unit_demands_matches_reference(demands, horizon):
+    # the router on the timed arc index takes the arc-key reference's
+    # paths, in its order, and fails where it fails
+    g, units = demands
     assert route_unit_demands(g, units, horizon) == \
         route_unit_demands_reference(g, units, horizon)
 

@@ -22,8 +22,10 @@ from roundlab.protocols import (
     disjointness_function, ed_hash_reduce, ed_oracle,
     steiner_aggregate_protocol,
 )
-from roundlab.sim import ContractViolation, ProtocolSpec, run_protocol
-from roundlab.timed import TimedPath
+from roundlab.sim import (
+    ContractViolation, ProtocolSpec, replay_matches, run_protocol,
+)
+from roundlab.timed import SearchLimitError, TimedPath
 from roundlab.steiner import disjointness_bound, pack_steiner_trees
 
 from oracles import aggregate_protocol_reference
@@ -364,6 +366,55 @@ def test_compile_broken_routes_fail_loudly(monkeypatch, broken, error,
         run_protocol(g, proto, {0: (1,), 1: (0,)}, seed=0)
 
 
+def _k2_ed_compile():
+    # the circuit of the K2 ED run: two 4-bit hashes
+    g = clique(2)
+    c, pos = build_ed_circuit(2, 4)
+    return g, c, pos, compile_circuit(g, g.terminals, c, seed=0,
+                                      output_pos=pos)
+
+
+def test_compile_escalates_a_level_by_the_horizon_search(monkeypatch):
+    g, c, pos, base = _k2_ed_compile()
+    routed = [li for li, window in enumerate(base.meta["windows"]) if window]
+    # the middle routed level routes only from s + 3; every level routes
+    # on one call at its start s today, so its probes follow the j calls
+    # of the routed levels before it
+    j = len(routed) // 2
+    level, s = routed[j], base.meta["windows"][routed[j]]
+    route = protocols_mod.route_unit_demands
+    probes = []
+
+    def short(g, pairs, horizon):
+        probes.append(horizon)
+        if j < len(probes) <= j + 4 and horizon < s + 3:
+            return None
+        return route(g, pairs, horizon)
+
+    monkeypatch.setattr(protocols_mod, "route_unit_demands", short)
+    proto = compile_circuit(g, g.terminals, c, seed=0, output_pos=pos)
+    windows = list(base.meta["windows"])
+    windows[level] += 3
+    assert proto.meta["windows"] == tuple(windows)
+    assert probes[j:j + 4] == [s, s + 1, s + 3, s + 2]
+    assert proto.meta["data_rounds"] == base.meta["data_rounds"] + 3
+    for raw in ([(1, 0, 1), (1, 0, 1)], [(1, 0, 1), (0, 1, 1)]):
+        hashed = dict(zip(g.terminals, ed_hash_reduce(raw, seed=0, n_bits=3)))
+        tr = run_protocol(g, proto, hashed, seed=0)
+        assert set(tr.outputs.values()) == {ed_ref(list(hashed.values()))}
+        assert replay_matches(g, proto, hashed, 0, tr)
+
+
+def test_compile_level_that_never_routes_hits_the_search_limit(monkeypatch):
+    g, c, pos, base = _k2_ed_compile()
+    first = next(li for li, w in enumerate(base.meta["windows"]) if w)
+    monkeypatch.setattr(protocols_mod, "route_unit_demands",
+                        lambda g, pairs, horizon: None)
+    with pytest.raises(SearchLimitError,
+                       match=rf"^level {first} routing exceeded cutoff"):
+        compile_circuit(g, g.terminals, c, seed=0, output_pos=pos)
+
+
 def random_circuit(k, n, depth, seed):
     rng = random.Random(seed)
     b = CircuitBuilder(n, k)
@@ -524,11 +575,9 @@ def test_protocols_read_silence_as_zero(case):
 # hashing reduction
 
 def test_hash_reduce_equal_inputs_collide():
-    red = ed_hash_reduce([(1, 0, 1), (1, 0, 1), (0, 1, 1)], seed=3,
-                         n_bits=3)
-    assert red.hashes[0] == red.hashes[1]
-    strings = red.bitstrings()
-    assert strings[0] == strings[1]
+    hashes = ed_hash_reduce([(1, 0, 1), (1, 0, 1), (0, 1, 1)], seed=3,
+                            n_bits=3)
+    assert hashes[0] == hashes[1]
 
 
 def test_hash_reduce_distinct_inputs_rarely_collide():
@@ -537,8 +586,7 @@ def test_hash_reduce_distinct_inputs_rarely_collide():
     runs = 400
     for s in range(runs):
         vals = rng.sample(range(1 << 12), 4)
-        red = ed_hash_reduce(vals, seed=s, n_bits=12)
-        if len(set(red.hashes)) < 4:
+        if len(set(ed_hash_reduce(vals, seed=s, n_bits=12))) < 4:
             bad += 1
     assert bad / runs <= 1 / 3
 
@@ -548,16 +596,15 @@ def test_hash_reduce_k2_exhaustive_one_bit():
     total = 0
     for seed in range(200):
         for x, y in itertools.product((0, 1), repeat=2):
-            red = ed_hash_reduce([x, y], seed=seed, n_bits=1)
-            same_hash = red.hashes[0] == red.hashes[1]
-            if (x == y) != same_hash:
+            hx, hy = ed_hash_reduce([x, y], seed=seed, n_bits=1)
+            if (x == y) != (hx == hy):
                 mismatch += 1
             total += 1
     assert mismatch / total <= 1 / 3
 
 
 def test_hash_reduce_shapes():
-    red = ed_hash_reduce([3, 5, 9], seed=0, n_bits=4)
-    assert red.bits_per_hash == 2 * 2 + 2
-    assert len(red.hashes) == 3
-    assert all(0 <= h < 2 ** red.bits_per_hash for h in red.hashes)
+    # three inputs: 2 ceil(log2 3) + 2 = 6 bits each
+    hashes = ed_hash_reduce([3, 5, 9], seed=0, n_bits=4)
+    assert len(hashes) == 3
+    assert all(len(h) == 2 * 2 + 2 and set(h) <= {0, 1} for h in hashes)

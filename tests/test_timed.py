@@ -395,3 +395,17 @@ def test_least_feasible_horizon_search_limit():
     with pytest.raises(SearchLimitError, match="late result 12 exceeds"):
         least_feasible_horizon(lambda tau: tau >= 12, 3, 10, "late")
     assert least_feasible_horizon(lambda tau: tau >= 10, 3, 10, "x") == 10
+
+
+def test_least_feasible_horizon_on_a_predicate_that_is_not_monotone():
+    # feasible at 5, infeasible at 6..8, feasible from 9: the search
+    # returns 9, where the predicate held, with every probe below it
+    # (3, 4, 6, 8) failed; it never probes 5
+    probes = []
+
+    def gappy(tau):
+        probes.append(tau)
+        return tau == 5 or tau >= 9
+
+    assert least_feasible_horizon(gappy, 3, 100, "x") == 9
+    assert probes == [3, 4, 6, 10, 8, 9]

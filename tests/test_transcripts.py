@@ -6,13 +6,18 @@ certificate runs.  The `solve` cases pin all four flooding variants:
 `components` on the and-disj instance takes the restart path, and
 `acyclicity` on an or-disj instance stops early on a duplicate token.
 No CLI path builds a count-encoded aggregation, so `test_protocols.py`
-pins that one with the same digest.
+pins that one with the same digest.  `run-ed-path3` and `run-ed-star3`
+pin ED compiles whose answer broadcast crosses non-terminals, the path's
+inner vertices and the star's centre; on K2 and K3 it crosses none.
 
 Each case runs the CLI as the golden set or the `mcf` benchmark
 workload does, with `run_protocol` wrapped to keep the transcript; the
 digest covers each round's sorted (tail, head, edge_id) -> bit items,
 then the sorted outputs.  A refactor of a protocol must leave them
-unchanged.
+unchanged.  Print every case's (rounds, bits, digest), to measure pins
+rather than copy them, with
+
+    PYTHONPATH=src python tests/test_transcripts.py
 
 `FLOODS` splits each `solve` case's rounds into its transport chunks and
 its checkpoints.  A checkpoint with pending traffic continues after
@@ -23,16 +28,22 @@ may change those lengths and the checkpoints' bits, and nothing else:
 not the answer, the transport rounds or the checkpoint counts.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import roundlab.cli as cli_mod
 import roundlab.distgraph as distgraph
 from roundlab import (
-    clique, format_graph_text, grid_graph, intro_split_graph, ring_of_cliques)
+    clique, format_graph_text, grid_graph, intro_split_graph, path_graph,
+    ring_of_cliques, star_graph)
 from roundlab.circuits import build_ed_circuit, circuit_to_json
 from roundlab.distgraph import (
     and_disj_instance, or_disj_instance, random_pair_strings)
@@ -52,6 +63,10 @@ PINS = {
         "b150afc61ee54bfacc9efbb3c1a3c90566785570bc1a9377ef4caeb8313ba005"),
     "run-ed-k3": (730, 2303,
         "f8336a31df045b141ec12f2a50ec322485063622e942a87c4a6c2ad89fcfe129"),
+    "run-ed-path3": (238, 642,
+        "8f06f100b9711e7f4fd3fca01e10f143d83cea014167849be14b35cde37d97e2"),
+    "run-ed-star3": (1555, 4595,
+        "91e8be7cd9db945fa46dbc20bc9fe6b7083ec2aaccaae5bdd91d62d80e939bad"),
     "solve-grid6": (577, 5470,
         "8792faf58fdb39e5bebb4e659be7cb8c9df3c33e1adb2e1e6327fc8bd8d4b0c3"),
     "solve-ring44": (517, 1650,
@@ -83,7 +98,8 @@ def _files(tmp_path):
         files[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text)
 
-    grids = {"k2": clique(2), "k3": clique(3), "grid6": grid_graph(6, 6),
+    grids = {"k2": clique(2), "k3": clique(3), "path3": path_graph(3),
+             "star3": star_graph(3), "grid6": grid_graph(6, 6),
              "ring44": ring_of_cliques(4, 4), "intro": intro_split_graph()}
     for key, g in grids.items():
         put(key, format_graph_text(g))
@@ -107,6 +123,8 @@ CASES = {
     "run-disj-intro": "run --graph {intro} --protocol disj-aggregate --n 64",
     "run-ed-k2": "run --graph {k2} --protocol ed-compiled --n 3",
     "run-ed-k3": "run --graph {k3} --protocol ed-compiled --n 3",
+    "run-ed-path3": "run --graph {path3} --protocol ed-compiled --n 3",
+    "run-ed-star3": "run --graph {star3} --protocol ed-compiled --n 3",
     "compile-k2": "compile --graph {k2} --circuit {ed21} --inputs {k2_in}",
     "solve-grid6": "--seed 0 solve --variant connectivity --graph {grid6} "
                    "--instance {grid6_and_disj}",
@@ -138,30 +156,33 @@ FLOODS = {
 }
 
 
-def _run_case(name, tmp_path, capsys, monkeypatch):
-    """The case's one transcript and its printed JSON output."""
+def _run_case(name, tmp_path):
+    """The case's one transcript and its printed JSON output, its instance
+    files written under the directory `tmp_path`."""
     seen = []
 
     def keep(*args, **kwargs):
         seen.append(run_protocol(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(cli_mod, "run_protocol", keep)
     argv = CASES[name].format_map(_files(tmp_path)).split()
-    assert cli_mod.main(argv) == 0
+    out = io.StringIO()
+    with mock.patch.object(cli_mod, "run_protocol", keep), \
+            contextlib.redirect_stdout(out):
+        assert cli_mod.main(argv) == 0
     [tr] = seen
-    return tr, json.loads(capsys.readouterr().out)
+    return tr, json.loads(out.getvalue())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_transcript_is_pinned(name, tmp_path, capsys, monkeypatch):
-    tr, _ = _run_case(name, tmp_path, capsys, monkeypatch)
+def test_transcript_is_pinned(name, tmp_path):
+    tr, _ = _run_case(name, tmp_path)
     assert (tr.rounds, tr.total_bits, transcript_digest(tr)) == PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(FLOODS))
 def test_solve_rounds_are_transport_plus_checkpoints(
-        name, tmp_path, capsys, monkeypatch):
+        name, tmp_path, monkeypatch):
     specs = []
 
     def build(*args, **kwargs):
@@ -169,7 +190,7 @@ def test_solve_rounds_are_transport_plus_checkpoints(
         return specs[-1]
 
     monkeypatch.setattr(cli_mod, "bfs_protocol", build)
-    tr, out = _run_case(name, tmp_path, capsys, monkeypatch)
+    tr, out = _run_case(name, tmp_path)
     answer, bits, transport, continues, decides = FLOODS[name]
     [meta] = [spec.meta for spec in specs]
     assert out["answer"] == answer and tr.total_bits == bits
@@ -177,3 +198,11 @@ def test_solve_rounds_are_transport_plus_checkpoints(
     assert meta["continue_len"] < meta["sync_len"]
     assert tr.rounds == (transport + continues * meta["continue_len"]
                          + decides * meta["sync_len"])
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            tr, _ = _run_case(case, Path(tmp))
+            print(f"{case}: ({tr.rounds}, {tr.total_bits}, "
+                  f"{transcript_digest(tr)!r})")
