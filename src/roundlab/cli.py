@@ -6,11 +6,11 @@ written as JSON integers when integral and as ``"p/q"`` strings otherwise.
 Exit codes: 0 ok, 2 infeasible instance (a compiled circuit level that
 routes at no horizon up to its search's cutoff included), 3 input error
 (argparse usage errors and files that cannot be read or written
-included), 4 internal contract violation (a gate assignment that no
-resample balances, a full tau_MCF LP that HiGHS could not decide and a
-two-party extraction that reads an unknown bit included; a restricted
-first-stage LP that HiGHS could not decide only hands its probe to the
-full LP).
+included), 4 internal contract violation (a gate assignment that
+overloads a level past its threshold, a full tau_MCF LP that HiGHS could
+not decide and a two-party extraction that reads an unknown bit
+included; a restricted first-stage LP that HiGHS could not decide only
+hands its probe to the full LP).
 ``--help`` exits 0.  ``--format csv`` writes ``key,value`` rows (the
 ``bench`` summary as one header row and one value row) through the csv
 module, with list and dict values as compact JSON cells.  Every command's
@@ -25,11 +25,12 @@ at most ``mcf.MAX_TIMED_ARCS`` (2**25, about 33.5 million) arcs, tau *
 allocating.  Every other flow is read off static min-cost flows and
 builds no timed network, so ``tau-route``, the cut bounds of ``tau-mcf``
 and ``tau-mcf`` on two terminals, whose cut bound is its answer, have no
-such ceiling.  The cut bounds run O(k^2) static flows along chains of
-terminals ordered by distance (``mcf.tau_mcf_flow_bound``); k = 32 is
-supported and nothing checks k.  On ``random_connected_graph(n, n, seed=3,
-k)`` at n' = 32 on a shared 2-vCPU x86 host, the bound took 0.07 s at
-k = 14 (n = 30), 0.35-0.50 s at k = 20 and 1.6-1.8 s at k = 32 (n = 60);
+such ceiling.  The cut bounds run one static flow per chain of terminals
+ordered by distance, at most k (k - 1), once per request
+(``mcf.tau_mcf_flow_bound``); k = 32 is supported and nothing checks k.
+On ``random_connected_graph(n, n, seed=3, k)`` at n' = 32 on a shared
+2-vCPU x86 host, the bound took 0.05-0.08 s at k = 14 (n = 30),
+0.35-0.47 s at k = 20 and 0.9-1.3 s at k = 32 (n = 60);
 ``tau-mcf`` took 1.8 s at k = 14, 6.8 s at k = 20 and 334 s at k = 32
 (735 MB peak): past k = 14 the LP, not the bound, sets the time.
 
@@ -352,7 +353,7 @@ def cmd_bench(args):
     if got != {expected}:
         raise ContractViolation(
             f"protocol answered {got}, oracle says {expected}")
-    ratio = Fraction(tr.rounds) / Fraction(bound) if bound else Fraction(0)
+    ratio = Fraction(tr.rounds) / Fraction(bound)
     return {"instance": args.graph, "k": len(terms), "n": args.n,
             "bound_kind": kind, "bound": bound, "rounds": tr.rounds,
             "ratio": ratio, "seed": args.seed, "command": "bench",

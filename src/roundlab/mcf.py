@@ -40,10 +40,10 @@ columns and rows in that order.
 n': one call decides the whole set, largest n' first, so a caller with
 several n' (the circuit compiler's routed levels) asks once and refines
 once.  Each search solves only the LPs that its flow-over-time cut bound,
-read in closed form off static min-cost flows between terminal subsets,
-and the answer at the next larger n' leave open, because feasibility is
-monotone up in tau and down in n'.  With two terminals that cut bound is
-exact, so `tau_mcf` answers from it and solves no LP.
+read in closed form off one static min-cost flow per chain bipartition of
+the terminals, and the answer at the next larger n' leave open, because
+feasibility is monotone up in tau and down in n'.  With two terminals
+that cut bound is exact, so `tau_mcf` answers from it and solves no LP.
 
 Also here: the greedy integral unit-demand router that the circuit
 compiler ships each level with.
@@ -316,13 +316,12 @@ def tau_mcf(g, terminals, n_primes):
     once, serves every probe of the call.  The result depends on the
     arguments alone: nothing is kept between calls.
 
-    Two terminals a, b need no LP: one static a -> b flow, of path
-    lengths l_1 <= ... <= l_lambda (`timed._static_flow`), answers every
-    n' with tau_route(a, b, c) = `least_horizon`(lengths, c), c =
-    ceil(n'/2).  Proof.  Lower bound: any routing at horizon tau carries
-    n'/2 units from (a, 0) to (b, tau) over edge arcs of capacity 1, so the
-    maximum flow over time F_ab(tau) >= n'/2, and F_ab is integral, so
-    F_ab(tau) >= c.  Upper bound: at tau = tau_route(a, b, c), the
+    Two terminals a, b need no LP: the answer is `tau_mcf_flow_bound`,
+    read off the one static a -> b flow of `_terminal_cuts`, of path
+    lengths l_1 <= ... <= l_lambda (`timed._static_flow`): tau_route(a, b,
+    c) = `least_horizon`(lengths, c), c = ceil(n'/2), at least l_1 = d(a,
+    b), the terminal diameter.  Proof.  Lower bound: that of
+    `tau_mcf_flow_bound`.  Upper bound: at tau = tau_route(a, b, c), the
     temporally repeated flow of `timed.max_route_flow` carries F_ab(tau)
     >= c units a -> b; keep c of them.  Its static flow, from
     `timed._static_flow`, is a min-cost flow, so it never uses both
@@ -334,34 +333,28 @@ def tau_mcf(g, terminals, n_primes):
     moved to v -> u in layer tau - 1 - l, routes c units b -> a on the
     opposite arcs of the same edges, so the two commodities share no edge
     arc; memory arcs are free.  So n'/2 <= c units each way route at
-    tau_route(a, b, c), which is thus tau_MCF.  It is also
-    `tau_mcf_flow_bound`, max(base bound, tau_route(a, b, c)), as the base
-    bound never exceeds it: at tau = tau_route(a, b, c), c <= F_ab(tau) <=
-    lambda (tau + 1 - l_1) with l_1 >= 1 gives tau >= ceil(c / lambda) >=
-    ceil(n' / (2 lambda)), the cut term, and F_ab(tau) > 0 needs tau >=
-    l_1 = d(a, b), the terminal diameter.  Like tau = 0 in
+    tau_route(a, b, c), which is thus tau_MCF.  Like tau = 0 in
     `mcf_feasible`, this is a proven case of the same function; k >= 3
-    searches with the LP, computing the n'-free part of the cut bound
-    (`_terminal_cuts`) once per call.  Raises GraphError for a bad request
-    (`_check_request`) and UnreachableError for disconnected terminals.
+    searches with the LP.  Either way the n'-free part of the cut bound
+    (`_terminal_cuts`) is computed once per call.  Raises GraphError for
+    a bad request (`_check_request`) and UnreachableError for
+    disconnected terminals.
     """
     terminals, n_primes = _check_request(g, terminals, n_primes)
-    if len(terminals) == 2 and n_primes:
-        lengths, _ = _static_flow(g, terminals[:1], terminals[1:])
-        if not lengths:
-            raise UnreachableError("terminals are disconnected")
-        return {n_prime: least_horizon(lengths, math.ceil(n_prime / 2))
+    if not n_primes:
+        return {}
+    terminal_cuts = _terminal_cuts(g, terminals)
+    if len(terminals) == 2:
+        return {n_prime: _flow_bound(terminals, terminal_cuts, n_prime)
                 for n_prime in n_primes}
-    answers, hi, unit = {}, math.inf, None
+    answers, hi = {}, math.inf
+    unit = ArcLP.of(g, {s: {t: 1 for t in terminals if t != s}
+                        for s in terminals})
     for n_prime in n_primes:
-        if unit is None:
-            terminal_cuts = _terminal_cuts(g, terminals)
-            unit = ArcLP.of(g, {s: {t: 1 for t in terminals if t != s}
-                                for s in terminals})
         lp = unit.scaled(n_prime / len(terminals))
         hi = answers[n_prime] = least_feasible_horizon(
             lambda tau: tau >= hi or mcf_feasible(g, lp, tau),
-            _flow_bound(g, terminals, terminal_cuts, n_prime),
+            _flow_bound(terminals, terminal_cuts, n_prime),
             (int(n_prime) + 1) * g.n * len(terminals) ** 2 + g.n, "tau_mcf")
     return answers
 
@@ -393,16 +386,19 @@ def tau_mcf_lower_bound(g, terminals, n_prime):
     and UnreachableError for disconnected terminals.
     """
     terminals, (n_prime,) = _check_request(g, terminals, [n_prime])
-    return _base_bound(terminals, _terminal_cuts(g, terminals), n_prime)[0]
+    diameter, cuts = _terminal_cuts(g, terminals)
+    return max([diameter] + [
+        math.ceil(len(side) * len(rest) * n_prime / len(terminals)
+                  / len(lengths)) for side, rest, lengths in cuts])
 
 
 def _terminal_cuts(g, terminals):
     """The part of the cut bounds free of n', computed once per request:
-    (terminal diameter, {t: hop distances from t} over the terminals,
-    [(T, K - T, lengths)] over the chain bipartitions of
-    `tau_mcf_lower_bound`), T holding the least terminal and lengths those
-    of the static flow from T to K - T (`timed._static_flow`), lambda(T,
-    K - T) of them.  Raises UnreachableError for disconnected terminals."""
+    (terminal diameter, [(T, K - T, lengths)] over the chain bipartitions
+    of `tau_mcf_lower_bound`), T holding the least terminal and lengths
+    those of the static flow from T to K - T (`timed._static_flow`),
+    lambda(T, K - T) of them.  Raises UnreachableError for disconnected
+    terminals."""
     dist = {t: g.distances_from(t) for t in terminals}
     if None in (dist[terminals[0]][t] for t in terminals):
         raise UnreachableError("terminals are disconnected")
@@ -416,116 +412,52 @@ def _terminal_cuts(g, terminals):
     for side in sides:
         rest = tuple(t for t in terminals if t not in side)
         cuts.append((side, rest, _static_flow(g, side, rest)[0]))
-    return max(dist[a][b] for a in terminals for b in terminals), dist, cuts
-
-
-def _base_bound(terminals, terminal_cuts, n_prime):
-    """(tau_mcf_lower_bound, the cuts (T, K - T, lengths) that
-    `tau_mcf_flow_bound` checks: the singletons and every one whose cut
-    term attains the largest), from `_terminal_cuts`."""
-    diameter, _, cuts = terminal_cuts
-    terms = [math.ceil(len(side) * len(rest) * n_prime / len(terminals)
-                       / len(lengths))
-             for side, rest, lengths in cuts]
-    top = max(terms)
-    return max(top, diameter), [
-        cut for term, cut in zip(terms, cuts)
-        if term == top or min(len(cut[0]), len(cut[1])) == 1]
+    return max(dist[a][b] for a in terminals for b in terminals), cuts
 
 
 def tau_mcf_flow_bound(g, terminals, n_prime):
     """The flow-over-time cut bound on tau_mcf, at least
-    `tau_mcf_lower_bound`.
-
-    It is the largest of `tau_mcf_lower_bound` and the least tau with
-    F_XY(tau) >= units(X, Y) = need - c_a |T - X| - c_b |(K - T) - Y|,
-    over each checked bipartition (T, K - T), with c_a = ceil(|K - T|
-    n'/k), c_b = ceil(|T| n'/k) and need = ceil(|T| |K - T| n'/k), and
-    each X of T and Y of K - T of `_subset_chains` with units(X, Y) > 0.
-    F_XY(tau) = sum_i max(0, tau + 1 - l_i) over the path lengths l_i of
-    the static flow from X to Y (`timed._static_flow`), and
-    `timed.least_horizon` reads that tau off them.  Checked are the
-    singletons and every chain bipartition whose cut term attains the
-    largest one (`_base_bound`); the others count only through the base
-    bound.  X = T, Y = K - T reads the cut's own flow.  F_XY grows with X
-    and Y, so a pair whose units the flow of a pair one vertex smaller
-    already carries by the bound so far cannot raise it, and needs no
-    static flow of its own.
+    `tau_mcf_lower_bound`: the largest of the terminal diameter and, over
+    every chain bipartition (T, K - T) of `tau_mcf_lower_bound`, the least
+    tau with F_T(tau) >= need = ceil(|T| |K - T| n'/k).  F_T(tau) =
+    sum_i max(0, tau + 1 - l_i) over the path lengths l_i of the cut's
+    static flow from T to K - T (`_terminal_cuts`), and
+    `timed.least_horizon` reads that tau off them, so no n' runs a flow.
 
     Proof: at tau_mcf the uniform demand routes with congestion 1.  Its
     commodities from T to K - T together form a flow of |T| |K - T| n'/k
     units from T x {0} to (K - T) x {tau} that uses each edge arc at most
-    once, sends |K - T| n'/k from each t and delivers |T| n'/k to each u.
-    So in the timed network with a super source feeding each (t, 0)
-    through an arc of capacity c_a and a super sink fed by an arc of
-    capacity c_b from each (u, tau), the maximum flow, integral since the
-    capacities are, reaches need.  A minimum cut of that network leaves
-    the super arcs of some X of T and Y of K - T uncut; past them it must
-    separate X x {0} from Y x {tau}, which costs the maximum flow from the
-    one to the other, F_XY(tau).  So by max-flow min-cut, need <= min over
-    X, Y of c_a |T - X| + c_b |(K - T) - Y| + F_XY(tau), the subset
-    condition of transshipments over time (Hoppe and Tardos, Mathematics
-    of Operations Research 2000); any of these conditions bounds tau_mcf.
-    F_XY(tau) is the flow over time temporally repeated from the static
-    min-cost flow between a super source over X and a super sink over Y
-    (Ford and Fulkerson 1958).  An empty X or Y never binds, since
-    c_a |T| >= need and c_b |K - T| >= need.  This is the cut condition on
-    the timed network: unlike the per-round base-cut bound, it counts the
-    rounds a unit needs to reach the cut.  Reversing time maps a flow from
-    T to K - T onto one from K - T to T with the two capacities swapped,
-    so one direction per bipartition suffices.  With two terminals a, b
-    the one condition is X = {a}, Y = {b} and units = ceil(n'/2): the
-    bound is the larger of the base bound and tau_route(a, b, ceil(n'/2)).
-    Raises GraphError for a bad request (`_check_request`) and
-    UnreachableError for disconnected terminals.
+    once; the maximum such flow is at least that and integral, so it
+    reaches need.  That maximum is the flow over time temporally repeated
+    from the static
+    min-cost flow from T to K - T, F_T(tau) (Ford and Fulkerson,
+    Operations Research 1958).  This is the cut condition on the timed
+    network: unlike the per-round base-cut bound, it counts the rounds a
+    unit needs to reach the cut.  It is never below the cut's base term:
+    l_1 >= 1 gives F_T(tau) <= lambda tau, so F_T(tau) >= need needs tau
+    >= ceil(need / lambda).  The demand from K - T to T is as large, and
+    reversing time maps its flow onto one from T to K - T, so one
+    direction per bipartition suffices.
+    With two terminals a, b the one cut is {a}, {b} and need =
+    ceil(n'/2): the bound is tau_route(a, b, ceil(n'/2)), at least d(a,
+    b), and exact (`tau_mcf`).  Raises GraphError for a bad request
+    (`_check_request`) and UnreachableError for disconnected terminals.
 
-    Supported k: 32.  The cuts take at most k (k - 1) static flows, and a
-    checked side O(k^2); at n' = 32 the bound took 0.07 s at k = 14 and
-    1.6-1.8 s at k = 32 (the `cli` docstring has the measurements).
+    Supported k: 32.  The cuts take at most k (k - 1) static flows, run
+    once per request; at n' = 32 the bound took 0.05-0.08 s at k = 14 and
+    0.9-1.3 s at k = 32 (the `cli` docstring has the measurements).
     """
     terminals, (n_prime,) = _check_request(g, terminals, [n_prime])
-    return _flow_bound(g, terminals, _terminal_cuts(g, terminals), n_prime)
+    return _flow_bound(terminals, _terminal_cuts(g, terminals), n_prime)
 
 
-def _flow_bound(g, terminals, terminal_cuts, n_prime):
+def _flow_bound(terminals, terminal_cuts, n_prime):
     """`tau_mcf_flow_bound`, from `_terminal_cuts`."""
-    lo, cuts = _base_bound(terminals, terminal_cuts, n_prime)
-    dist, share = terminal_cuts[1], n_prime / len(terminals)
-    for side, rest, cut_lengths in cuts:
-        cap_a = math.ceil(len(rest) * share)
-        cap_b = math.ceil(len(side) * share)
-        need = math.ceil(len(side) * len(rest) * share)
-        # (X, Y) -> the lengths of a static flow between subsets of X and
-        # Y, whose flow over time is at most F_XY
-        known = {(frozenset(side), frozenset(rest)): cut_lengths}
-        rest_chains = _subset_chains(rest, side, dist)
-        for xs in _subset_chains(side, rest, dist):
-            for ys in rest_chains:
-                units = (need - cap_a * (len(side) - len(xs))
-                         - cap_b * (len(rest) - len(ys)))
-                if units <= 0:
-                    continue
-                if (xs, ys) not in known:
-                    fits = [known[pair] for pair in
-                            [(xs - {x}, ys) for x in xs]
-                            + [(xs, ys - {y}) for y in ys]
-                            if pair in known
-                            and least_horizon(known[pair], units) <= lo]
-                    known[xs, ys] = (fits[0] if fits
-                                     else _static_flow(g, xs, ys)[0])
-                lo = max(lo, least_horizon(known[xs, ys], units))
-    return lo
-
-
-def _subset_chains(side, rest, dist):
-    """The subsets of `side` that `_flow_bound` checks against `rest`, as
-    frozensets, smallest first: the prefixes of `side` sorted by (hop
-    distance to `rest`, vertex), nearest first and farthest first, and
-    the singletons."""
-    near = sorted(side, key=lambda x: (min(dist[x][y] for y in rest), x))
-    subsets = ([near[:j] for j in range(1, len(near) + 1)]
-               + [near[j:] for j in range(1, len(near))] + [[x] for x in side])
-    return sorted(dict.fromkeys(map(frozenset, subsets)), key=len)
+    diameter, cuts = terminal_cuts
+    return max([diameter] + [
+        least_horizon(lengths, math.ceil(len(side) * len(rest) * n_prime
+                                         / len(terminals)))
+        for side, rest, lengths in cuts])
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ Where every inner table is "all k ones" (DISJ), that value is the AND of
 the subtree's input bits and travels as one bit; otherwise it is the
 subtree's one-count and travels as ceil(log2 k) bits, low bit first.
 
-The compiler maps circuit gates to random terminals (load balanced by
-rejection resampling), ships each level's gate values with the integral
-timed-graph router, one window of rounds per level, and the answer down
-a BFS tree, all as rows of one send/receive plan.
+The compiler maps circuit gates to random terminals (one draw, checked
+against per-level load thresholds), ships each level's gate values with
+the integral timed-graph router, one window of rounds per level, and the
+answer down a BFS tree, all as rows of one send/receive plan.
 """
 
 from __future__ import annotations
@@ -29,12 +29,8 @@ from .mcf import route_unit_demands, tau_mcf
 from .sim import ContractViolation, ProtocolSpec, fixed_windows
 from .timed import least_feasible_horizon
 
-# random gate assignments drawn before compilation gives up
-ASSIGN_RESAMPLES = 64
-
-
 class CompileError(RuntimeError):
-    """No gate assignment balanced every level within the resamples."""
+    """The gate assignment overloads a level past its threshold."""
 
 
 # ---------------------------------------------------------------------------
@@ -238,45 +234,33 @@ def default_input_layout(terminals, n):
 
 
 def _assign_gates(circuit, terms, seed):
-    """Random gate->terminal map, resampled (at most ASSIGN_RESAMPLES
-    draws) until every level's gates-plus-inputs load stays within the
-    explicit threshold."""
+    """Random gate->terminal map, one draw, whose every level's
+    gates-plus-inputs load stays within the explicit threshold, or
+    CompileError naming the first level that exceeds it."""
     k = len(terms)
     d = max(1, circuit.depth)
     s = max(1, circuit.wire_count)
-    sizes = circuit.level_sizes
     log_term = math.ceil(math.log(2 * k * d * s))
-    thresholds = [3 * max(math.ceil(sz / k) * log_term, 1) for sz in sizes]
     rng = random.Random(f"assign:{seed}")
-    worst = None
-    for _ in range(ASSIGN_RESAMPLES):
-        assignment = [tuple(terms[rng.randrange(k)] for _ in range(sz))
-                      for sz in sizes]
-        ok = True
-        observed = 0
-        for li, level in enumerate(circuit.levels):
-            loads = {t: 0 for t in terms}
-            for pos, gate in enumerate(level):
-                loads[assignment[li][pos]] += 1
-                for a in gate.args:
-                    loads[assignment[li - 1][a]] += 1
-            peak = max(loads.values())
-            observed = max(observed, peak)
-            if peak > thresholds[li]:
-                ok = False
-                break
-        worst = observed if worst is None else min(worst, observed)
-        if ok:
-            return assignment, thresholds
-    raise CompileError(
-        f"no balanced gate assignment in {ASSIGN_RESAMPLES} resamples "
-        f"(best observed peak load {worst})")
+    assignment = [tuple(terms[rng.randrange(k)] for _ in range(sz))
+                  for sz in circuit.level_sizes]
+    for li, level in enumerate(circuit.levels):
+        threshold = 3 * max(math.ceil(len(level) / k) * log_term, 1)
+        loads = Counter(assignment[li])
+        for gate in level:
+            loads.update(assignment[li - 1][a] for a in gate.args)
+        peak = max(loads.values(), default=0)
+        if peak > threshold:
+            raise CompileError(
+                f"gate assignment overloads level {li}: peak load {peak} "
+                f"past its threshold {threshold}")
+    return assignment
 
 
 def compile_circuit(g, terminals, circuit, seed, output_pos=0):
     """Compile a leveled circuit into a synchronous protocol.
 
-    Gates are mapped to terminals at random (load-balanced by rejection);
+    Gates are mapped to terminals at random (`_assign_gates`);
     per level, the gate values cross the network as an integral routing of
     unit demands inside a dedicated window of rounds.  The window is the
     horizon `timed.least_feasible_horizon` finds for `route_unit_demands`
@@ -293,7 +277,6 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
     outputs the answer in its broadcast round.
 
     meta keys: windows (rounds per level, 0 for a level with no units),
-    thresholds (per-level load thresholds of the gate assignment),
     data_rounds, broadcast_rounds and assignment (per level, the terminal
     owning each gate).
     """
@@ -307,7 +290,7 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
                          f"the output level's width")
     input_layout = default_input_layout(terms, n)
     holder = {j: t for t, bits in input_layout.items() for j in bits}
-    assignment, thresholds = _assign_gates(circuit, terms, seed)
+    assignment = _assign_gates(circuit, terms, seed)
 
     # per-level unit demands, each keyed by the value it carries:
     # (level, pos), level 0 being the input bits
@@ -409,8 +392,8 @@ def compile_circuit(g, terminals, circuit, seed, output_pos=0):
         max_rounds=answer_round + bcast_depth + 2,
         init=init,
         step=step,
-        meta={"windows": tuple(windows), "thresholds": tuple(thresholds),
-              "data_rounds": sum(windows), "broadcast_rounds": bcast_depth,
+        meta={"windows": tuple(windows), "data_rounds": sum(windows),
+              "broadcast_rounds": bcast_depth,
               "assignment": tuple(tuple(row) for row in assignment)},
         wake=fixed_windows(spans),
     )

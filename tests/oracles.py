@@ -521,6 +521,27 @@ def flow_bound_reference(g, sides, n_prime, lo):
     return tau
 
 
+def cut_flow_bound_reference(g, n_prime):
+    """The least tau >= the terminal diameter at which, on every
+    bipartition (T, K - T) of `terminal_bipartitions`, the uncapacitated
+    `partition_flow` from T to K - T reaches ceil(|T| |K - T| n'/k).  An
+    upward scan of timed networks, one max flow per side and horizon."""
+    terminals = tuple(sorted(g.terminals))
+    share = Fraction(n_prime) / len(terminals)
+    dist = distances_bruteforce(g)
+    tau = max(dist[a][b] for a in terminals for b in terminals)
+
+    def passes(side, rest):
+        big = 2 * g.m * tau + 1     # more than all the edge arcs carry
+        value, _ = partition_flow(g, tau, side, rest, big, big)
+        return value >= math.ceil(len(side) * len(rest) * share)
+
+    while not all(passes(side, rest)
+                  for side, rest in terminal_bipartitions(terminals)):
+        tau += 1
+    return tau
+
+
 def terminal_bipartitions(terminals):
     """Every bipartition (T, K - T) of the sorted `terminals` into two
     nonempty sides, written as the side T that holds the least terminal."""
@@ -533,7 +554,8 @@ def terminal_bipartitions(terminals):
 def cut_bounds_exhaustive(g, n_prime):
     """(base-cut bound, flow bound) of tau_mcf over every bipartition
     (T, K - T) of `terminal_bipartitions` and every nonempty X of T and Y
-    of K - T: the reference for the chains that `roundlab.mcf` checks.
+    of K - T: a reference above the bounds of `roundlab.mcf`, which read
+    the chain bipartitions alone, each with X = T and Y = K - T.
 
     The base bound is the largest of the terminal diameter and
     ceil(|T| |K - T| n'/(k lambda(T, K - T))), lambda by

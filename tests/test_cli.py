@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from scipy.optimize import OptimizeResult, linprog
@@ -18,7 +19,9 @@ from roundlab import (
     clique, format_graph_text, grid_graph, parallel_edges,
     path_graph, random_connected_graph, ring_of_cliques,
 )
-from roundlab.circuits import build_ed_circuit, circuit_from_json, circuit_to_json
+from roundlab.circuits import (
+    BooleanCircuit, Gate, build_ed_circuit, circuit_from_json, circuit_to_json,
+)
 from roundlab.cli import main
 from roundlab.distgraph import (
     and_disj_instance, instance_from_json, random_pair_strings,
@@ -177,6 +180,32 @@ def test_compile_command(tmp_path, capsys):
                                   "--output-pos", str(pos)])
     assert code == 0
     assert set(payload["outputs"].values()) == {1}
+
+
+def test_compile_overloaded_assignment_exit_code(tmp_path, capsys,
+                                                monkeypatch):
+    # ten AND gates over 20 inputs on K20, the draw stubbed to put every
+    # gate on terminal 0: level 0's load 20 stays within its threshold 21,
+    # level 1's 10 gates plus 20 inputs do not
+    class FirstTerminal:
+        def randrange(self, k):
+            return 0
+
+    monkeypatch.setattr(protocols_mod, "random",
+                        SimpleNamespace(Random=lambda seed: FirstTerminal()))
+    inputs = tuple(Gate("CONST", ()) for _ in range(20))
+    ands = tuple(Gate("AND", (2 * i, 2 * i + 1)) for i in range(10))
+    circuit = BooleanCircuit(1, 20, (inputs, ands))
+    message = ("gate assignment overloads level 1: peak load 30 past its "
+               "threshold 21")
+    g = clique(20)
+    with pytest.raises(protocols_mod.CompileError, match=f"^{message}$"):
+        protocols_mod.compile_circuit(g, g.terminals, circuit, seed=0)
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps(circuit_to_json(circuit)))
+    assert main(["compile", "--graph", _write_graph(tmp_path, g),
+                 "--circuit", str(cpath)]) == 4
+    assert capsys.readouterr().err == f"contract violation: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,9 +19,9 @@ from roundlab.mcf import (
 from roundlab.timed import tau_route
 
 from oracles import (
-    cut_bounds_exhaustive, flow_bound_reference, forward_bounds_reference,
-    mcf_feasible_bruteforce, mcf_lp_reference, route_unit_demands_reference,
-    terminal_bipartitions, timed_arcs,
+    cut_bounds_exhaustive, cut_flow_bound_reference, flow_bound_reference,
+    forward_bounds_reference, mcf_feasible_bruteforce, mcf_lp_reference,
+    route_unit_demands_reference, terminal_bipartitions, timed_arcs,
 )
 
 
@@ -319,7 +319,8 @@ def test_tau_mcf_names_a_bad_terminal(g, terminals, n_prime, message):
 def test_flow_bound_matches_timed_side_search(g, n_prime):
     # the exhaustive closed form over every bipartition and subset pair
     # against the reference engine's partition flows, on multigraphs with
-    # parallel edges and k = 2..5; the chains check some of those pairs
+    # parallel edges and k = 2..5; the chain cuts' own flows are some of
+    # those conditions (X = T, Y = K - T)
     assume(g.connected(g.terminals))
     bound = cut_bounds_exhaustive(g, n_prime)[1]
     assert bound == _reference_flow_bound(g, n_prime)
@@ -337,6 +338,18 @@ def test_chain_bounds_below_exhaustive_bounds(g, n_prime):
     assert tau_mcf_lower_bound(g, g.terminals, n_prime) <= base <= bound
     assert tau_mcf_flow_bound(g, g.terminals, n_prime) <= bound <= \
         _tau_mcf_by_scan(g, n_prime)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallel_multigraphs(3), TWO_TERMINAL_NPRIMES)
+def test_flow_bound_is_exact_cut_flow_search_at_three_terminals(g, n_prime):
+    # at k <= 3 every bipartition is a chain one, so the bound is exactly
+    # the least horizon, from the terminal diameter up, at which the timed
+    # max flow from T x {0} to (K - T) x {tau} carries each bipartition's
+    # share of the demand
+    assume(g.connected(g.terminals))
+    assert tau_mcf_flow_bound(g, g.terminals, n_prime) == \
+        cut_flow_bound_reference(g, n_prime)
 
 
 def test_flow_bound_on_bench_graphs():
@@ -362,24 +375,24 @@ def _count_static_flows(monkeypatch, k):
     return calls
 
 
-@pytest.mark.parametrize("g,n_prime,base,bound,cuts,flows", [
-    (random_connected_graph(12, 10, seed=1, k=4), 32, 24, 24, 6, 12),
-    (random_connected_graph(30, 30, seed=3, k=10), 20, 9, 9, 62, 96),
-    (random_connected_graph(30, 30, seed=3, k=14), 32, 15, 15, 141, 29),
-    (random_connected_graph(60, 60, seed=3, k=32), 32, 60, 60, 826, 1026),
+@pytest.mark.parametrize("g,n_prime,base,bound,cuts", [
+    (random_connected_graph(12, 10, seed=1, k=4), 32, 24, 24, 6),
+    (random_connected_graph(30, 30, seed=3, k=10), 20, 9, 9, 62),
+    (random_connected_graph(30, 30, seed=3, k=14), 32, 15, 15, 141),
+    (random_connected_graph(60, 60, seed=3, k=32), 32, 60, 60, 826),
 ], ids=["k4", "k10", "k14", "k32"])
 def test_flow_bound_static_flow_count(monkeypatch, g, n_prime, base, bound,
-                                      cuts, flows):
-    # static flows, not seconds, so the guard holds on a shared host.  The
-    # exhaustive loops took 7 + 12 at k = 4, 511 + 151 at k = 10 and
-    # 14 + 10,011 at k = 14 (singleton cuts only), with the same bounds
+                                      cuts):
+    # static flows, not seconds, so the guard holds on a shared host.  Both
+    # bounds run the chain cuts' flows and no other: the exhaustive loops
+    # took 7 + 12 at k = 4, 511 + 151 at k = 10 and 14 + 10,011 at k = 14
+    # (singleton cuts only), with the same bounds
     calls = _count_static_flows(monkeypatch, len(g.terminals))
     assert tau_mcf_lower_bound(g, g.terminals, n_prime) == base
     assert calls.count(None) == 0 and len(calls) == cuts
     calls.clear()
     assert tau_mcf_flow_bound(g, g.terminals, n_prime) == bound
-    assert (len(calls) - calls.count(None), calls.count(None)) == \
-        (cuts, flows)
+    assert calls.count(None) == 0 and len(calls) == cuts
 
 
 @pytest.mark.parametrize("g,n_primes,cuts", [
@@ -389,13 +402,13 @@ def test_flow_bound_static_flow_count(monkeypatch, g, n_prime, base, bound,
     (clique(3), range(1, 22), 3),
 ])
 def test_tau_mcf_cuts_once_per_call(monkeypatch, g, n_primes, cuts):
-    # the min cuts of the base bound do not depend on n': one tau_mcf call
-    # cuts each chain bipartition once, however many n' it decides, and
-    # the flow bound reads each cut's flow rather than running it again
+    # the min cuts of the bounds do not depend on n': every static flow of
+    # one tau_mcf call is a chain bipartition's, run once, however many n'
+    # it decides
     calls = _count_static_flows(monkeypatch, len(g.terminals))
     tau_mcf(g, g.terminals, n_primes)
-    sides = [side for side in calls if side is not None]
-    assert len(set(sides)) == len(sides) == cuts
+    assert None not in calls
+    assert len(set(calls)) == len(calls) == cuts
 
 
 def test_tau_mcf_probe_order(monkeypatch):

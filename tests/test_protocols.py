@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -456,7 +457,10 @@ def test_compile_round_accounting():
     inputs = {t: (1, 0) for t in g.terminals}
     tr = run_protocol(g, proto, inputs, seed=0)
     windows = proto.meta["windows"]
-    levels = list(zip(windows, proto.meta["thresholds"]))
+    # the gate assignment's per-level load thresholds
+    log_term = math.ceil(math.log(2 * 3 * c.depth * c.wire_count))
+    levels = [(window, 3 * max(math.ceil(size / 3) * log_term, 1))
+              for window, size in zip(windows, c.level_sizes)]
     taus = tau_mcf(g, g.terminals, [3 * t for window, t in levels if window])
     bounds = [0 if window == 0 else 2 * taus[3 * t] for window, t in levels]
     assert sum(windows) <= sum(bounds)

@@ -45,9 +45,10 @@ ALLOWED = {
     "sorting_network_sorts": "checker: the 0-1 principle test of the "
                              "sorting networks behind ED circuits",
     "tau_mcf_flow_bound": "public API: the flow-over-time cut bound on "
-                          "tau_mcf, tested against the exhaustive "
-                          "reference; tau_mcf reuses its n'-free cuts "
-                          "through _flow_bound",
+                          "tau_mcf, tested against the exact cut-flow "
+                          "search at k <= 3 and the exhaustive reference; "
+                          "tau_mcf reads it off its n'-free cuts through "
+                          "_flow_bound",
     "tau_mcf_lower_bound": "public API: the base-cut bound on tau_mcf, "
                            "tested against tau_mcf",
     "value": "ambiguous: TreePacking.value, read by disjointness_bound "
